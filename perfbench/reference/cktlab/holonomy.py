@@ -1,0 +1,291 @@
+"""Parallel transport along torus geodesics and invariant-subbundle probes.
+
+Transport solves the matrix ODE C' = -Gamma_{x(t)}(v) C along the
+straight line x(t) = x0 + t v with classical fourth-order steps.  The
+opacity probe transports a seeded family of segments from a common base
+point, extracts the (numerical) commutant of the transport set, and
+diagonalizes a random Hermitian element of it: spectral projectors of
+flow-parallel Hermitian sections are themselves flow-parallel, so each
+projector is reported with its invariance defect.
+
+The probe certifies only a finite transport set: its verdict for a
+trivial commutant is worded as 'no invariant subbundle detected at
+tolerance tau', never as a proof of opacity.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import ValidationError
+from .torusmodel import FourierConnection, TorusConfig, eval_sections
+
+__all__ = [
+    "GeodesicSegment",
+    "TransportResult",
+    "transport",
+    "invariance_defect",
+    "opacity_probe",
+    "OpacityReport",
+    "parallel_frame_check",
+    "FrameCheckResult",
+]
+
+
+@dataclass(frozen=True)
+class GeodesicSegment:
+    """Straight-line geodesic on the flat torus: x(t) = x0 + t v, 0 <= t <= length."""
+
+    x0: np.ndarray
+    v: np.ndarray
+    length: float
+
+    def __post_init__(self):
+        x0 = np.asarray(self.x0, dtype=float)
+        v = np.asarray(self.v, dtype=float)
+        nrm = np.linalg.norm(v)
+        if abs(nrm - 1.0) > 1e-12:
+            raise ValidationError("direction must be a unit vector")
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "v", v)
+
+
+@dataclass
+class TransportResult:
+    C: np.ndarray
+    steps: int
+    unitarity_defect: float
+    error_estimate: float
+
+
+def _transport_rk4(conn, seg, steps):
+    r = conn.r
+    C = np.eye(r, dtype=complex)
+    h = seg.length / steps
+    v = seg.v
+
+    def rhs(t, M):
+        G = conn.value_at(seg.x0 + t * v, v)
+        return -G @ M
+
+    t = 0.0
+    for _ in range(steps):
+        k1 = rhs(t, C)
+        k2 = rhs(t + h / 2, C + h / 2 * k1)
+        k3 = rhs(t + h / 2, C + h / 2 * k2)
+        k4 = rhs(t + h, C + h * k3)
+        C = C + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += h
+    return C
+
+
+def transport(conn: FourierConnection, seg: GeodesicSegment, steps: int = 128,
+              unitary: bool = True) -> TransportResult:
+    """Parallel transport along a geodesic segment.
+
+    Runs the fourth-order integrator at the requested step count and at
+    half the step size; the difference is the reported error estimate and
+    the finer result is returned.
+    """
+    if steps < 16:
+        raise ValidationError("need at least 16 steps")
+    if unitary:
+        n = len(seg.v)
+        samples = [(seg.x0 + (0.13 + 0.61 * i) * np.ones(n), seg.v) for i in range(3)]
+        defect = conn.pointwise_skew_defect(samples)
+        if defect > 1e-10:
+            raise ValidationError(
+                f"connection is not skew-Hermitian (defect {defect:.2e}) "
+                "but the unitary flag is set"
+            )
+    coarse = _transport_rk4(conn, seg, steps)
+    fine = _transport_rk4(conn, seg, 2 * steps)
+    err = float(np.abs(fine - coarse).max())
+    r = conn.r
+    unit_defect = float(np.abs(fine.conj().T @ fine - np.eye(r)).max())
+    return TransportResult(fine, 2 * steps, unit_defect, err)
+
+
+def _projector_field(P):
+    """Normalize the projector argument: constant matrix or {mode: value}."""
+    if isinstance(P, dict):
+        out = {}
+        for q, val in P.items():
+            out[tuple(int(c) for c in q)] = val
+        return out
+    return {None: np.asarray(P, dtype=complex)}
+
+
+def _eval_field(field_modes, x, v):
+    acc = None
+    for q, val in field_modes.items():
+        M = val(v) if callable(val) else np.asarray(val, dtype=complex)
+        if q is not None:
+            M = M * np.exp(1j * float(np.dot(q, x)))
+        acc = M if acc is None else acc + M
+    return acc
+
+
+def _eval_flow_derivative(field_modes, x, v):
+    """v . d_x of the field (geodesics are straight, so no v-derivatives)."""
+    acc = None
+    for q, val in field_modes.items():
+        if q is None:
+            continue
+        M = val(v) if callable(val) else np.asarray(val, dtype=complex)
+        M = M * (1j * float(np.dot(q, v))) * np.exp(1j * float(np.dot(q, x)))
+        acc = M if acc is None else acc + M
+    return acc
+
+
+def invariance_defect(conn: FourierConnection, P, samples: int = 64,
+                      seed: int = 0, n: int | None = None) -> float:
+    """Max over sampled (x, v) of || X.P + [Gamma_x(v), P] ||.
+
+    P may be a constant matrix or a dict of Fourier modes over the sphere
+    bundle (values: matrices or callables of v).  Vanishing defect is the
+    flow-parallelism of the subbundle projector, i.e. invariance.
+    """
+    field_modes = _projector_field(P)
+    rng = np.random.default_rng(seed)
+    n = n if n is not None else conn.n
+    if n is None:
+        raise ValidationError("torus dimension is undetermined; pass n explicitly")
+    worst = 0.0
+    for _ in range(samples):
+        x = rng.uniform(0, 2 * math.pi, n)
+        v = rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        Pxv = _eval_field(field_modes, x, v)
+        herm = np.abs(Pxv - Pxv.conj().T).max()
+        idem = np.abs(Pxv @ Pxv - Pxv).max()
+        if herm > 1e-8 or idem > 1e-8:
+            raise ValidationError(
+                f"field is not an orthogonal projector at a sample "
+                f"(hermitian defect {herm:.2e}, idempotency defect {idem:.2e})"
+            )
+        dP = _eval_flow_derivative(field_modes, x, v)
+        G = conn.value_at(x, v)
+        total = G @ Pxv - Pxv @ G
+        if dP is not None:
+            total = total + dP
+        worst = max(worst, float(np.abs(total).max()))
+    return worst
+
+
+@dataclass
+class OpacityReport:
+    commutant_dim: int
+    projectors: list  # (rank, invariance defect, matrix)
+    verdict: str
+    tolerance: float
+    transports: int
+
+    def csv_rows(self):
+        rows = ["projector_index,rank,invariance_defect"]
+        for i, (rank, defect, _) in enumerate(self.projectors):
+            rows.append(f"{i},{rank},{defect!r}")
+        rows.append(f"summary,commutant_dim={self.commutant_dim},verdict={self.verdict}")
+        return rows
+
+
+def opacity_probe(conn: FourierConnection, num_geodesics: int = 24,
+                  length: float = 7.0, steps: int = 256, seed: int = 0,
+                  defect_samples: int = 32) -> OpacityReport:
+    """Probe for invariant subbundles through the transport commutant.
+
+    Transports num_geodesics seeded segments from a common base point
+    (directions drawn from a seeded Gaussian, which avoids the closed
+    rational-ratio geodesics of the torus almost surely), solves for the
+    joint commutant of the transport set, and diagonalizes a random
+    Hermitian commutant element into candidate invariant projectors.
+    """
+    r = conn.r
+    if r is None:
+        raise ValidationError("connection does not determine a fiber rank")
+    n = conn.n
+    if n is None:
+        raise ValidationError("connection does not determine the torus dimension")
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(0, 2 * math.pi, n)
+    mats = []
+    for _ in range(num_geodesics):
+        v = rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        seg = GeodesicSegment(x0, v, length)
+        mats.append(transport(conn, seg, steps).C)
+
+    eye = np.eye(r)
+    rows = [np.kron(C, eye) - np.kron(eye, C.T) for C in mats]
+    L = np.vstack(rows)
+    _, s, vt = np.linalg.svd(L)
+    tol = 1e-6 * (s[0] if len(s) else 1.0)
+    null = vt[(s > tol).sum():, :].conj().T  # (r^2, commutant_dim)
+    cdim = null.shape[1]
+
+    projectors = []
+    if cdim > 1:
+        coeffs = rng.standard_normal(cdim)
+        H = sum(c * null[:, i].reshape(r, r) for i, c in enumerate(coeffs))
+        H = (H + H.conj().T) / 2
+        evals, evecs = np.linalg.eigh(H)
+        spread = max(evals[-1] - evals[0], 1e-12)
+        groups = []
+        start = 0
+        for i in range(1, r):
+            if evals[i] - evals[i - 1] > 1e-4 * spread:
+                groups.append(range(start, i))
+                start = i
+        groups.append(range(start, r))
+        for g in groups:
+            V = evecs[:, list(g)]
+            Pg = V @ V.conj().T
+            defect = invariance_defect(conn, Pg, samples=defect_samples, seed=seed + 1)
+            projectors.append((len(list(g)), defect, Pg))
+
+    if cdim == 1:
+        verdict = "opaque: no invariant subbundle detected at tolerance 1e-6"
+    elif cdim >= r * r:
+        verdict = "transparent: every subbundle invariant at tolerance 1e-6"
+    else:
+        verdict = "not opaque: invariant subbundle candidates found"
+    return OpacityReport(cdim, projectors, verdict, 1e-6, num_geodesics)
+
+
+@dataclass
+class FrameCheckResult:
+    gram_drift: float
+    min_singular_value: float
+    pointwise_independent: bool
+
+
+def parallel_frame_check(config: TorusConfig, vectors, samples: int = 100,
+                         seed: int = 0, degree=None) -> FrameCheckResult:
+    """Pointwise Gram stability and independence of kernel sections.
+
+    Evaluates the sections at seeded (x, v) samples and reports the max
+    deviation of the pointwise Gram matrix from its value at the first
+    sample, plus the smallest singular value of the pointwise section
+    matrix (>= 1e-6 for genuine kernel frames of a unitary generator).
+    """
+    vectors = np.asarray(vectors)
+    if vectors.ndim == 1:
+        vectors = vectors[:, None]
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0, 2 * math.pi, (samples, config.n))
+    vs = rng.standard_normal((samples, config.n))
+    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+    vals = eval_sections(config, vectors, xs, vs, degree=degree)  # (N, fdim, p)
+    gram0 = vals[0].conj().T @ vals[0]
+    drift = 0.0
+    min_sv = math.inf
+    for i in range(samples):
+        U = vals[i]
+        gram = U.conj().T @ U
+        drift = max(drift, float(np.abs(gram - gram0).max()))
+        sv = np.linalg.svd(U, compute_uv=False)
+        min_sv = min(min_sv, float(sv[-1]) if len(sv) else 0.0)
+    return FrameCheckResult(drift, min_sv, min_sv >= 1e-6)

@@ -1,0 +1,504 @@
+"""Exact algebra of homogeneous polynomials on R^n.
+
+Everything here works on polynomials that are homogeneous of a single
+degree, stored sparsely as multi-index -> coefficient maps.  The module
+provides the differentiation pairing, the Euclidean Laplacian, the
+radial/harmonic decomposition, exact monomial moments over the unit
+sphere, and sphere-L2-orthonormal bases of harmonic polynomials.
+
+Coefficients are ordinarily complex doubles.  The dict-based arithmetic
+is type-agnostic, so tests may feed `fractions.Fraction` coefficients to
+`laplace` and `harmonic_decompose` and get exact results back.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
+
+from .errors import ConvergenceError, NoSolutionError, ValidationError
+
+__all__ = [
+    "HPoly",
+    "HarmonicBasis",
+    "dims",
+    "monomials",
+    "apply_diff",
+    "bombieri_inner",
+    "bombieri_norm",
+    "laplace",
+    "harmonic_decompose",
+    "sphere_monomial_moment",
+    "sphere_area",
+    "sphere_inner",
+    "harmonic_basis",
+    "harmonic_antiderivative",
+    "radial_squared",
+]
+
+
+def dims(n: int, m: int) -> tuple[int, int]:
+    """Dimensions (p, h) of the homogeneous / harmonic polynomials of degree m.
+
+    p = C(n+m-1, m) counts all monomials, h = C(n+m-1, m) - C(n+m-3, m-2)
+    counts the harmonic ones (the second binomial is read as 0 for m < 2).
+    Python integers do not overflow, so no wrapping can occur.
+    """
+    if n < 2:
+        raise ValidationError(f"ambient dimension must be >= 2, got {n}")
+    if m < 0:
+        raise ValidationError(f"degree must be >= 0, got {m}")
+    p = math.comb(n + m - 1, m)
+    h = p - (math.comb(n + m - 3, m - 2) if m >= 2 else 0)
+    return p, h
+
+
+@lru_cache(maxsize=None)
+def monomials(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """All exponent tuples of degree m in n variables, in lexicographic order."""
+    if m < 0:
+        return ()
+
+    def rec(nv, deg):
+        if nv == 1:
+            yield (deg,)
+            return
+        for first in range(deg + 1):
+            for rest in rec(nv - 1, deg - first):
+                yield (first,) + rest
+
+    return tuple(sorted(rec(n, m)))
+
+
+class HPoly:
+    """Homogeneous polynomial of degree m in n variables.
+
+    Stored as a map from exponent tuples (all of total degree m) to
+    coefficients.  Explicit zero coefficients may be present; equality
+    ignores them.  Degree m = -1 or -2 is allowed and denotes the zero
+    polynomial in a degree slot that has no monomials (it shows up when
+    an operation drops the degree below zero).
+    """
+
+    __slots__ = ("n", "m", "coeffs")
+
+    def __init__(self, n, m, coeffs=None):
+        if n < 1:
+            raise ValidationError(f"need n >= 1, got {n}")
+        self.n = int(n)
+        self.m = int(m)
+        self.coeffs = dict(coeffs) if coeffs else {}
+        for a in self.coeffs:
+            if len(a) != self.n or any(e < 0 for e in a) or sum(a) != self.m:
+                raise ValidationError(f"exponent {a} is not a degree-{self.m} multi-index")
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def monomial(cls, n, alpha, c=1.0):
+        alpha = tuple(int(e) for e in alpha)
+        return cls(n, sum(alpha), {alpha: c})
+
+    @classmethod
+    def variable(cls, n, j, c=1.0):
+        alpha = tuple(1 if i == j else 0 for i in range(n))
+        return cls(n, 1, {alpha: c})
+
+    @classmethod
+    def constant(cls, n, c):
+        return cls(n, 0, {(0,) * n: c})
+
+    @classmethod
+    def zero(cls, n, m):
+        return cls(n, m, {})
+
+    # -- basic algebra -----------------------------------------------------
+
+    def __add__(self, other):
+        self._check_same_slot(other)
+        out = dict(self.coeffs)
+        for a, c in other.coeffs.items():
+            out[a] = out.get(a, 0) + c
+        return HPoly(self.n, self.m, out)
+
+    def __sub__(self, other):
+        return self + (other * (-1))
+
+    def __mul__(self, other):
+        if isinstance(other, HPoly):
+            if other.n != self.n:
+                raise ValidationError("polynomial product needs matching n")
+            out = {}
+            for a, ca in self.coeffs.items():
+                for b, cb in other.coeffs.items():
+                    k = tuple(x + y for x, y in zip(a, b))
+                    out[k] = out.get(k, 0) + ca * cb
+            return HPoly(self.n, self.m + other.m, out)
+        return HPoly(self.n, self.m, {a: c * other for a, c in self.coeffs.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        return HPoly(self.n, self.m, {a: c / scalar for a, c in self.coeffs.items()})
+
+    def __neg__(self):
+        return self * (-1)
+
+    def conj(self):
+        return HPoly(self.n, self.m, {a: c.conjugate() for a, c in self.coeffs.items()})
+
+    def deriv(self, j):
+        """Partial derivative with respect to variable j."""
+        out = {}
+        for a, c in self.coeffs.items():
+            if a[j] > 0:
+                b = a[:j] + (a[j] - 1,) + a[j + 1:]
+                out[b] = out.get(b, 0) + c * a[j]
+        return HPoly(self.n, self.m - 1, out)
+
+    def prune(self, tol=0.0):
+        """Drop coefficients with |c| <= tol (tol=0 drops exact zeros)."""
+        return HPoly(self.n, self.m, {a: c for a, c in self.coeffs.items() if abs(c) > tol})
+
+    def compose_linear(self, M):
+        """Substitute v -> M y: returns Q(y) = P(M y) in M.shape[1] variables.
+
+        Homogeneity is preserved; with M an orthogonal matrix this is the
+        rotation action, with rectangular M a restriction/extension along
+        a subspace.
+        """
+        M = np.asarray(M)
+        if M.shape[0] != self.n:
+            raise ValidationError(f"substitution matrix needs {self.n} rows")
+        n_new = M.shape[1]
+        lin = [HPoly(n_new, 1, {tuple(1 if t == j else 0 for t in range(n_new)): M[i, j]
+                                for j in range(n_new) if M[i, j] != 0})
+               for i in range(self.n)]
+        out = HPoly.zero(n_new, self.m)
+        for a, c in self.coeffs.items():
+            term = HPoly.constant(n_new, c) if self.m >= 0 else None
+            for i, e in enumerate(a):
+                for _ in range(e):
+                    term = term * lin[i]
+            if term is not None:
+                out = out + term
+        return out
+
+    def is_zero(self, tol=0.0):
+        return all(abs(c) <= tol for c in self.coeffs.values())
+
+    def max_abs_coeff(self):
+        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+
+    def __eq__(self, other):
+        if not isinstance(other, HPoly):
+            return NotImplemented
+        if self.n != other.n:
+            return False
+        keys = set(self.coeffs) | set(other.coeffs)
+        return all(self.coeffs.get(a, 0) == other.coeffs.get(a, 0) for a in keys)
+
+    def __hash__(self):
+        raise TypeError("HPoly is not hashable")
+
+    def __repr__(self):
+        terms = ", ".join(f"{a}: {c}" for a, c in sorted(self.coeffs.items()))
+        return f"HPoly(n={self.n}, m={self.m}, {{{terms}}})"
+
+    # -- evaluation --------------------------------------------------------
+
+    def eval(self, points):
+        """Evaluate at an (N, n) array of points; returns an (N,) complex array."""
+        pts = np.atleast_2d(np.asarray(points))
+        if pts.shape[1] != self.n:
+            raise ValidationError(f"points must have {self.n} columns")
+        vals = np.zeros(pts.shape[0], dtype=complex)
+        for a, c in self.coeffs.items():
+            term = np.ones(pts.shape[0], dtype=complex)
+            for i, e in enumerate(a):
+                if e:
+                    term = term * pts[:, i] ** e
+            vals += complex(c) * term
+        return vals
+
+    def _check_same_slot(self, other):
+        if not isinstance(other, HPoly) or other.n != self.n or other.m != self.m:
+            raise ValidationError("operands must share (n, m)")
+
+
+def radial_squared(n):
+    """The polynomial |v|^2."""
+    return HPoly(n, 2, {tuple(2 if i == j else 0 for i in range(n)): 1 for j in range(n)})
+
+
+def apply_diff(P: HPoly, Q: HPoly):
+    """Apply the constant-coefficient operator sum c_alpha d^alpha built from P to Q.
+
+    Requires deg P <= deg Q.  Returns a scalar when the degrees match,
+    otherwise an HPoly of degree deg Q - deg P.
+    """
+    if P.n != Q.n:
+        raise ValidationError("apply_diff needs matching n")
+    if P.m > Q.m:
+        raise ValidationError(f"deg P = {P.m} exceeds deg Q = {Q.m}")
+    out = {}
+    for a, ca in P.coeffs.items():
+        for b, cb in Q.coeffs.items():
+            if any(bi < ai for ai, bi in zip(a, b)):
+                continue
+            k = tuple(bi - ai for ai, bi in zip(a, b))
+            fac = 1
+            for ai, bi in zip(a, b):
+                # b!/(b-a)! per coordinate
+                for t in range(bi - ai + 1, bi + 1):
+                    fac *= t
+            out[k] = out.get(k, 0) + ca * cb * fac
+    res = HPoly(P.n, Q.m - P.m, out)
+    if P.m == Q.m:
+        return res.coeffs.get((0,) * P.n, 0)
+    return res
+
+
+def bombieri_inner(P: HPoly, Q: HPoly):
+    """Differentiation pairing sum_alpha alpha! a_alpha conj(b_alpha).
+
+    Sesquilinear (conjugate-linear in Q), Hermitian, positive definite on
+    each fixed degree.  Degrees must match.
+    """
+    if P.n != Q.n or P.m != Q.m:
+        raise ValidationError("bombieri_inner needs matching (n, m)")
+    total = 0
+    for a, ca in P.coeffs.items():
+        cb = Q.coeffs.get(a)
+        if cb is None:
+            continue
+        fac = 1
+        for e in a:
+            fac *= math.factorial(e)
+        total += fac * ca * cb.conjugate()
+    return total
+
+
+def bombieri_norm(P: HPoly) -> float:
+    return math.sqrt(abs(bombieri_inner(P, P)))
+
+
+def laplace(P: HPoly) -> HPoly:
+    """Euclidean Laplacian; drops the degree by two (zero polynomial for m < 2)."""
+    out = {}
+    for a, c in P.coeffs.items():
+        for j, e in enumerate(a):
+            if e >= 2:
+                b = a[:j] + (e - 2,) + a[j + 1:]
+                out[b] = out.get(b, 0) + c * e * (e - 1)
+    return HPoly(P.n, P.m - 2, out)
+
+
+def harmonic_decompose(P: HPoly) -> list[tuple[int, HPoly]]:
+    """Split P into sum_k |v|^(2k) h_k with every h_k harmonic.
+
+    Peels the radial parts top-down: Laplace^k kills every term with
+    radial exponent below k and acts on |v|^(2k) h_j as multiplication by
+    the integer prod_{i=1..k} 2i(2i + 2j + n - 2), so each h_k is read off
+    by an exact division.  With rational coefficients the result is exact.
+    """
+    n, m = P.n, P.m
+    r2 = radial_squared(n)
+    parts = []
+    rem = P
+    for k in range(m // 2, -1, -1):
+        j = m - 2 * k
+        Q = rem
+        for _ in range(k):
+            Q = laplace(Q)
+        c = 1
+        for i in range(1, k + 1):
+            c *= 2 * i * (2 * i + 2 * j + n - 2)
+        h = (Q / c if c != 1 else Q).prune()
+        if h.coeffs:
+            parts.append((k, h))
+            radial = h
+            for _ in range(k):
+                radial = radial * r2
+            rem = rem - radial
+    parts.reverse()
+    return parts
+
+
+@lru_cache(maxsize=None)
+def sphere_monomial_moment(alpha: tuple[int, ...], n: int) -> float:
+    """Exact moment of the monomial v^alpha over the unit sphere S^{n-1}.
+
+    Zero when any exponent is odd; otherwise
+    2 prod_i Gamma((alpha_i+1)/2) / Gamma((|alpha|+n)/2).
+    """
+    if n < 2:
+        raise ValidationError(f"need n >= 2, got {n}")
+    alpha = tuple(alpha) + (0,) * (n - len(alpha))
+    if any(a % 2 for a in alpha):
+        return 0.0
+    num = 1.0
+    for a in alpha:
+        num *= math.gamma((a + 1) / 2.0)
+    return 2.0 * num / math.gamma((sum(alpha) + n) / 2.0)
+
+
+def sphere_area(n: int) -> float:
+    return sphere_monomial_moment((0,) * n, n)
+
+
+def sphere_inner(P: HPoly, Q: HPoly):
+    """L2(S^{n-1}) scalar product of two homogeneous polynomials.
+
+    Computed exactly from monomial moments; degrees may differ (harmonics
+    of distinct degree come out orthogonal).
+    """
+    if P.n != Q.n:
+        raise ValidationError("sphere_inner needs matching n")
+    total = 0.0 + 0.0j
+    for a, ca in P.coeffs.items():
+        for b, cb in Q.coeffs.items():
+            mom = sphere_monomial_moment(tuple(x + y for x, y in zip(a, b)), P.n)
+            if mom:
+                total += complex(ca) * complex(cb).conjugate() * mom
+    return total
+
+
+def sphere_norm(P: HPoly) -> float:
+    return math.sqrt(abs(sphere_inner(P, P)))
+
+
+@dataclass(frozen=True)
+class HarmonicBasis:
+    """Sphere-L2-orthonormal basis of the harmonic polynomials of degree m."""
+
+    n: int
+    m: int
+    members: tuple[HPoly, ...]
+    gram_normalization: str = "sphere-L2"
+
+    def __len__(self):
+        return len(self.members)
+
+    def expand(self, P: HPoly) -> np.ndarray:
+        """Coordinates of a harmonic polynomial in this basis (exact if P is harmonic)."""
+        return np.array([sphere_inner(P, b) for b in self.members])
+
+    def combine(self, coords) -> HPoly:
+        out = HPoly.zero(self.n, self.m)
+        for c, b in zip(coords, self.members):
+            out = out + b * complex(c)
+        return out
+
+    def eval_members(self, points) -> np.ndarray:
+        """(N, h) array of member values at an (N, n) array of sphere points."""
+        pts = np.atleast_2d(np.asarray(points))
+        return np.column_stack([b.eval(pts) for b in self.members])
+
+
+def _laplacian_constraint_matrix(n, m):
+    """Matrix of the Laplacian from degree-m to degree-(m-2) monomial coefficients."""
+    rows = monomials(n, m - 2)
+    cols = monomials(n, m)
+    row_ix = {a: i for i, a in enumerate(rows)}
+    L = np.zeros((len(rows), len(cols)))
+    for jcol, a in enumerate(cols):
+        for j, e in enumerate(a):
+            if e >= 2:
+                b = a[:j] + (e - 2,) + a[j + 1:]
+                L[row_ix[b], jcol] += e * (e - 1)
+    return L
+
+
+def harmonic_nullity_bruteforce(n, m) -> int:
+    """Independent oracle for dims(n, m).h: nullity of the Laplacian constraint."""
+    if m < 2:
+        return len(monomials(n, m))
+    L = _laplacian_constraint_matrix(n, m)
+    s = np.linalg.svd(L, compute_uv=False)
+    tol = max(L.shape) * np.finfo(float).eps * (s[0] if len(s) else 1.0)
+    return L.shape[1] - int((s > tol).sum())
+
+
+@lru_cache(maxsize=None)
+def _moment_gram(n, m):
+    mono = monomials(n, m)
+    G = np.empty((len(mono), len(mono)))
+    for i, a in enumerate(mono):
+        for j in range(i, len(mono)):
+            G[i, j] = G[j, i] = sphere_monomial_moment(
+                tuple(x + y for x, y in zip(a, mono[j])), n
+            )
+    return G
+
+
+@lru_cache(maxsize=None)
+def harmonic_basis(n: int, m: int) -> HarmonicBasis:
+    """Sphere-orthonormal harmonic basis, cached per (n, m).
+
+    The span is the SVD null space of the Laplacian constraint in the
+    lexicographic monomial coordinates; orthonormalization is modified
+    Gram-Schmidt (run twice) against the exact moment Gram matrix, so any
+    orthonormality error is pure rounding.
+    """
+    p, h = dims(n, m)
+    if m < 2:
+        raw = np.eye(p)
+    else:
+        L = _laplacian_constraint_matrix(n, m)
+        _, s, vt = np.linalg.svd(L)
+        rank = int((s > s[0] * 1e-12).sum()) if len(s) else 0
+        raw = vt[rank:, :].T
+    if raw.shape[1] != h:
+        raise ConvergenceError(
+            f"nullity of the Laplacian constraint at (n={n}, m={m}) is "
+            f"{raw.shape[1]}, expected {h}"
+        )
+    G = _moment_gram(n, m)
+    Q = raw.astype(complex)
+    for _ in range(2):  # MGS twice for orthogonality at rounding level
+        for j in range(Q.shape[1]):
+            for i in range(j):
+                Q[:, j] -= (Q[:, i].conj() @ (G @ Q[:, j])) * Q[:, i]
+            nrm = math.sqrt(abs(Q[:, j].conj() @ (G @ Q[:, j])))
+            Q[:, j] /= nrm
+    mono = monomials(n, m)
+    members = []
+    for j in range(h):
+        col = Q[:, j]
+        if np.abs(col.imag).max() < 1e-15 * max(1.0, np.abs(col).max()):
+            col = col.real
+        members.append(HPoly(n, m, {a: c for a, c in zip(mono, col) if c != 0}))
+    return HarmonicBasis(n, m, tuple(members))
+
+
+def harmonic_antiderivative(p: HPoly, j: int, c=1.0) -> HPoly:
+    """Solve d_j f = c * p with f harmonic of degree deg(p) + 1.
+
+    Solvable for every harmonic p when n >= 3; for n = 2 the system can be
+    rank-deficient, in which case NoSolutionError is raised rather than
+    returning a least-squares fit.
+    """
+    n, m = p.n, p.m
+    scale = bombieri_norm(p)
+    if scale == 0:
+        return HPoly.zero(n, m + 1)
+    if bombieri_norm(laplace(p)) > 1e-10 * scale:
+        raise ValidationError("input polynomial is not harmonic")
+    bm = harmonic_basis(n, m)
+    bm1 = harmonic_basis(n, m + 1)
+    D = np.empty((len(bm), len(bm1)), dtype=complex)
+    for b, w in enumerate(bm1.members):
+        D[:, b] = bm.expand(w.deriv(j))
+    rhs = bm.expand(p) * complex(c)
+    x, *_ = np.linalg.lstsq(D, rhs, rcond=None)
+    f = bm1.combine(x)
+    resid = bombieri_norm(f.deriv(j) - (p * c))
+    if resid > 1e-10 * max(1.0, abs(c) * scale):
+        raise NoSolutionError(
+            f"d_{j} f = c p has no harmonic solution at (n={n}, m={m}); residual {resid:.3e}"
+        )
+    return f

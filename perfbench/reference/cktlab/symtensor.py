@@ -1,0 +1,292 @@
+"""Symmetric tensor algebra over R^n in multiplicity storage.
+
+A symmetric m-tensor is stored by multiplicity vector: the coefficient
+kept for Theta = (theta_1, ..., theta_n) is the common value u_K of the
+full tensor on every index tuple K whose letter counts equal Theta.  The
+tensor-power metric then carries the multinomial weight
+mult(Theta) = m!/prod(theta_i!): <u, w> = sum_Theta mult(Theta) u_Theta
+conj(w_Theta).
+
+The module provides symmetrization, trace, its adjoint (multiplication
+by the metric followed by symmetrization), trace-free projection, the
+degree-m polynomial correspondence, and first-slot contraction.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+from itertools import product
+
+import numpy as np
+
+from .errors import ValidationError
+from .polyharm import HPoly, monomials
+
+__all__ = [
+    "SymTensor",
+    "metric_tensor",
+    "symmetrize",
+    "trace",
+    "jay",
+    "tracefree_project",
+    "to_poly",
+    "from_poly",
+    "contract",
+    "sym_mult_form",
+    "tracefree_basis",
+    "multiplicity",
+]
+
+
+@lru_cache(maxsize=None)
+def multiplicity(theta: tuple[int, ...]) -> int:
+    """Number of index tuples with the given letter counts: m!/prod(theta_i!)."""
+    m = sum(theta)
+    out = math.factorial(m)
+    for t in theta:
+        out //= math.factorial(t)
+    return out
+
+
+class SymTensor:
+    """Symmetric m-tensor over R^n keyed by multiplicity vector."""
+
+    __slots__ = ("n", "m", "coeffs")
+
+    def __init__(self, n, m, coeffs=None):
+        self.n = int(n)
+        self.m = int(m)
+        self.coeffs = dict(coeffs) if coeffs else {}
+        for t in self.coeffs:
+            if len(t) != self.n or any(e < 0 for e in t) or sum(t) != self.m:
+                raise ValidationError(f"{t} is not a degree-{self.m} multiplicity vector")
+
+    @classmethod
+    def zero(cls, n, m):
+        return cls(n, m, {})
+
+    @classmethod
+    def basis_element(cls, n, theta, c=1.0):
+        """The symmetrized elementary tensor S e*_K with Theta(K) = theta, scaled by c."""
+        theta = tuple(int(e) for e in theta)
+        return cls(n, sum(theta), {theta: c})
+
+    def __add__(self, other):
+        if not isinstance(other, SymTensor) or (other.n, other.m) != (self.n, self.m):
+            raise ValidationError("operands must share (n, m)")
+        out = dict(self.coeffs)
+        for t, c in other.coeffs.items():
+            out[t] = out.get(t, 0) + c
+        return SymTensor(self.n, self.m, out)
+
+    def __sub__(self, other):
+        return self + other * (-1)
+
+    def __mul__(self, scalar):
+        return SymTensor(self.n, self.m, {t: c * scalar for t, c in self.coeffs.items()})
+
+    __rmul__ = __mul__
+
+    def inner(self, other) -> complex:
+        """Tensor-power scalar product with multinomial weights."""
+        if not isinstance(other, SymTensor) or (other.n, other.m) != (self.n, self.m):
+            raise ValidationError("operands must share (n, m)")
+        total = 0
+        for t, c in self.coeffs.items():
+            d = other.coeffs.get(t)
+            if d is not None:
+                total += multiplicity(t) * c * d.conjugate()
+        return total
+
+    def norm(self) -> float:
+        return math.sqrt(abs(self.inner(self)))
+
+    def full_coeff(self, K) -> complex:
+        """Value of the underlying full tensor on the index tuple K."""
+        theta = [0] * self.n
+        for k in K:
+            theta[k] += 1
+        return self.coeffs.get(tuple(theta), 0)
+
+    def __eq__(self, other):
+        if not isinstance(other, SymTensor):
+            return NotImplemented
+        if self.n != other.n:
+            return False
+        keys = set(self.coeffs) | set(other.coeffs)
+        return all(self.coeffs.get(t, 0) == other.coeffs.get(t, 0) for t in keys)
+
+    def __hash__(self):
+        raise TypeError("SymTensor is not hashable")
+
+    def __repr__(self):
+        terms = ", ".join(f"{t}: {c}" for t, c in sorted(self.coeffs.items()))
+        return f"SymTensor(n={self.n}, m={self.m}, {{{terms}}})"
+
+
+def metric_tensor(n: int) -> SymTensor:
+    """The Euclidean metric as a symmetric 2-tensor (trace n)."""
+    return SymTensor(n, 2, {tuple(2 if i == j else 0 for i in range(n)): 1.0 for j in range(n)})
+
+
+def symmetrize(n: int, m: int, full_coeffs: dict) -> SymTensor:
+    """Symmetrize a full m-tensor given as {index tuple K: value}.
+
+    The result's coefficient on Theta is the average of the input values
+    over all index tuples in the Theta orbit (missing entries count 0).
+    """
+    sums: dict[tuple[int, ...], complex] = {}
+    for K, val in full_coeffs.items():
+        if len(K) != m or any(not (0 <= k < n) for k in K):
+            raise ValidationError(f"bad index tuple {K}")
+        theta = [0] * n
+        for k in K:
+            theta[k] += 1
+        t = tuple(theta)
+        sums[t] = sums.get(t, 0) + val
+    return SymTensor(n, m, {t: s / multiplicity(t) for t, s in sums.items()})
+
+
+def trace(T: SymTensor) -> SymTensor:
+    """Contract the first two slots against the metric; zero for m < 2."""
+    if T.m < 2:
+        return SymTensor.zero(T.n, 0)
+    # (trace u)_{Theta'} = sum_i u_{Theta' + 2 e_i}
+    out: dict[tuple[int, ...], complex] = {}
+    for t, c in T.coeffs.items():
+        for i in range(T.n):
+            if t[i] >= 2:
+                tp = t[:i] + (t[i] - 2,) + t[i + 1:]
+                out[tp] = out.get(tp, 0) + c
+    return SymTensor(T.n, T.m - 2, out)
+
+
+def jay(T: SymTensor) -> SymTensor:
+    """Symmetrized product with the metric, the adjoint of trace."""
+    n, m = T.n, T.m
+    out: dict[tuple[int, ...], complex] = {}
+    for tpp in monomials(n, m + 2):
+        acc = 0
+        for i in range(n):
+            if tpp[i] >= 2:
+                t = tpp[:i] + (tpp[i] - 2,) + tpp[i + 1:]
+                c = T.coeffs.get(t)
+                if c is not None:
+                    acc += multiplicity(t) * c
+        if acc != 0:
+            out[tpp] = acc / multiplicity(tpp)
+    return SymTensor(n, m + 2, out)
+
+
+def sym_mult_form(w, T: SymTensor) -> SymTensor:
+    """Symmetrized product S(w^flat tensor T) with a vector w in R^n."""
+    n, m = T.n, T.m
+    out: dict[tuple[int, ...], complex] = {}
+    for tp in monomials(n, m + 1):
+        acc = 0
+        for i in range(n):
+            if tp[i] >= 1 and w[i] != 0:
+                t = tp[:i] + (tp[i] - 1,) + tp[i + 1:]
+                c = T.coeffs.get(t)
+                if c is not None:
+                    acc += w[i] * multiplicity(t) * c
+        if acc != 0:
+            out[tp] = acc / multiplicity(tp)
+    return SymTensor(n, m + 1, out)
+
+
+def contract(T: SymTensor, xi) -> SymTensor:
+    """First-slot contraction with a vector; degree drops by one."""
+    if T.m < 1:
+        raise ValidationError("cannot contract a degree-0 tensor")
+    xi = np.asarray(xi)
+    out: dict[tuple[int, ...], complex] = {}
+    for t, c in T.coeffs.items():
+        for i in range(T.n):
+            if t[i] >= 1 and xi[i] != 0:
+                tp = t[:i] + (t[i] - 1,) + t[i + 1:]
+                out[tp] = out.get(tp, 0) + xi[i] * c
+    return SymTensor(T.n, T.m - 1, out)
+
+
+def to_poly(T: SymTensor) -> HPoly:
+    """The degree-m polynomial v -> u(v, ..., v)."""
+    return HPoly(
+        T.n, T.m, {t: multiplicity(t) * c for t, c in T.coeffs.items() if c != 0}
+    )
+
+
+def from_poly(P: HPoly) -> SymTensor:
+    """The unique symmetric tensor whose polynomial is P."""
+    return SymTensor(
+        P.n, P.m, {a: c / multiplicity(a) for a, c in P.coeffs.items() if c != 0}
+    )
+
+
+def _vectorize(n, m):
+    mono = monomials(n, m)
+    index = {t: i for i, t in enumerate(mono)}
+    weights = np.array([multiplicity(t) for t in mono], dtype=float)
+    return mono, index, weights
+
+
+def tensor_to_vec(T: SymTensor) -> np.ndarray:
+    mono, index, _ = _vectorize(T.n, T.m)
+    v = np.zeros(len(mono), dtype=complex)
+    for t, c in T.coeffs.items():
+        v[index[t]] = c
+    return v
+
+
+def vec_to_tensor(n, m, v) -> SymTensor:
+    mono, _, _ = _vectorize(n, m)
+    return SymTensor(n, m, {t: c for t, c in zip(mono, v) if c != 0})
+
+
+def tracefree_project(T: SymTensor) -> SymTensor:
+    """Orthogonal projection onto trace-free symmetric tensors.
+
+    Solves the least-squares problem on the range of jay with its exact
+    Gram matrix (in the weighted coordinates), then subtracts; this keeps
+    the projector numerically self-adjoint.
+    """
+    n, m = T.n, T.m
+    if m < 2:
+        return T
+    mono_lo, _, _ = _vectorize(n, m - 2)
+    _, _, w_hi = _vectorize(n, m)
+    J = np.column_stack(
+        [tensor_to_vec(jay(SymTensor.basis_element(n, t))) for t in mono_lo]
+    )
+    t_vec = tensor_to_vec(T)
+    JW = J.conj().T * w_hi  # adjoint of J in the weighted metric
+    gram = JW @ J
+    rhs = JW @ t_vec
+    sol = np.linalg.solve(gram, rhs)
+    resid_vec = t_vec - J @ sol
+    return vec_to_tensor(n, m, resid_vec)
+
+
+@lru_cache(maxsize=None)
+def tracefree_basis(n: int, m: int) -> tuple[SymTensor, ...]:
+    """Orthonormal basis (tensor metric) of the trace-free symmetric m-tensors.
+
+    Built independently of the harmonic-polynomial route: project the
+    elementary symmetrized tensors and orthonormalize, dropping
+    numerically dependent vectors.
+    """
+    mono, _, w = _vectorize(n, m)
+    cols = []
+    for t in mono:
+        cols.append(tensor_to_vec(tracefree_project(SymTensor.basis_element(n, t))))
+    basis_vecs: list[np.ndarray] = []
+    for c in cols:
+        v = c.copy()
+        for _ in range(2):
+            for b in basis_vecs:
+                v = v - (b.conj() @ (w * v)) * b
+        nrm = math.sqrt(abs(v.conj() @ (w * v)))
+        if nrm > 1e-8:
+            basis_vecs.append(v / nrm)
+    return tuple(vec_to_tensor(n, m, v) for v in basis_vecs)

@@ -1,0 +1,660 @@
+"""Finite spectral model of the covariant flow derivative on the flat torus.
+
+Sections of (degree-m twisted spherical harmonics) over T^n with the
+trivial rank-r bundle are truncated to Fourier modes |k|_inf <= K.  The
+flow derivative acts per mode as harmonic splitting of multiplication by
+the linear form i(k.v); a connection couples modes through its Fourier
+coefficients.  The raising part maps degree m to m+1 and the lowering
+part maps m+1 to m; with sphere-orthonormal harmonic bases the adjoint
+relation is literal conjugate transposition.
+
+The flat torus is an integrable model, not a hyperbolic one: it serves
+as a matrix-level testbed for the perturbation formulas (which are
+operator-calculus facts independent of hyperbolicity), not as a
+reproduction of chaotic dynamics.
+
+Mode couplings that would leave the truncation box are dropped, never
+wrapped: wrapping would alias modes and silently break the symmetry of
+the operator, while a symmetric drop preserves adjointness exactly.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
+
+import numpy as np
+import scipy.sparse as sparse
+
+from .connalg import commutator_action_matrix, harmonic_mult_blocks
+from .errors import ConvergenceError, ValidationError
+from .polyharm import dims, harmonic_basis, sphere_inner
+from .symtensor import contract, sym_mult_form, to_poly, tracefree_basis
+
+__all__ = [
+    "TorusConfig",
+    "FourierConnection",
+    "TorusAssembly",
+    "assemble",
+    "assemble_via_D",
+    "connection_plus_matrix",
+    "ckt_kernel",
+    "KernelReport",
+    "second_variation_predict",
+    "lambda_scan",
+    "ScanResult",
+    "build_generator",
+    "generator_perturbation",
+    "eval_sections",
+    "xminus_kernel_basis",
+]
+
+
+@dataclass(frozen=True)
+class TorusConfig:
+    """Truncation parameters of the torus model."""
+
+    n: int
+    K: int
+    m: int
+    r: int
+    bundle_kind: str = "vector"
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValidationError("need n >= 2")
+        if self.K < 0 or self.m < 0 or self.r < 1:
+            raise ValidationError("need K >= 0, m >= 0, r >= 1")
+        if self.bundle_kind not in ("vector", "endomorphism"):
+            raise ValidationError("bundle_kind must be 'vector' or 'endomorphism'")
+
+    @property
+    def fdim(self) -> int:
+        return self.r if self.bundle_kind == "vector" else self.r * self.r
+
+    @property
+    def modes(self) -> tuple:
+        return mode_list(self.n, self.K)
+
+    def space_dim(self, degree=None) -> int:
+        deg = self.m if degree is None else degree
+        return len(self.modes) * dims(self.n, deg)[1] * self.fdim
+
+
+@lru_cache(maxsize=None)
+def mode_list(n, K):
+    return tuple(product(range(-K, K + 1), repeat=n))
+
+
+@lru_cache(maxsize=None)
+def _mode_index(n, K):
+    return {k: i for i, k in enumerate(mode_list(n, K))}
+
+
+class FourierConnection:
+    """Fourier coefficients of a connection 1-form on the torus.
+
+    coeffs maps a mode q to the tuple of n matrices (value on each
+    coordinate direction).  Pointwise skew-Hermitian reality demands
+    hat(Gamma)_q^dagger = -hat(Gamma)_{-q}, which is checked on
+    construction.
+    """
+
+    def __init__(self, coeffs=None, r=None, n=None, check_reality=True):
+        self.coeffs = {}
+        if coeffs:
+            for q, mats in coeffs.items():
+                mats = tuple(np.asarray(M, dtype=complex) for M in mats)
+                self.coeffs[tuple(int(c) for c in q)] = mats
+        rs = {M.shape[0] for mats in self.coeffs.values() for M in mats}
+        if len(rs) > 1:
+            raise ValidationError("all coefficient matrices must share the fiber rank")
+        self._r = rs.pop() if rs else r
+        ns = {len(q) for q in self.coeffs}
+        if len(ns) > 1:
+            raise ValidationError("all modes must share the torus dimension")
+        self._n = ns.pop() if ns else n
+        self.unitary = bool(check_reality)
+        if check_reality:
+            self._validate_reality()
+
+    def _validate_reality(self):
+        for q, mats in self.coeffs.items():
+            mq = tuple(-c for c in q)
+            other = self.coeffs.get(mq)
+            if other is None:
+                raise ValidationError(f"mode {q} present without its opposite {mq}")
+            for M, Mo in zip(mats, other):
+                scale = max(1.0, np.abs(M).max())
+                if np.abs(M.conj().T + Mo).max() > 1e-12 * scale:
+                    raise ValidationError(
+                        f"reality violated at mode {q}: conj-transpose must equal "
+                        "minus the opposite-mode coefficient"
+                    )
+
+    @property
+    def r(self):
+        return self._r
+
+    @property
+    def n(self):
+        return self._n
+
+    @property
+    def support(self):
+        return tuple(sorted(self.coeffs))
+
+    @classmethod
+    def zero(cls, r=None, n=None):
+        return cls({}, r=r, n=n)
+
+    @classmethod
+    def cosine_mode(cls, n, q, j, M):
+        """Connection M cos(q.x) dx_j (skew-Hermitian M gives a unitary form)."""
+        M = np.asarray(M, dtype=complex)
+        r = M.shape[0]
+        q = tuple(int(c) for c in q)
+        mats_q = [np.zeros((r, r), dtype=complex) for _ in range(n)]
+        if all(c == 0 for c in q):
+            # cos(0) = 1: the single coefficient carries the full matrix
+            mats_q[j] = M
+            return cls({q: tuple(mats_q)})
+        mats_q[j] = M / 2
+        mats_mq = [np.zeros((r, r), dtype=complex) for _ in range(n)]
+        mats_mq[j] = -M.conj().T / 2
+        return cls({q: tuple(mats_q), tuple(-c for c in q): tuple(mats_mq)})
+
+    @classmethod
+    def constant(cls, n, mats):
+        """x-independent connection with the given direction matrices."""
+        return cls({(0,) * n: tuple(np.asarray(M, dtype=complex) for M in mats)})
+
+    def scaled(self, s):
+        return FourierConnection(
+            {q: tuple(s * M for M in mats) for q, mats in self.coeffs.items()},
+            r=self._r, n=self._n, check_reality=self.unitary and np.isrealobj(s),
+        )
+
+    def plus(self, other):
+        out = {q: list(mats) for q, mats in self.coeffs.items()}
+        for q, mats in other.coeffs.items():
+            if q in out:
+                out[q] = [a + b for a, b in zip(out[q], mats)]
+            else:
+                out[q] = list(mats)
+        return FourierConnection({q: tuple(m) for q, m in out.items()},
+                                 r=self._r or other._r, n=self._n or other._n,
+                                 check_reality=self.unitary and other.unitary)
+
+    def value_at(self, x, v) -> np.ndarray:
+        """Gamma_x(v): the fiber matrix at base point x and direction v."""
+        r = self._r
+        out = np.zeros((r, r), dtype=complex)
+        for q, mats in self.coeffs.items():
+            phase = np.exp(1j * float(np.dot(q, x)))
+            for j, M in enumerate(mats):
+                out += phase * v[j] * M
+        return out
+
+    def pointwise_skew_defect(self, samples) -> float:
+        """Max non-skewness of Gamma_x(v) over (x, v) samples (0 by reality)."""
+        worst = 0.0
+        for x, v in samples:
+            M = self.value_at(x, v)
+            worst = max(worst, float(np.abs(M + M.conj().T).max()))
+        return worst
+
+
+def _fiber_action(config: TorusConfig, M: np.ndarray) -> np.ndarray:
+    if config.bundle_kind == "vector":
+        return M
+    return commutator_action_matrix(M)
+
+
+@dataclass
+class TorusAssembly:
+    """Sparse raising/lowering matrices over modes x harmonics x fiber."""
+
+    config: TorusConfig
+    xplus: sparse.csr_matrix
+    xminus: sparse.csr_matrix
+    dropped_couplings: int
+    adjointness_defect: float
+
+    @property
+    def dim_m(self):
+        return self.xplus.shape[1]
+
+    @property
+    def dim_m1(self):
+        return self.xplus.shape[0]
+
+    def flat_index(self, mode, a, e, degree=None):
+        cfg = self.config
+        h = dims(cfg.n, cfg.m if degree is None else degree)[1]
+        mi = _mode_index(cfg.n, cfg.K)[tuple(mode)]
+        return (mi * h + a) * cfg.fdim + e
+
+
+def _block_triples(rows, cols, block, out_r, out_c, out_v, tol=0.0):
+    rr, cc = np.nonzero(np.abs(block) > tol)
+    out_r.extend(rows + rr)
+    out_c.extend(cols + cc)
+    out_v.extend(block[rr, cc])
+
+
+def _assemble_side(config, conn, degree_in, raising):
+    """One side of the assembly: raising (degree_in -> degree_in+1) when
+    raising=True, else lowering (degree_in -> degree_in-1)."""
+    n, K, fdim = config.n, config.K, config.fdim
+    modes = mode_list(n, K)
+    index = _mode_index(n, K)
+    plus_blocks, minus_blocks = harmonic_mult_blocks(n, degree_in)
+    blocks = plus_blocks if raising else minus_blocks
+    h_in = dims(n, degree_in)[1]
+    h_out = blocks[0].shape[0]
+    eye_f = np.eye(fdim)
+    rows, cols, vals = [], [], []
+    dropped = 0
+
+    conn_blocks = {}
+    if conn is not None:
+        for q, mats in conn.coeffs.items():
+            B = np.zeros((h_out * fdim, h_in * fdim), dtype=complex)
+            for j in range(n):
+                Fj = _fiber_action(config, mats[j])
+                if np.abs(Fj).max() > 0:
+                    B += np.kron(blocks[j], Fj)
+            conn_blocks[q] = B
+
+    for mi, k in enumerate(modes):
+        # free part: harmonic splitting of multiplication by i (k . v)
+        diag = np.zeros((h_out, h_in), dtype=complex)
+        for j in range(n):
+            if k[j]:
+                diag += 1j * k[j] * blocks[j]
+        if np.abs(diag).max() > 0:
+            _block_triples(mi * h_out * fdim, mi * h_in * fdim,
+                           np.kron(diag, eye_f), rows, cols, vals)
+        for q, B in conn_blocks.items():
+            target = tuple(a + b for a, b in zip(k, q))
+            ti = index.get(target)
+            if ti is None:
+                dropped += 1
+                continue
+            if np.abs(B).max() > 0:
+                _block_triples(ti * h_out * fdim, mi * h_in * fdim, B,
+                               rows, cols, vals)
+
+    shape = (len(modes) * h_out * fdim, len(modes) * h_in * fdim)
+    M = sparse.coo_matrix(
+        (np.asarray(vals, dtype=complex), (np.asarray(rows), np.asarray(cols))),
+        shape=shape,
+    ).tocsr()
+    return M, dropped
+
+
+def assemble(config: TorusConfig, conn: FourierConnection | None = None) -> TorusAssembly:
+    """Assemble the raising matrix (degree m -> m+1) and the lowering matrix
+    (degree m+1 -> m) of the twisted flow derivative.
+
+    The lowering matrix is assembled directly and verified against minus
+    the conjugate transpose of the raising matrix; the two agree exactly
+    because the truncation drop is symmetric.
+    """
+    if conn is not None and conn.r is not None and conn.r != config.r:
+        raise ValidationError(
+            f"fiber rank mismatch: config r={config.r}, connection r={conn.r}"
+        )
+    xplus, dropped_p = _assemble_side(config, conn, config.m, raising=True)
+    xminus, dropped_m = _assemble_side(config, conn, config.m + 1, raising=False)
+    defect_mat = (xminus + xplus.conj().T.tocsr()).tocoo()
+    defect = float(np.abs(defect_mat.data).max()) if defect_mat.nnz else 0.0
+    if defect > 1e-12 * max(1.0, abs(xplus).max()):
+        raise ConvergenceError(f"adjointness defect {defect:.3e} in assembly")
+    return TorusAssembly(config, xplus, xminus, dropped_p + dropped_m, defect)
+
+
+def connection_plus_matrix(config: TorusConfig, conn: FourierConnection):
+    """Raising matrix of the connection part alone (the derivative of the
+    assembly with respect to the connection)."""
+    if conn.r is not None and conn.r != config.r:
+        raise ValidationError("fiber rank mismatch")
+    full_part, _ = _assemble_side(config, conn, config.m, raising=True)
+    free_part, _ = _assemble_side(config, None, config.m, raising=True)
+    return (full_part - free_part).tocsr()
+
+
+# ---------------------------------------------------------------------------
+# the symmetric-tensor assembly route
+
+
+@lru_cache(maxsize=None)
+def _tensor_route_data(n, m):
+    """Per-direction tensor matrices and the basis conversion at degree m.
+
+    T[j]: coords of the trace-free projection of S(e_j tensor .),
+    C[j]: coords of the first-slot contraction with e_j,
+    B: matrix of the restriction-to-sphere map from the orthonormal
+    trace-free tensor basis to the sphere-orthonormal harmonic basis.
+    """
+    tf_m = tracefree_basis(n, m)
+    tf_p = tracefree_basis(n, m + 1)
+    hb = harmonic_basis(n, m)
+    T = [np.zeros((len(tf_p), len(tf_m)), dtype=complex) for _ in range(n)]
+    C = [np.zeros((len(tf_m), len(tf_p)), dtype=complex) for _ in range(n)]
+    for a, t in enumerate(tf_m):
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = 1.0
+            st = sym_mult_form(e, t)
+            for b, w in enumerate(tf_p):
+                T[j][b, a] = st.inner(w)
+    for a, w in enumerate(tf_p):
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = 1.0
+            cw = contract(w, e)
+            for b, t in enumerate(tf_m):
+                C[j][b, a] = cw.inner(t)
+    B = np.zeros((len(hb), len(tf_m)), dtype=complex)
+    for i, t in enumerate(tf_m):
+        p = to_poly(t)
+        for b, y in enumerate(hb.members):
+            B[b, i] = sphere_inner(p, y)
+    return T, C, B
+
+
+def assemble_via_D(config: TorusConfig, conn: FourierConnection | None = None) -> TorusAssembly:
+    """Assemble through the symmetric-derivative route.
+
+    On mode k the symmetric derivative is i S(k tensor .) plus the
+    connection symmetrization; the raising matrix is its trace-free
+    projection conjugated into the harmonic bases, the lowering matrix is
+    the adjoint derivative scaled by -(m+1)/(n+2m), where m is the
+    configured degree.  Must agree entrywise with `assemble`.
+    """
+    if conn is not None and conn.r is not None and conn.r != config.r:
+        raise ValidationError("fiber rank mismatch")
+    n, K, m, fdim = config.n, config.K, config.m, config.fdim
+    modes = mode_list(n, K)
+    index = _mode_index(n, K)
+    # level-m data holds both directions between degrees m and m+1
+    T_m, C_m1, B_m = _tensor_route_data(n, m)
+    B_m1 = _tensor_route_data(n, m + 1)[2]
+    B_m_inv = np.linalg.inv(B_m)
+    B_m1_inv = np.linalg.inv(B_m1)
+    c_link = (m + 1) / (n + 2 * m)
+
+    def conv_plus(tensor_mat):
+        return B_m1 @ tensor_mat @ B_m_inv
+
+    def conv_minus(tensor_mat):
+        return B_m @ tensor_mat @ B_m1_inv
+
+    eye_f = np.eye(fdim)
+    rows_p, cols_p, vals_p = [], [], []
+    rows_m, cols_m, vals_m = [], [], []
+    h_in = B_m.shape[0]
+    h_out = B_m1.shape[0]
+    dropped = 0
+
+    conn_p = {}
+    conn_m = {}
+    if conn is not None:
+        for q, mats in conn.coeffs.items():
+            Bp = np.zeros((h_out * fdim, h_in * fdim), dtype=complex)
+            Bm = np.zeros((h_in * fdim, h_out * fdim), dtype=complex)
+            for j in range(n):
+                Fj = _fiber_action(config, mats[j])
+                if np.abs(Fj).max() > 0:
+                    Bp += np.kron(conv_plus(T_m[j]), Fj)
+                    Bm += c_link * np.kron(conv_minus(C_m1[j]), Fj)
+            conn_p[q] = Bp
+            conn_m[q] = Bm
+
+    for mi, k in enumerate(modes):
+        Tk = sum((1j * k[j]) * T_m[j] for j in range(n)) if any(k) else None
+        Ck = sum((1j * k[j]) * C_m1[j] for j in range(n)) if any(k) else None
+        if Tk is not None:
+            _block_triples(mi * h_out * fdim, mi * h_in * fdim,
+                           np.kron(conv_plus(Tk), eye_f), rows_p, cols_p, vals_p)
+            # X_- = -c_link * pi_m D*; free D* on mode k is -i iota_k
+            _block_triples(mi * h_in * fdim, mi * h_out * fdim,
+                           np.kron(c_link * conv_minus(Ck), eye_f),
+                           rows_m, cols_m, vals_m)
+        for q in conn_p:
+            target = tuple(a + b for a, b in zip(k, q))
+            ti = index.get(target)
+            if ti is None:
+                dropped += 1
+                continue
+            if np.abs(conn_p[q]).max() > 0:
+                _block_triples(ti * h_out * fdim, mi * h_in * fdim, conn_p[q],
+                               rows_p, cols_p, vals_p)
+            if np.abs(conn_m[q]).max() > 0:
+                _block_triples(ti * h_in * fdim, mi * h_out * fdim, conn_m[q],
+                               rows_m, cols_m, vals_m)
+
+    nmodes = len(modes)
+    xplus = sparse.coo_matrix(
+        (np.asarray(vals_p, dtype=complex), (np.asarray(rows_p), np.asarray(cols_p))),
+        shape=(nmodes * h_out * fdim, nmodes * h_in * fdim),
+    ).tocsr()
+    xminus = sparse.coo_matrix(
+        (np.asarray(vals_m, dtype=complex), (np.asarray(rows_m), np.asarray(cols_m))),
+        shape=(nmodes * h_in * fdim, nmodes * h_out * fdim),
+    ).tocsr()
+    diff = (xminus + xplus.conj().T.tocsr()).tocoo()
+    defect = float(np.abs(diff.data).max()) if diff.nnz else 0.0
+    return TorusAssembly(config, xplus, xminus, dropped, defect)
+
+
+# ---------------------------------------------------------------------------
+# kernels and the ejection experiment
+
+
+@dataclass
+class KernelReport:
+    vectors: np.ndarray  # (dim, d), orthonormal columns
+    singular_values: np.ndarray
+    mode_support: list  # per kernel vector: modes carrying > 1e-8 of its mass
+
+    @property
+    def dim(self):
+        return self.vectors.shape[1]
+
+
+def _mode_mass(config, vec, degree):
+    h = dims(config.n, degree)[1]
+    block = config.fdim * h
+    v = vec.reshape(-1, block)
+    return np.linalg.norm(v, axis=1)
+
+
+def ckt_kernel(asm: TorusAssembly, tol=1e-10) -> KernelReport:
+    """Orthonormal kernel basis of the raising matrix with per-mode support."""
+    X = asm.xplus.toarray()
+    try:
+        _, s, vt = np.linalg.svd(X)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD did not converge on the assembly: {exc}") from exc
+    smax = s[0] if len(s) else 0.0
+    rank = int((s > tol * smax).sum()) if smax > 0 else 0
+    kernel = vt[rank:, :].conj().T
+    modes = mode_list(asm.config.n, asm.config.K)
+    support = []
+    for i in range(kernel.shape[1]):
+        mass = _mode_mass(asm.config, kernel[:, i], asm.config.m)
+        support.append([modes[j] for j in np.nonzero(mass > 1e-8)[0]])
+    return KernelReport(kernel, s, support)
+
+
+def xminus_kernel_basis(asm: TorusAssembly, tol=1e-10) -> np.ndarray:
+    """Orthonormal basis of ker(lowering) inside the degree-(m+1) space."""
+    X = asm.xminus.toarray()
+    _, s, vt = np.linalg.svd(X)
+    smax = s[0] if len(s) else 0.0
+    rank = int((s > tol * smax).sum()) if smax > 0 else 0
+    return vt[rank:, :].conj().T
+
+
+def second_variation_predict(asm0: TorusAssembly, A: FourierConnection, kernel) -> tuple:
+    """Per-vector squared norms of the kernel-of-lowering projection of the
+    perturbed raising applied to each zero mode, plus their total.
+
+    Reported without the statement-vs-proof constant: lambda_scan's fit
+    decides whether the curvature is 1 or 2 times this total.
+    """
+    kernel = np.asarray(kernel)
+    if kernel.ndim == 1:
+        kernel = kernel[:, None]
+    gram = kernel.conj().T @ kernel
+    if np.abs(gram - np.eye(kernel.shape[1])).max() > 1e-8:
+        raise ValidationError("kernel basis must be orthonormal")
+    P_plus = connection_plus_matrix(asm0.config, A)
+    Q = xminus_kernel_basis(asm0)
+    per_vector = []
+    for i in range(kernel.shape[1]):
+        w = P_plus @ kernel[:, i]
+        proj = Q @ (Q.conj().T @ w)
+        per_vector.append(float(np.real(proj.conj() @ proj)))
+    return per_vector, float(sum(per_vector))
+
+
+@dataclass
+class ScanResult:
+    s_values: np.ndarray
+    lambdas: np.ndarray
+    kernel_dims: np.ndarray
+    predicted_second_variation: float
+    window_radius: float
+    lambda_dot_fit: float
+    lambda_ddot_fit: float
+    curvature_factor: float  # lambda_ddot_fit / (2 * predicted total)
+
+    def csv_rows(self):
+        rows = ["s,lambda,kernel_dim,predicted_second_variation"]
+        pred = repr(float(self.predicted_second_variation))
+        for s, lam, kd in zip(self.s_values, self.lambdas, self.kernel_dims):
+            rows.append(f"{float(s)!r},{float(lam)!r},{int(kd)},{pred}")
+        return rows
+
+
+def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
+                window_radius=None, kernel_tol=None) -> ScanResult:
+    """Sum of windowed eigenvalues of the perturbed Laplacian along a grid.
+
+    The Laplacian is the conjugate-square of the raising matrix, so the
+    windowed sum is real and non-negative and vanishes at s = 0.  A
+    polynomial fit across the grid returns the first/second derivative
+    estimates; the curvature factor against the predicted second
+    variation settles the statement-vs-proof factor of two.
+    """
+    asm0 = assemble(config, conn0)
+    delta0 = (asm0.xplus.conj().T @ asm0.xplus).toarray()
+    evs0 = np.linalg.eigvalsh(delta0)
+    ev_max = float(evs0[-1]) if len(evs0) else 1.0
+    kernel_thresh = kernel_tol if kernel_tol is not None else max(1e-11, 1e-13 * ev_max)
+    nonzero = evs0[evs0 > kernel_thresh]
+    if window_radius is None:
+        if len(nonzero) == 0:
+            raise ValidationError("unperturbed Laplacian has no spectral gap to window")
+        window_radius = float(nonzero.min()) / 2
+    if ((evs0 > kernel_thresh) & (evs0 < window_radius)).any():
+        raise ValidationError(
+            "window contains nonzero unperturbed eigenvalues; shrink the radius"
+        )
+
+    kernel0 = ckt_kernel(asm0)
+    _, predicted = second_variation_predict(asm0, A, kernel0.vectors)
+
+    s_values = np.asarray(list(s_grid), dtype=float)
+    lambdas = np.empty(len(s_values))
+    kdims = np.empty(len(s_values), dtype=int)
+    for i, s in enumerate(s_values):
+        conn_s = conn0.plus(A.scaled(s)) if conn0 is not None else A.scaled(s)
+        asm = assemble(config, conn_s)
+        delta = (asm.xplus.conj().T @ asm.xplus).toarray()
+        evs = np.linalg.eigvalsh(delta)
+        inside = evs[evs < window_radius]
+        lambdas[i] = float(inside.sum())
+        kdims[i] = int((evs < kernel_thresh).sum())
+
+    deg = min(4, len(s_values) - 1)
+    coef = np.polynomial.polynomial.polyfit(s_values, lambdas, deg)
+    lam_dot = float(coef[1]) if deg >= 1 else 0.0
+    lam_ddot = float(2 * coef[2]) if deg >= 2 else 0.0
+    factor = lam_ddot / (2 * predicted) if predicted > 0 else float("nan")
+    return ScanResult(s_values, lambdas, kdims, predicted, float(window_radius),
+                      lam_dot, lam_ddot, factor)
+
+
+# ---------------------------------------------------------------------------
+# the stacked generator over harmonic degrees 0..mmax
+
+
+def _degree_offsets(config, mmax):
+    offs = [0]
+    for m in range(mmax + 1):
+        offs.append(offs[-1] + len(config.modes) * dims(config.n, m)[1] * config.fdim)
+    return offs
+
+
+def build_generator(config: TorusConfig, conn, mmax: int):
+    """Square skew-adjoint generator on the degrees 0..mmax stack.
+
+    Truncation in the degree direction keeps skew-adjointness: cutting
+    the raising map out of the top degree also cuts its adjoint back in.
+    Returns (matrix, offsets) with offsets indexing the degree blocks.
+    """
+    offs = _degree_offsets(config, mmax)
+    blocks = [[None] * (mmax + 1) for _ in range(mmax + 1)]
+    for m in range(mmax + 1):
+        blocks[m][m] = sparse.csr_matrix(
+            (offs[m + 1] - offs[m], offs[m + 1] - offs[m]), dtype=complex
+        )
+    for m in range(mmax):
+        cfg_m = TorusConfig(config.n, config.K, m, config.r, config.bundle_kind)
+        asm = assemble(cfg_m, conn)
+        blocks[m + 1][m] = asm.xplus
+        blocks[m][m + 1] = asm.xminus
+    return sparse.bmat(blocks, format="csr"), offs
+
+
+def generator_perturbation(config: TorusConfig, A: FourierConnection, mmax: int):
+    """Matrix of the connection perturbation on the degree stack (1-form action)."""
+    offs = _degree_offsets(config, mmax)
+    blocks = [[None] * (mmax + 1) for _ in range(mmax + 1)]
+    for m in range(mmax + 1):
+        blocks[m][m] = sparse.csr_matrix(
+            (offs[m + 1] - offs[m], offs[m + 1] - offs[m]), dtype=complex
+        )
+    for m in range(mmax):
+        cfg_m = TorusConfig(config.n, config.K, m, config.r, config.bundle_kind)
+        plus = connection_plus_matrix(cfg_m, A)
+        blocks[m + 1][m] = plus
+        blocks[m][m + 1] = (-plus.conj().T).tocsr()
+    return sparse.bmat(blocks, format="csr"), offs
+
+
+def eval_sections(config: TorusConfig, vectors, xs, vs, degree=None):
+    """Evaluate coefficient vectors as fiber-valued functions on T^n x S^{n-1}.
+
+    vectors: (dim, p) coefficients over (mode, harmonic, fiber); xs, vs:
+    (N, n) base points and unit directions.  Returns (N, fdim, p).
+    """
+    vectors = np.asarray(vectors)
+    if vectors.ndim == 1:
+        vectors = vectors[:, None]
+    deg = config.m if degree is None else degree
+    modes = np.asarray(mode_list(config.n, config.K))  # (M, n)
+    hb = harmonic_basis(config.n, deg)
+    xs = np.atleast_2d(xs)
+    vs = np.atleast_2d(vs)
+    phases = np.exp(1j * xs @ modes.T)  # (N, M)
+    Y = hb.eval_members(vs)  # (N, h)
+    coefs = vectors.reshape(len(modes), len(hb), config.fdim, vectors.shape[1])
+    out = np.einsum("NM,Nh,Mhfp->Nfp", phases, Y, coefs)
+    return out

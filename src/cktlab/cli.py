@@ -263,6 +263,8 @@ def cmd_torus_eject(args):
         raise ValidationError("torus-eject needs [perturbation] file = FOURCONN")
     A = textio.load_fourier_connection(_read(psec["file"]))
     ssec = resolved["scan"]
+    if ssec["points"] < 3:
+        raise ValidationError(f"[scan] points must be >= 3, got {ssec['points']}")
     grid = np.linspace(-ssec["smax"], ssec["smax"], ssec["points"])
     res = tm.lambda_scan(cfg, conn0, A, grid,
                          window_radius=ssec.get("window_radius"))
@@ -415,7 +417,6 @@ def build_parser():
             p.add_argument("--config", help="INI config file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output directory")
-        p.add_argument("--tol", type=float, default=None)
 
     p = sub.add_parser("dims", help="dimension table of homogeneous/harmonic polynomials")
     p.add_argument("--n", type=int)
@@ -433,6 +434,7 @@ def build_parser():
 
     p = sub.add_parser("commutator-factor", help="factor skew-Hermitian trace-free matrices")
     common(p)
+    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_commutator_factor)
 
     p = sub.add_parser("torus-ckt", help="kernel of the raising operator on the torus")
@@ -473,3 +475,7 @@ def run(argv=None) -> int:
 
 def main():
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -166,12 +166,6 @@ class TwistedHarmonic:
     def entry(self, i, j, r):
         return self.columns[i * r + j]
 
-    def matrix_at(self, v, r) -> np.ndarray:
-        """Evaluate an endomorphism-fiber element at a point v."""
-        pts = np.asarray(v)[None, :]
-        vals = np.array([c.eval(pts)[0] for c in self.columns])
-        return vals.reshape(r, r)
-
     def __add__(self, other):
         if (other.n, other.m, other.fiber_dim) != (self.n, self.m, self.fiber_dim):
             raise ValidationError("operands must share (n, m, fiber)")

@@ -209,6 +209,8 @@ def opacity_probe(conn: FourierConnection, num_geodesics: int = 24,
     n = conn.n
     if n is None:
         raise ValidationError("connection does not determine the torus dimension")
+    if num_geodesics < 1:
+        raise ValidationError(f"need num_geodesics >= 1, got {num_geodesics}")
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(0, 2 * math.pi, n)
     mats = []

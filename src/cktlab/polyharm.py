@@ -32,7 +32,6 @@ __all__ = [
     "laplace",
     "harmonic_decompose",
     "sphere_monomial_moment",
-    "sphere_area",
     "sphere_inner",
     "harmonic_basis",
     "harmonic_antiderivative",
@@ -346,10 +345,6 @@ def sphere_monomial_moment(alpha: tuple[int, ...], n: int) -> float:
     return 2.0 * num / math.gamma((sum(alpha) + n) / 2.0)
 
 
-def sphere_area(n: int) -> float:
-    return sphere_monomial_moment((0,) * n, n)
-
-
 def sphere_inner(P: HPoly, Q: HPoly):
     """L2(S^{n-1}) scalar product of two homogeneous polynomials.
 
@@ -365,10 +360,6 @@ def sphere_inner(P: HPoly, Q: HPoly):
             if mom:
                 total += complex(ca) * complex(cb).conjugate() * mom
     return total
-
-
-def sphere_norm(P: HPoly) -> float:
-    return math.sqrt(abs(sphere_inner(P, P)))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ __all__ = [
     "SpectralWindow",
     "spectral_window",
     "eigenprojector_sum",
-    "reduced_resolvent_eig",
     "resolvent_identity_check",
     "pi_operator",
     "cluster_sum",
@@ -109,16 +108,6 @@ def eigenprojector_sum(X, radius):
     inside = np.abs(evals) < radius
     Vinv = np.linalg.inv(V)
     return V[:, inside] @ Vinv[inside, :]
-
-
-def reduced_resolvent_eig(X, radius):
-    """Constant Laurent term of (X+z)^{-1} at 0 via eig (cluster inside must be 0)."""
-    evals, V = np.linalg.eig(X)
-    outside = np.abs(evals) >= radius
-    Vinv = np.linalg.inv(V)
-    D = np.zeros_like(evals)
-    D[outside] = 1.0 / evals[outside]
-    return (V * D) @ Vinv
 
 
 def spectral_window(X, radius=None, tol=1e-11) -> SpectralWindow:

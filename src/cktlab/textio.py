@@ -44,56 +44,68 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def dump_hpoly(P: HPoly) -> str:
-    items = sorted(P.coeffs.items())
-    lines = [f"HPOLY {P.n} {P.m} {len(items)}"]
-    for a, c in items:
+def _payload(text: str, tag: str, nfields: int):
+    """(header fields, body lines) of a payload whose header is tag + nfields."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    head = lines[0].split() if lines else []
+    if len(head) != 1 + nfields or head[0] != tag:
+        raise ValidationError(f"not a {tag} payload")
+    return head[1:], lines[1:]
+
+
+def _numbers(fields, kind, where):
+    try:
+        return [kind(f) for f in fields]
+    except ValueError:
+        raise ValidationError(
+            f"expected {kind.__name__} fields in {where}: {' '.join(fields)!r}"
+        ) from None
+
+
+def _dump_terms(tag, n, m, coeffs) -> str:
+    items = sorted(coeffs.items())
+    lines = [f"{tag} {n} {m} {len(items)}"]
+    for key, c in items:
         c = complex(c)
-        lines.append(" ".join([_fmt(c.real), _fmt(c.imag), *map(str, a)]))
+        lines.append(" ".join([_fmt(c.real), _fmt(c.imag), *map(str, key)]))
     return "\n".join(lines) + "\n"
 
 
-def load_hpoly(text: str) -> HPoly:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "HPOLY" or len(head) != 4:
-        raise ValidationError("not an HPOLY payload")
-    n, m, terms = int(head[1]), int(head[2]), int(head[3])
-    if len(lines) - 1 != terms:
-        raise ValidationError(f"expected {terms} term lines, got {len(lines) - 1}")
+def _load_terms(text, tag):
+    """(n, m, {key: coefficient}) of an HPOLY or SYMT payload."""
+    head, body = _payload(text, tag, 3)
+    n, m, terms = _numbers(head, int, f"{tag} header")
+    if n < 1:
+        raise ValidationError(f"{tag} needs n >= 1, got {n}")
+    if len(body) != terms:
+        raise ValidationError(f"expected {terms} term lines, got {len(body)}")
     coeffs = {}
-    for ln in lines[1:]:
+    for ln in body:
         parts = ln.split()
         if len(parts) != 2 + n:
             raise ValidationError(f"bad term line: {ln!r}")
-        c = complex(float(parts[0]), float(parts[1]))
-        coeffs[tuple(int(p) for p in parts[2:])] = c
-    return HPoly(n, m, coeffs)
+        real, imag = _numbers(parts[:2], float, "term line")
+        key = tuple(_numbers(parts[2:], int, "term line"))
+        if key in coeffs:
+            raise ValidationError(f"duplicate term {key}")
+        coeffs[key] = complex(real, imag)
+    return n, m, coeffs
+
+
+def dump_hpoly(P: HPoly) -> str:
+    return _dump_terms("HPOLY", P.n, P.m, P.coeffs)
+
+
+def load_hpoly(text: str) -> HPoly:
+    return HPoly(*_load_terms(text, "HPOLY"))
 
 
 def dump_symtensor(T: SymTensor) -> str:
-    items = sorted(T.coeffs.items())
-    lines = [f"SYMT {T.n} {T.m} {len(items)}"]
-    for t, c in items:
-        c = complex(c)
-        lines.append(" ".join([_fmt(c.real), _fmt(c.imag), *map(str, t)]))
-    return "\n".join(lines) + "\n"
+    return _dump_terms("SYMT", T.n, T.m, T.coeffs)
 
 
 def load_symtensor(text: str) -> SymTensor:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "SYMT" or len(head) != 4:
-        raise ValidationError("not a SYMT payload")
-    n, m, terms = int(head[1]), int(head[2]), int(head[3])
-    coeffs = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        c = complex(float(parts[0]), float(parts[1]))
-        coeffs[tuple(int(p) for p in parts[2:])] = c
-    if len(coeffs) != terms:
-        raise ValidationError("term count mismatch")
-    return SymTensor(n, m, coeffs)
+    return SymTensor(*_load_terms(text, "SYMT"))
 
 
 def _matrix_rows(M) -> list:
@@ -104,13 +116,14 @@ def _matrix_rows(M) -> list:
 
 
 def _parse_matrix_rows(lines, r):
+    if len(lines) != r:
+        raise ValidationError(f"expected {r} matrix rows, got {len(lines)}")
     M = np.empty((r, r), dtype=complex)
     for i, ln in enumerate(lines):
         parts = ln.split()
         if len(parts) != 2 * r:
             raise ValidationError(f"expected {2 * r} floats per row, got {len(parts)}")
-        for j in range(r):
-            M[i, j] = complex(float(parts[2 * j]), float(parts[2 * j + 1]))
+        M[i] = np.array(_numbers(parts, float, "matrix row")).view(complex)
     return M
 
 
@@ -121,12 +134,9 @@ def dump_endo(M) -> str:
 
 
 def load_endo(text: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "ENDO":
-        raise ValidationError("not an ENDO payload")
-    r = int(head[1])
-    return _parse_matrix_rows(lines[1:1 + r], r)
+    head, body = _payload(text, "ENDO", 1)
+    (r,) = _numbers(head, int, "ENDO header")
+    return _parse_matrix_rows(body, r)
 
 
 def dump_connform(G: FiberConnForm) -> str:
@@ -138,18 +148,17 @@ def dump_connform(G: FiberConnForm) -> str:
 
 
 def load_connform(text: str) -> FiberConnForm:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "CONNFORM":
-        raise ValidationError("not a CONNFORM payload")
-    n, r = int(head[1]), int(head[2])
-    unitary = head[3].split("=")[1] == "yes"
-    mats = []
-    at = 1
-    for _ in range(n):
-        mats.append(_parse_matrix_rows(lines[at:at + r], r))
-        at += r
-    return FiberConnForm(tuple(mats), unitary=unitary)
+    head, body = _payload(text, "CONNFORM", 3)
+    n, r = _numbers(head[:2], int, "CONNFORM header")
+    if n < 1 or r < 1:
+        raise ValidationError(f"CONNFORM needs n >= 1 and r >= 1, got n={n} r={r}")
+    flags = {"unitary=yes": True, "unitary=no": False}
+    if head[2] not in flags:
+        raise ValidationError(f"expected unitary=yes or unitary=no, got {head[2]!r}")
+    if len(body) != n * r:
+        raise ValidationError(f"expected {n * r} matrix rows, got {len(body)}")
+    mats = [_parse_matrix_rows(body[j * r:(j + 1) * r], r) for j in range(n)]
+    return FiberConnForm(tuple(mats), unitary=flags[head[2]])
 
 
 def dump_fourier_connection(conn: FourierConnection) -> str:
@@ -169,23 +178,27 @@ def dump_fourier_connection(conn: FourierConnection) -> str:
 
 
 def load_fourier_connection(text: str) -> FourierConnection:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "FOURCONN":
-        raise ValidationError("not a FOURCONN payload")
-    n, r, rows = int(head[1]), int(head[2]), int(head[3])
+    head, body = _payload(text, "FOURCONN", 3)
+    n, r, rows = _numbers(head, int, "FOURCONN header")
+    # 0 stands for an unknown n or r, which only an empty connection may leave
+    if n < 0 or r < 0 or (rows and min(n, r) < 1):
+        raise ValidationError(f"FOURCONN needs n >= 1 and r >= 1, got n={n} r={r}")
+    if len(body) != rows:
+        raise ValidationError(f"header announces {rows} mode rows, got {len(body)}")
     coeffs = {}
-    for ln in lines[1:1 + rows]:
+    for ln in body:
         parts = ln.split()
-        q = tuple(int(p) for p in parts[:n])
-        j = int(parts[n])
-        vals = [float(p) for p in parts[n + 1:]]
-        if len(vals) != 2 * r * r:
-            raise ValidationError(f"mode row needs {2 * r * r} floats: {ln!r}")
-        M = np.array([complex(vals[2 * i], vals[2 * i + 1]) for i in range(r * r)])
-        mats = coeffs.setdefault(q, [np.zeros((r, r), dtype=complex) for _ in range(n)])
-        mats[j] = mats[j] + M.reshape(r, r)
-    return FourierConnection({q: tuple(m) for q, m in coeffs.items()}, r=r, n=n)
+        if len(parts) != n + 1 + 2 * r * r:
+            raise ValidationError(
+                f"mode row needs {n + 1} integers and {2 * r * r} floats: {ln!r}")
+        *q, j = _numbers(parts[:n + 1], int, "mode row")
+        if not 0 <= j < n:
+            raise ValidationError(f"direction {j} out of range 0..{n - 1}: {ln!r}")
+        M = np.array(_numbers(parts[n + 1:], float, "mode row")).view(complex).reshape(r, r)
+        mats = coeffs.setdefault(tuple(q), [np.zeros((r, r), dtype=complex) for _ in range(n)])
+        mats[j] = mats[j] + M
+    return FourierConnection({q: tuple(m) for q, m in coeffs.items()}, r=r or None,
+                             n=n or None)
 
 
 # ---------------------------------------------------------------------------

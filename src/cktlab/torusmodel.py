@@ -13,14 +13,29 @@ as a matrix-level testbed for the perturbation formulas (which are
 operator-calculus facts independent of hyperbolicity), not as a
 reproduction of chaotic dynamics.
 
+Both sides are assembled as one sum of sparse Kronecker products over
+modes x harmonics x fiber,
+
+    sum_j diag(i k_j) (x) P_j (x) I_f
+        + sum_{q in support} S_q (x) (sum_j P_j (x) F_j(hat Gamma_q)),
+
+where P_j are the per-direction harmonic blocks, F_j the fiber action
+of the connection coefficient (commutator action on endomorphism fibers)
+and S_q the 0/1 matrix sending mode k to k+q.  The two assembly routes
+share only this skeleton: `assemble` supplies the harmonic splitting of
+multiplication by v_j, `assemble_via_D` the symmetric-tensor derivative
+conjugated into the harmonic bases, so their agreement checks the blocks.
+
 Mode couplings that would leave the truncation box are dropped, never
 wrapped: wrapping would alias modes and silently break the symmetry of
-the operator, while a symmetric drop preserves adjointness exactly.
+the operator, while a symmetric drop preserves adjointness exactly.  A
+dropped coupling is a pair (mode k, support mode q) with k+q outside the
+box, counted once per side: nmodes - nnz(S_q) per q and side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
 
@@ -223,10 +238,6 @@ class TorusAssembly:
     adjointness_defect: float
 
     @property
-    def dim_m(self):
-        return self.xplus.shape[1]
-
-    @property
     def dim_m1(self):
         return self.xplus.shape[0]
 
@@ -237,62 +248,64 @@ class TorusAssembly:
         return (mi * h + a) * cfg.fdim + e
 
 
-def _block_triples(rows, cols, block, out_r, out_c, out_v, tol=0.0):
-    rr, cc = np.nonzero(np.abs(block) > tol)
-    out_r.extend(rows + rr)
-    out_c.extend(cols + cc)
-    out_v.extend(block[rr, cc])
+@lru_cache(maxsize=None)
+def _shift_matrix(n, K, q):
+    """0/1 matrix sending mode k to k + q; couplings leaving the box have no
+    entry, so nmodes - nnz of them are dropped.  Shared by every caller:
+    never mutate it."""
+    modes = np.asarray(mode_list(n, K))
+    target = modes + np.asarray(q)
+    inside = (np.abs(target) <= K).all(axis=1)
+    rows = np.ravel_multi_index((target[inside] + K).T, (2 * K + 1,) * n)
+    cols = np.nonzero(inside)[0]
+    return sparse.csr_matrix((np.ones(len(cols)), (rows, cols)), shape=(len(modes),) * 2)
 
 
-def _assemble_side(config, conn, degree_in, raising):
-    """One side of the assembly: raising (degree_in -> degree_in+1) when
-    raising=True, else lowering (degree_in -> degree_in-1)."""
-    n, K, fdim = config.n, config.K, config.fdim
-    modes = mode_list(n, K)
-    index = _mode_index(n, K)
-    plus_blocks, minus_blocks = harmonic_mult_blocks(n, degree_in)
-    blocks = plus_blocks if raising else minus_blocks
-    h_in = dims(n, degree_in)[1]
-    h_out = blocks[0].shape[0]
-    eye_f = np.eye(fdim)
-    rows, cols, vals = [], [], []
+def _connection_term(config, conn, blocks):
+    """Sum over the support of S_q kron (sum_j P_j kron F_j(hat Gamma_q)), with
+    the number of couplings dropped at the box edge."""
+    if conn is not None and conn.r is not None and conn.r != config.r:
+        raise ValidationError(
+            f"fiber rank mismatch: config r={config.r}, connection r={conn.r}"
+        )
+    if conn is not None and conn.n is not None and conn.n != config.n:
+        raise ValidationError(
+            f"torus dimension mismatch: config n={config.n}, connection n={conn.n}"
+        )
+    nmodes = len(config.modes)
+    h_out, h_in = blocks[0].shape
+    total = sparse.csr_matrix(
+        (nmodes * h_out * config.fdim, nmodes * h_in * config.fdim), dtype=complex)
     dropped = 0
+    for q, mats in (conn.coeffs.items() if conn is not None else ()):
+        shift = _shift_matrix(config.n, config.K, q)
+        dropped += nmodes - shift.nnz
+        coupling = sum(np.kron(P, _fiber_action(config, M)) for P, M in zip(blocks, mats))
+        total = total + sparse.kron(shift, coupling, format="csr")
+    return total, dropped
 
-    conn_blocks = {}
-    if conn is not None:
-        for q, mats in conn.coeffs.items():
-            B = np.zeros((h_out * fdim, h_in * fdim), dtype=complex)
-            for j in range(n):
-                Fj = _fiber_action(config, mats[j])
-                if np.abs(Fj).max() > 0:
-                    B += np.kron(blocks[j], Fj)
-            conn_blocks[q] = B
 
-    for mi, k in enumerate(modes):
-        # free part: harmonic splitting of multiplication by i (k . v)
-        diag = np.zeros((h_out, h_in), dtype=complex)
-        for j in range(n):
-            if k[j]:
-                diag += 1j * k[j] * blocks[j]
-        if np.abs(diag).max() > 0:
-            _block_triples(mi * h_out * fdim, mi * h_in * fdim,
-                           np.kron(diag, eye_f), rows, cols, vals)
-        for q, B in conn_blocks.items():
-            target = tuple(a + b for a, b in zip(k, q))
-            ti = index.get(target)
-            if ti is None:
-                dropped += 1
-                continue
-            if np.abs(B).max() > 0:
-                _block_triples(ti * h_out * fdim, mi * h_in * fdim, B,
-                               rows, cols, vals)
+def _kron_assemble(config, conn, plus_blocks, minus_blocks) -> TorusAssembly:
+    """Both sides of the flow derivative from per-direction harmonic blocks
+    P_j (degree m -> m+1 for raising, m+1 -> m for lowering):
+    sum_j diag(i k_j) kron P_j kron I_f plus the connection term.
 
-    shape = (len(modes) * h_out * fdim, len(modes) * h_in * fdim)
-    M = sparse.coo_matrix(
-        (np.asarray(vals, dtype=complex), (np.asarray(rows), np.asarray(cols))),
-        shape=shape,
-    ).tocsr()
-    return M, dropped
+    The blocks carry all of an assembly route's mathematics; this skeleton
+    only places them over the modes and the fiber."""
+    modes = np.asarray(config.modes)
+    eye_f = np.eye(config.fdim)
+    sides = []
+    dropped = 0
+    for blocks in (plus_blocks, minus_blocks):
+        free = sum(sparse.kron(sparse.diags(1j * modes[:, j]), np.kron(P, eye_f), format="csr")
+                   for j, P in enumerate(blocks))
+        coupled, side_dropped = _connection_term(config, conn, blocks)
+        sides.append(free + coupled)
+        dropped += side_dropped
+    xplus, xminus = sides
+    diff = (xminus + xplus.conj().T).tocoo()
+    defect = float(np.abs(diff.data).max()) if diff.nnz else 0.0
+    return TorusAssembly(config, xplus, xminus, dropped, defect)
 
 
 def assemble(config: TorusConfig, conn: FourierConnection | None = None) -> TorusAssembly:
@@ -303,27 +316,17 @@ def assemble(config: TorusConfig, conn: FourierConnection | None = None) -> Toru
     the conjugate transpose of the raising matrix; the two agree exactly
     because the truncation drop is symmetric.
     """
-    if conn is not None and conn.r is not None and conn.r != config.r:
-        raise ValidationError(
-            f"fiber rank mismatch: config r={config.r}, connection r={conn.r}"
-        )
-    xplus, dropped_p = _assemble_side(config, conn, config.m, raising=True)
-    xminus, dropped_m = _assemble_side(config, conn, config.m + 1, raising=False)
-    defect_mat = (xminus + xplus.conj().T.tocsr()).tocoo()
-    defect = float(np.abs(defect_mat.data).max()) if defect_mat.nnz else 0.0
-    if defect > 1e-12 * max(1.0, abs(xplus).max()):
-        raise ConvergenceError(f"adjointness defect {defect:.3e} in assembly")
-    return TorusAssembly(config, xplus, xminus, dropped_p + dropped_m, defect)
+    asm = _kron_assemble(config, conn, harmonic_mult_blocks(config.n, config.m)[0],
+                         harmonic_mult_blocks(config.n, config.m + 1)[1])
+    if asm.adjointness_defect > 1e-12 * max(1.0, abs(asm.xplus).max()):
+        raise ConvergenceError(f"adjointness defect {asm.adjointness_defect:.3e} in assembly")
+    return asm
 
 
 def connection_plus_matrix(config: TorusConfig, conn: FourierConnection):
     """Raising matrix of the connection part alone (the derivative of the
     assembly with respect to the connection)."""
-    if conn.r is not None and conn.r != config.r:
-        raise ValidationError("fiber rank mismatch")
-    full_part, _ = _assemble_side(config, conn, config.m, raising=True)
-    free_part, _ = _assemble_side(config, None, config.m, raising=True)
-    return (full_part - free_part).tocsr()
+    return _connection_term(config, conn, harmonic_mult_blocks(config.n, config.m)[0])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -375,80 +378,17 @@ def assemble_via_D(config: TorusConfig, conn: FourierConnection | None = None) -
     the adjoint derivative scaled by -(m+1)/(n+2m), where m is the
     configured degree.  Must agree entrywise with `assemble`.
     """
-    if conn is not None and conn.r is not None and conn.r != config.r:
-        raise ValidationError("fiber rank mismatch")
-    n, K, m, fdim = config.n, config.K, config.m, config.fdim
-    modes = mode_list(n, K)
-    index = _mode_index(n, K)
+    n, m = config.n, config.m
     # level-m data holds both directions between degrees m and m+1
     T_m, C_m1, B_m = _tensor_route_data(n, m)
     B_m1 = _tensor_route_data(n, m + 1)[2]
     B_m_inv = np.linalg.inv(B_m)
     B_m1_inv = np.linalg.inv(B_m1)
     c_link = (m + 1) / (n + 2 * m)
-
-    def conv_plus(tensor_mat):
-        return B_m1 @ tensor_mat @ B_m_inv
-
-    def conv_minus(tensor_mat):
-        return B_m @ tensor_mat @ B_m1_inv
-
-    eye_f = np.eye(fdim)
-    rows_p, cols_p, vals_p = [], [], []
-    rows_m, cols_m, vals_m = [], [], []
-    h_in = B_m.shape[0]
-    h_out = B_m1.shape[0]
-    dropped = 0
-
-    conn_p = {}
-    conn_m = {}
-    if conn is not None:
-        for q, mats in conn.coeffs.items():
-            Bp = np.zeros((h_out * fdim, h_in * fdim), dtype=complex)
-            Bm = np.zeros((h_in * fdim, h_out * fdim), dtype=complex)
-            for j in range(n):
-                Fj = _fiber_action(config, mats[j])
-                if np.abs(Fj).max() > 0:
-                    Bp += np.kron(conv_plus(T_m[j]), Fj)
-                    Bm += c_link * np.kron(conv_minus(C_m1[j]), Fj)
-            conn_p[q] = Bp
-            conn_m[q] = Bm
-
-    for mi, k in enumerate(modes):
-        Tk = sum((1j * k[j]) * T_m[j] for j in range(n)) if any(k) else None
-        Ck = sum((1j * k[j]) * C_m1[j] for j in range(n)) if any(k) else None
-        if Tk is not None:
-            _block_triples(mi * h_out * fdim, mi * h_in * fdim,
-                           np.kron(conv_plus(Tk), eye_f), rows_p, cols_p, vals_p)
-            # X_- = -c_link * pi_m D*; free D* on mode k is -i iota_k
-            _block_triples(mi * h_in * fdim, mi * h_out * fdim,
-                           np.kron(c_link * conv_minus(Ck), eye_f),
-                           rows_m, cols_m, vals_m)
-        for q in conn_p:
-            target = tuple(a + b for a, b in zip(k, q))
-            ti = index.get(target)
-            if ti is None:
-                dropped += 1
-                continue
-            if np.abs(conn_p[q]).max() > 0:
-                _block_triples(ti * h_out * fdim, mi * h_in * fdim, conn_p[q],
-                               rows_p, cols_p, vals_p)
-            if np.abs(conn_m[q]).max() > 0:
-                _block_triples(ti * h_in * fdim, mi * h_out * fdim, conn_m[q],
-                               rows_m, cols_m, vals_m)
-
-    nmodes = len(modes)
-    xplus = sparse.coo_matrix(
-        (np.asarray(vals_p, dtype=complex), (np.asarray(rows_p), np.asarray(cols_p))),
-        shape=(nmodes * h_out * fdim, nmodes * h_in * fdim),
-    ).tocsr()
-    xminus = sparse.coo_matrix(
-        (np.asarray(vals_m, dtype=complex), (np.asarray(rows_m), np.asarray(cols_m))),
-        shape=(nmodes * h_in * fdim, nmodes * h_out * fdim),
-    ).tocsr()
-    diff = (xminus + xplus.conj().T.tocsr()).tocoo()
-    defect = float(np.abs(diff.data).max()) if diff.nnz else 0.0
-    return TorusAssembly(config, xplus, xminus, dropped, defect)
+    plus_blocks = [B_m1 @ T @ B_m_inv for T in T_m]
+    # X_- = -c_link * pi_m D*; free D* on mode k is -i iota_k
+    minus_blocks = [c_link * (B_m @ C @ B_m1_inv) for C in C_m1]
+    return _kron_assemble(config, conn, plus_blocks, minus_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +507,14 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
             "window contains nonzero unperturbed eigenvalues; shrink the radius"
         )
 
+    s_values = np.asarray(list(s_grid), dtype=float)
+    if not np.isfinite(s_values).all() or len(np.unique(s_values)) < 3:
+        raise ValidationError("the s grid needs >= 3 distinct finite points to fit "
+                              "a second derivative")
+
     kernel0 = ckt_kernel(asm0)
     _, predicted = second_variation_predict(asm0, A, kernel0.vectors)
 
-    s_values = np.asarray(list(s_grid), dtype=float)
     lambdas = np.empty(len(s_values))
     kdims = np.empty(len(s_values), dtype=int)
     for i, s in enumerate(s_values):
@@ -582,10 +526,9 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
         lambdas[i] = float(inside.sum())
         kdims[i] = int((evs < kernel_thresh).sum())
 
-    deg = min(4, len(s_values) - 1)
-    coef = np.polynomial.polynomial.polyfit(s_values, lambdas, deg)
-    lam_dot = float(coef[1]) if deg >= 1 else 0.0
-    lam_ddot = float(2 * coef[2]) if deg >= 2 else 0.0
+    coef = np.polynomial.polynomial.polyfit(s_values, lambdas, min(4, len(s_values) - 1))
+    lam_dot = float(coef[1])
+    lam_ddot = float(2 * coef[2])
     factor = lam_ddot / (2 * predicted) if predicted > 0 else float("nan")
     return ScanResult(s_values, lambdas, kdims, predicted, float(window_radius),
                       lam_dot, lam_ddot, factor)
@@ -595,11 +538,19 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
 # the stacked generator over harmonic degrees 0..mmax
 
 
-def _degree_offsets(config, mmax):
+def _degree_stack(config, mmax, sides):
+    """Square matrix on the degrees 0..mmax stack; sides(config at degree m)
+    gives the (m -> m+1, m+1 -> m) pair placed below and above the diagonal.
+    Returns (matrix, offsets) with offsets indexing the degree blocks."""
     offs = [0]
     for m in range(mmax + 1):
-        offs.append(offs[-1] + len(config.modes) * dims(config.n, m)[1] * config.fdim)
-    return offs
+        offs.append(offs[-1] + config.space_dim(m))
+    blocks = [[None] * (mmax + 1) for _ in range(mmax + 1)]
+    for m in range(mmax + 1):
+        blocks[m][m] = sparse.csr_matrix((config.space_dim(m),) * 2, dtype=complex)
+    for m in range(mmax):
+        blocks[m + 1][m], blocks[m][m + 1] = sides(replace(config, m=m))
+    return sparse.bmat(blocks, format="csr"), offs
 
 
 def build_generator(config: TorusConfig, conn, mmax: int):
@@ -609,34 +560,20 @@ def build_generator(config: TorusConfig, conn, mmax: int):
     the raising map out of the top degree also cuts its adjoint back in.
     Returns (matrix, offsets) with offsets indexing the degree blocks.
     """
-    offs = _degree_offsets(config, mmax)
-    blocks = [[None] * (mmax + 1) for _ in range(mmax + 1)]
-    for m in range(mmax + 1):
-        blocks[m][m] = sparse.csr_matrix(
-            (offs[m + 1] - offs[m], offs[m + 1] - offs[m]), dtype=complex
-        )
-    for m in range(mmax):
-        cfg_m = TorusConfig(config.n, config.K, m, config.r, config.bundle_kind)
+    def sides(cfg_m):
         asm = assemble(cfg_m, conn)
-        blocks[m + 1][m] = asm.xplus
-        blocks[m][m + 1] = asm.xminus
-    return sparse.bmat(blocks, format="csr"), offs
+        return asm.xplus, asm.xminus
+
+    return _degree_stack(config, mmax, sides)
 
 
 def generator_perturbation(config: TorusConfig, A: FourierConnection, mmax: int):
     """Matrix of the connection perturbation on the degree stack (1-form action)."""
-    offs = _degree_offsets(config, mmax)
-    blocks = [[None] * (mmax + 1) for _ in range(mmax + 1)]
-    for m in range(mmax + 1):
-        blocks[m][m] = sparse.csr_matrix(
-            (offs[m + 1] - offs[m], offs[m + 1] - offs[m]), dtype=complex
-        )
-    for m in range(mmax):
-        cfg_m = TorusConfig(config.n, config.K, m, config.r, config.bundle_kind)
+    def sides(cfg_m):
         plus = connection_plus_matrix(cfg_m, A)
-        blocks[m + 1][m] = plus
-        blocks[m][m + 1] = (-plus.conj().T).tocsr()
-    return sparse.bmat(blocks, format="csr"), offs
+        return plus, -plus.conj().T
+
+    return _degree_stack(config, mmax, sides)
 
 
 def eval_sections(config: TorusConfig, vectors, xs, vs, degree=None):

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -67,6 +69,62 @@ class TestEject:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("[torus]\nn = 3\nk = 1\nm = 0\nr = 1\n")
         assert run(["torus-eject", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+class TestInputGuards:
+    @pytest.mark.parametrize("points", [-1, 0, 1, 2])
+    def test_eject_needs_three_points(self, eject_setup, tmp_path, capsys, points):
+        cfg = tmp_path / "few.cfg"
+        cfg.write_text(eject_setup.read_text().replace("points = 9", f"points = {points}"))
+        assert run(["torus-eject", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "tag=validation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("smax", ["0", "nan"])
+    def test_eject_needs_distinct_finite_grid(self, eject_setup, tmp_path, capsys, smax):
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text(eject_setup.read_text().replace("smax = 0.1", f"smax = {smax}"))
+        assert run(["torus-eject", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "tag=validation" in capsys.readouterr().err
+
+    def test_empty_perturbation_file(self, eject_setup, tmp_path, capsys):
+        (tmp_path / "pert.fourconn").write_text("")
+        assert run(["torus-eject", "--config", str(eject_setup), "--out", str(tmp_path)]) == 2
+        assert "tag=validation" in capsys.readouterr().err
+
+    def test_holonomy_needs_a_geodesic(self, tmp_path, capsys):
+        conn = tm.FourierConnection.constant(3, [np.diag([1j, 2j]), np.zeros((2, 2)),
+                                                 np.zeros((2, 2))])
+        f = tmp_path / "conn.fourconn"
+        f.write_text(textio.dump_fourier_connection(conn))
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(f"[holonomy]\nconnection = {f}\nnum_geodesics = 0\n")
+        assert run(["holonomy", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "tag=validation" in capsys.readouterr().err
+
+    def test_holonomy_needs_a_fiber_rank(self, tmp_path, capsys):
+        f = tmp_path / "conn.fourconn"
+        f.write_text("FOURCONN 3 0 0\n")
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(f"[holonomy]\nconnection = {f}\nnum_geodesics = 2\n")
+        assert run(["holonomy", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "tag=validation" in capsys.readouterr().err
+
+    def test_tol_only_where_read(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["kato", "--tol", "1e-3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+    def test_module_entry_point(self):
+        import cktlab
+
+        src = os.path.dirname(os.path.dirname(cktlab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "cktlab.cli", "selftest"], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0
+        assert "checks passed" in proc.stdout
 
 
 class TestDivtype:

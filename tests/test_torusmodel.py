@@ -104,6 +104,11 @@ class TestAssemble:
             tm.assemble(TorusConfig(3, 1, 0, 1),
                         FourierConnection.cosine_mode(3, (0, 1, 0), 0, 1j * np.eye(2)))
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValidationError):
+            tm.assemble(TorusConfig(3, 1, 0, 1),
+                        FourierConnection.cosine_mode(2, (0, 1), 0, 1j * np.eye(1)))
+
     @pytest.mark.parametrize("kind", ["vector", "endomorphism"])
     def test_adjointness(self, kind, rng):
         cfg = TorusConfig(3, 1, 1, 2, kind)
@@ -151,6 +156,7 @@ class TestAssembleViaD:
         a, b = tm.assemble(cfg, conn), tm.assemble_via_D(cfg, conn)
         assert abs((a.xplus - b.xplus)).max() <= 1e-10
         assert abs((a.xminus - b.xminus)).max() <= 1e-10
+        assert a.dropped_couplings == b.dropped_couplings > 0
 
     def test_endomorphism_agreement(self, rng):
         cfg = TorusConfig(3, 1, 0, 2, "endomorphism")
@@ -244,6 +250,12 @@ class TestLambdaScan:
         assert (res.kernel_dims >= 1).all()
         assert res.kernel_dims[2] == 4
 
+    @pytest.mark.parametrize("points", [0, 1, 2])
+    def test_grid_too_short(self, points):
+        with pytest.raises(ValidationError):
+            tm.lambda_scan(EJECT_CFG, FourierConnection.zero(r=1), EJECT_A,
+                           np.linspace(-0.1, 0.1, points))
+
     def test_window_validation(self):
         with pytest.raises(ValidationError):
             tm.lambda_scan(EJECT_CFG, FourierConnection.zero(r=1), EJECT_A,
@@ -300,6 +312,44 @@ class TestGenerator:
             traced = w[:, 0] + w[:, 3]
             resid = np.linalg.norm(asm_s.xplus @ traced)
             assert resid < 1e-9 * max(1.0, np.linalg.norm(traced))
+
+    @pytest.mark.parametrize("kind", ["vector", "endomorphism"])
+    def test_pointwise_flow_derivative(self, kind, rng):
+        # oracle independent of the assembly: the generator applied to a
+        # degree-1 section u equals, pointwise on T^n x S^{n-1}, the flow
+        # derivative v . grad_x u + Gamma_x(v) u ([Gamma_x(v), u] on
+        # endomorphisms).  Modes |k|_inf <= K - 1 keep every coupling inside
+        # the box, so nothing is dropped.
+        n, K, r = 3, 2, 2
+        cfg = TorusConfig(n, K, 0, r, kind)
+        conn = random_connection(rng, n, r, qs=[(0, 1, 0), (1, -1, 1)])
+        G, offs = tm.build_generator(cfg, conn, mmax=2)
+        modes = np.array(tm.mode_list(n, K))
+        inner = np.abs(modes).max(axis=1) <= K - 1
+        shape = (len(modes), ph.dims(n, 1)[1], cfg.fdim)
+        coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        coef[~inner] = 0
+        u = np.zeros(G.shape[0], dtype=complex)
+        u[offs[1]:offs[2]] = coef.ravel()
+        w = G @ u
+        xs = rng.uniform(0, 2 * np.pi, (6, n))
+        vs = rng.standard_normal((6, n))
+        vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+        got = (tm.eval_sections(cfg, w[offs[0]:offs[1]], xs, vs, degree=0)
+               + tm.eval_sections(cfg, w[offs[2]:offs[3]], xs, vs, degree=2))[:, :, 0]
+        for i, (x, v) in enumerate(zip(xs, vs)):
+            # v . grad_x multiplies mode k by i (k . v)
+            dcoef = coef * (1j * modes @ v)[:, None, None]
+            grad = tm.eval_sections(cfg, dcoef.ravel(), x, v, degree=1)[0, :, 0]
+            val = tm.eval_sections(cfg, coef.ravel(), x, v, degree=1)[0, :, 0]
+            gam = conn.value_at(x, v)
+            if kind == "vector":
+                twist = gam @ val
+            else:
+                U = val.reshape(r, r)
+                twist = (gam @ U - U @ gam).ravel()
+            expected = grad + twist
+            assert np.abs(got[i] - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
 
 
 class TestEvalSections:

@@ -24,10 +24,14 @@ import numpy as np
 from .errors import ValidationError
 from .polyharm import (
     HPoly,
+    _basis_matrix,
+    _diff_matrices,
+    _dual_matrix,
+    _mult_matrices,
+    _radial_matrix,
     bombieri_inner,
     bombieri_norm,
     harmonic_antiderivative,
-    harmonic_basis,
     laplace,
     radial_squared,
     sphere_inner,
@@ -281,27 +285,28 @@ def harmonic_mult_blocks(n: int, m: int):
     and minus_blocks[j] maps H_m -> H_{m-1}, in the sphere-orthonormal
     harmonic bases.  Multiplication by a 1-form sum_j eta_j v_j then has
     raising matrix sum_j eta_j plus_blocks[j].
+
+    Each block is a product of polyharm's cached monomial-coordinate
+    matrices: with Q the basis coefficients, G the moment Gram, S_j, D_j
+    and R multiplication by v_j, d_j and |v|^2, and c = n + 2m - 2,
+
+        minus_j = Q_{m-1}^H G D_j Q_m / c,
+        plus_j  = Q_{m+1}^H G (S_j - R D_j / c) Q_m,
+
+    the split v_j u = plus + |v|^2 minus of `gamma_split`.
     """
-    bm = harmonic_basis(n, m)
-    bp = harmonic_basis(n, m + 1)
-    bl = harmonic_basis(n, m - 1) if m >= 1 else None
-    r2 = radial_squared(n)
-    denom = n + 2 * (m - 1)
-    plus_blocks = [np.zeros((len(bp), len(bm)), dtype=complex) for _ in range(n)]
-    minus_blocks = [
-        np.zeros((len(bl) if bl else 0, len(bm)), dtype=complex) for _ in range(n)
-    ]
-    for a, u in enumerate(bm.members):
-        for j in range(n):
-            q = HPoly.variable(n, j) * u
-            if m == 0:
-                plus_blocks[j][:, a] = bp.expand(q)
-                continue
-            b = u.deriv(j) / denom
-            p = q - r2 * b
-            plus_blocks[j][:, a] = bp.expand(p)
-            minus_blocks[j][:, a] = bl.expand(b)
-    return tuple(plus_blocks), tuple(minus_blocks)
+    Q = _basis_matrix(n, m)
+    S = _mult_matrices(n, m)
+    dual_p = _dual_matrix(n, m + 1)
+    if m == 0:
+        plus = tuple(dual_p @ (Sj @ Q) for Sj in S)
+        return plus, tuple(np.zeros((0, Q.shape[1]), dtype=complex) for _ in range(n))
+    R = _radial_matrix(n, m - 1)
+    dual_l = _dual_matrix(n, m - 1)
+    lowered = [Dj @ Q / (n + 2 * (m - 1)) for Dj in _diff_matrices(n, m)]
+    plus = tuple(dual_p @ (Sj @ Q - R @ L) for Sj, L in zip(S, lowered))
+    minus = tuple(dual_l @ L for L in lowered)
+    return plus, minus
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,15 @@ sphere, and sphere-L2-orthonormal bases of harmonic polynomials.
 
 Coefficients are ordinarily complex doubles.  The dict-based arithmetic
 is type-agnostic, so tests may feed `fractions.Fraction` coefficients to
-`laplace` and `harmonic_decompose` and get exact results back.
+`laplace` and `harmonic_decompose` and get exact results back; `HPoly`
+and `sphere_inner` are the exact reference the matrix route is tested
+against.
+
+The numerical harmonic layer works in monomial coordinates (the
+lexicographic order of `monomials`), with matrices cached per (n, m):
+the basis coefficients Q (p x h), the moment Gram G, multiplication by
+v_j, differentiation d_j and multiplication by |v|^2.  Coordinates in a
+harmonic basis are then one product, `expand(P) = Q^H G p`.
 """
 
 from __future__ import annotations
@@ -364,7 +372,11 @@ def sphere_inner(P: HPoly, Q: HPoly):
 
 @dataclass(frozen=True)
 class HarmonicBasis:
-    """Sphere-L2-orthonormal basis of the harmonic polynomials of degree m."""
+    """Sphere-L2-orthonormal basis of the harmonic polynomials of degree m.
+
+    Instances come from `harmonic_basis`, whose cached monomial-coordinate
+    matrices `expand` uses.
+    """
 
     n: int
     m: int
@@ -375,8 +387,16 @@ class HarmonicBasis:
         return len(self.members)
 
     def expand(self, P: HPoly) -> np.ndarray:
-        """Coordinates of a harmonic polynomial in this basis (exact if P is harmonic)."""
-        return np.array([sphere_inner(P, b) for b in self.members])
+        """Sphere-L2 products of P with the members, Q^H G p.
+
+        These are P's coordinates when P is harmonic, and the coordinates
+        of its projection onto the harmonic polynomials otherwise.
+        """
+        if (P.n, P.m) != (self.n, self.m):
+            raise ValidationError(
+                f"polynomial of (n={P.n}, m={P.m}) expanded in the (n={self.n}, m={self.m}) basis"
+            )
+        return _dual_matrix(self.n, self.m) @ _coeff_vector(P)
 
     def combine(self, coords) -> HPoly:
         out = HPoly.zero(self.n, self.m)
@@ -466,6 +486,66 @@ def harmonic_basis(n: int, m: int) -> HarmonicBasis:
     return HarmonicBasis(n, m, tuple(members))
 
 
+# ---------------------------------------------------------------------------
+# monomial-coordinate matrices, cached per (n, m)
+
+
+@lru_cache(maxsize=None)
+def _monomial_index(n, m):
+    return {a: i for i, a in enumerate(monomials(n, m))}
+
+
+def _coeff_vector(P: HPoly) -> np.ndarray:
+    """Coefficients of P in the lexicographic monomial order."""
+    index = _monomial_index(P.n, P.m)
+    v = np.zeros(len(index), dtype=complex)
+    for a, c in P.coeffs.items():
+        v[index[a]] = complex(c)
+    return v
+
+
+@lru_cache(maxsize=None)
+def _basis_matrix(n, m):
+    """Q (p x h): the coefficient vectors of harmonic_basis(n, m)'s members."""
+    return np.column_stack([_coeff_vector(b) for b in harmonic_basis(n, m).members])
+
+
+@lru_cache(maxsize=None)
+def _dual_matrix(n, m):
+    """Q^H G: sends a degree-m coefficient vector to its sphere-L2 products
+    with the members of harmonic_basis(n, m)."""
+    return _basis_matrix(n, m).conj().T @ _moment_gram(n, m)
+
+
+@lru_cache(maxsize=None)
+def _mult_matrices(n, m):
+    """S_j, j < n: multiplication by v_j from degree m to degree m+1."""
+    rows, cols = _monomial_index(n, m + 1), monomials(n, m)
+    out = tuple(np.zeros((len(rows), len(cols))) for _ in range(n))
+    for c, a in enumerate(cols):
+        for j, S in enumerate(out):
+            S[rows[a[:j] + (a[j] + 1,) + a[j + 1:]], c] = 1.0
+    return out
+
+
+@lru_cache(maxsize=None)
+def _diff_matrices(n, m):
+    """D_j, j < n: the partial derivative d_j from degree m to degree m-1."""
+    rows, cols = _monomial_index(n, m - 1), monomials(n, m)
+    out = tuple(np.zeros((len(rows), len(cols))) for _ in range(n))
+    for c, a in enumerate(cols):
+        for j, D in enumerate(out):
+            if a[j]:
+                D[rows[a[:j] + (a[j] - 1,) + a[j + 1:]], c] = a[j]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _radial_matrix(n, m):
+    """R = sum_k S_k S_k: multiplication by |v|^2 from degree m to degree m+2."""
+    return sum(S1 @ S0 for S1, S0 in zip(_mult_matrices(n, m + 1), _mult_matrices(n, m)))
+
+
 def harmonic_antiderivative(p: HPoly, j: int, c=1.0) -> HPoly:
     """Solve d_j f = c * p with f harmonic of degree deg(p) + 1.
 
@@ -481,9 +561,7 @@ def harmonic_antiderivative(p: HPoly, j: int, c=1.0) -> HPoly:
         raise ValidationError("input polynomial is not harmonic")
     bm = harmonic_basis(n, m)
     bm1 = harmonic_basis(n, m + 1)
-    D = np.empty((len(bm), len(bm1)), dtype=complex)
-    for b, w in enumerate(bm1.members):
-        D[:, b] = bm.expand(w.deriv(j))
+    D = _dual_matrix(n, m) @ _diff_matrices(n, m + 1)[j] @ _basis_matrix(n, m + 1)
     rhs = bm.expand(p) * complex(c)
     x, *_ = np.linalg.lstsq(D, rhs, rcond=None)
     f = bm1.combine(x)

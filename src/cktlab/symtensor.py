@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -244,6 +243,31 @@ def vec_to_tensor(n, m, v) -> SymTensor:
     return SymTensor(n, m, {t: c for t, c in zip(mono, v) if c != 0})
 
 
+@lru_cache(maxsize=None)
+def _jay_system(n, m):
+    """(J, J^H W, J^H W J) at degree m >= 2.
+
+    J holds jay of the degree-(m-2) elementary tensors as columns, J^H W
+    is its adjoint in the weighted coordinates and J^H W J the Gram
+    matrix of the range of jay.
+    """
+    mono_lo, _, _ = _vectorize(n, m - 2)
+    _, _, w_hi = _vectorize(n, m)
+    J = np.column_stack(
+        [tensor_to_vec(jay(SymTensor.basis_element(n, t))) for t in mono_lo]
+    )
+    JW = J.conj().T * w_hi
+    return J, JW, JW @ J
+
+
+def _tracefree_residual(n, m, vecs):
+    """Trace-free parts of the coordinate columns `vecs` of degree-m tensors."""
+    if m < 2:
+        return vecs
+    J, JW, gram = _jay_system(n, m)
+    return vecs - J @ np.linalg.solve(gram, JW @ vecs)
+
+
 def tracefree_project(T: SymTensor) -> SymTensor:
     """Orthogonal projection onto trace-free symmetric tensors.
 
@@ -251,21 +275,9 @@ def tracefree_project(T: SymTensor) -> SymTensor:
     Gram matrix (in the weighted coordinates), then subtracts; this keeps
     the projector numerically self-adjoint.
     """
-    n, m = T.n, T.m
-    if m < 2:
+    if T.m < 2:
         return T
-    mono_lo, _, _ = _vectorize(n, m - 2)
-    _, _, w_hi = _vectorize(n, m)
-    J = np.column_stack(
-        [tensor_to_vec(jay(SymTensor.basis_element(n, t))) for t in mono_lo]
-    )
-    t_vec = tensor_to_vec(T)
-    JW = J.conj().T * w_hi  # adjoint of J in the weighted metric
-    gram = JW @ J
-    rhs = JW @ t_vec
-    sol = np.linalg.solve(gram, rhs)
-    resid_vec = t_vec - J @ sol
-    return vec_to_tensor(n, m, resid_vec)
+    return vec_to_tensor(T.n, T.m, _tracefree_residual(T.n, T.m, tensor_to_vec(T)))
 
 
 @lru_cache(maxsize=None)
@@ -273,13 +285,11 @@ def tracefree_basis(n: int, m: int) -> tuple[SymTensor, ...]:
     """Orthonormal basis (tensor metric) of the trace-free symmetric m-tensors.
 
     Built independently of the harmonic-polynomial route: project the
-    elementary symmetrized tensors and orthonormalize, dropping
-    numerically dependent vectors.
+    elementary symmetrized tensors (all in one solve) and orthonormalize,
+    dropping numerically dependent vectors.
     """
     mono, _, w = _vectorize(n, m)
-    cols = []
-    for t in mono:
-        cols.append(tensor_to_vec(tracefree_project(SymTensor.basis_element(n, t))))
+    cols = _tracefree_residual(n, m, np.eye(len(mono), dtype=complex)).T
     basis_vecs: list[np.ndarray] = []
     for c in cols:
         v = c.copy()

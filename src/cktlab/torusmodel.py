@@ -44,7 +44,7 @@ import scipy.sparse as sparse
 
 from .connalg import commutator_action_matrix, harmonic_mult_blocks
 from .errors import ConvergenceError, ValidationError
-from .polyharm import dims, harmonic_basis, sphere_inner
+from .polyharm import dims, harmonic_basis
 from .symtensor import contract, sym_mult_form, to_poly, tracefree_basis
 
 __all__ = [
@@ -122,14 +122,19 @@ class FourierConnection:
             for q, mats in coeffs.items():
                 mats = tuple(np.asarray(M, dtype=complex) for M in mats)
                 self.coeffs[tuple(int(c) for c in q)] = mats
-        rs = {M.shape[0] for mats in self.coeffs.values() for M in mats}
-        if len(rs) > 1:
-            raise ValidationError("all coefficient matrices must share the fiber rank")
-        self._r = rs.pop() if rs else r
+        shapes = {M.shape for mats in self.coeffs.values() for M in mats}
+        if len(shapes) > 1 or any(len(sh) != 2 or sh[0] != sh[1] for sh in shapes):
+            raise ValidationError("all coefficient matrices must be square of one fiber rank")
+        self._r = shapes.pop()[0] if shapes else r
         ns = {len(q) for q in self.coeffs}
         if len(ns) > 1:
             raise ValidationError("all modes must share the torus dimension")
         self._n = ns.pop() if ns else n
+        for q, mats in self.coeffs.items():
+            if len(mats) != len(q):
+                raise ValidationError(
+                    f"mode {q} carries {len(mats)} direction matrices, the torus needs {len(q)}"
+                )
         self.unitary = bool(check_reality)
         if check_reality:
             self._validate_reality()
@@ -361,11 +366,7 @@ def _tensor_route_data(n, m):
             cw = contract(w, e)
             for b, t in enumerate(tf_m):
                 C[j][b, a] = cw.inner(t)
-    B = np.zeros((len(hb), len(tf_m)), dtype=complex)
-    for i, t in enumerate(tf_m):
-        p = to_poly(t)
-        for b, y in enumerate(hb.members):
-            B[b, i] = sphere_inner(p, y)
+    B = np.column_stack([hb.expand(to_poly(t)) for t in tf_m])
     return T, C, B
 
 
@@ -417,7 +418,8 @@ def ckt_kernel(asm: TorusAssembly, tol=1e-10) -> KernelReport:
     """Orthonormal kernel basis of the raising matrix with per-mode support."""
     X = asm.xplus.toarray()
     try:
-        _, s, vt = np.linalg.svd(X)
+        # V^H is complete without the full U when X has at least as many rows as columns
+        _, s, vt = np.linalg.svd(X, full_matrices=X.shape[0] < X.shape[1])
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD did not converge on the assembly: {exc}") from exc
     smax = s[0] if len(s) else 0.0

@@ -108,6 +108,37 @@ class TestGammaSplit:
             assert abs(lhs + rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
+class TestHarmonicMultBlocks:
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_columns_match_gamma_split(self, n, m):
+        # oracle: the exact HPoly split of v_j u for each basis member u,
+        # expanded with the dict-loop sphere_inner and, independently,
+        # rebuilt from the block column with combine
+        plus, minus = ca.harmonic_mult_blocks(n, m)
+        bm = ph.harmonic_basis(n, m)
+        bp = ph.harmonic_basis(n, m + 1)
+        bl = ph.harmonic_basis(n, m - 1) if m else None
+        # sphere_inner at (4, 4) costs ~10 s of Python loops for the 100
+        # columns; there the reconstruction alone checks them
+        by_inner = (n, m) != (4, 4)
+        for j in range(n):
+            G = FiberConnForm.single_direction(n, j, [[1]])
+            assert minus[j].shape == (len(bl) if m else 0, len(bm))
+            for a, u in enumerate(bm.members):
+                hi, lo = (t.columns[0] for t in ca.gamma_split(G, TwistedHarmonic(n, m, (u,))))
+                assert (bp.combine(plus[j][:, a]) - hi).max_abs_coeff() <= 1e-12
+                if by_inner:
+                    want = [ph.sphere_inner(hi, b) for b in bp.members]
+                    assert np.abs(plus[j][:, a] - want).max() <= 1e-12
+                if not m:
+                    continue
+                assert (bl.combine(minus[j][:, a]) - lo).max_abs_coeff() <= 1e-12
+                if by_inner:
+                    want = [ph.sphere_inner(lo, b) for b in bl.members]
+                    assert np.abs(minus[j][:, a] - want).max() <= 1e-12
+
+
 class TestGammaMinusMatrix:
     def test_n3_m2_rank(self):
         G = FiberConnForm.single_direction(3, 0, np.eye(1))

@@ -288,6 +288,23 @@ class TestHarmonicBasis:
             # hence Delta_sphere(u|_S) = -m(m+n-2) u|_S via the radial identity
 
 
+class TestExpand:
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (3, 5), (4, 3)])
+    def test_matches_sphere_inner_on_non_harmonic(self, n, m, rng):
+        b = ph.harmonic_basis(n, m)
+        P = random_hpoly(rng, n, m)
+        assert ph.laplace(P).max_abs_coeff() > 1
+        want = np.array([ph.sphere_inner(P, u) for u in b.members])
+        assert np.abs(b.expand(P) - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_rejects_other_slot(self, rng):
+        b = ph.harmonic_basis(3, 2)
+        with pytest.raises(ValidationError):
+            b.expand(random_hpoly(rng, 3, 3))
+        with pytest.raises(ValidationError):
+            b.expand(random_hpoly(rng, 4, 2))
+
+
 class TestDegreeConstants:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_sphere_vs_differentiation_constant(self, n):

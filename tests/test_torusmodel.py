@@ -41,6 +41,16 @@ class TestFourierConnection:
         with pytest.raises(ValidationError):
             FourierConnection(bad)
 
+    def test_mode_needs_n_square_matrices(self):
+        M = 0.5j * np.eye(1)
+        short = {(0, 0, 0): (M, M)}  # two direction matrices on the 3-torus
+        with pytest.raises(ValidationError):
+            FourierConnection(short)
+        with pytest.raises(ValidationError):
+            tm.assemble(TorusConfig(3, 1, 0, 1), FourierConnection(short))
+        with pytest.raises(ValidationError):
+            FourierConnection({(0, 0): (np.ones((1, 2)),) * 2}, check_reality=False)
+
     def test_cosine_mode_pointwise_skew(self, rng):
         conn = FourierConnection.cosine_mode(3, (1, 2, 0), 1, random_skew_hermitian(rng, 2))
         samples = [(rng.uniform(0, 2 * np.pi, 3), rng.standard_normal(3)) for _ in range(10)]
@@ -153,6 +163,15 @@ class TestAssembleViaD:
     def test_connection_agreement(self, rng):
         cfg = TorusConfig(3, 1, 1, 2)
         conn = random_connection(rng, 3, 2, qs=[(0, 1, 0)])
+        a, b = tm.assemble(cfg, conn), tm.assemble_via_D(cfg, conn)
+        assert abs((a.xplus - b.xplus)).max() <= 1e-10
+        assert abs((a.xminus - b.xminus)).max() <= 1e-10
+        assert a.dropped_couplings == b.dropped_couplings > 0
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_connection_agreement_n4(self, m, rng):
+        cfg = TorusConfig(4, 1, m, 2)
+        conn = random_connection(rng, 4, 2, qs=[(0, 1, 0, 0), (0, 0, 0, 0)])
         a, b = tm.assemble(cfg, conn), tm.assemble_via_D(cfg, conn)
         assert abs((a.xplus - b.xplus)).max() <= 1e-10
         assert abs((a.xminus - b.xminus)).max() <= 1e-10

@@ -336,7 +336,9 @@ def cmd_holonomy(args):
     rep = ho.opacity_probe(conn, num_geodesics=sec["num_geodesics"],
                            length=sec["length"], steps=sec["steps"], seed=args.seed)
     textio.write_csv(os.path.join(_outdir(args), "opacity.csv"), rep.csv_rows(),
-                     resolved, [f"verdict: {rep.verdict}"])
+                     resolved, [f"verdict: {rep.verdict}",
+                                f"transport_error: {rep.transport_error!r}",
+                                f"unitarity_defect: {rep.unitarity_defect!r}"])
     _manifest(args, resolved)
     print(rep.verdict)
     return 0

@@ -1,9 +1,13 @@
 """Parallel transport along torus geodesics and invariant-subbundle probes.
 
 Transport solves the matrix ODE C' = -Gamma_{x(t)}(v) C along the
-straight line x(t) = x0 + t v with classical fourth-order steps.  The
+straight line x(t) = x0 + t v with classical fourth-order steps, run
+again at half the step size for an error estimate.  All geodesics of a
+probe are integrated together on a (G, r, r) array: Gamma along each is
+a phase-weighted sum of precomputed per-direction mode matrices.  The
 opacity probe transports a seeded family of segments from a common base
-point, extracts the (numerical) commutant of the transport set, and
+point, reports the largest error estimate and unitarity defect among
+them, extracts the (numerical) commutant of the transport set, and
 diagonalizes a random Hermitian element of it: spectral projectors of
 flow-parallel Hermitian sections are themselves flow-parallel, so each
 projector is reported with its invariance defect.
@@ -61,25 +65,70 @@ class TransportResult:
     error_estimate: float
 
 
-def _transport_rk4(conn, seg, steps):
+def _transport_rk4(conn, x0, V, length, steps):
+    """Classical RK4 for C_g' = -Gamma_{x0 + t v_g}(v_g) C_g, every row v_g of V at once.
+
+    With A_{g,q} = sum_j v_{g,j} hat(Gamma)_{q,j} precomputed, Gamma along
+    geodesic g at time t is sum_q exp(i q.(x0 + t v_g)) A_{g,q}: one phase
+    array and one einsum over the support per stage time (the two middle
+    stages share theirs, each step's last is the next step's first).
+    Returns (G, r, r).
+    """
     r = conn.r
-    C = np.eye(r, dtype=complex)
-    h = seg.length / steps
-    v = seg.v
+    C = np.broadcast_to(np.eye(r, dtype=complex), (len(V), r, r)).copy()
+    if not conn.coeffs:
+        return C
+    q = np.array(list(conn.coeffs), dtype=float)  # (Q, n)
+    A = np.einsum("gj,qjab->gqab", V, np.array(list(conn.coeffs.values())))
+    base = q @ x0  # (Q,)
+    rate = V @ q.T  # (G, Q)
 
-    def rhs(t, M):
-        G = conn.value_at(seg.x0 + t * v, v)
-        return -G @ M
+    def gamma(t):
+        return np.einsum("gq,gqab->gab", np.exp(1j * (base + t * rate)), A)
 
+    h = length / steps
     t = 0.0
+    g0 = gamma(t)
     for _ in range(steps):
-        k1 = rhs(t, C)
-        k2 = rhs(t + h / 2, C + h / 2 * k1)
-        k3 = rhs(t + h / 2, C + h / 2 * k2)
-        k4 = rhs(t + h, C + h * k3)
+        g_mid, g1 = gamma(t + h / 2), gamma(t + h)
+        k1 = -g0 @ C
+        k2 = -g_mid @ (C + h / 2 * k1)
+        k3 = -g_mid @ (C + h / 2 * k2)
+        k4 = -g1 @ (C + h * k3)
         C = C + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
+        g0 = g1
     return C
+
+
+def _require_skew(conn, x0, V):
+    """Reject a connection that is not skew-Hermitian near the geodesics' start."""
+    ones = np.ones(len(x0))
+    samples = [(x0 + (0.13 + 0.61 * i) * ones, v) for v in V for i in range(3)]
+    defect = conn.pointwise_skew_defect(samples)
+    if defect > 1e-10:
+        raise ValidationError(
+            f"connection is not skew-Hermitian (defect {defect:.2e}) "
+            "but the unitary flag is set"
+        )
+
+
+def _transport_doubled(conn, x0, V, length, steps):
+    """Transport along x0 + t v_g, 0 <= t <= length, for every row v_g of V.
+
+    Runs RK4 at steps and at 2 * steps and returns the finer (G, r, r)
+    result with each geodesic's error estimate max|fine - coarse| and
+    unitarity defect max|C^H C - 1|.
+    """
+    if steps < 16:
+        raise ValidationError("need at least 16 steps")
+    if not (math.isfinite(length) and length > 0):
+        raise ValidationError(f"geodesic length must be finite and > 0, got {length}")
+    coarse = _transport_rk4(conn, x0, V, length, steps)
+    fine = _transport_rk4(conn, x0, V, length, 2 * steps)
+    err = np.abs(fine - coarse).max(axis=(1, 2))
+    unit = np.abs(fine.conj().transpose(0, 2, 1) @ fine - np.eye(conn.r)).max(axis=(1, 2))
+    return fine, err, unit
 
 
 def transport(conn: FourierConnection, seg: GeodesicSegment, steps: int = 128,
@@ -90,23 +139,11 @@ def transport(conn: FourierConnection, seg: GeodesicSegment, steps: int = 128,
     half the step size; the difference is the reported error estimate and
     the finer result is returned.
     """
-    if steps < 16:
-        raise ValidationError("need at least 16 steps")
+    V = seg.v[None, :]
     if unitary:
-        n = len(seg.v)
-        samples = [(seg.x0 + (0.13 + 0.61 * i) * np.ones(n), seg.v) for i in range(3)]
-        defect = conn.pointwise_skew_defect(samples)
-        if defect > 1e-10:
-            raise ValidationError(
-                f"connection is not skew-Hermitian (defect {defect:.2e}) "
-                "but the unitary flag is set"
-            )
-    coarse = _transport_rk4(conn, seg, steps)
-    fine = _transport_rk4(conn, seg, 2 * steps)
-    err = float(np.abs(fine - coarse).max())
-    r = conn.r
-    unit_defect = float(np.abs(fine.conj().T @ fine - np.eye(r)).max())
-    return TransportResult(fine, 2 * steps, unit_defect, err)
+        _require_skew(conn, seg.x0, V)
+    fine, err, unit = _transport_doubled(conn, seg.x0, V, seg.length, steps)
+    return TransportResult(fine[0], 2 * steps, float(unit[0]), float(err[0]))
 
 
 def _projector_field(P):
@@ -183,6 +220,8 @@ class OpacityReport:
     verdict: str
     tolerance: float
     transports: int
+    transport_error: float  # max step-doubling error estimate over the geodesics
+    unitarity_defect: float  # max |C^H C - 1| over the transported geodesics
 
     def csv_rows(self):
         rows = ["projector_index,rank,invariance_defect"]
@@ -198,8 +237,9 @@ def opacity_probe(conn: FourierConnection, num_geodesics: int = 24,
     """Probe for invariant subbundles through the transport commutant.
 
     Transports num_geodesics seeded segments from a common base point
-    (directions drawn from a seeded Gaussian, which avoids the closed
-    rational-ratio geodesics of the torus almost surely), solves for the
+    together (directions drawn from a seeded Gaussian, which avoids the
+    closed rational-ratio geodesics of the torus almost surely), keeps the
+    largest step-doubling error and unitarity defect, solves for the
     joint commutant of the transport set, and diagonalizes a random
     Hermitian commutant element into candidate invariant projectors.
     """
@@ -213,17 +253,18 @@ def opacity_probe(conn: FourierConnection, num_geodesics: int = 24,
         raise ValidationError(f"need num_geodesics >= 1, got {num_geodesics}")
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(0, 2 * math.pi, n)
-    mats = []
-    for _ in range(num_geodesics):
+    V = np.empty((num_geodesics, n))
+    for g in range(num_geodesics):
         v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        seg = GeodesicSegment(x0, v, length)
-        mats.append(transport(conn, seg, steps).C)
+        V[g] = v / np.linalg.norm(v)
+    _require_skew(conn, x0, V)
+    mats, err, unit = _transport_doubled(conn, x0, V, length, steps)
 
     eye = np.eye(r)
     rows = [np.kron(C, eye) - np.kron(eye, C.T) for C in mats]
     L = np.vstack(rows)
-    _, s, vt = np.linalg.svd(L)
+    # L has num_geodesics * r^2 >= r^2 rows, so the thin SVD has every row of V^H
+    _, s, vt = np.linalg.svd(L, full_matrices=False)
     tol = 1e-6 * (s[0] if len(s) else 1.0)
     null = vt[(s > tol).sum():, :].conj().T  # (r^2, commutant_dim)
     cdim = null.shape[1]
@@ -254,7 +295,8 @@ def opacity_probe(conn: FourierConnection, num_geodesics: int = 24,
         verdict = "transparent: every subbundle invariant at tolerance 1e-6"
     else:
         verdict = "not opaque: invariant subbundle candidates found"
-    return OpacityReport(cdim, projectors, verdict, 1e-6, num_geodesics)
+    return OpacityReport(cdim, projectors, verdict, 1e-6, num_geodesics,
+                         float(err.max()), float(unit.max()))
 
 
 @dataclass

@@ -5,7 +5,10 @@ resolvent conventions, (X + z)^{-1} and (z - X)^{-1}, together with the
 constant Laurent terms (reduced resolvents) at z = 0.  Projectors and
 reduced resolvents are computed by trapezoidal contour quadrature with
 node doubling, which converges geometrically for analytic integrands,
-and cross-checked against the eigendecomposition route.
+and cross-checked against the eigendecomposition route.  The nodes are
+the endpoint nodes radius exp(2 pi i k / N), which nest under doubling:
+each refinement inverts only the N/2 new nodes, a few at a time as one
+stacked inverse, and adds them to a running sum.
 
 The window radius must isolate the cluster at 0: the quadrature for the
 Laurent constant term reads off the residue at z = 0 and is only the
@@ -63,40 +66,67 @@ def _check_contour_clear(X, radius):
     return evals
 
 
+# nodes per stacked inverse: a whole level at once would hold every
+# resolvent of the level in memory
+_NODE_GROUP = 4
+
+
+def _check_radius(radius):
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValidationError(f"contour radius must be finite and > 0, got {radius}")
+
+
+def _trapezoid_levels(radius, group_sum, max_nodes=1 << 15):
+    """Yield (N, mean of the integrand over the N endpoint nodes), N = 16, 32, ...
+
+    The nodes z_k = radius exp(2 pi i k / N) nest under doubling, so each
+    level evaluates only the N/2 nodes the previous level lacks (odd k) and
+    adds them to a running sum.  group_sum(z) returns the integrand summed
+    over a 1-d array z of at most _NODE_GROUP nodes.
+    """
+    N = 16
+    k = np.arange(N)
+    total = 0.0
+    while N <= max_nodes:
+        zs = radius * np.exp(2j * math.pi * k / N)
+        for i in range(0, len(zs), _NODE_GROUP):
+            total = total + group_sum(zs[i:i + _NODE_GROUP])
+        yield N, total / N
+        N *= 2
+        k = np.arange(1, N, 2)
+
+
+def _window_group_sum(X):
+    """group_sum of the window integrands z R(z), R(z) for both resolvents R.
+
+    The trapezoidal mean of z R(z) over the circle is the Riesz projector
+    (the dz = i z dtheta weight turns 1/z into 1), that of R(z) the
+    Laurent constant term at 0.  Stacked as (pi_plus, r_plus, pi_minus,
+    r_minus) for the nodes z.
+    """
+    eye = np.eye(X.shape[0])
+
+    def group_sum(z):
+        z = z[:, None, None]
+        res_p = np.linalg.inv(X + z * eye)
+        res_m = np.linalg.inv(z * eye - X)
+        return np.stack([(z * res_p).sum(0), res_p.sum(0), (z * res_m).sum(0), res_m.sum(0)])
+
+    return group_sum
+
+
 def _contour_quadrature(X, radius, tol=1e-11, max_nodes=1 << 15):
     """Trapezoidal contour integrals of the four window quantities at once.
 
     Returns (pi_plus, r_plus, pi_minus, r_minus, nodes).  Node count is
     doubled until the projector stops changing by more than tol.
     """
-    dim = X.shape[0]
-    eye = np.eye(dim, dtype=complex)
     prev = None
-    N = 16
-    while N <= max_nodes:
-        theta = 2 * math.pi * (np.arange(N) + 0.5) / N
-        zs = radius * np.exp(1j * theta)
-        pi_p = np.zeros((dim, dim), dtype=complex)
-        r_p = np.zeros((dim, dim), dtype=complex)
-        pi_m = np.zeros((dim, dim), dtype=complex)
-        r_m = np.zeros((dim, dim), dtype=complex)
-        for z in zs:
-            res_p = np.linalg.solve(X + z * eye, eye)
-            res_m = np.linalg.solve(z * eye - X, eye)
-            pi_p += res_p * z
-            r_p += res_p
-            pi_m += res_m * z
-            r_m += res_m
-        pi_p /= N
-        r_p /= N
-        pi_m /= N
-        r_m /= N
-        if prev is not None:
-            change = np.abs(pi_p - prev).max()
-            if change <= tol:
-                return pi_p, r_p, pi_m, r_m, N
+    levels = _trapezoid_levels(radius, _window_group_sum(X), max_nodes)
+    for N, (pi_p, r_p, pi_m, r_m) in levels:
+        if prev is not None and np.abs(pi_p - prev).max() <= tol:
+            return pi_p, r_p, pi_m, r_m, N
         prev = pi_p
-        N *= 2
     raise ConvergenceError(
         f"contour quadrature did not converge to {tol} within {max_nodes} nodes"
     )
@@ -123,6 +153,7 @@ def spectral_window(X, radius=None, tol=1e-11) -> SpectralWindow:
         raise ValidationError("matrix must be square")
     if radius is None:
         radius = default_window_radius(X)
+    _check_radius(radius)
     _check_contour_clear(X, radius)
     pi_p, r_p, pi_m, r_m, nodes = _contour_quadrature(X, radius, tol)
     try:
@@ -184,24 +215,21 @@ def _contour_trace(X, radius, sign, tol=1e-12):
     sign=+1 uses (X + z)^{-1} (value -sum of enclosed eigenvalues of X),
     sign=-1 uses (z - X)^{-1} (value +sum of enclosed eigenvalues).
     """
+    _check_radius(radius)
     X = np.asarray(X, dtype=complex)
-    dim = X.shape[0]
-    eye = np.eye(dim, dtype=complex)
+    eye = np.eye(X.shape[0])
+
+    def group_sum(z):
+        A = z[:, None, None] * eye
+        A = A + X if sign > 0 else A - X
+        # integrand Tr[z (resolvent)] times the dz = i z dtheta weight
+        return (z * z * np.trace(np.linalg.inv(A), axis1=1, axis2=2)).sum()
+
     prev = None
-    N = 16
-    while N <= (1 << 15):
-        theta = 2 * math.pi * (np.arange(N) + 0.5) / N
-        zs = radius * np.exp(1j * theta)
-        acc = 0.0 + 0.0j
-        for z in zs:
-            A = X + z * eye if sign > 0 else z * eye - X
-            # integrand Tr[z (resolvent)] times the dz = i z dtheta weight
-            acc += z * z * np.trace(np.linalg.solve(A, eye))
-        val = acc / N
+    for _, val in _trapezoid_levels(radius, group_sum):
         if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
             return val
         prev = val
-        N *= 2
     raise ConvergenceError("cluster-sum quadrature did not converge")
 
 
@@ -274,6 +302,8 @@ def conjugation_check(X, P_A, s_grid, radius=None) -> float:
 
 def random_skew_adjoint_with_kernel(rng, dim, kernel_dim, gap=0.5, spread=5.0):
     """Random skew-adjoint matrix with a planted kernel and a spectral gap."""
+    if kernel_dim < 0:
+        raise ValidationError(f"kernel_dim must be >= 0, got {kernel_dim}")
     if kernel_dim > dim:
         raise ValidationError("kernel_dim exceeds dim")
     Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))

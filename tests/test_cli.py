@@ -109,6 +109,27 @@ class TestInputGuards:
         assert run(["holonomy", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "tag=validation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("length", ["0", "-2", "nan", "inf"])
+    def test_holonomy_length_finite_positive(self, tmp_path, capsys, length):
+        conn = tm.FourierConnection.constant(3, [np.diag([1j, 2j]), np.zeros((2, 2)),
+                                                 np.zeros((2, 2))])
+        f = tmp_path / "conn.fourconn"
+        f.write_text(textio.dump_fourier_connection(conn))
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(f"[holonomy]\nconnection = {f}\nnum_geodesics = 2\nlength = {length}\n")
+        assert run(["holonomy", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "tag=validation" in capsys.readouterr().err
+        assert not (tmp_path / "opacity.csv").exists()
+
+    @pytest.mark.parametrize("setting", ["radius = -0.3", "radius = 0", "radius = nan",
+                                         "radius = inf", "kernel_dim = -1"])
+    def test_kato_window_inputs(self, tmp_path, capsys, setting):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text(f"[kato]\nsize = 6\ninstances = 1\n{setting}\n")
+        assert run(["kato", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "tag=validation" in capsys.readouterr().err
+        assert not (tmp_path / "kato.csv").exists()
+
     def test_tol_only_where_read(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["kato", "--tol", "1e-3"])
@@ -205,6 +226,22 @@ class TestHolonomyCmd:
         assert "not opaque" in capsys.readouterr().out
         rows = read_data_lines(tmp_path / "opacity.csv")
         assert "commutant_dim=2" in rows[-1]
+
+    def test_transport_health_comments(self, tmp_path):
+        conn = tm.FourierConnection.cosine_mode(
+            3, (1, 0, 0), 1, np.array([[0.7j, 0.3], [-0.3, -0.2j]]))
+        f = tmp_path / "conn.fourconn"
+        f.write_text(textio.dump_fourier_connection(conn))
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(f"[holonomy]\nconnection = {f}\nnum_geodesics = 4\nsteps = 64\n")
+        outs = []
+        for out in (tmp_path / "o1", tmp_path / "o2"):
+            assert run(["holonomy", "--config", str(cfg), "--out", str(out)]) == 0
+            outs.append((out / "opacity.csv").read_text().splitlines()[1:])  # no timestamp
+        assert outs[0] == outs[1]
+        comments = dict(ln[2:].split(": ", 1) for ln in outs[0] if ln.startswith("# "))
+        assert 0 < float(comments["transport_error"]) <= 1e-6
+        assert 0 < float(comments["unitarity_defect"]) <= 1e-8
 
 
 class TestHarmdecomp:

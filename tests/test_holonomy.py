@@ -72,6 +72,51 @@ class TestTransport:
         with pytest.raises(ValidationError):
             ho.transport(DIAG_CONN, seg, 8)
 
+    @pytest.mark.parametrize("length", [0.0, -1.0, np.nan, np.inf])
+    def test_length_finite_positive(self, length):
+        seg = GeodesicSegment(np.zeros(3), unit([1, 0, 0]), length)
+        with pytest.raises(ValidationError, match="length"):
+            ho.transport(DIAG_CONN, seg, 64)
+        with pytest.raises(ValidationError, match="length"):
+            ho.opacity_probe(DIAG_CONN, num_geodesics=2, length=length, steps=64)
+
+
+def _rk4_pointwise(conn, x0, v, T, steps):
+    """Per-direction RK4 reference: Gamma from FourierConnection.value_at at each stage."""
+    C = np.eye(conn.r, dtype=complex)
+    h = T / steps
+    for i in range(steps):
+        t = i * h
+        k1 = -conn.value_at(x0 + t * v, v) @ C
+        k2 = -conn.value_at(x0 + (t + h / 2) * v, v) @ (C + h / 2 * k1)
+        k3 = -conn.value_at(x0 + (t + h / 2) * v, v) @ (C + h / 2 * k2)
+        k4 = -conn.value_at(x0 + (t + h) * v, v) @ (C + h * k3)
+        C = C + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return C
+
+
+class TestBatchedTransport:
+    # four modes (two cosines) and four directions: an einsum that mixed the
+    # geodesic and the support index would still have matching shapes
+    CONN = FourierConnection.cosine_mode(3, (1, 0, 0), 1, 0.8j * SIGMA_X).plus(
+        FourierConnection.cosine_mode(3, (0, 1, -1), 2, 0.5j * SIGMA_Y))
+
+    def test_rows_match_single_transports(self, rng):
+        assert len(self.CONN.coeffs) == 4
+        x0 = rng.uniform(0, 2 * np.pi, 3)
+        V = np.array([unit(rng.standard_normal(3)) for _ in range(4)])
+        T, steps = 3.0, 64
+        C, err, unit_defect = ho._transport_doubled(self.CONN, x0, V, T, steps)
+        assert C.shape == (4, 2, 2)
+        for g, v in enumerate(V):
+            single = ho.transport(self.CONN, GeodesicSegment(x0, v, T), steps)
+            assert np.abs(C[g] - single.C).max() <= 1e-13
+            assert abs(err[g] - single.error_estimate) <= 1e-13
+            assert abs(unit_defect[g] - single.unitarity_defect) <= 1e-13
+            assert np.abs(C[g] - _rk4_pointwise(self.CONN, x0, v, T, 2 * steps)).max() <= 1e-12
+        # the geodesics differ, so a row mix-up cannot pass by symmetry
+        assert min(np.abs(C[g] - C[h]).max() for g in range(4) for h in range(g)) > 1e-3
+
 
 class TestInvarianceDefect:
     def test_eigenspace_of_diag(self):
@@ -124,6 +169,19 @@ class TestOpacityProbe:
         assert rep.commutant_dim == 1
         assert rep.verdict.startswith("opaque")
         assert "no invariant subbundle detected" in rep.verdict
+
+    def test_reports_transport_health(self):
+        rep = ho.opacity_probe(NONCOMM_CONN, num_geodesics=4, length=6.0, steps=64, seed=3)
+        rng = np.random.default_rng(3)
+        x0 = rng.uniform(0, 2 * np.pi, 3)
+        worst_err = worst_unit = 0.0
+        for _ in range(4):
+            res = ho.transport(NONCOMM_CONN, GeodesicSegment(x0, unit(rng.standard_normal(3)),
+                                                             6.0), 64)
+            worst_err = max(worst_err, res.error_estimate)
+            worst_unit = max(worst_unit, res.unitarity_defect)
+        assert 0 < rep.transport_error == pytest.approx(worst_err, rel=1e-9)
+        assert 0 < rep.unitarity_defect == pytest.approx(worst_unit, rel=1e-9)
 
     def test_zero_connection_transparent(self):
         conn = FourierConnection.zero(r=2, n=3)

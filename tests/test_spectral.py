@@ -209,3 +209,73 @@ class TestConjugation:
         for s in np.linspace(-0.3, 0.3, 7):
             lam = sp.cluster_sum(X + s * P_A, 0.25)
             assert abs(lam.real) < 1e-10
+
+
+def _endpoint_sums(X, radius, N):
+    """Direct N-node endpoint rule, one solve per node: means of
+    (z R+, R+, z R-, R-) and of z^2 Tr R+ with R+ = (X+z)^{-1}, R- = (z-X)^{-1}."""
+    eye = np.eye(X.shape[0])
+    acc = np.zeros((4,) + X.shape, dtype=complex)
+    trace = 0j
+    for k in range(N):
+        z = radius * np.exp(2j * np.pi * k / N)
+        res_p = np.linalg.solve(X + z * eye, eye)
+        res_m = np.linalg.solve(z * eye - X, eye)
+        acc += np.stack([z * res_p, res_p, z * res_m, res_m])
+        trace += z * z * np.trace(res_p)
+    return acc / N, trace / N
+
+
+class TestNestedNodes:
+    def test_levels_match_direct_endpoint_sums(self, rng):
+        X = sp.random_skew_adjoint_with_kernel(rng, 12, 2, gap=0.5, spread=3.0)
+        radius = 0.3
+        levels = sp._trapezoid_levels(radius, sp._window_group_sum(X), max_nodes=256)
+        Ns = []
+        for N, sums in levels:
+            direct, _ = _endpoint_sums(X, radius, N)
+            assert np.abs(sums - direct).max() <= 1e-13
+            Ns.append(N)
+        assert Ns == [16, 32, 64, 128, 256]
+
+    def test_quadrature_nodes_is_converged_level(self, rng):
+        X = sp.random_skew_adjoint_with_kernel(rng, 15, 1, gap=0.5, spread=3.0)
+        radius = 0.3
+        W = sp.spectral_window(X, radius)
+        N, prev = 16, None
+        while True:
+            direct, _ = _endpoint_sums(X, radius, N)
+            if prev is not None and np.abs(direct[0] - prev).max() <= 1e-11:
+                break
+            prev, N = direct[0], 2 * N
+        assert W.quadrature_nodes == N
+        for got, want in zip((W.pi0_plus, W.r0_plus, W.pi0_minus, W.r0_minus), direct):
+            assert np.abs(got - want).max() <= 1e-13
+
+    def test_cluster_sum_is_converged_level(self, rng):
+        X = sp.random_skew_adjoint_with_kernel(rng, 10, 2, gap=0.5, spread=3.0)
+        X = X + 0.05 * random_skew_hermitian(rng, 10)
+        radius = 0.3
+        N, prev = 16, None
+        while True:
+            _, val = _endpoint_sums(X, radius, N)
+            if prev is not None and abs(val - prev) <= 1e-12 * max(1.0, abs(val)):
+                break
+            prev, N = val, 2 * N
+        assert N > 16
+        assert abs(sp.cluster_sum(X, radius) - val) <= 1e-13
+
+
+class TestWindowInputs:
+    @pytest.mark.parametrize("radius", [-0.3, 0.0, np.nan, np.inf])
+    def test_radius_finite_positive(self, rng, radius):
+        X = sp.random_skew_adjoint_with_kernel(rng, 6, 1)
+        for call in (lambda: sp.spectral_window(X, radius),
+                     lambda: sp.cluster_sum(X, radius),
+                     lambda: sp.cluster_sum_minus(X, radius)):
+            with pytest.raises(ValidationError, match="radius"):
+                call()
+
+    def test_negative_kernel_dim(self, rng):
+        with pytest.raises(ValidationError, match="kernel_dim"):
+            sp.random_skew_adjoint_with_kernel(rng, 6, -1)

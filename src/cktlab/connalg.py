@@ -22,6 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
+from .linalg import nullspace
 from .polyharm import (
     HPoly,
     _basis_matrix,
@@ -330,12 +331,8 @@ def gamma_minus_matrix(G: FiberConnForm, n: int, m: int) -> GammaMinusReport:
     M = np.zeros((h_lo * r, h_m * r), dtype=complex)
     for j in range(n):
         M += np.kron(minus_blocks[j], G.gammas[j])
-    s = np.linalg.svd(M, compute_uv=False) if min(M.shape) else np.zeros(0)
-    if len(s) and s[0] > 0:
-        rank = int((s > 1e-10 * s[0]).sum())
-    else:
-        rank = 0
-    return GammaMinusReport(M, rank, M.shape[1] - rank, s)
+    null, s = nullspace(M, 1e-10)
+    return GammaMinusReport(M, M.shape[1] - null.shape[1], null.shape[1], s)
 
 
 def solve_gamma_preimage(u: TwistedHarmonic):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .linalg import nullspace
 from .torusmodel import FourierConnection, TorusConfig, eval_sections
 
 __all__ = [
@@ -262,11 +263,7 @@ def opacity_probe(conn: FourierConnection, num_geodesics: int = 24,
 
     eye = np.eye(r)
     rows = [np.kron(C, eye) - np.kron(eye, C.T) for C in mats]
-    L = np.vstack(rows)
-    # L has num_geodesics * r^2 >= r^2 rows, so the thin SVD has every row of V^H
-    _, s, vt = np.linalg.svd(L, full_matrices=False)
-    tol = 1e-6 * (s[0] if len(s) else 1.0)
-    null = vt[(s > tol).sum():, :].conj().T  # (r^2, commutant_dim)
+    null, _ = nullspace(np.vstack(rows), 1e-6)  # (r^2, commutant_dim)
     cdim = null.shape[1]
 
     projectors = []

@@ -28,6 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, NoSolutionError, ValidationError
+from .linalg import nullspace
 
 __all__ = [
     "HPoly",
@@ -429,9 +430,7 @@ def harmonic_nullity_bruteforce(n, m) -> int:
     if m < 2:
         return len(monomials(n, m))
     L = _laplacian_constraint_matrix(n, m)
-    s = np.linalg.svd(L, compute_uv=False)
-    tol = max(L.shape) * np.finfo(float).eps * (s[0] if len(s) else 1.0)
-    return L.shape[1] - int((s > tol).sum())
+    return nullspace(L, max(L.shape) * np.finfo(float).eps)[0].shape[1]
 
 
 @lru_cache(maxsize=None)
@@ -459,10 +458,7 @@ def harmonic_basis(n: int, m: int) -> HarmonicBasis:
     if m < 2:
         raw = np.eye(p)
     else:
-        L = _laplacian_constraint_matrix(n, m)
-        _, s, vt = np.linalg.svd(L)
-        rank = int((s > s[0] * 1e-12).sum()) if len(s) else 0
-        raw = vt[rank:, :].T
+        raw, _ = nullspace(_laplacian_constraint_matrix(n, m), 1e-12)
     if raw.shape[1] != h:
         raise ConvergenceError(
             f"nullity of the Laplacian constraint at (n={n}, m={m}) is "

@@ -302,6 +302,8 @@ def conjugation_check(X, P_A, s_grid, radius=None) -> float:
 
 def random_skew_adjoint_with_kernel(rng, dim, kernel_dim, gap=0.5, spread=5.0):
     """Random skew-adjoint matrix with a planted kernel and a spectral gap."""
+    if dim < 1:
+        raise ValidationError(f"dim must be >= 1, got {dim}")
     if kernel_dim < 0:
         raise ValidationError(f"kernel_dim must be >= 0, got {kernel_dim}")
     if kernel_dim > dim:

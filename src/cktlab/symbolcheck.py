@@ -22,13 +22,13 @@ from scipy.special import roots_jacobi
 
 from .connalg import FiberConnForm, TwistedHarmonic
 from .errors import ValidationError
+from .linalg import nullspace
 from .symtensor import SymTensor, contract, multiplicity, tracefree_basis
 from .polyharm import monomials
 
 __all__ = [
     "SymbolFamily",
     "SpanReport",
-    "kernel_basis",
     "make_cosphere_sampler",
     "uniform_span",
     "symbol_dstar",
@@ -84,19 +84,6 @@ class SpanReport:
         return rows
 
 
-def kernel_basis(M, tol=1e-10) -> np.ndarray:
-    """Orthonormal basis of the kernel via SVD: columns with sigma <= tol*sigma_max."""
-    M = np.asarray(M, dtype=complex)
-    if M.size == 0 or M.shape[0] == 0:
-        return np.eye(M.shape[1], dtype=complex)
-    _, s, vt = np.linalg.svd(M)
-    smax = s[0] if len(s) else 0.0
-    if smax == 0.0:
-        return np.eye(M.shape[1], dtype=complex)
-    rank = int((s > tol * smax).sum())
-    return vt[rank:, :].conj().T
-
-
 def _kronecker_alphas(d):
     # generalized golden-ratio (R_d) sequence: 1/phi_d^k for the root of
     # x^(d+1) = x + 1
@@ -132,8 +119,8 @@ def make_cosphere_sampler(n: int, seed: int = 0):
     return sample
 
 
-def uniform_span(family: SymbolFamily, sampler=None, N: int = 256, seed: int = 0,
-                 tol: float = 1e-10) -> SpanReport:
+def uniform_span(family: SymbolFamily, sampler=None, N: int = 256,
+                 seed: int = 0) -> SpanReport:
     """Accumulate ker(symbol) over sampled covectors and report the span.
 
     Deterministic given the seed.  The span is declared final once it has
@@ -141,6 +128,8 @@ def uniform_span(family: SymbolFamily, sampler=None, N: int = 256, seed: int = 0
     are 'uniform' (span fills the fiber), 'elliptic' (every sampled
     kernel was trivial), or 'not-uniform'.
     """
+    if N < 1:
+        raise ValidationError(f"need at least one covector sample, got N={N}")
     if sampler is None:
         sampler = make_cosphere_sampler_for(family, seed)
     fiber = family.domain_dim
@@ -152,7 +141,7 @@ def uniform_span(family: SymbolFamily, sampler=None, N: int = 256, seed: int = 0
     count = 0
     for i in range(N):
         xi = sampler(i)
-        K = kernel_basis(family(xi), tol)
+        K, _ = nullspace(family(xi), 1e-10)
         grew = False
         for col in K.T:
             v = col.copy()

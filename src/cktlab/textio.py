@@ -20,6 +20,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 import time
 
 import numpy as np
@@ -55,11 +56,14 @@ def _payload(text: str, tag: str, nfields: int):
 
 def _numbers(fields, kind, where):
     try:
-        return [kind(f) for f in fields]
+        values = [kind(f) for f in fields]
     except ValueError:
         raise ValidationError(
             f"expected {kind.__name__} fields in {where}: {' '.join(fields)!r}"
         ) from None
+    if kind is float and not all(map(math.isfinite, values)):
+        raise ValidationError(f"non-finite number in {where}: {' '.join(fields)!r}")
+    return values
 
 
 def _dump_terms(tag, n, m, coeffs) -> str:

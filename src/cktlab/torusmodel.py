@@ -44,6 +44,7 @@ import scipy.sparse as sparse
 
 from .connalg import commutator_action_matrix, harmonic_mult_blocks
 from .errors import ConvergenceError, ValidationError
+from .linalg import nullspace
 from .polyharm import dims, harmonic_basis
 from .symtensor import contract, sym_mult_form, to_poly, tracefree_basis
 
@@ -414,17 +415,9 @@ def _mode_mass(config, vec, degree):
     return np.linalg.norm(v, axis=1)
 
 
-def ckt_kernel(asm: TorusAssembly, tol=1e-10) -> KernelReport:
+def ckt_kernel(asm: TorusAssembly) -> KernelReport:
     """Orthonormal kernel basis of the raising matrix with per-mode support."""
-    X = asm.xplus.toarray()
-    try:
-        # V^H is complete without the full U when X has at least as many rows as columns
-        _, s, vt = np.linalg.svd(X, full_matrices=X.shape[0] < X.shape[1])
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"SVD did not converge on the assembly: {exc}") from exc
-    smax = s[0] if len(s) else 0.0
-    rank = int((s > tol * smax).sum()) if smax > 0 else 0
-    kernel = vt[rank:, :].conj().T
+    kernel, s = nullspace(asm.xplus.toarray(), 1e-10)
     modes = mode_list(asm.config.n, asm.config.K)
     support = []
     for i in range(kernel.shape[1]):
@@ -433,13 +426,9 @@ def ckt_kernel(asm: TorusAssembly, tol=1e-10) -> KernelReport:
     return KernelReport(kernel, s, support)
 
 
-def xminus_kernel_basis(asm: TorusAssembly, tol=1e-10) -> np.ndarray:
+def xminus_kernel_basis(asm: TorusAssembly) -> np.ndarray:
     """Orthonormal basis of ker(lowering) inside the degree-(m+1) space."""
-    X = asm.xminus.toarray()
-    _, s, vt = np.linalg.svd(X)
-    smax = s[0] if len(s) else 0.0
-    rank = int((s > tol * smax).sum()) if smax > 0 else 0
-    return vt[rank:, :].conj().T
+    return nullspace(asm.xminus.toarray(), 1e-10)[0]
 
 
 def second_variation_predict(asm0: TorusAssembly, A: FourierConnection, kernel) -> tuple:
@@ -492,7 +481,8 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
     windowed sum is real and non-negative and vanishes at s = 0.  A
     polynomial fit across the grid returns the first/second derivative
     estimates; the curvature factor against the predicted second
-    variation settles the statement-vs-proof factor of two.
+    variation settles the statement-vs-proof factor of two.  The window
+    must hold exactly dim ker X+ at s = 0 eigenvalues at every grid point.
     """
     asm0 = assemble(config, conn0)
     delta0 = (asm0.xplus.conj().T @ asm0.xplus).toarray()
@@ -504,6 +494,8 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
         if len(nonzero) == 0:
             raise ValidationError("unperturbed Laplacian has no spectral gap to window")
         window_radius = float(nonzero.min()) / 2
+    if not (np.isfinite(window_radius) and window_radius > 0):
+        raise ValidationError(f"window radius must be finite and > 0, got {window_radius!r}")
     if ((evs0 > kernel_thresh) & (evs0 < window_radius)).any():
         raise ValidationError(
             "window contains nonzero unperturbed eigenvalues; shrink the radius"
@@ -525,6 +517,11 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
         delta = (asm.xplus.conj().T @ asm.xplus).toarray()
         evs = np.linalg.eigvalsh(delta)
         inside = evs[evs < window_radius]
+        if len(inside) != kernel0.dim:
+            raise ValidationError(
+                f"{len(inside)} eigenvalues in the window at s = {float(s)!r}, but the "
+                f"kernel at s = 0 has dimension {kernel0.dim}; shrink smax or the radius"
+            )
         lambdas[i] = float(inside.sum())
         kdims[i] = int((evs < kernel_thresh).sum())
 

@@ -130,6 +130,38 @@ class TestInputGuards:
         assert "tag=validation" in capsys.readouterr().err
         assert not (tmp_path / "kato.csv").exists()
 
+    @pytest.mark.parametrize("radius", ["nan", "-0.5", "0", "1e-9"])
+    def test_eject_window_radius(self, eject_setup, tmp_path, capsys, radius):
+        # 1e-9 is finite and positive, but the ejected eigenvalue leaves the
+        # window before |s| = smax, so the windowed sum no longer counts it
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text(eject_setup.read_text() + f"window_radius = {radius}\n")
+        assert run(["torus-eject", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "tag=validation" in capsys.readouterr().err
+        assert not (tmp_path / "eject.csv").exists()
+
+    def test_holonomy_rejects_non_finite_coefficients(self, tmp_path, capsys):
+        f = tmp_path / "conn.fourconn"
+        f.write_text("FOURCONN 3 1 1\n0 0 0 0 nan 0\n")
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(f"[holonomy]\nconnection = {f}\nnum_geodesics = 2\n")
+        assert run(["holonomy", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "tag=validation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_divtype_needs_a_sample(self, tmp_path, capsys, samples):
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text(f"[divtype]\nfamily = dstar\nn = 3\nm = 2\nsamples = {samples}\n")
+        assert run(["check-divtype", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "tag=validation" in capsys.readouterr().err
+        assert not (tmp_path / "divtype.csv").exists()
+
+    def test_kato_needs_a_matrix(self, tmp_path, capsys):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("[kato]\nsize = 0\nkernel_dim = 0\ninstances = 1\n")
+        assert run(["kato", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "tag=validation" in capsys.readouterr().err
+
     def test_tol_only_where_read(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["kato", "--tol", "1e-3"])

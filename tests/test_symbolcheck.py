@@ -19,24 +19,6 @@ def random_rotation(rng, n):
     return Q * np.sign(np.diag(R))
 
 
-class TestKernelBasis:
-    def test_zero_matrix(self):
-        K = sc.kernel_basis(np.zeros((3, 4)))
-        assert K.shape == (4, 4)
-
-    def test_identity(self):
-        K = sc.kernel_basis(np.eye(3))
-        assert K.shape == (3, 0)
-
-    def test_rank_one(self, rng):
-        a = rng.standard_normal(2)
-        M = np.outer(a, a)
-        K = sc.kernel_basis(M)
-        assert K.shape == (2, 1)
-        assert np.abs(K.conj().T @ K - np.eye(1)).max() < 1e-12
-        assert np.linalg.norm(M @ K) < 1e-12
-
-
 class TestSymbolDstar:
     def test_n3_m1_row(self):
         M = sc.symbol_dstar(3, 1, np.array([1.0, 0, 0]))

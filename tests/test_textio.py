@@ -70,6 +70,17 @@ class TestMalformedPayloads:
         with pytest.raises(ValidationError):
             textio.load_fourier_connection("FOURCONN 3 0 2\n0 1 0 0\n0 -1 0 0\n")
 
+    @pytest.mark.parametrize("text", [
+        "HPOLY 2 1 1\nnan 0.0 1 0\n",
+        "SYMT 2 1 1\n0.0 inf 1 0\n",
+        "ENDO 1\n-inf 0.0\n",
+        "CONNFORM 1 1 unitary=no\n0.0 1e999\n",
+        "FOURCONN 3 1 1\n0 0 0 0 nan 0\n",
+    ], ids=lambda text: text.split()[0])
+    def test_non_finite_entry(self, text):
+        with pytest.raises(ValidationError, match="non-finite"):
+            LOADERS[text.split()[0]](text)
+
     def test_duplicate_term(self):
         with pytest.raises(ValidationError):
             textio.load_hpoly("HPOLY 2 1 2\n1.0 0.0 1 0\n2.0 0.0 1 0\n")

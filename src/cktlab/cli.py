@@ -74,6 +74,8 @@ def _load_config(args, schema, defaults=None):
 def cmd_dims(args):
     if args.n is None or args.mmax is None:
         raise ValidationError("dims needs --n and --mmax")
+    if args.mmax < 0:
+        raise ValidationError(f"--mmax must be >= 0, got {args.mmax}")
     rows = ["m,p,h"]
     print(f"{'m':>3} {'p':>8} {'h':>8}")
     for m in range(args.mmax + 1):
@@ -169,6 +171,9 @@ def cmd_commutator_factor(args):
         u = textio.load_endo(_read(sec["input"]))
         cases = [u]
     elif "r" in sec:
+        if sec["r"] < 1 or sec["count"] < 1:
+            raise ValidationError(f"[commutator] needs r >= 1 and count >= 1, got "
+                                  f"r={sec['r']} count={sec['count']}")
         rng = np.random.default_rng(args.seed)
         cases = []
         for _ in range(sec["count"]):
@@ -294,6 +299,8 @@ KATO_DEFAULTS = {"kato": {"size": 20, "kernel_dim": 2, "instances": 10,
 def cmd_kato(args):
     resolved = _load_config(args, KATO_SCHEMA, KATO_DEFAULTS)
     sec = resolved["kato"]
+    if sec["instances"] < 1:
+        raise ValidationError(f"[kato] instances must be >= 1, got {sec['instances']}")
     rng = np.random.default_rng(args.seed)
     rows = ["instance,identity_residual,d1_mismatch,d2_mismatch,conj_defect,pi_norm"]
     worst_identity = 0.0

@@ -25,7 +25,6 @@ from .errors import ValidationError
 from .linalg import nullspace
 from .polyharm import (
     HPoly,
-    _basis_matrix,
     _diff_matrices,
     _dual_matrix,
     _mult_matrices,
@@ -33,6 +32,7 @@ from .polyharm import (
     bombieri_inner,
     bombieri_norm,
     harmonic_antiderivative,
+    harmonic_basis,
     laplace,
     radial_squared,
     sphere_inner,
@@ -291,12 +291,12 @@ def harmonic_mult_blocks(n: int, m: int):
     matrices: with Q the basis coefficients, G the moment Gram, S_j, D_j
     and R multiplication by v_j, d_j and |v|^2, and c = n + 2m - 2,
 
-        minus_j = Q_{m-1}^H G D_j Q_m / c,
-        plus_j  = Q_{m+1}^H G (S_j - R D_j / c) Q_m,
+        minus_j = Q_{m-1}^T G D_j Q_m / c,
+        plus_j  = Q_{m+1}^T G (S_j - R D_j / c) Q_m,
 
     the split v_j u = plus + |v|^2 minus of `gamma_split`.
     """
-    Q = _basis_matrix(n, m)
+    Q = harmonic_basis(n, m).Q
     S = _mult_matrices(n, m)
     dual_p = _dual_matrix(n, m + 1)
     if m == 0:
@@ -370,6 +370,8 @@ def commutator_factor(u, tol=1e-9):
     """
     u = np.asarray(u, dtype=complex)
     r = u.shape[0]
+    if r == 0:
+        raise ValidationError("cannot factor an empty matrix")
     scale = max(1.0, np.abs(u).max())
     if np.abs(u + u.conj().T).max() > tol * scale:
         raise ValidationError("input is not skew-Hermitian at tolerance")
@@ -383,8 +385,6 @@ def commutator_factor(u, tol=1e-9):
 
 def _factor_rec(u):
     r = u.shape[0]
-    if r == 0:
-        return u.copy(), u.copy()
     if r == 1 or np.abs(u).max() < 1e-15:
         return np.zeros((r, r), dtype=complex), np.zeros((r, r), dtype=complex)
     H = -1j * u  # Hermitian, trace ~ 0

@@ -14,16 +14,18 @@ against.
 
 The numerical harmonic layer works in monomial coordinates (the
 lexicographic order of `monomials`), with matrices cached per (n, m):
-the basis coefficients Q (p x h), the moment Gram G, multiplication by
-v_j, differentiation d_j and multiplication by |v|^2.  Coordinates in a
-harmonic basis are then one product, `expand(P) = Q^H G p`.
+the basis coefficients Q (p x h, real, the stored form of a
+`HarmonicBasis`, orthonormalized by CholeskyQR2), the moment Gram G,
+multiplication by v_j, differentiation d_j and multiplication by |v|^2.
+Coordinates in a harmonic basis are then one product,
+`expand(P) = Q^T G p`; the members as `HPoly`s are built on demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -371,24 +373,29 @@ def sphere_inner(P: HPoly, Q: HPoly):
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HarmonicBasis:
     """Sphere-L2-orthonormal basis of the harmonic polynomials of degree m.
 
-    Instances come from `harmonic_basis`, whose cached monomial-coordinate
-    matrices `expand` uses.
+    Q (p x h, real) holds the members' coefficients in the lexicographic monomial
+    order; orthonormality_residual is max|Q^T G Q - I|.  From `harmonic_basis`.
     """
 
     n: int
     m: int
-    members: tuple[HPoly, ...]
-    gram_normalization: str = "sphere-L2"
+    Q: np.ndarray
+    orthonormality_residual: float
 
     def __len__(self):
-        return len(self.members)
+        return self.Q.shape[1]
+
+    @cached_property
+    def members(self) -> tuple[HPoly, ...]:
+        """The columns of Q as `HPoly`s, built on first use."""
+        return tuple(self._hpoly(col) for col in self.Q.T)
 
     def expand(self, P: HPoly) -> np.ndarray:
-        """Sphere-L2 products of P with the members, Q^H G p.
+        """Sphere-L2 products of P with the members, Q^T G p.
 
         These are P's coordinates when P is harmonic, and the coordinates
         of its projection onto the harmonic polynomials otherwise.
@@ -400,15 +407,16 @@ class HarmonicBasis:
         return _dual_matrix(self.n, self.m) @ _coeff_vector(P)
 
     def combine(self, coords) -> HPoly:
-        out = HPoly.zero(self.n, self.m)
-        for c, b in zip(coords, self.members):
-            out = out + b * complex(c)
-        return out
+        return self._hpoly(self.Q @ np.asarray(coords, dtype=complex))
 
     def eval_members(self, points) -> np.ndarray:
         """(N, h) array of member values at an (N, n) array of sphere points."""
         pts = np.atleast_2d(np.asarray(points))
-        return np.column_stack([b.eval(pts) for b in self.members])
+        return np.prod(pts[:, None, :] ** np.array(monomials(self.n, self.m)), axis=2) @ self.Q
+
+    def _hpoly(self, coeffs) -> HPoly:
+        mono = monomials(self.n, self.m)
+        return HPoly(self.n, self.m, {a: c for a, c in zip(mono, coeffs) if c != 0})
 
 
 def _laplacian_constraint_matrix(n, m):
@@ -435,14 +443,14 @@ def harmonic_nullity_bruteforce(n, m) -> int:
 
 @lru_cache(maxsize=None)
 def _moment_gram(n, m):
-    mono = monomials(n, m)
-    G = np.empty((len(mono), len(mono)))
-    for i, a in enumerate(mono):
-        for j in range(i, len(mono)):
-            G[i, j] = G[j, i] = sphere_monomial_moment(
-                tuple(x + y for x, y in zip(a, mono[j])), n
-            )
-    return G
+    """Moments of monomial products, entry for entry `sphere_monomial_moment`'s."""
+    E = np.array(monomials(n, m))
+    g = np.array([math.gamma((e + 1) / 2.0) if e % 2 == 0 else 0.0
+                  for e in range(2 * m + 1)])
+    num = np.ones((len(E), len(E)))
+    for k in range(n):  # the factor order of sphere_monomial_moment
+        num = num * g[E[:, None, k] + E[None, :, k]]
+    return 2.0 * num / math.gamma((2 * m + n) / 2.0)
 
 
 @lru_cache(maxsize=None)
@@ -450,36 +458,32 @@ def harmonic_basis(n: int, m: int) -> HarmonicBasis:
     """Sphere-orthonormal harmonic basis, cached per (n, m).
 
     The span is the SVD null space of the Laplacian constraint in the
-    lexicographic monomial coordinates; orthonormalization is modified
-    Gram-Schmidt (run twice) against the exact moment Gram matrix, so any
-    orthonormality error is pure rounding.
+    lexicographic monomial coordinates, orthonormalized by CholeskyQR2 in the
+    moment Gram G (two passes of Q <- Q C^{-T}, C = chol(Q^T G Q): the basis
+    of Gram-Schmidt).  cond(G) grows with m, so a failed Cholesky or
+    max|Q^T G Q - I| > 1e-9 raises ConvergenceError: the residual is <= 3e-11
+    through (3, 24) and (4, 18); (3, 36) and (2, 60) fail.
     """
     p, h = dims(n, m)
     if m < 2:
-        raw = np.eye(p)
+        Q = np.eye(p)
     else:
-        raw, _ = nullspace(_laplacian_constraint_matrix(n, m), 1e-12)
-    if raw.shape[1] != h:
+        Q, _ = nullspace(_laplacian_constraint_matrix(n, m), 1e-12)
+    if Q.shape[1] != h:
         raise ConvergenceError(
             f"nullity of the Laplacian constraint at (n={n}, m={m}) is "
-            f"{raw.shape[1]}, expected {h}"
+            f"{Q.shape[1]}, expected {h}"
         )
     G = _moment_gram(n, m)
-    Q = raw.astype(complex)
-    for _ in range(2):  # MGS twice for orthogonality at rounding level
-        for j in range(Q.shape[1]):
-            for i in range(j):
-                Q[:, j] -= (Q[:, i].conj() @ (G @ Q[:, j])) * Q[:, i]
-            nrm = math.sqrt(abs(Q[:, j].conj() @ (G @ Q[:, j])))
-            Q[:, j] /= nrm
-    mono = monomials(n, m)
-    members = []
-    for j in range(h):
-        col = Q[:, j]
-        if np.abs(col.imag).max() < 1e-15 * max(1.0, np.abs(col).max()):
-            col = col.real
-        members.append(HPoly(n, m, {a: c for a, c in zip(mono, col) if c != 0}))
-    return HarmonicBasis(n, m, tuple(members))
+    try:
+        for _ in range(2):
+            Q = np.linalg.solve(np.linalg.cholesky(Q.T @ G @ Q), Q.T).T
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"Cholesky of the (n={n}, m={m}) harmonic Gram failed") from exc
+    resid = float(np.abs(Q.T @ G @ Q - np.eye(h)).max())
+    if not resid <= 1e-9:
+        raise ConvergenceError(f"(n={n}, m={m}) harmonic basis orthonormal to {resid:.1e} > 1e-9")
+    return HarmonicBasis(n, m, Q, resid)
 
 
 # ---------------------------------------------------------------------------
@@ -501,16 +505,10 @@ def _coeff_vector(P: HPoly) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _basis_matrix(n, m):
-    """Q (p x h): the coefficient vectors of harmonic_basis(n, m)'s members."""
-    return np.column_stack([_coeff_vector(b) for b in harmonic_basis(n, m).members])
-
-
-@lru_cache(maxsize=None)
 def _dual_matrix(n, m):
-    """Q^H G: sends a degree-m coefficient vector to its sphere-L2 products
+    """Q^T G: sends a degree-m coefficient vector to its sphere-L2 products
     with the members of harmonic_basis(n, m)."""
-    return _basis_matrix(n, m).conj().T @ _moment_gram(n, m)
+    return harmonic_basis(n, m).Q.T @ _moment_gram(n, m)
 
 
 @lru_cache(maxsize=None)
@@ -557,7 +555,7 @@ def harmonic_antiderivative(p: HPoly, j: int, c=1.0) -> HPoly:
         raise ValidationError("input polynomial is not harmonic")
     bm = harmonic_basis(n, m)
     bm1 = harmonic_basis(n, m + 1)
-    D = _dual_matrix(n, m) @ _diff_matrices(n, m + 1)[j] @ _basis_matrix(n, m + 1)
+    D = _dual_matrix(n, m) @ _diff_matrices(n, m + 1)[j] @ bm1.Q
     rhs = bm.expand(p) * complex(c)
     x, *_ = np.linalg.lstsq(D, rhs, rcond=None)
     f = bm1.combine(x)

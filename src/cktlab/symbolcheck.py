@@ -130,6 +130,8 @@ def uniform_span(family: SymbolFamily, sampler=None, N: int = 256,
     """
     if N < 1:
         raise ValidationError(f"need at least one covector sample, got N={N}")
+    if family.domain_dim < 1:
+        raise ValidationError(f"{family.name} acts on a fiber of dimension {family.domain_dim}")
     if sampler is None:
         sampler = make_cosphere_sampler_for(family, seed)
     fiber = family.domain_dim
@@ -179,6 +181,8 @@ def make_cosphere_sampler_for(family: SymbolFamily, seed: int):
 
 
 def _with_covector_dim(fn, n):
+    if n < 2:
+        raise ValidationError(f"need covector dimension n >= 2, got {n}")
     fn.covector_dim = n
     return fn
 
@@ -229,13 +233,13 @@ def symbol_dstar(n: int, m: int, xi, model: str = "tracefree") -> np.ndarray:
 
 
 def dstar_family(n: int, m: int, model: str = "tracefree") -> SymbolFamily:
+    ev = _with_covector_dim(lambda xi: symbol_dstar(n, m, xi, model), n)
     if model == "tracefree":
         dom = len(tracefree_basis(n, m))
         cod = len(tracefree_basis(n, m - 1)) if m >= 1 else 0
     else:
         dom = len(monomials(n, m))
         cod = len(monomials(n, m - 1)) if m >= 1 else 0
-    ev = _with_covector_dim(lambda xi: symbol_dstar(n, m, xi, model), n)
     return SymbolFamily(dom, cod, ev, name=f"dstar[{model}] n={n} m={m}")
 
 
@@ -247,6 +251,8 @@ def divergence_family(n: int) -> SymbolFamily:
 
 def counterexample_family(r: int, n: int = 3) -> SymbolFamily:
     """Divergence-type but not uniform: (u1, u2) -> |xi|^2 (u1 - u2)."""
+    if r < 1:
+        raise ValidationError(f"need fiber rank r >= 1, got {r}")
     eye = np.eye(r)
     block = np.hstack([eye, -eye])
 

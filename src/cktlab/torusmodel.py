@@ -243,10 +243,6 @@ class TorusAssembly:
     dropped_couplings: int
     adjointness_defect: float
 
-    @property
-    def dim_m1(self):
-        return self.xplus.shape[0]
-
     def flat_index(self, mode, a, e, degree=None):
         cfg = self.config
         h = dims(cfg.n, cfg.m if degree is None else degree)[1]

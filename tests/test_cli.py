@@ -156,6 +156,51 @@ class TestInputGuards:
         assert "tag=validation" in capsys.readouterr().err
         assert not (tmp_path / "divtype.csv").exists()
 
+    @pytest.mark.parametrize("keys", [
+        "family = dstar, n = 3, m = -1",  # empty fiber
+        "family = dstar, n = 0, m = 2",
+        "family = dstar, n = 1, m = 1",
+        "family = divergence, n = -1",
+        "family = divergence, n = 0",
+        "family = divergence, n = 1",
+        "family = forms, n = 0, k = 0",
+        "family = counterexample, r = 0",  # empty fiber
+    ])
+    def test_divtype_needs_a_fiber_and_n_at_least_2(self, tmp_path, capsys, keys):
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text("[divtype]\n" + keys.replace(", ", "\n") + "\n")
+        assert run(["check-divtype", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "tag=validation" in capsys.readouterr().err
+        assert not (tmp_path / "divtype.csv").exists()
+
+    @pytest.mark.parametrize("keys", ["r = 0", "r = -2", "r = 3, count = 0"])
+    def test_commutator_needs_a_rank_and_a_count(self, tmp_path, capsys, keys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[commutator]\n" + keys.replace(", ", "\n") + "\n")
+        assert run(["commutator-factor", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "tag=validation" in capsys.readouterr().err
+        assert not (tmp_path / "commutator.csv").exists()
+
+    def test_commutator_rejects_empty_endo(self, tmp_path, capsys):
+        (tmp_path / "u.endo").write_text("ENDO 0\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"[commutator]\ninput = {tmp_path / 'u.endo'}\n")
+        assert run(["commutator-factor", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "tag=validation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("instances", [0, -1])
+    def test_kato_needs_an_instance(self, tmp_path, capsys, instances):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text(f"[kato]\nsize = 6\ninstances = {instances}\n")
+        assert run(["kato", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "tag=validation" in capsys.readouterr().err
+        assert not (tmp_path / "kato.csv").exists()
+
+    def test_dims_needs_a_degree(self, tmp_path, capsys):
+        assert run(["dims", "--n", "3", "--mmax", "-1", "--out", str(tmp_path)]) == 2
+        assert "tag=validation" in capsys.readouterr().err
+        assert not (tmp_path / "dims.csv").exists()
+
     def test_kato_needs_a_matrix(self, tmp_path, capsys):
         cfg = tmp_path / "k.cfg"
         cfg.write_text("[kato]\nsize = 0\nkernel_dim = 0\ninstances = 1\n")

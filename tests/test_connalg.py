@@ -230,6 +230,10 @@ class TestCommutatorFactor:
         with pytest.raises(ValidationError):
             ca.commutator_factor(1j * np.eye(2))  # skew but not trace-free
 
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(ValidationError):
+            ca.commutator_factor(np.zeros((0, 0)))
+
 
 class TestEndoSplit:
     def test_closed_formula_rank_one(self):

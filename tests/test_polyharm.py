@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cktlab import polyharm as ph
-from cktlab.errors import ValidationError
+from cktlab.errors import ConvergenceError, ValidationError
 from cktlab.polyharm import HPoly
 
 from conftest import random_hpoly
@@ -286,6 +286,42 @@ class TestHarmonicBasis:
             assert np.abs(lap).max() < 1e-8
             assert np.abs(euler - m * uv).max() < 1e-8
             # hence Delta_sphere(u|_S) = -m(m+n-2) u|_S via the radial identity
+
+    @pytest.mark.parametrize("n,m", [(2, 4), (3, 3), (4, 2)])
+    def test_matrix_and_polynomial_forms_agree(self, n, m, rng):
+        b = ph.harmonic_basis(n, m)
+        pts = rng.standard_normal((20, n))
+        want = np.column_stack([u.eval(pts) for u in b.members])
+        assert np.abs(b.eval_members(pts) - want).max() <= 1e-13 * np.abs(want).max()
+        coords = rng.standard_normal(len(b)) + 1j * rng.standard_normal(len(b))
+        total = HPoly.zero(n, m)
+        for c, u in zip(coords, b.members):
+            total = total + u * c
+        assert (b.combine(coords) - total).max_abs_coeff() <= 1e-13
+
+    @pytest.mark.parametrize("n,m", [(3, 20), (4, 12)])
+    def test_records_orthonormality_residual(self, n, m):
+        b = ph.harmonic_basis(n, m)
+        G = ph._moment_gram(n, m)
+        assert b.orthonormality_residual == np.abs(b.Q.T @ G @ b.Q - np.eye(len(b))).max()
+        assert b.orthonormality_residual <= 1e-11
+
+    @pytest.mark.parametrize("n,m", [(3, 36), (2, 60)])
+    def test_past_the_degree_ceiling_raises(self, n, m):
+        # (3, 36): Q^T G Q is 1.5e-7 from the identity; (2, 60): the
+        # Cholesky factorization of the floating-point Gram fails
+        with pytest.raises(ConvergenceError):
+            ph.harmonic_basis(n, m)
+
+
+class TestMomentGram:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_equals_moment_loop_exactly(self, n):
+        for m in range(7):
+            mono = ph.monomials(n, m)
+            want = np.array([[ph.sphere_monomial_moment(tuple(x + y for x, y in zip(a, b)), n)
+                              for b in mono] for a in mono])
+            assert (ph._moment_gram(n, m) == want).all()
 
 
 class TestExpand:

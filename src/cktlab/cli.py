@@ -2,10 +2,12 @@
 
 Subcommands: dims, harmdecomp, check-divtype, commutator-factor,
 torus-ckt, torus-eject, kato, holonomy, selftest.  Runs read an
-INI-style config (unknown keys are errors), write CSV outputs plus a
-manifest echoing the resolved config, and are deterministic given
-(config, seed).  Exit codes: 0 success, 2 validation error, 3 numerical
-non-convergence; stderr carries a one-line machine-parsable tag.
+INI-style config checked against one table of textio.Key entries per
+subcommand (parse_config owns every single-key rule; a subcommand checks
+only what couples keys), write CSV outputs plus a manifest echoing the
+resolved config, and are deterministic given (config, seed).  Exit codes:
+0 success, 2 validation error, 3 numerical non-convergence; stderr
+carries a one-line machine-parsable tag.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from . import symbolcheck as sc
 from . import torusmodel as tm
 from . import textio
 from .errors import ConvergenceError, ValidationError
+from .textio import Key, positive_float
 
 __all__ = ["main", "run"]
 
@@ -58,13 +61,8 @@ def _manifest(args, resolved, extra=()):
         fh.write("\n".join(lines) + "\n")
 
 
-def _load_config(args, schema, defaults=None):
-    resolved = {k: dict(v) for k, v in (defaults or {}).items()}
-    if args.config:
-        parsed = textio.parse_config(_read(args.config), schema)
-        for sec, kv in parsed.items():
-            resolved.setdefault(sec, {}).update(kv)
-    return resolved
+def _load_config(args, schema):
+    return textio.parse_config(_read(args.config) if args.config else "", schema)
 
 
 # ---------------------------------------------------------------------------
@@ -89,13 +87,11 @@ def cmd_dims(args):
     return 0
 
 
-HARMDECOMP_SCHEMA = {"harmdecomp": {"input": str}}
+HARMDECOMP_SCHEMA = {"harmdecomp": {"input": Key(str, required=True)}}
 
 
 def cmd_harmdecomp(args):
     resolved = _load_config(args, HARMDECOMP_SCHEMA)
-    if "harmdecomp" not in resolved or "input" not in resolved["harmdecomp"]:
-        raise ValidationError("harmdecomp needs [harmdecomp] input = FILE")
     P = textio.load_hpoly(_read(resolved["harmdecomp"]["input"]))
     parts = ph.harmonic_decompose(P)
     out = _outdir(args)
@@ -110,43 +106,34 @@ def cmd_harmdecomp(args):
     return 0
 
 
-DIVTYPE_SCHEMA = {
-    "divtype": {
-        "family": str, "n": int, "m": int, "k": int, "r": int,
-        "model": str, "samples": int,
-    }
-}
-DIVTYPE_DEFAULTS = {"divtype": {"model": "tracefree", "samples": 256}}
+# the keys each family reads, checked by the subcommand because the rule spans two keys
+DIVTYPE_FAMILY_KEYS = {"dstar": ("n", "m"), "divergence": ("n",), "forms": ("n", "k"),
+                       "counterexample": ("r",)}
+DIVTYPE_SCHEMA = {"divtype": {
+    "family": Key(str, choices=tuple(DIVTYPE_FAMILY_KEYS), required=True),
+    "n": Key(int, 2), "m": Key(int, 0), "k": Key(int, 0), "r": Key(int, 1),
+    "model": Key(str, choices=("tracefree", "full"), default="tracefree"),
+    "samples": Key(int, 1, default=256),
+}}
 
 
 def cmd_check_divtype(args):
-    resolved = _load_config(args, DIVTYPE_SCHEMA, DIVTYPE_DEFAULTS)
-    sec = resolved.get("divtype", {})
-    family = sec.get("family")
-    if family is None:
-        raise ValidationError("check-divtype needs [divtype] family = ...")
+    resolved = _load_config(args, DIVTYPE_SCHEMA)
+    sec = resolved["divtype"]
+    family = sec["family"]
     N = sec["samples"]
     seed = args.seed
-
-    def need(*keys):
-        missing = [k for k in keys if k not in sec]
-        if missing:
-            raise ValidationError(f"[divtype] family {family!r} needs keys {missing}")
-
+    missing = [k for k in DIVTYPE_FAMILY_KEYS[family] if k not in sec]
+    if missing:
+        raise ValidationError(f"[divtype] family {family!r} needs keys {missing}")
     if family == "dstar":
-        need("n", "m")
         rep = sc.check_dstar_uniform(sec["n"], sec["m"], sec["model"], N=N, seed=seed)
     elif family == "divergence":
-        need("n")
         rep = sc.uniform_span(sc.divergence_family(sec["n"]), N=N, seed=seed)
     elif family == "forms":
-        need("n", "k")
         rep = sc.forms_contraction_span(sec["n"], sec["k"], N=N, seed=seed)
-    elif family == "counterexample":
-        need("r")
+    else:  # counterexample
         rep = sc.uniform_span(sc.counterexample_family(sec["r"]), N=N, seed=seed)
-    else:
-        raise ValidationError(f"unknown family {family!r}")
     comments = [f"family: {rep.name}", f"verdict: {rep.verdict}"]
     if rep.note:
         comments.append(f"note: {rep.note}")
@@ -157,23 +144,19 @@ def cmd_check_divtype(args):
     return 0
 
 
-COMMUTATOR_SCHEMA = {"commutator": {"input": str, "r": int, "count": int}}
-COMMUTATOR_DEFAULTS = {"commutator": {"count": 1}}
+COMMUTATOR_SCHEMA = {"commutator": {"input": Key(str), "r": Key(int, 1),
+                                    "count": Key(int, 1, default=1)}}
 
 
 def cmd_commutator_factor(args):
-    resolved = _load_config(args, COMMUTATOR_SCHEMA, COMMUTATOR_DEFAULTS)
-    sec = resolved.get("commutator", {})
-    tol = args.tol if args.tol is not None else 1e-9
+    resolved = _load_config(args, COMMUTATOR_SCHEMA)
+    sec = resolved["commutator"]
     out = _outdir(args)
     rows = ["index,residual,skewness_A,skewness_G"]
     if "input" in sec:
         u = textio.load_endo(_read(sec["input"]))
         cases = [u]
     elif "r" in sec:
-        if sec["r"] < 1 or sec["count"] < 1:
-            raise ValidationError(f"[commutator] needs r >= 1 and count >= 1, got "
-                                  f"r={sec['r']} count={sec['count']}")
         rng = np.random.default_rng(args.seed)
         cases = []
         for _ in range(sec["count"]):
@@ -185,7 +168,7 @@ def cmd_commutator_factor(args):
         raise ValidationError("commutator-factor needs input = FILE or r = RANK")
     worst = 0.0
     for i, u in enumerate(cases):
-        A, G = ca.commutator_factor(u, tol=max(tol, 1e-12))
+        A, G = ca.commutator_factor(u, tol=max(args.tol, 1e-12))
         resid = float(np.abs(A @ G - G @ A - u).max())
         worst = max(worst, resid)
         rows.append(
@@ -199,27 +182,23 @@ def cmd_commutator_factor(args):
                 fh.write(textio.dump_endo(G))
     textio.write_csv(os.path.join(out, "commutator.csv"), rows, resolved)
     _manifest(args, resolved)
-    if worst > tol * 10:
+    if worst > args.tol * 10:
         raise ConvergenceError(f"worst factorization residual {worst:.3e}")
     print(f"factored {len(cases)} matrices, worst residual {worst:.3e}")
     return 0
 
 
 TORUS_SCHEMA_COMMON = {
-    "torus": {"n": int, "k": int, "m": int, "r": int, "bundle_kind": str},
-    "connection": {"file": str},
+    "torus": {"n": Key(int, 2, required=True), "k": Key(int, 0, required=True),
+              "m": Key(int, 0, required=True), "r": Key(int, 1, required=True),
+              "bundle_kind": Key(str, choices=("vector", "endomorphism"))},
+    "connection": {"file": Key(str)},
 }
 
 
 def _torus_config(resolved):
-    sec = resolved.get("torus")
-    if not sec:
-        raise ValidationError("missing [torus] section")
-    try:
-        return tm.TorusConfig(sec["n"], sec["k"], sec["m"], sec["r"],
-                              sec.get("bundle_kind", "vector"))
-    except KeyError as exc:
-        raise ValidationError(f"[torus] missing key {exc}") from exc
+    t = resolved["torus"]
+    return tm.TorusConfig(t["n"], t["k"], t["m"], t["r"], t.get("bundle_kind", "vector"))
 
 
 def _load_conn(resolved, cfg):
@@ -251,25 +230,20 @@ def cmd_torus_ckt(args):
     return 0
 
 
-EJECT_SCHEMA = dict(TORUS_SCHEMA_COMMON)
-EJECT_SCHEMA.update({
-    "perturbation": {"file": str},
-    "scan": {"smax": float, "points": int, "window_radius": float},
-})
-EJECT_DEFAULTS = {"scan": {"smax": 0.1, "points": 9}}
+EJECT_SCHEMA = {
+    **TORUS_SCHEMA_COMMON,
+    "perturbation": {"file": Key(str, required=True)},
+    "scan": {"smax": Key(float, default=0.1), "points": Key(int, 3, default=9),
+             "window_radius": Key(positive_float)},
+}
 
 
 def cmd_torus_eject(args):
-    resolved = _load_config(args, EJECT_SCHEMA, EJECT_DEFAULTS)
+    resolved = _load_config(args, EJECT_SCHEMA)
     cfg = _torus_config(resolved)
     conn0 = _load_conn(resolved, cfg)
-    psec = resolved.get("perturbation", {})
-    if "file" not in psec:
-        raise ValidationError("torus-eject needs [perturbation] file = FOURCONN")
-    A = textio.load_fourier_connection(_read(psec["file"]))
+    A = textio.load_fourier_connection(_read(resolved["perturbation"]["file"]))
     ssec = resolved["scan"]
-    if ssec["points"] < 3:
-        raise ValidationError(f"[scan] points must be >= 3, got {ssec['points']}")
     grid = np.linspace(-ssec["smax"], ssec["smax"], ssec["points"])
     res = tm.lambda_scan(cfg, conn0, A, grid,
                          window_radius=ssec.get("window_radius"))
@@ -290,17 +264,15 @@ def cmd_torus_eject(args):
     return 0
 
 
-KATO_SCHEMA = {"kato": {"size": int, "kernel_dim": int, "instances": int,
-                        "radius": float}}
-KATO_DEFAULTS = {"kato": {"size": 20, "kernel_dim": 2, "instances": 10,
-                          "radius": 0.3}}
+KATO_SCHEMA = {"kato": {
+    "size": Key(int, 1, default=20), "kernel_dim": Key(int, 0, default=2),
+    "instances": Key(int, 1, default=10), "radius": Key(positive_float, default=0.3),
+}}
 
 
 def cmd_kato(args):
-    resolved = _load_config(args, KATO_SCHEMA, KATO_DEFAULTS)
+    resolved = _load_config(args, KATO_SCHEMA)
     sec = resolved["kato"]
-    if sec["instances"] < 1:
-        raise ValidationError(f"[kato] instances must be >= 1, got {sec['instances']}")
     rng = np.random.default_rng(args.seed)
     rows = ["instance,identity_residual,d1_mismatch,d2_mismatch,conj_defect,pi_norm"]
     worst_identity = 0.0
@@ -313,7 +285,7 @@ def cmd_kato(args):
         W = sp.spectral_window(X, sec["radius"])
         resid = sp.resolvent_identity_check(W)
         worst_identity = max(worst_identity, resid)
-        d1c, d2c, d1f, d2f = sp.lambda_derivatives(X, P_A, sec["radius"])
+        d1c, d2c, d1f, d2f = sp.lambda_derivatives(W, P_A)
         conj = sp.conjugation_check(X, 0.05 * P_A, np.linspace(-1, 1, 3),
                                     radius=sec["radius"])
         pi_norm = float(np.abs(sp.pi_operator(W)).max())
@@ -327,18 +299,15 @@ def cmd_kato(args):
     return 0
 
 
-HOLONOMY_SCHEMA = {
-    "holonomy": {"connection": str, "num_geodesics": int, "length": float,
-                 "steps": int},
-}
-HOLONOMY_DEFAULTS = {"holonomy": {"num_geodesics": 24, "length": 7.0, "steps": 256}}
+HOLONOMY_SCHEMA = {"holonomy": {
+    "connection": Key(str, required=True), "num_geodesics": Key(int, 1, default=24),
+    "length": Key(positive_float, default=7.0), "steps": Key(int, 16, default=256),
+}}
 
 
 def cmd_holonomy(args):
-    resolved = _load_config(args, HOLONOMY_SCHEMA, HOLONOMY_DEFAULTS)
+    resolved = _load_config(args, HOLONOMY_SCHEMA)
     sec = resolved["holonomy"]
-    if "connection" not in sec:
-        raise ValidationError("holonomy needs [holonomy] connection = FOURCONN file")
     conn = textio.load_fourier_connection(_read(sec["connection"]))
     rep = ho.opacity_probe(conn, num_geodesics=sec["num_geodesics"],
                            length=sec["length"], steps=sec["steps"], seed=args.seed)
@@ -443,7 +412,7 @@ def build_parser():
 
     p = sub.add_parser("commutator-factor", help="factor skew-Hermitian trace-free matrices")
     common(p)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=positive_float, default=1e-9)
     p.set_defaults(func=cmd_commutator_factor)
 
     p = sub.add_parser("torus-ckt", help="kernel of the raising operator on the torus")
@@ -463,7 +432,7 @@ def build_parser():
     p.set_defaults(func=cmd_holonomy)
 
     p = sub.add_parser("selftest", help="fast invariant sweep")
-    common(p)
+    p.add_argument("--seed", type=int, default=0)  # reads no config, writes no file
     p.set_defaults(func=_selftest_impl)
 
     return parser

@@ -244,19 +244,16 @@ def cluster_sum_minus(X, radius, tol=1e-12) -> complex:
     return _contour_trace(X, radius, -1, tol)
 
 
-def lambda_derivatives(X, P_A, radius=None, fd_step=None):
+def lambda_derivatives(W: SpectralWindow, P_A, fd_step=None):
     """Closed-form and finite-difference derivatives of the window eigenvalue sum.
 
-    lambda(s) = -Tr((X + s P_A) Pi_s) with Pi_s the window projector of
-    X + s P_A; the closed forms are the first/second perturbation
-    formulas -Tr(P_A Pi_0) and 2 Tr(Pi_0 P_A R_0 P_A Pi_0).  Returns
-    (dot_closed, ddot_closed, dot_fd, ddot_fd).
+    W is the window of X; lambda(s) = -Tr((X + s P_A) Pi_s) with Pi_s the
+    projector of X + s P_A on W's contour; the closed forms are -Tr(P_A Pi_0)
+    and 2 Tr(Pi_0 P_A R_0 P_A Pi_0).  Returns (dot_closed, ddot_closed,
+    dot_fd, ddot_fd).
     """
-    X = np.asarray(X, dtype=complex)
+    X, radius = W.X, W.contour_radius
     P_A = np.asarray(P_A, dtype=complex)
-    if radius is None:
-        radius = default_window_radius(X)
-    W = spectral_window(X, radius)
     dot_closed = -np.trace(P_A @ W.pi0_plus)
     ddot_closed = 2 * np.trace(W.pi0_plus @ P_A @ W.r0_plus @ P_A @ W.pi0_plus)
 

@@ -22,6 +22,7 @@ import hashlib
 import io
 import math
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ __all__ = [
     "dump_endo", "load_endo",
     "dump_connform", "load_connform",
     "dump_fourier_connection", "load_fourier_connection",
-    "write_csv", "config_hash", "parse_config", "render_config",
+    "write_csv", "config_hash", "parse_config", "render_config", "Key", "positive_float",
 ]
 
 
@@ -209,11 +210,31 @@ def load_fourier_connection(text: str) -> FourierConnection:
 # configs and CSV
 
 
-def parse_config(text: str, schema: dict) -> dict:
-    """Parse an INI-style config against a {section: {key: converter}} schema.
+def positive_float(raw) -> float:
+    """float(raw), rejecting nan, +-inf and values <= 0."""
+    value = float(raw)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError("not finite and > 0")
+    return value
 
-    Unknown sections or keys are errors: misspellings never fall back to
-    silent defaults.
+
+class Key(NamedTuple):
+    """A config key: kind converts the text (int, float, str or positive_float), low
+    bounds an int from below, choices lists a str's values, default=None means none."""
+
+    kind: Callable
+    low: int | None = None
+    choices: tuple = ()
+    default: object = None
+    required: bool = False
+
+
+def parse_config(text: str, table: dict) -> dict:
+    """Resolve an INI-style config, possibly empty, against a {section: {key: Key}} table.
+
+    The one place a single config value is checked.  Defaults fill omitted keys; an unknown
+    section or key, a value its Key rejects, a non-finite float or a missing required key
+    is an error, so misspellings never fall back to silent defaults.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -222,19 +243,29 @@ def parse_config(text: str, schema: dict) -> dict:
         raise ValidationError(f"config parse error: {exc}") from exc
     out = {}
     for section in cp.sections():
-        if section not in schema:
+        if section not in table:
             raise ValidationError(f"unknown config section [{section}]")
         out[section] = {}
-        for key, raw in cp.items(section):
-            if key not in schema[section]:
-                raise ValidationError(f"unknown key {key!r} in section [{section}]")
-            conv = schema[section][key]
+        for name, raw in cp.items(section):
+            key = table[section].get(name)
+            if key is None:
+                raise ValidationError(f"unknown key {name!r} in section [{section}]")
             try:
-                out[section][key] = conv(raw)
+                out[section][name] = value = key.kind(raw)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError("not finite")
+                if key.low is not None and value < key.low:
+                    raise ValueError(f"must be >= {key.low}")
+                if key.choices and value not in key.choices:
+                    raise ValueError(f"must be one of {', '.join(key.choices)}")
             except (TypeError, ValueError) as exc:
-                raise ValidationError(
-                    f"bad value for {section}.{key}: {raw!r} ({exc})"
-                ) from exc
+                raise ValidationError(f"bad value for {section}.{name}: {raw!r} ({exc})") from exc
+    for section, keys in table.items():
+        for name, key in keys.items():
+            if key.required and name not in out.get(section, {}):
+                raise ValidationError(f"missing key {name!r} in section [{section}]")
+            if key.default is not None:
+                out.setdefault(section, {}).setdefault(name, key.default)
     return out
 
 

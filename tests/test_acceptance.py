@@ -251,7 +251,7 @@ def test_criterion_09_kato_suite():
         W = sp.spectral_window(X, 0.4)
         worst_identity = max(worst_identity, sp.resolvent_identity_check(W))
         worst_pi = max(worst_pi, float(np.abs(sp.pi_operator(W)).max()))
-        d1c, d2c, d1f, d2f = sp.lambda_derivatives(X, P_A, 0.4)
+        d1c, d2c, d1f, d2f = sp.lambda_derivatives(sp.spectral_window(X, 0.4), P_A)
         worst_d1 = max(worst_d1, abs(d1f - d1c) / (1 + abs(d1c)))
         worst_d2 = max(worst_d2, abs(d2f - d2c) / (1 + abs(d2c)))
     X = sp.random_skew_adjoint_with_kernel(rng, 16, 2)

@@ -1,11 +1,18 @@
+import contextlib
+import glob
+import io
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cktlab import textio
+from cktlab import cli, textio
 from cktlab import torusmodel as tm
 from cktlab.cli import run
 
@@ -381,3 +388,147 @@ class TestSerializationRoundtrips:
         for q in conn.coeffs:
             for a, b in zip(conn.coeffs[q], conn2.coeffs[q]):
                 assert np.array_equal(a, b)
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_commutator_tol_finite_positive(self, tmp_path, capsys, tol):
+        # nan and inf disabled the residual gate; 0 and -1 failed every residual
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[commutator]\nr = 3\ncount = 2\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["commutator-factor", "--config", str(cfg), "--out", str(tmp_path),
+                 f"--tol={tol}"])
+        assert exc.value.code == 2
+        assert "argument --tol" in capsys.readouterr().err
+        assert not (tmp_path / "commutator.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--config", "--out"])
+    def test_selftest_takes_only_a_seed(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(["selftest", flag, str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_table_applies_without_a_config(self, capsys):
+        # required keys are enforced when no --config is given at all
+        assert run(["holonomy"]) == 2
+        assert "missing key 'connection'" in capsys.readouterr().err
+
+
+# every payload the fuzz below can point a file key at
+FUZZ_PAYLOADS = {
+    ("harmdecomp", "input"): "HPOLY 3 2 2\n1.0 0.0 2 0 0\n0.5 -1.0 0 1 1\n",
+    ("commutator", "input"): textio.dump_endo(np.array([[1j, 2 + 1j], [-2 + 1j, -1j]])),
+    ("connection", "file"): textio.dump_fourier_connection(
+        tm.FourierConnection.cosine_mode(3, (0, 1, 0), 1, 0.4j * np.eye(1))),
+    ("perturbation", "file"): textio.dump_fourier_connection(
+        tm.FourierConnection.cosine_mode(3, (0, 1, 0), 0, 0.5j * np.eye(1))),
+    ("holonomy", "connection"): textio.dump_fourier_connection(
+        tm.FourierConnection.cosine_mode(3, (1, 0, 0), 1,
+                                         np.array([[0.7j, 0.3], [-0.3, -0.2j]]))),
+}
+FUZZ_TABLES = {
+    "dims": {"dims": {"n": textio.Key(int, 2, required=True),  # flags, not a config
+                      "mmax": textio.Key(int, 0, required=True)}},
+    "harmdecomp": cli.HARMDECOMP_SCHEMA,
+    "check-divtype": cli.DIVTYPE_SCHEMA,
+    "commutator-factor": cli.COMMUTATOR_SCHEMA,
+    "torus-ckt": cli.TORUS_SCHEMA_COMMON,
+    "torus-eject": cli.EJECT_SCHEMA,
+    "kato": cli.KATO_SCHEMA,
+    "holonomy": cli.HOLONOMY_SCHEMA,
+    "selftest": {},
+}
+# the torus space has (2k+1)^n modes: keep every assembly to about 1000 rows
+FUZZ_INT_MAX = {("torus", "k"): 1, ("torus", "m"): 2, ("torus", "r"): 2}
+FUZZ_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0]),
+                        st.floats())
+
+
+def _fuzz_value(section, name, key, clean):
+    """Any value of the key's type; a clean draw keeps to its declared domain."""
+    if (section, name) in FUZZ_PAYLOADS:
+        return st.just("present") if clean else st.sampled_from(["present", "missing"])
+    if key.choices:
+        return st.sampled_from(key.choices if clean else (*key.choices, "bogus"))
+    if key.kind is int:
+        low = key.low if clean and key.low is not None else -3
+        return st.integers(low, max(low, FUZZ_INT_MAX.get((section, name), 3)))
+    if clean:
+        return st.floats(0.01, 1.0) if key.kind is textio.positive_float else st.floats(-1, 1)
+    return FUZZ_FLOATS
+
+
+def _fuzz_sections(table, clean):
+    # every int key is set, so no run falls back to a large default size;
+    # the other keys may be missing unless a clean draw requires them
+    def always(key):
+        return key.kind is int or (clean and key.required)
+
+    return st.fixed_dictionaries({
+        section: st.fixed_dictionaries(
+            {name: _fuzz_value(section, name, key, clean)
+             for name, key in keys.items() if always(key)},
+            optional={name: _fuzz_value(section, name, key, clean)
+                      for name, key in keys.items() if not always(key)})
+        for section, keys in table.items()})
+
+
+def _fuzz_argv(sub, sections, workdir):
+    out = os.path.join(workdir, "out")
+    if sub == "selftest":
+        return [sub]
+    if sub == "dims":
+        return [sub, "--out", out] + [f"--{k}={v}" for k, v in sections["dims"].items()]
+    lines = []
+    for section, values in sections.items():
+        lines.append(f"[{section}]")
+        for name, v in values.items():
+            if (section, name) in FUZZ_PAYLOADS:
+                path = os.path.join(workdir, f"{section}.{name}")
+                if v == "present":
+                    with open(path, "w", encoding="utf-8") as fh:
+                        fh.write(FUZZ_PAYLOADS[section, name])
+                v = path
+            lines.append(f"{name} = {v}")
+    cfg = os.path.join(workdir, "fuzz.cfg")
+    with open(cfg, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return [sub, "--config", cfg, "--out", out]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.tuples(st.sampled_from(sorted(FUZZ_TABLES)), st.booleans()).flatmap(
+    lambda d: st.tuples(st.just(d[0]), _fuzz_sections(FUZZ_TABLES[d[0]], d[1]))))
+# the confirmed CLI defects of earlier releases: empty fibers given a verdict,
+# tracebacks, and counts below 1 accepted
+@example(("check-divtype", {"divtype": {"family": "dstar", "n": 3, "m": -1}}))
+@example(("check-divtype", {"divtype": {"family": "divergence", "n": 0}}))
+@example(("check-divtype", {"divtype": {"family": "counterexample", "r": 0}}))
+@example(("check-divtype", {"divtype": {"family": "forms", "n": 0, "k": 0}}))
+@example(("check-divtype", {"divtype": {"family": "dstar", "n": 0, "m": 2}}))
+@example(("check-divtype", {"divtype": {"family": "divergence", "n": -1}}))
+@example(("commutator-factor", {"commutator": {"r": 0}}))
+@example(("commutator-factor", {"commutator": {"r": 3, "count": 0}}))
+@example(("kato", {"kato": {"size": 3, "instances": 0}}))
+@example(("kato", {"kato": {"size": 3, "instances": -1}}))
+@example(("dims", {"dims": {"n": 3, "mmax": -1}}))
+def test_every_subcommand_exits_0_2_or_3(drawn):
+    sub, sections = drawn
+    with tempfile.TemporaryDirectory() as workdir:
+        argv = _fuzz_argv(sub, sections, workdir)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = run(argv)
+        assert rc in (0, 2, 3)
+        csvs = glob.glob(os.path.join(workdir, "out", "*.csv"))
+        if rc:
+            assert "tag=" in stderr.getvalue()
+            assert not csvs
+        for path in csvs:
+            # a count below 1 once exited 0 with a header and no data row; only
+            # a trivial kernel legitimately lists nothing
+            if not path.endswith("ckt_kernel.csv"):
+                assert len(read_data_lines(path)) >= 2, path
+        assert "span 0/0" not in stdout.getvalue()

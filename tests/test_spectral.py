@@ -103,7 +103,7 @@ class TestLambdaDerivatives:
     def test_diag_first_order(self, rng):
         X = np.diag([0.0, 1j, -1j])
         P_A = random_skew_hermitian(rng, 3)
-        d1c, d2c, d1f, d2f = sp.lambda_derivatives(X, P_A, 0.5)
+        d1c, d2c, d1f, d2f = sp.lambda_derivatives(sp.spectral_window(X, 0.5), P_A)
         assert d1c == pytest.approx(-P_A[0, 0], rel=1e-10, abs=1e-12)
         assert abs(d1c.real) < 1e-12  # purely imaginary
         assert abs(d1f - d1c) <= 1e-6 * (1 + abs(d1c))
@@ -112,7 +112,7 @@ class TestLambdaDerivatives:
     def test_commuting_vanishing_perturbation(self):
         X = np.diag([0.0, 2j, -2j])
         P_A = np.diag([0.0, 1j, 1j])  # commutes with X, vanishes on ker X
-        d1c, d2c, d1f, d2f = sp.lambda_derivatives(X, P_A, 0.5)
+        d1c, d2c, d1f, d2f = sp.lambda_derivatives(sp.spectral_window(X, 0.5), P_A)
         assert abs(d1c) < 1e-12 and abs(d2c) < 1e-11
         assert abs(d1f) < 1e-8 and abs(d2f) < 1e-6
 
@@ -122,7 +122,7 @@ class TestLambdaDerivatives:
             X = sp.random_skew_adjoint_with_kernel(rng, dim, int(rng.integers(1, 3)),
                                                    gap=0.8, spread=4.0)
             P_A = random_skew_hermitian(rng, dim)
-            d1c, d2c, d1f, d2f = sp.lambda_derivatives(X, P_A, 0.4)
+            d1c, d2c, d1f, d2f = sp.lambda_derivatives(sp.spectral_window(X, 0.4), P_A)
             assert abs(d1f - d1c) <= 1e-6 * (1 + abs(d1c))
             assert abs(d2f - d2c) <= 1e-6 * (1 + abs(d2c))
 
@@ -139,7 +139,7 @@ class TestLambdaDerivatives:
         P, _ = tm.generator_perturbation(cfg, A, mmax=1)
         Gd, Pd = G.toarray(), P.toarray()
         radius = sp.default_window_radius(Gd)
-        d1c, d2c, d1f, d2f = sp.lambda_derivatives(Gd, Pd, radius)
+        d1c, d2c, d1f, d2f = sp.lambda_derivatives(sp.spectral_window(Gd, radius), Pd)
         assert abs(d1c) <= 1e-12
         assert abs(d1f - d1c) <= 1e-6 * (1 + abs(d1c))
         assert abs(d2f - d2c) <= 1e-6 * (1 + abs(d2c))
@@ -148,7 +148,7 @@ class TestLambdaDerivatives:
         X = np.diag([0.0, 1j, -1j])
         P_A = 1000 * random_skew_hermitian(rng, 3)
         with pytest.raises(ValidationError):
-            sp.lambda_derivatives(X, P_A, 0.5, fd_step=0.1)
+            sp.lambda_derivatives(sp.spectral_window(X, 0.5), P_A, fd_step=0.1)
 
 
 class TestTorusGeneratorWindow:

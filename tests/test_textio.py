@@ -106,3 +106,30 @@ def test_loaders_return_or_reject(text, tag):
         LOADERS[tag](text)
     except ValidationError:
         pass
+
+
+class TestParseConfig:
+    TABLE = {
+        "a": {"count": textio.Key(int, 1, default=3), "name": textio.Key(str, required=True),
+              "mode": textio.Key(str, choices=("x", "y")),
+              "step": textio.Key(textio.positive_float)},
+        "b": {"shift": textio.Key(float)},
+    }
+
+    def test_defaults_and_absent_sections(self):
+        assert textio.parse_config("[a]\nname = q\n", self.TABLE) == {
+            "a": {"count": 3, "name": "q"}}
+        assert textio.parse_config("[a]\nname = q\ncount = 1\n[b]\n", self.TABLE) == {
+            "a": {"count": 1, "name": "q"}, "b": {}}
+
+    @pytest.mark.parametrize("text", [
+        "", "[a]\ncount = 2\n",  # required key missing
+        "[a]\nname = q\ncount = 0\n", "[a]\nname = q\ncount = 2.0\n",
+        "[a]\nname = q\nmode = z\n",
+        "[a]\nname = q\nstep = 0\n", "[a]\nname = q\nstep = nan\n",
+        "[a]\nname = q\n[b]\nshift = -inf\n", "[a]\nname = q\n[b]\nshift = 1e400\n",
+        "[a]\nname = q\nother = 1\n", "[a]\nname = q\n[c]\n",
+    ])
+    def test_rejects(self, text):
+        with pytest.raises(ValidationError):
+            textio.parse_config(text, self.TABLE)

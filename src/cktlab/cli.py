@@ -151,7 +151,6 @@ COMMUTATOR_SCHEMA = {"commutator": {"input": Key(str), "r": Key(int, 1),
 def cmd_commutator_factor(args):
     resolved = _load_config(args, COMMUTATOR_SCHEMA)
     sec = resolved["commutator"]
-    out = _outdir(args)
     rows = ["index,residual,skewness_A,skewness_G"]
     if "input" in sec:
         u = textio.load_endo(_read(sec["input"]))
@@ -175,15 +174,16 @@ def cmd_commutator_factor(args):
             f"{i},{resid!r},{float(np.abs(A + A.conj().T).max())!r},"
             f"{float(np.abs(G + G.conj().T).max())!r}"
         )
-        if len(cases) == 1:
-            with open(os.path.join(out, "factor_A.endo"), "w", encoding="utf-8") as fh:
-                fh.write(textio.dump_endo(A))
-            with open(os.path.join(out, "factor_G.endo"), "w", encoding="utf-8") as fh:
-                fh.write(textio.dump_endo(G))
-    textio.write_csv(os.path.join(out, "commutator.csv"), rows, resolved)
-    _manifest(args, resolved)
+    # the gate comes before any output, so a failed run leaves no files
     if worst > args.tol * 10:
         raise ConvergenceError(f"worst factorization residual {worst:.3e}")
+    out = _outdir(args)
+    if len(cases) == 1:
+        for name, M in (("factor_A.endo", A), ("factor_G.endo", G)):
+            with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+                fh.write(textio.dump_endo(M))
+    textio.write_csv(os.path.join(out, "commutator.csv"), rows, resolved)
+    _manifest(args, resolved)
     print(f"factored {len(cases)} matrices, worst residual {worst:.3e}")
     return 0
 
@@ -253,6 +253,8 @@ def cmd_torus_eject(args):
         f"lambda_dot_fit: {res.lambda_dot_fit!r}",
         f"lambda_ddot_fit: {res.lambda_ddot_fit!r}",
         f"curvature_factor: {res.curvature_factor!r}",
+        f"blocks: {res.blocks} (largest {res.largest_block[0]}x{res.largest_block[1]})",
+        f"window_margin: {res.window_margin!r}",
     ]
     textio.write_csv(os.path.join(_outdir(args), "eject.csv"), res.csv_rows(),
                      resolved, comments)

@@ -31,6 +31,16 @@ wrapped: wrapping would alias modes and silently break the symmetry of
 the operator, while a symmetric drop preserves adjointness exactly.  A
 dropped coupling is a pair (mode k, support mode q) with k+q outside the
 box, counted once per side: nmodes - nnz(S_q) per q and side.
+
+The matrices are block diagonal over coset blocks: the connection term
+couples mode k only to k+q for q in the support, so the modes split into
+the connected components of the mode graph of a matrix's sparsity
+pattern.  Every dense factorization here runs per block: the kernels of
+X+ and X- over the blocks of that matrix, with one rank cut against the
+largest singular value of the whole matrix (`linalg.block_nullspace`),
+and the spectra of the ejection scan over the blocks of X+(conn0) and the
+connection derivative together, since X+(s) = X+(conn0) + s P is affine
+in s and is assembled once.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ import scipy.sparse as sparse
 
 from .connalg import commutator_action_matrix, harmonic_mult_blocks
 from .errors import ConvergenceError, ValidationError
-from .linalg import nullspace
+from .linalg import block_nullspace
 from .polyharm import dims, harmonic_basis
 from .symtensor import contract, sym_mult_form, to_poly, tracefree_basis
 
@@ -390,7 +400,91 @@ def assemble_via_D(config: TorusConfig, conn: FourierConnection | None = None) -
 
 
 # ---------------------------------------------------------------------------
-# kernels and the ejection experiment
+# coset blocks, kernels and the ejection experiment
+
+
+def _mode_blocks(config, *mats):
+    """Connected components of the mode graph of the given matrices, grouped
+    by size: one (count, size) array of mode indices per block size, in
+    ascending size, each block's modes ascending, blocks ordered by their
+    least mode.
+
+    Each matrix acts between spaces over modes x harmonics x fiber; an
+    entry at (row, col) couples mode row // (h_out f) to mode
+    col // (h_in f), the widths read off the matrix's shape.  Every mode
+    starts labelled by itself; each pass lowers both ends of every edge to
+    the smaller of their labels and then replaces each label by its own
+    label, until nothing changes, which leaves each component labelled by
+    its least mode.
+    """
+    nmodes = len(config.modes)
+    heads, tails = [], []
+    for M in mats:
+        coo = M.tocoo()
+        heads.append(coo.row.astype(np.int64) // (M.shape[0] // nmodes))
+        tails.append(coo.col.astype(np.int64) // (M.shape[1] // nmodes))
+    a, b = np.divmod(np.unique(np.concatenate(heads) * nmodes + np.concatenate(tails)), nmodes)
+    labels = np.arange(nmodes)
+    while True:
+        low = np.minimum(labels[a], labels[b])
+        new = labels.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    size = np.bincount(labels, minlength=nmodes)[labels]
+    order = np.lexsort((labels, size))  # stable: modes stay ascending within a block
+    return [order[size[order] == nb].reshape(-1, nb) for nb in np.unique(size)]
+
+
+def _block_index(modes, width):
+    """Flat indices of the given modes in a space with `width` entries per mode."""
+    return (modes[:, None] * width + np.arange(width)).ravel()
+
+
+def _dense_blocks(config, M, groups):
+    """The diagonal blocks of M over the mode blocks of `groups` (from
+    `_mode_blocks` of M, possibly with other matrices), one dense
+    (count, rows, cols) stack per group."""
+    nmodes = len(config.modes)
+    h_out, h_in = M.shape[0] // nmodes, M.shape[1] // nmodes
+    group_of, block_of, place_of = (np.empty(nmodes, dtype=np.int64) for _ in range(3))
+    for g, blocks in enumerate(groups):
+        group_of[blocks] = g
+        block_of[blocks] = np.arange(len(blocks))[:, None]
+        place_of[blocks] = np.arange(blocks.shape[1])
+    coo = M.tocoo()
+    row_mode, row_off = np.divmod(coo.row.astype(np.int64), h_out)
+    col_mode, col_off = np.divmod(coo.col.astype(np.int64), h_in)
+    stacks = []
+    for g, blocks in enumerate(groups):
+        nb = blocks.shape[1]
+        stack = np.zeros((len(blocks), nb * h_out, nb * h_in), dtype=M.dtype)
+        sel = group_of[row_mode] == g
+        np.add.at(stack, (block_of[row_mode[sel]], place_of[row_mode[sel]] * h_out + row_off[sel],
+                          place_of[col_mode[sel]] * h_in + col_off[sel]), coo.data[sel])
+        stacks.append(stack)
+    return stacks
+
+
+def _block_kernels(config, M, rtol):
+    """([(modes of a block, its block-local kernel basis)], singular values of M)
+    over the mode blocks of M, with one rank cut for the whole of M."""
+    groups = _mode_blocks(config, M)
+    kernels, s = block_nullspace(_dense_blocks(config, M, groups), rtol)
+    return list(zip((modes for blocks in groups for modes in blocks), kernels)), s
+
+
+def _scatter(parts, width, dim):
+    """Full-length columns, block by block, from block-local bases."""
+    out = np.zeros((dim, sum(k.shape[1] for _, k in parts)), dtype=complex)
+    j = 0
+    for modes, k in parts:
+        out[_block_index(modes, width), j:j + k.shape[1]] = k
+        j += k.shape[1]
+    return out
 
 
 @dataclass
@@ -404,32 +498,36 @@ class KernelReport:
         return self.vectors.shape[1]
 
 
-def _mode_mass(config, vec, degree):
-    h = dims(config.n, degree)[1]
-    block = config.fdim * h
-    v = vec.reshape(-1, block)
-    return np.linalg.norm(v, axis=1)
-
-
 def ckt_kernel(asm: TorusAssembly) -> KernelReport:
-    """Orthonormal kernel basis of the raising matrix with per-mode support."""
-    kernel, s = nullspace(asm.xplus.toarray(), 1e-10)
+    """Orthonormal kernel basis of the raising matrix with per-mode support.
+
+    Each basis vector lives in one mode block of the raising matrix."""
     modes = mode_list(asm.config.n, asm.config.K)
+    dim = asm.xplus.shape[1]
+    width = dim // len(modes)
+    parts, s = _block_kernels(asm.config, asm.xplus, 1e-10)
     support = []
-    for i in range(kernel.shape[1]):
-        mass = _mode_mass(asm.config, kernel[:, i], asm.config.m)
-        support.append([modes[j] for j in np.nonzero(mass > 1e-8)[0]])
-    return KernelReport(kernel, s, support)
+    for block, k in parts:
+        mass = np.linalg.norm(k.reshape(len(block), width, k.shape[1]), axis=1)
+        support.extend([modes[j] for j in block[mass[:, i] > 1e-8]] for i in range(k.shape[1]))
+    return KernelReport(_scatter(parts, width, dim), s, support)
 
 
 def xminus_kernel_basis(asm: TorusAssembly) -> np.ndarray:
     """Orthonormal basis of ker(lowering) inside the degree-(m+1) space."""
-    return nullspace(asm.xminus.toarray(), 1e-10)[0]
+    dim = asm.xminus.shape[1]
+    parts, _ = _block_kernels(asm.config, asm.xminus, 1e-10)
+    return _scatter(parts, dim // len(asm.config.modes), dim)
 
 
 def second_variation_predict(asm0: TorusAssembly, A: FourierConnection, kernel) -> tuple:
     """Per-vector squared norms of the kernel-of-lowering projection of the
     perturbed raising applied to each zero mode, plus their total.
+
+    The projection is made block by block over the mode blocks of the
+    lowering matrix, with the rank cut of `xminus_kernel_basis`; the
+    squared norm of a block's projection is that of its coordinates in the
+    block's orthonormal kernel basis.
 
     Reported without the statement-vs-proof constant: lambda_scan's fit
     decides whether the curvature is 1 or 2 times this total.
@@ -440,13 +538,13 @@ def second_variation_predict(asm0: TorusAssembly, A: FourierConnection, kernel) 
     gram = kernel.conj().T @ kernel
     if np.abs(gram - np.eye(kernel.shape[1])).max() > 1e-8:
         raise ValidationError("kernel basis must be orthonormal")
-    P_plus = connection_plus_matrix(asm0.config, A)
-    Q = xminus_kernel_basis(asm0)
-    per_vector = []
-    for i in range(kernel.shape[1]):
-        w = P_plus @ kernel[:, i]
-        proj = Q @ (Q.conj().T @ w)
-        per_vector.append(float(np.real(proj.conj() @ proj)))
+    W = connection_plus_matrix(asm0.config, A) @ kernel
+    width = asm0.xminus.shape[1] // len(asm0.config.modes)
+    sq = np.zeros(kernel.shape[1])
+    for modes, V in _block_kernels(asm0.config, asm0.xminus, 1e-10)[0]:
+        coords = V.conj().T @ W[_block_index(modes, width)]
+        sq += np.real(np.sum(coords.conj() * coords, axis=0))
+    per_vector = [float(x) for x in sq]
     return per_vector, float(sum(per_vector))
 
 
@@ -460,6 +558,9 @@ class ScanResult:
     lambda_dot_fit: float
     lambda_ddot_fit: float
     curvature_factor: float  # lambda_ddot_fit / (2 * predicted total)
+    blocks: int  # mode blocks of X+(s)
+    largest_block: tuple  # (rows, cols) of the largest block of X+(s)
+    window_margin: float  # min over the grid of |eigenvalue - radius| / radius
 
     def csv_rows(self):
         rows = ["s,lambda,kernel_dim,predicted_second_variation"]
@@ -467,6 +568,12 @@ class ScanResult:
         for s, lam, kd in zip(self.s_values, self.lambdas, self.kernel_dims):
             rows.append(f"{float(s)!r},{float(lam)!r},{int(kd)},{pred}")
         return rows
+
+
+def _gram_eigvalsh(stacks):
+    """Ascending eigenvalues of X^H X from stacks of the diagonal blocks of X."""
+    return np.sort(np.concatenate(
+        [np.linalg.eigvalsh(np.swapaxes(x.conj(), 1, 2) @ x).ravel() for x in stacks]))
 
 
 def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
@@ -479,10 +586,17 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
     estimates; the curvature factor against the predicted second
     variation settles the statement-vs-proof factor of two.  The window
     must hold exactly dim ker X+ at s = 0 eigenvalues at every grid point.
+
+    X+(s) = X+(conn0) + s P with P = connection_plus_matrix(A) is affine in
+    s, so it is assembled once; its eigenvalues come block by block over
+    the mode blocks of X+(conn0) and P together.
     """
     asm0 = assemble(config, conn0)
-    delta0 = (asm0.xplus.conj().T @ asm0.xplus).toarray()
-    evs0 = np.linalg.eigvalsh(delta0)
+    P = connection_plus_matrix(config, A)
+    groups = _mode_blocks(config, asm0.xplus, P)
+    X0 = _dense_blocks(config, asm0.xplus, groups)
+    dX = _dense_blocks(config, P, groups)
+    evs0 = _gram_eigvalsh(X0)
     ev_max = float(evs0[-1]) if len(evs0) else 1.0
     kernel_thresh = kernel_tol if kernel_tol is not None else max(1e-11, 1e-13 * ev_max)
     nonzero = evs0[evs0 > kernel_thresh]
@@ -507,11 +621,9 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
 
     lambdas = np.empty(len(s_values))
     kdims = np.empty(len(s_values), dtype=int)
+    margin = np.inf
     for i, s in enumerate(s_values):
-        conn_s = conn0.plus(A.scaled(s)) if conn0 is not None else A.scaled(s)
-        asm = assemble(config, conn_s)
-        delta = (asm.xplus.conj().T @ asm.xplus).toarray()
-        evs = np.linalg.eigvalsh(delta)
+        evs = _gram_eigvalsh([x0 + s * dx for x0, dx in zip(X0, dX)])
         inside = evs[evs < window_radius]
         if len(inside) != kernel0.dim:
             raise ValidationError(
@@ -520,13 +632,15 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
             )
         lambdas[i] = float(inside.sum())
         kdims[i] = int((evs < kernel_thresh).sum())
+        margin = min(margin, float(np.abs(evs - window_radius).min()) / window_radius)
 
     coef = np.polynomial.polynomial.polyfit(s_values, lambdas, min(4, len(s_values) - 1))
     lam_dot = float(coef[1])
     lam_ddot = float(2 * coef[2])
     factor = lam_ddot / (2 * predicted) if predicted > 0 else float("nan")
     return ScanResult(s_values, lambdas, kdims, predicted, float(window_radius),
-                      lam_dot, lam_ddot, factor)
+                      lam_dot, lam_ddot, factor, sum(len(g) for g in groups),
+                      X0[-1].shape[1:], margin)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,12 @@ class TestEject:
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert run(["torus-eject", "--config", str(eject_setup), "--out", str(out1)]) == 0
         assert run(["torus-eject", "--config", str(eject_setup), "--out", str(out2)]) == 0
-        assert read_data_lines(out1 / "eject.csv") == read_data_lines(out2 / "eject.csv")
+        first, second = ((out / "eject.csv").read_text().splitlines() for out in (out1, out2))
+        assert first[0].startswith("# timestamp:") and first[1:] == second[1:]
+        # K = 1 with support +-(0,1,0): nine lines of three modes, X+ blocks 9x3
+        assert "# blocks: 9 (largest 9x3)" in first
+        margin = [ln for ln in first if ln.startswith("# window_margin: ")]
+        assert len(margin) == 1 and 0 < float(margin[0].split(": ")[1]) <= 1
         rows = read_data_lines(out1 / "eject.csv")
         assert rows[0].strip() == "s,lambda,kernel_dim,predicted_second_variation"
         mid = rows[1 + 4].split(",")
@@ -231,6 +236,21 @@ class TestInputGuards:
         assert proc.returncode == 0
         assert "checks passed" in proc.stdout
 
+    def test_import_loads_no_dense_scipy_modules(self):
+        # scipy.sparse.csgraph pulls in scipy.sparse.linalg and scipy.linalg,
+        # a large share of the start-up time of every subcommand
+        import cktlab
+
+        src = os.path.dirname(os.path.dirname(cktlab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+        code = f"import sys, cktlab.cli; print([m for m in {heavy!r} if m in sys.modules])"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestDivtype:
     def test_dstar_table_entry(self, tmp_path, capsys):
@@ -274,6 +294,23 @@ class TestCommutator:
         A = textio.load_endo((tmp_path / "factor_A.endo").read_text())
         G = textio.load_endo((tmp_path / "factor_G.endo").read_text())
         assert np.abs(A @ G - G @ A - u).max() <= 1e-9
+
+
+    @pytest.mark.parametrize("source", ["random", "file"])
+    def test_failed_gate_writes_nothing(self, tmp_path, capsys, source):
+        # the residual (~1e-15) passes the factorization but not a 1e-19 gate
+        if source == "file":
+            (tmp_path / "u.endo").write_text(textio.dump_endo(1j * np.diag([1.0, -1.0])))
+            keys = f"input = {tmp_path / 'u.endo'}"
+        else:
+            keys = "r = 3\ncount = 2"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"[commutator]\n{keys}\n")
+        out = tmp_path / "out"
+        assert run(["commutator-factor", "--config", str(cfg), "--out", str(out),
+                    "--tol", "1e-20"]) == 3
+        assert "tag=non-convergence" in capsys.readouterr().err
+        assert not out.exists() or not os.listdir(out)
 
 
 class TestTorusCkt:

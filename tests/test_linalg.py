@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cktlab.errors import ConvergenceError
-from cktlab.linalg import nullspace
+from cktlab.linalg import block_nullspace, nullspace
 
 
 class TestNullspace:
@@ -61,6 +61,43 @@ class TestNullspace:
         M[0, 1] = bad
         with pytest.raises(ConvergenceError):
             nullspace(M, 1e-10)
+
+
+class TestBlockNullspace:
+    def test_cut_against_the_whole_matrix(self):
+        # 1e-11 is the largest singular value of its own block, but below
+        # 1e-10 times that of the whole matrix
+        kernels, s = block_nullspace([np.eye(2)[None], np.array([[[1e-11]]])], 1e-10)
+        assert [k.shape[1] for k in kernels] == [0, 1]
+        assert nullspace(np.array([[1e-11]]), 1e-10)[0].shape[1] == 0
+        assert np.array_equal(s, [1.0, 1.0, 1e-11])
+
+    def test_matches_the_assembled_matrix(self, rng):
+        # two stacks, blocks of rank 1 (tall), rank 0 and rank 2 (wide)
+        tall = np.stack([np.outer(rng.standard_normal(3), rng.standard_normal(2)),
+                         np.zeros((3, 2))])
+        wide = (rng.standard_normal((2, 2)) @ rng.standard_normal((2, 4)))[None]
+        kernels, s = block_nullspace([tall, wide], 1e-10)
+        blocks = [*tall, *wide]
+        dense = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+        full = np.zeros((dense.shape[1], 0))
+        r = c = 0
+        for b, k in zip(blocks, kernels):
+            dense[r:r + b.shape[0], c:c + b.shape[1]] = b
+            col = np.zeros((dense.shape[1], k.shape[1]))
+            col[c:c + b.shape[1]] = k
+            full = np.hstack([full, col])
+            r, c = r + b.shape[0], c + b.shape[1]
+        oracle, s_dense = nullspace(dense, 1e-10)
+        assert [k.shape[1] for k in kernels] == [1, 2, 2]
+        assert np.abs(full @ full.T - oracle @ oracle.T).max() < 1e-12
+        # the assembled matrix has two more singular values, both zero
+        assert len(s_dense) == len(s) + 2
+        assert np.abs(s_dense - np.append(s, [0.0, 0.0])).max() < 1e-12
+
+    def test_no_blocks(self):
+        kernels, s = block_nullspace([], 1e-10)
+        assert kernels == [] and len(s) == 0
 
 
 @st.composite

@@ -4,6 +4,7 @@ import pytest
 from cktlab import polyharm as ph
 from cktlab import torusmodel as tm
 from cktlab.errors import ValidationError
+from cktlab.linalg import nullspace
 from cktlab.torusmodel import FourierConnection, TorusConfig
 
 from conftest import random_skew_hermitian
@@ -279,6 +280,108 @@ class TestLambdaScan:
         with pytest.raises(ValidationError):
             tm.lambda_scan(EJECT_CFG, FourierConnection.zero(r=1), EJECT_A,
                            [0.0], window_radius=100.0)
+
+
+def dense_scan(cfg, conn0, A, grid):
+    """The ejection scan on dense matrices, reassembled at every grid point
+    with one SVD per kernel: the oracle of the block path.
+    Returns (lambdas, kernel dims, window radius, curvature factor)."""
+    asm0 = tm.assemble(cfg, conn0)
+    X0 = asm0.xplus.toarray()
+    evs0 = np.linalg.eigvalsh(X0.conj().T @ X0)
+    thresh = max(1e-11, 1e-13 * evs0[-1])
+    radius = evs0[evs0 > thresh].min() / 2
+    zero_modes = nullspace(X0, 1e-10)[0]
+    ker_minus = nullspace(asm0.xminus.toarray(), 1e-10)[0]
+    W = tm.connection_plus_matrix(cfg, A) @ zero_modes
+    predicted = np.linalg.norm(ker_minus.conj().T @ W) ** 2
+    lambdas, kdims = [], []
+    for s in grid:
+        X = tm.assemble(cfg, conn0.plus(A.scaled(s))).xplus.toarray()
+        evs = np.linalg.eigvalsh(X.conj().T @ X)
+        lambdas.append(evs[evs < radius].sum())
+        kdims.append(int((evs < thresh).sum()))
+    coef = np.polynomial.polynomial.polyfit(grid, lambdas, min(4, len(grid) - 1))
+    return np.array(lambdas), np.array(kdims), radius, coef[2] / predicted
+
+
+def three_axis_connection(n=3):
+    """cos(x_k) dx_{k+1} for every axis k: the supports couple all modes."""
+    conn = FourierConnection.zero(r=1, n=n)
+    for k in range(n):
+        q = tuple(int(i == k) for i in range(n))
+        conn = conn.plus(FourierConnection.cosine_mode(n, q, (k + 1) % n,
+                                                       (0.3 + 0.1 * k) * 1j * np.eye(1)))
+    return conn
+
+
+ENDO_A = FourierConnection.cosine_mode(3, (0, 1, 0), 0, np.array([[0.4j, 0.1], [-0.1, -0.4j]]))
+
+# (config, conn0, A, number of mode blocks of X+(s))
+BLOCK_CASES = {
+    "eject": (TorusConfig(3, 3, 0, 1), FourierConnection.zero(r=1, n=3),
+              FourierConnection.cosine_mode(3, (0, 1, 0), 0, 0.5j * np.eye(1)), 49),
+    "one-block": (TorusConfig(3, 1, 2, 1), FourierConnection.zero(r=1, n=3),
+                  three_axis_connection(), 1),
+    "endomorphism": (TorusConfig(3, 1, 0, 2, "endomorphism"), FourierConnection.zero(r=2, n=3),
+                     ENDO_A, 9),
+    # conn0 couples along axis 0 and A along axis 1: the blocks are planes,
+    # and blocks taken from either support alone would be lines
+    "conn0-other-support": (TorusConfig(3, 1, 0, 2, "endomorphism"),
+                            FourierConnection.cosine_mode(3, (1, 0, 0), 1,
+                                                          np.diag([0.3j, -0.2j])),
+                            ENDO_A, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+class TestBlockPathAgainstDense:
+    def test_scan(self, case):
+        cfg, conn0, A, nblocks = BLOCK_CASES[case]
+        grid = np.linspace(-0.08, 0.08, 7)
+        res = tm.lambda_scan(cfg, conn0, A, grid)
+        lambdas, kdims, radius, factor = dense_scan(cfg, conn0, A, grid)
+        assert np.abs(res.lambdas - lambdas).max() <= 1e-12
+        assert np.array_equal(res.kernel_dims, kdims)
+        assert res.window_radius == pytest.approx(radius, rel=1e-12)
+        assert abs(res.curvature_factor - factor) <= 1e-8
+        assert res.blocks == nblocks
+        if not conn0.coeffs:
+            # the zero modes are exactly zero columns of X+(0)
+            assert res.lambdas[3] == 0.0
+
+    def test_kernel_projectors(self, case):
+        cfg, conn0, _, _ = BLOCK_CASES[case]
+        asm = tm.assemble(cfg, conn0)
+        for block, mat in ((tm.ckt_kernel(asm).vectors, asm.xplus),
+                           (tm.xminus_kernel_basis(asm), asm.xminus)):
+            dense = nullspace(mat.toarray(), 1e-10)[0]
+            assert block.shape == dense.shape
+            diff = block @ block.conj().T - dense @ dense.conj().T
+            assert np.abs(diff).max() <= 1e-12
+
+
+def test_kernel_vectors_stay_in_one_block():
+    # conn0 couples along axis 0 only: each zero mode lives on one line of
+    # modes, and mode_support names exactly the modes carrying its mass
+    cfg, conn0, _, _ = BLOCK_CASES["conn0-other-support"]
+    rep = tm.ckt_kernel(tm.assemble(cfg, conn0))
+    modes = tm.mode_list(3, 1)
+    mass = np.linalg.norm(rep.vectors.reshape(len(modes), cfg.fdim, rep.dim), axis=1)
+    for i, sup in enumerate(rep.mode_support):
+        assert sup == [modes[j] for j in np.nonzero(mass[:, i] > 1e-8)[0]]
+        assert len({(k[1], k[2]) for k in sup}) == 1
+
+
+def test_large_box_scan():
+    # n = 3, K = 6, m = 0: dimension 2197, beyond what the dense path is fit for
+    A = FourierConnection.cosine_mode(3, (0, 1, 0), 0, 0.5j * np.eye(1))
+    res = tm.lambda_scan(TorusConfig(3, 6, 0, 1), FourierConnection.zero(r=1, n=3), A,
+                         np.linspace(-0.1, 0.1, 9))
+    assert res.kernel_dims[4] == 1
+    assert all(kd == 0 for i, kd in enumerate(res.kernel_dims) if i != 4)
+    assert res.curvature_factor == pytest.approx(1.0, abs=0.05)
+    assert res.blocks == 169 and res.largest_block == (39, 13)
 
 
 class TestGenerator:

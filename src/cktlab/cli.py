@@ -367,6 +367,13 @@ def _selftest_impl(args):
     W = sp.spectral_window(X, 0.25)
     check("resolvent identities", sp.resolvent_identity_check(W) <= 1e-9)
     check("pi operator vanishes", np.abs(sp.pi_operator(W)).max() <= 1e-10)
+    M = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    P_A = (M - M.conj().T) / 2
+    Xp = X + 0.05 * P_A / np.linalg.norm(P_A, 2)
+    evals = np.linalg.eigvals(Xp)
+    enclosed = evals[np.abs(evals) < 0.25].sum()
+    check("cluster sum matches the enclosed eigenvalue sum",
+          abs(sp.cluster_sum(Xp, 0.25) + enclosed) <= 1e-10)
 
     conn = tm.FourierConnection.constant(
         3, [np.diag([1j, 2j]), np.zeros((2, 2)), np.zeros((2, 2))])

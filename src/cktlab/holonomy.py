@@ -5,6 +5,9 @@ straight line x(t) = x0 + t v with classical fourth-order steps, run
 again at half the step size for an error estimate.  All geodesics of a
 probe are integrated together on a (G, r, r) array: Gamma along each is
 a phase-weighted sum of precomputed per-direction mode matrices.  The
+ODE is linear, so each RK4 step is a fixed matrix polynomial in Gamma
+at the step's stage times; the steps are built as such propagators a
+chunk at a time and multiplied together before they act on C.  The
 opacity probe transports a seeded family of segments from a common base
 point, reports the largest error estimate and unitarity defect among
 them, extracts the (numerical) commutant of the transport set, and
@@ -66,14 +69,23 @@ class TransportResult:
     error_estimate: float
 
 
+# RK4 steps per batch of step propagators: one chunk holds (G, chunk, r, r)
+# propagators and the Gamma values at its 2 * chunk + 1 stage times
+_STEP_CHUNK = 32
+
+
 def _transport_rk4(conn, x0, V, length, steps):
     """Classical RK4 for C_g' = -Gamma_{x0 + t v_g}(v_g) C_g, every row v_g of V at once.
 
-    With A_{g,q} = sum_j v_{g,j} hat(Gamma)_{q,j} precomputed, Gamma along
-    geodesic g at time t is sum_q exp(i q.(x0 + t v_g)) A_{g,q}: one phase
-    array and one einsum over the support per stage time (the two middle
-    stages share theirs, each step's last is the next step's first).
-    Returns (G, r, r).
+    The ODE is linear, so one step is C <- R C with the step propagator
+    R = 1 + h/6 (K1 + 2 K2 + 2 K3 + K4), where K1 = G0, K2 = Gm (1 + h/2 K1),
+    K3 = Gm (1 + h/2 K2), K4 = G1 (1 + h K3) and G0, Gm, G1 are -Gamma at
+    the step's start, midpoint and end.  With A_{g,q} = sum_j v_{g,j}
+    hat(Gamma)_{q,j} precomputed, Gamma along geodesic g at time t is
+    sum_q exp(i q.(x0 + t v_g)) A_{g,q}.  The steps go in chunks of
+    _STEP_CHUNK: one einsum gives Gamma at all stage times of the chunk,
+    batched matmuls its step propagators, and a pairwise product reduces
+    them to one matrix, applied to C.  Returns (G, r, r).
     """
     r = conn.r
     C = np.broadcast_to(np.eye(r, dtype=complex), (len(V), r, r)).copy()
@@ -83,22 +95,25 @@ def _transport_rk4(conn, x0, V, length, steps):
     A = np.einsum("gj,qjab->gqab", V, np.array(list(conn.coeffs.values())))
     base = q @ x0  # (Q,)
     rate = V @ q.T  # (G, Q)
-
-    def gamma(t):
-        return np.einsum("gq,gqab->gab", np.exp(1j * (base + t * rate)), A)
+    eye = np.eye(r)
 
     h = length / steps
-    t = 0.0
-    g0 = gamma(t)
-    for _ in range(steps):
-        g_mid, g1 = gamma(t + h / 2), gamma(t + h)
-        k1 = -g0 @ C
-        k2 = -g_mid @ (C + h / 2 * k1)
-        k3 = -g_mid @ (C + h / 2 * k2)
-        k4 = -g1 @ (C + h * k3)
-        C = C + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-        g0 = g1
+    for start in range(0, steps, _STEP_CHUNK):
+        count = min(_STEP_CHUNK, steps - start)
+        t = (start + np.arange(2 * count + 1) / 2) * h  # step starts, midpoints and ends
+        phase = np.exp(1j * (base + t[:, None, None] * rate))  # (T, G, Q)
+        G = -np.einsum("tgq,gqab->gtab", phase, A)  # (G, T, r, r)
+        G0, Gm, G1 = G[:, 0:-1:2], G[:, 1::2], G[:, 2::2]
+        K1 = G0
+        K2 = Gm + h / 2 * (Gm @ K1)
+        K3 = Gm + h / 2 * (Gm @ K2)
+        K4 = G1 + h * (G1 @ K3)
+        R = eye + h / 6 * (K1 + 2 * K2 + 2 * K3 + K4)  # (G, count, r, r)
+        while R.shape[1] > 1:  # R_{count-1} ... R_1 R_0, pairwise
+            half = R.shape[1] // 2
+            pairs = R[:, 1:2 * half:2] @ R[:, 0:2 * half:2]
+            R = np.concatenate([pairs, R[:, 2 * half:]], axis=1)
+        C = R[:, 0] @ C
     return C
 
 

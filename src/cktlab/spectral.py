@@ -10,6 +10,14 @@ the endpoint nodes radius exp(2 pi i k / N), which nest under doubling:
 each refinement inverts only the N/2 new nodes, a few at a time as one
 stacked inverse, and adds them to a running sum.
 
+Cluster sums need only the trace of the resolvent, not the resolvent
+itself.  They reduce each matrix once to upper Hessenberg form H (a
+unitary similarity, so traces of resolvents are unchanged) and take
+Tr (H + z)^{-1} = d/dz log det(H + z) from a pivoted LU of the shifted
+Hessenberg matrix that carries the z-derivative along: O(n^2) work per
+node instead of a dense O(n^3) inverse, batched over a stack of
+matrices and the nodes of a level.
+
 The window radius must isolate the cluster at 0: the quadrature for the
 Laurent constant term reads off the residue at z = 0 and is only the
 reduced resolvent when no other eigenvalue sits inside the circle.
@@ -76,24 +84,32 @@ def _check_radius(radius):
         raise ValidationError(f"contour radius must be finite and > 0, got {radius}")
 
 
-def _trapezoid_levels(radius, group_sum, max_nodes=1 << 15):
-    """Yield (N, mean of the integrand over the N endpoint nodes), N = 16, 32, ...
+def _endpoint_levels(radius, max_nodes):
+    """Yield (N, the nodes level N adds), N = 16, 32, ... up to max_nodes.
 
-    The nodes z_k = radius exp(2 pi i k / N) nest under doubling, so each
-    level evaluates only the N/2 nodes the previous level lacks (odd k) and
-    adds them to a running sum.  group_sum(z) returns the integrand summed
-    over a 1-d array z of at most _NODE_GROUP nodes.
+    The nodes z_k = radius exp(2 pi i k / N) nest under doubling: level 16
+    adds all 16, every later level only the N/2 odd k the previous lacks.
     """
     N = 16
     k = np.arange(N)
-    total = 0.0
     while N <= max_nodes:
-        zs = radius * np.exp(2j * math.pi * k / N)
+        yield N, radius * np.exp(2j * math.pi * k / N)
+        N *= 2
+        k = np.arange(1, N, 2)
+
+
+def _trapezoid_levels(radius, group_sum, max_nodes=1 << 15):
+    """Yield (N, mean of the integrand over the N endpoint nodes), N = 16, 32, ...
+
+    Each level evaluates only the nodes it adds and adds them to a running
+    sum.  group_sum(z) returns the integrand summed over a 1-d array z of
+    at most _NODE_GROUP nodes.
+    """
+    total = 0.0
+    for N, zs in _endpoint_levels(radius, max_nodes):
         for i in range(0, len(zs), _NODE_GROUP):
             total = total + group_sum(zs[i:i + _NODE_GROUP])
         yield N, total / N
-        N *= 2
-        k = np.arange(1, N, 2)
 
 
 def _window_group_sum(X):
@@ -209,39 +225,160 @@ def pi_operator(W: SpectralWindow) -> np.ndarray:
     return W.r0_plus + W.r0_minus
 
 
-def _contour_trace(X, radius, sign, tol=1e-12):
-    """(1/2 pi i) contour integral of Tr[z * resolvent(z)] dz.
+def _hessenberg(Xs):
+    """Upper Hessenberg forms Q^H X Q of a (B, n, n) stack by Householder reflections.
 
-    sign=+1 uses (X + z)^{-1} (value -sum of enclosed eigenvalues of X),
-    sign=-1 uses (z - X)^{-1} (value +sum of enclosed eigenvalues).
+    Column k's entries below the subdiagonal are reflected onto the
+    subdiagonal, for every matrix of the stack at once; the similarity is
+    unitary, so traces, norms and spectra are those of X.
+    """
+    H = np.array(Xs, dtype=complex)
+    n = H.shape[-1]
+    for k in range(n - 2):
+        x = H[:, k + 1:, k]
+        norm = np.linalg.norm(x, axis=1)
+        mag = np.abs(x[:, 0])
+        # v = x + e^{i arg x_0} |x| e_1 reflects x to -e^{i arg x_0} |x| e_1
+        phase = np.where(mag > 0, x[:, 0] / np.where(mag > 0, mag, 1), 1)
+        v = x.copy()
+        v[:, 0] += phase * norm
+        vv = 2 * norm * (norm + mag)  # |v|^2
+        tau = np.where(vv > 0, 2 / np.where(vv > 0, vv, 1), 0)
+        w = tau[:, None] * (v.conj()[:, None, :] @ H[:, k + 1:, k:])[:, 0]
+        H[:, k + 1:, k:] -= v[:, :, None] * w[:, None, :]
+        u = tau[:, None] * (H[:, :, k + 1:] @ v[:, :, None])[:, :, 0]
+        H[:, :, k + 1:] -= u[:, :, None] * v.conj()[:, None, :]
+        H[:, k + 2:, k] = 0
+    return H
+
+
+def _hessenberg_traces(H, z):
+    """Tr (H_b + z_j)^{-1} for a (B, n, n) stack of upper Hessenberg H and nodes z.
+
+    Gaussian elimination of H + z needs only the current row and the next
+    row of H, pivoting between the two (adjacent-row partial pivoting);
+    each new row is carried with its z-derivative, so the diagonal u_kk
+    of U comes with u'_kk and Tr (H + z)^{-1} = d/dz log det = sum_k
+    u'_kk / u_kk.  Vectorised over (B, m): n steps of O(B m n) work, on
+    rows stored column-major as (n - k, B, m) so each step's updates run
+    over contiguous (B, m) slabs.
+
+    A shift singular to working precision (a pivot at most
+    n eps (|H_b|_F + |z|)) gets nan: its trace carries no digits.
+    Returns (B, m).
+    """
+    B, n, _ = H.shape
+    z = np.asarray(z, dtype=complex)
+    m = len(z)
+    if n == 0:
+        return np.zeros((B, m), dtype=complex)
+    Ht = H.transpose(1, 2, 0)[..., None]  # (n, n, B, 1)
+    sub = np.diagonal(H, -1, 1, 2).T[:, :, None]  # (n - 1, B, 1), free of z
+    abs_sub = np.abs(sub)
+    floor = n * np.finfo(float).eps * (np.linalg.norm(H, axis=(1, 2))[:, None] + np.abs(z))
+    cur = Ht[0] + np.zeros((n, B, m))  # current row of H + z, columns k..n-1
+    cur[0] += z
+    dcur = np.zeros_like(cur)  # its z-derivative
+    dcur[0] = 1
+    tr = np.zeros((B, m), dtype=complex)
+    least = np.full((B, m), np.inf)  # smallest |pivot|
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n - 1):
+            a, da = cur[0], dcur[0]
+            b = sub[k]  # the next row's entry in column k
+            abs_a = np.abs(a)
+            swap = abs_sub[k] > abs_a
+            least = np.minimum(least, np.maximum(abs_a, abs_sub[k]))
+            # pivot p and multiplier l; the next row's pivot entry is constant in z
+            p = np.where(swap, b, a)
+            dp = np.where(swap, 0, da)
+            l = np.where(swap, a, b) / p
+            dl = (da - dp - l * dp) / p
+            tr += dp / p
+            # new row = c1 * (current row) + c2 * (next row), past column k
+            c1 = np.where(swap, 1, -l)
+            c2 = np.where(swap, -l, 1)
+            dc1 = np.where(swap, 0, -dl)
+            dc2 = np.where(swap, -dl, 0)
+            row = Ht[k + 1, k + 1:]
+            new = c1 * cur[1:]
+            new += c2 * row
+            new[0] += c2 * z
+            dnew = c1 * dcur[1:]
+            dnew += dc1 * cur[1:]
+            dnew += dc2 * row
+            dnew[0] += dc2 * z + c2
+            cur, dcur = new, dnew
+        tr += dcur[0] / cur[0]
+    least = np.minimum(least, np.abs(cur[0]))
+    tr[~(least > floor)] = np.nan
+    return tr
+
+
+# complex entries B * m * n of the working rows of one _hessenberg_traces call
+_TRACE_BUDGET = 1 << 12
+
+
+def _cluster_sums(Xs, radius, tol=1e-12, max_nodes=1 << 15):
+    """(1/2 pi i) contour integral of Tr[z (X_b + z)^{-1}] dz for each X_b of a stack.
+
+    The value is minus the sum of the eigenvalues of X_b inside the
+    circle.  Every matrix walks the nested endpoint levels N = 16, 32, ...
+    and returns its mean of z^2 Tr (X_b + z)^{-1} over the N nodes at the
+    first level within tol * max(1, |value|) of the previous one; a
+    converged matrix drops out of later levels.  Each level's new nodes
+    go through _hessenberg_traces in chunks of at most _TRACE_BUDGET
+    working entries.  Returns (B,).
     """
     _check_radius(radius)
-    X = np.asarray(X, dtype=complex)
-    eye = np.eye(X.shape[0])
-
-    def group_sum(z):
-        A = z[:, None, None] * eye
-        A = A + X if sign > 0 else A - X
+    Xs = np.asarray(Xs, dtype=complex)
+    if Xs.ndim != 3 or Xs.shape[1] != Xs.shape[2]:
+        raise ValidationError("matrix must be square")
+    if not np.isfinite(Xs).all():
+        raise ValidationError("matrix entries must be finite")
+    H = _hessenberg(Xs)
+    n = H.shape[1]
+    total = np.zeros(len(H), dtype=complex)
+    prev = np.zeros_like(total)
+    out = np.zeros_like(total)
+    active = np.arange(len(H))
+    for N, zs in _endpoint_levels(radius, max_nodes):
+        Ha = H[active]
+        step = max(1, _TRACE_BUDGET // max(1, len(active) * n))
+        tr = np.concatenate([_hessenberg_traces(Ha, zs[i:i + step])
+                             for i in range(0, len(zs), step)], axis=1)
+        bad = ~np.isfinite(tr)
+        if bad.any():
+            node = zs[np.nonzero(bad)[1][0]]
+            raise ValidationError(
+                f"contour |z| = {radius} passes through the spectrum; "
+                f"singular resolvent at node {node}"
+            )
         # integrand Tr[z (resolvent)] times the dz = i z dtheta weight
-        return (z * z * np.trace(np.linalg.inv(A), axis1=1, axis2=2)).sum()
-
-    prev = None
-    for _, val in _trapezoid_levels(radius, group_sum):
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            return val
-        prev = val
+        total[active] += tr @ (zs * zs)
+        vals = total[active] / N
+        done = np.zeros(len(active), dtype=bool)
+        if N > 16:
+            done = np.abs(vals - prev[active]) <= tol * np.maximum(1.0, np.abs(vals))
+            out[active[done]] = vals[done]
+        prev[active] = vals
+        active = active[~done]
+        if len(active) == 0:
+            return out
     raise ConvergenceError("cluster-sum quadrature did not converge")
 
 
 def cluster_sum(X, radius, tol=1e-12) -> complex:
     """lambda^+ = -Tr(X Pi) = sum of the eigenvalues of -X inside the window,
     computed as the trace of the contour integral of z (X+z)^{-1}."""
-    return _contour_trace(X, radius, +1, tol)
+    return _cluster_sums(np.asarray(X, dtype=complex)[None], radius, tol)[0]
 
 
 def cluster_sum_minus(X, radius, tol=1e-12) -> complex:
-    """lambda^- = Tr(X Pi_minus), the other resolvent convention."""
-    return _contour_trace(X, radius, -1, tol)
+    """lambda^- = Tr(X Pi_minus), the other resolvent convention.
+
+    (z - X)^{-1} = (-X + z)^{-1}, so this is the cluster sum of -X."""
+    return _cluster_sums(-np.asarray(X, dtype=complex)[None], radius, tol)[0]
 
 
 def lambda_derivatives(W: SpectralWindow, P_A, fd_step=None):
@@ -273,28 +410,28 @@ def lambda_derivatives(W: SpectralWindow, P_A, fd_step=None):
                 "eigenvalue cluster leaves the contour inside the fd stencil; "
                 "reduce fd_step or enlarge the window"
             )
-    lam = {s: cluster_sum(X + s * P_A, radius) for s in
-           (-2 * h, -h, 0.0, h, 2 * h)}
-    dot_fd = (-lam[2 * h] + 8 * lam[h] - 8 * lam[-h] + lam[-2 * h]) / (12 * h)
-    ddot_fd = (
-        -lam[2 * h] + 16 * lam[h] - 30 * lam[0.0] + 16 * lam[-h] - lam[-2 * h]
-    ) / (12 * h * h)
+    lm2, lm1, l0, lp1, lp2 = _cluster_sums(
+        np.stack([X + s * P_A for s in (-2 * h, -h, 0.0, h, 2 * h)]), radius)
+    dot_fd = (-lp2 + 8 * lp1 - 8 * lm1 + lm2) / (12 * h)
+    ddot_fd = (-lp2 + 16 * lp1 - 30 * l0 + 16 * lm1 - lm2) / (12 * h * h)
     return dot_closed, ddot_closed, dot_fd, ddot_fd
 
 
 def conjugation_check(X, P_A, s_grid, radius=None) -> float:
-    """max_s |conj(lambda_s^-) - lambda_s^+| over the grid."""
+    """max_s |conj(lambda_s^-) - lambda_s^+| over the grid.
+
+    Both conventions at every grid point are one batched quadrature:
+    lambda^+ from X_s = X + s P_A, lambda^- from -X_s.
+    """
     X = np.asarray(X, dtype=complex)
     P_A = np.asarray(P_A, dtype=complex)
     if radius is None:
         radius = default_window_radius(X)
-    worst = 0.0
-    for s in s_grid:
-        Xs = X + s * P_A
-        lp = cluster_sum(Xs, radius)
-        lm = cluster_sum_minus(Xs, radius)
-        worst = max(worst, abs(np.conj(lm) - lp))
-    return worst
+    s = np.asarray(list(s_grid)).reshape(-1, 1, 1)
+    Xs = X + s * P_A
+    sums = _cluster_sums(np.concatenate([Xs, -Xs]), radius)
+    lam_plus, lam_minus = sums[:len(Xs)], sums[len(Xs):]
+    return float(np.abs(np.conj(lam_minus) - lam_plus).max(initial=0.0))
 
 
 def random_skew_adjoint_with_kernel(rng, dim, kernel_dim, gap=0.5, spread=5.0):

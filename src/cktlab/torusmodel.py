@@ -532,13 +532,18 @@ def second_variation_predict(asm0: TorusAssembly, A: FourierConnection, kernel) 
     Reported without the statement-vs-proof constant: lambda_scan's fit
     decides whether the curvature is 1 or 2 times this total.
     """
+    return _second_variation(asm0, connection_plus_matrix(asm0.config, A), kernel)
+
+
+def _second_variation(asm0: TorusAssembly, P, kernel) -> tuple:
+    """second_variation_predict with the perturbed raising P = connection_plus_matrix(A)."""
     kernel = np.asarray(kernel)
     if kernel.ndim == 1:
         kernel = kernel[:, None]
     gram = kernel.conj().T @ kernel
     if np.abs(gram - np.eye(kernel.shape[1])).max() > 1e-8:
         raise ValidationError("kernel basis must be orthonormal")
-    W = connection_plus_matrix(asm0.config, A) @ kernel
+    W = P @ kernel
     width = asm0.xminus.shape[1] // len(asm0.config.modes)
     sq = np.zeros(kernel.shape[1])
     for modes, V in _block_kernels(asm0.config, asm0.xminus, 1e-10)[0]:
@@ -617,7 +622,7 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
                               "a second derivative")
 
     kernel0 = ckt_kernel(asm0)
-    _, predicted = second_variation_predict(asm0, A, kernel0.vectors)
+    _, predicted = _second_variation(asm0, P, kernel0.vectors)
 
     lambdas = np.empty(len(s_values))
     kdims = np.empty(len(s_values), dtype=int)

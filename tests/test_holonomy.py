@@ -95,6 +95,26 @@ def _rk4_pointwise(conn, x0, v, T, steps):
     return C
 
 
+def _rk4_steps(conn, x0, V, T, steps):
+    """Step-by-step batched RK4 reference: Gamma at each stage time, one step at a time."""
+    C = np.broadcast_to(np.eye(conn.r, dtype=complex), (len(V), conn.r, conn.r)).copy()
+    q = np.array(list(conn.coeffs), dtype=float)
+    A = np.einsum("gj,qjab->gqab", V, np.array(list(conn.coeffs.values())))
+
+    def gamma(t):
+        return np.einsum("gq,gqab->gab", np.exp(1j * (q @ x0 + t * V @ q.T)), A)
+
+    h = T / steps
+    for i in range(steps):
+        t = i * h
+        k1 = -gamma(t) @ C
+        k2 = -gamma(t + h / 2) @ (C + h / 2 * k1)
+        k3 = -gamma(t + h / 2) @ (C + h / 2 * k2)
+        k4 = -gamma(t + h) @ (C + h * k3)
+        C = C + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return C
+
+
 class TestBatchedTransport:
     # four modes (two cosines) and four directions: an einsum that mixed the
     # geodesic and the support index would still have matching shapes
@@ -116,6 +136,15 @@ class TestBatchedTransport:
             assert np.abs(C[g] - _rk4_pointwise(self.CONN, x0, v, T, 2 * steps)).max() <= 1e-12
         # the geodesics differ, so a row mix-up cannot pass by symmetry
         assert min(np.abs(C[g] - C[h]).max() for g in range(4) for h in range(g)) > 1e-3
+
+    @pytest.mark.parametrize("steps", [1, 5, 32, 64, 70, 257])
+    def test_step_propagators_match_step_loop(self, rng, steps):
+        # chunks of step propagators, a short last chunk included, against
+        # applying every RK4 step to C in turn
+        x0 = rng.uniform(0, 2 * np.pi, 3)
+        V = np.array([unit(rng.standard_normal(3)) for _ in range(3)])
+        C = ho._transport_rk4(self.CONN, x0, V, 3.0, steps)
+        assert np.abs(C - _rk4_steps(self.CONN, x0, V, 3.0, steps)).max() <= 1e-13
 
 
 class TestInvarianceDefect:

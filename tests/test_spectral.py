@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cktlab import spectral as sp
-from cktlab.errors import ValidationError
+from cktlab.errors import ConvergenceError, ValidationError
 
 from conftest import random_skew_hermitian
 
@@ -266,6 +268,120 @@ class TestNestedNodes:
         assert abs(sp.cluster_sum(X, radius) - val) <= 1e-13
 
 
+@st.composite
+def hessenberg_cases(draw, hessenberg=True):
+    """A (B, n, n) stack of random non-normal complex matrices and nodes z.
+
+    Zero diagonals and zeroed subdiagonal entries force both pivot
+    choices of the shifted Hessenberg elimination (and its no-op steps).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, B, m = draw(st.integers(1, 12)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    M = rng.standard_normal((B, n, n)) + 1j * rng.standard_normal((B, n, n))
+    if hessenberg:
+        M = np.triu(M, -1)
+    if draw(st.booleans()):
+        M[:, np.arange(n), np.arange(n)] = 0
+    if n > 1 and draw(st.booleans()):
+        k = rng.integers(0, n - 1, size=int(rng.integers(1, n)))
+        M[:, k + 1, k] = 0
+    scale = draw(st.sampled_from([0.0, 0.01, 0.3, 1.0, 3.0]))
+    z = scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    return M, z
+
+
+class TestHessenbergTraces:
+    @settings(deadline=None, max_examples=150)
+    @given(hessenberg_cases(hessenberg=False))
+    def test_hessenberg_is_unitary_reduction(self, case):
+        X, _ = case
+        H = sp._hessenberg(X)
+        assert not np.tril(H, -2).any()
+        scale = max(1.0, float(np.abs(X).max()))
+        trace = np.trace(H, axis1=1, axis2=2) - np.trace(X, axis1=1, axis2=2)
+        assert np.abs(trace).max() <= 1e-13 * scale * X.shape[1]
+        frob = np.linalg.norm(H, axis=(1, 2)) - np.linalg.norm(X, axis=(1, 2))
+        assert np.abs(frob).max() <= 1e-13 * scale * X.shape[1]
+
+    @settings(deadline=None, max_examples=300)
+    @given(hessenberg_cases())
+    def test_traces_match_dense_inverse(self, case):
+        H, z = case
+        A = H[:, None] + z[None, :, None, None] * np.eye(H.shape[1])
+        assume(np.linalg.cond(A).max() < 1e10)
+        inv = np.linalg.inv(A)
+        got = sp._hessenberg_traces(H, z)
+        want = np.trace(inv, axis1=2, axis2=3)
+        # relative to |(H + z)^{-1}|_F, the scale of the trace's terms
+        assert (np.abs(got - want) <= 1e-12 * np.linalg.norm(inv, axis=(2, 3))).all()
+
+    def test_singular_shift_is_nan(self):
+        H = np.array([[[0.0, 1.0], [0.0, 0.3]]], dtype=complex)
+        tr = sp._hessenberg_traces(H, np.array([0.0, -0.3, 1.0]))
+        assert np.isnan(tr[0, :2]).all()
+        assert tr[0, 2] == pytest.approx(1 / 1.0 + 1 / 1.3, rel=1e-14)
+
+
+class TestBatchedClusterSums:
+    RADIUS = 0.3
+
+    @staticmethod
+    def _matrix(rng, outer):
+        """Skew-adjoint 8x8: two eigenvalues near 0, the rest at |lambda| >= outer."""
+        evals = 1j * np.concatenate([[0.0, 0.02], outer * np.array([1, -1, 1.5, -2, 3, -4])])
+        Q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        return (Q * evals) @ Q.conj().T
+
+    def test_each_matrix_keeps_its_own_level(self, rng):
+        fast, slow = self._matrix(rng, 0.8), self._matrix(rng, 0.4)
+        for X, N in ((fast, 64), (slow, 128)):
+            with pytest.raises(ConvergenceError):
+                sp._cluster_sums(X[None], self.RADIUS, max_nodes=N // 2)
+            sp._cluster_sums(X[None], self.RADIUS, max_nodes=N)
+        batch = sp._cluster_sums(np.stack([fast, slow, fast]), self.RADIUS)
+        single = [sp.cluster_sum(X, self.RADIUS) for X in (fast, slow, fast)]
+        assert np.abs(batch - single).max() <= 1e-15
+        evals = np.linalg.eigvals(slow)
+        assert abs(batch[1] + evals[np.abs(evals) < self.RADIUS].sum()) <= 1e-12
+
+    def test_fd_sums_invert_nothing(self, rng, monkeypatch):
+        X = sp.random_skew_adjoint_with_kernel(rng, 12, 2, gap=0.8, spread=4.0)
+        P_A = random_skew_hermitian(rng, 12)
+        W = sp.spectral_window(X, 0.3)
+
+        def no_inverse(a):
+            raise AssertionError("dense inverse in a cluster sum")
+
+        monkeypatch.setattr(np.linalg, "inv", no_inverse)
+        sp.lambda_derivatives(W, P_A)
+        sp.conjugation_check(X, 0.05 * P_A, np.linspace(-1, 1, 3), radius=0.3)
+
+    def test_empty_grid(self, rng):
+        X = sp.random_skew_adjoint_with_kernel(rng, 6, 1)
+        assert sp.conjugation_check(X, random_skew_hermitian(rng, 6), [], radius=0.3) == 0.0
+
+
+class TestContourThroughSpectrum:
+    # -0.3 is an eigenvalue of X: the plus convention's node z = 0.3 and the
+    # minus convention's node z = -0.3 (up to rounding) sit on the spectrum
+    X = np.diag([0.0, -0.3])
+
+    @pytest.mark.parametrize("call", [
+        lambda X: sp.cluster_sum(X, 0.3),
+        lambda X: sp.cluster_sum_minus(X, 0.3),
+        lambda X: sp.conjugation_check(X, np.eye(2), [0.0], radius=0.3),
+    ], ids=["plus", "minus", "conjugation"])
+    def test_rejected(self, call):
+        with pytest.raises(ValidationError, match="passes through the spectrum"):
+            call(self.X)
+
+    def test_rejected_at_size_40(self):
+        X = np.zeros((40, 40))
+        X[1, 1] = -0.3
+        with pytest.raises(ValidationError, match="passes through the spectrum"):
+            sp.cluster_sum_minus(X, 0.3)
+
+
 class TestWindowInputs:
     @pytest.mark.parametrize("radius", [-0.3, 0.0, np.nan, np.inf])
     def test_radius_finite_positive(self, rng, radius):
@@ -275,6 +391,20 @@ class TestWindowInputs:
                      lambda: sp.cluster_sum_minus(X, radius)):
             with pytest.raises(ValidationError, match="radius"):
                 call()
+
+    @pytest.mark.parametrize("X, match", [
+        (np.diag([0.0, np.nan]), "finite"),
+        (np.diag([0.0, np.inf]), "finite"),
+        (np.zeros((2, 3)), "square"),
+    ])
+    def test_cluster_sum_matrix_checked(self, X, match):
+        for call in (sp.cluster_sum, sp.cluster_sum_minus):
+            with pytest.raises(ValidationError, match=match):
+                call(X, 0.3)
+
+    def test_empty_matrix_encloses_nothing(self):
+        assert sp.cluster_sum(np.zeros((0, 0)), 0.3) == 0
+        assert sp.cluster_sum_minus(np.zeros((0, 0)), 0.3) == 0
 
     def test_negative_kernel_dim(self, rng):
         with pytest.raises(ValidationError, match="kernel_dim"):

@@ -227,6 +227,19 @@ class TestSecondVariation:
 
 
 class TestLambdaScan:
+    def test_perturbation_matrix_built_once(self, monkeypatch):
+        calls = []
+        build = tm.connection_plus_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(tm, "connection_plus_matrix", counted)
+        tm.lambda_scan(EJECT_CFG, FourierConnection.zero(r=1), EJECT_A,
+                       np.linspace(-0.1, 0.1, 5))
+        assert len(calls) == 1
+
     def test_zero_perturbation_flat(self):
         res = tm.lambda_scan(EJECT_CFG, FourierConnection.zero(r=1),
                              EJECT_A.scaled(0.0), np.linspace(-0.1, 0.1, 5))

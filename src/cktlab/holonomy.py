@@ -54,6 +54,8 @@ class GeodesicSegment:
     def __post_init__(self):
         x0 = np.asarray(self.x0, dtype=float)
         v = np.asarray(self.v, dtype=float)
+        if not (np.isfinite(x0).all() and np.isfinite(v).all()):
+            raise ValidationError("base point and direction must be finite")
         nrm = np.linalg.norm(v)
         if abs(nrm - 1.0) > 1e-12:
             raise ValidationError("direction must be a unit vector")
@@ -122,7 +124,7 @@ def _require_skew(conn, x0, V):
     ones = np.ones(len(x0))
     samples = [(x0 + (0.13 + 0.61 * i) * ones, v) for v in V for i in range(3)]
     defect = conn.pointwise_skew_defect(samples)
-    if defect > 1e-10:
+    if not defect <= 1e-10:  # a nan defect fails too
         raise ValidationError(
             f"connection is not skew-Hermitian (defect {defect:.2e}) "
             "but the unitary flag is set"
@@ -202,6 +204,8 @@ def invariance_defect(conn: FourierConnection, P, samples: int = 64,
     bundle (values: matrices or callables of v).  Vanishing defect is the
     flow-parallelism of the subbundle projector, i.e. invariance.
     """
+    if samples < 1:
+        raise ValidationError(f"need samples >= 1, got {samples}")
     field_modes = _projector_field(P)
     rng = np.random.default_rng(seed)
     n = n if n is not None else conn.n
@@ -327,6 +331,8 @@ def parallel_frame_check(config: TorusConfig, vectors, samples: int = 100,
     sample, plus the smallest singular value of the pointwise section
     matrix (>= 1e-6 for genuine kernel frames of a unitary generator).
     """
+    if samples < 1:
+        raise ValidationError(f"need samples >= 1, got {samples}")
     vectors = np.asarray(vectors)
     if vectors.ndim == 1:
         vectors = vectors[:, None]

@@ -23,8 +23,7 @@ from scipy.special import roots_jacobi
 from .connalg import FiberConnForm, TwistedHarmonic
 from .errors import ValidationError
 from .linalg import nullspace
-from .symtensor import SymTensor, contract, multiplicity, tracefree_basis
-from .polyharm import monomials
+from .symtensor import _contraction_matrices, _tracefree_contraction, _vectorize
 
 __all__ = [
     "SymbolFamily",
@@ -188,9 +187,17 @@ def _with_covector_dim(fn, n):
 
 
 @lru_cache(maxsize=None)
-def _full_sym_weights(n, m):
-    mono = monomials(n, m)
-    return mono, np.array([math.sqrt(multiplicity(t)) for t in mono])
+def _dstar_stack(n, m, model):
+    """The contractions with e_j, j < n, from degree m to degree m-1, as an
+    (n, rows, cols) stack in orthonormal bases of the model: symtensor's
+    trace-free bases for 'tracefree', the multiplicity basis scaled by
+    sqrt(mult) for 'full'."""
+    if model == "tracefree":
+        return _tracefree_contraction(n, m)
+    if model == "full":
+        lo, hi = (np.sqrt(_vectorize(n, k)[2]) for k in (m - 1, m))
+        return lo[:, None] * _contraction_matrices(n, m) / hi
+    raise ValidationError(f"unknown model {model!r}")
 
 
 def symbol_dstar(n: int, m: int, xi, model: str = "tracefree") -> np.ndarray:
@@ -200,46 +207,14 @@ def symbol_dstar(n: int, m: int, xi, model: str = "tracefree") -> np.ndarray:
     tensors on both sides (the model of the degree-m spherical
     harmonics); model='full' uses the weighted monomial basis of all
     symmetric tensors.  m = 0 gives the zero map to an empty codomain.
+    The matrix is -i sum_j xi_j C_j over the cached stack C of the model.
     """
-    xi = np.asarray(xi, dtype=float)
-    if m == 0:
-        dom = 1 if model != "tracefree" else len(tracefree_basis(n, 0))
-        return np.zeros((0, dom), dtype=complex)
-    if model == "tracefree":
-        dom = tracefree_basis(n, m)
-        cod = tracefree_basis(n, m - 1) if m >= 1 else ()
-        M = np.zeros((len(cod), len(dom)), dtype=complex)
-        for a, t in enumerate(dom):
-            ct = contract(t, xi) * (-1j)
-            # codomain basis is orthonormal and the contraction of a
-            # trace-free tensor is trace-free, so expanding is projecting
-            for b, w in enumerate(cod):
-                M[b, a] = ct.inner(w)
-        return M
-    if model == "full":
-        mono_d, wd = _full_sym_weights(n, m)
-        if m >= 1:
-            mono_c, wc = _full_sym_weights(n, m - 1)
-        else:
-            mono_c, wc = (), np.zeros(0)
-        index_c = {t: i for i, t in enumerate(mono_c)}
-        M = np.zeros((len(mono_c), len(mono_d)), dtype=complex)
-        for a, t in enumerate(mono_d):
-            ct = contract(SymTensor.basis_element(n, t), xi) * (-1j)
-            for tp, c in ct.coeffs.items():
-                M[index_c[tp], a] += c * wc[index_c[tp]] / wd[a]
-        return M
-    raise ValidationError(f"unknown model {model!r}")
+    return -1j * np.tensordot(np.asarray(xi, dtype=float), _dstar_stack(n, m, model), axes=1)
 
 
 def dstar_family(n: int, m: int, model: str = "tracefree") -> SymbolFamily:
     ev = _with_covector_dim(lambda xi: symbol_dstar(n, m, xi, model), n)
-    if model == "tracefree":
-        dom = len(tracefree_basis(n, m))
-        cod = len(tracefree_basis(n, m - 1)) if m >= 1 else 0
-    else:
-        dom = len(monomials(n, m))
-        cod = len(monomials(n, m - 1)) if m >= 1 else 0
+    cod, dom = _dstar_stack(n, m, model).shape[1:]
     return SymbolFamily(dom, cod, ev, name=f"dstar[{model}] n={n} m={m}")
 
 

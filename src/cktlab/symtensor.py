@@ -10,6 +10,12 @@ conj(w_Theta).
 The module provides symmetrization, trace, its adjoint (multiplication
 by the metric followed by symmetrization), trace-free projection, the
 degree-m polynomial correspondence, and first-slot contraction.
+
+The dict-based `SymTensor` arithmetic is the exact reference.  The
+numerical routes read coordinate matrices, cached per (n, m) in the
+lexicographic multiplicity order where the metric is diag(W), W the
+multiplicities: contraction with e_j, the symmetric product S(e_j tensor .),
+the trace, and the trace-free tensors as one W-orthonormal matrix V.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
+from .linalg import nullspace
 from .polyharm import HPoly, monomials
 
 __all__ = [
@@ -223,7 +230,10 @@ def from_poly(P: HPoly) -> SymTensor:
     )
 
 
+@lru_cache(maxsize=None)
 def _vectorize(n, m):
+    """(multiplicity vectors, their index, multiplicities W): the coordinates
+    of degree-m tensors, in which the tensor metric is diag(W)."""
     mono = monomials(n, m)
     index = {t: i for i, t in enumerate(mono)}
     weights = np.array([multiplicity(t) for t in mono], dtype=float)
@@ -244,59 +254,78 @@ def vec_to_tensor(n, m, v) -> SymTensor:
 
 
 @lru_cache(maxsize=None)
-def _jay_system(n, m):
-    """(J, J^H W, J^H W J) at degree m >= 2.
-
-    J holds jay of the degree-(m-2) elementary tensors as columns, J^H W
-    is its adjoint in the weighted coordinates and J^H W J the Gram
-    matrix of the range of jay.
-    """
-    mono_lo, _, _ = _vectorize(n, m - 2)
-    _, _, w_hi = _vectorize(n, m)
-    J = np.column_stack(
-        [tensor_to_vec(jay(SymTensor.basis_element(n, t))) for t in mono_lo]
-    )
-    JW = J.conj().T * w_hi
-    return J, JW, JW @ J
-
-
-def _tracefree_residual(n, m, vecs):
-    """Trace-free parts of the coordinate columns `vecs` of degree-m tensors."""
-    if m < 2:
-        return vecs
-    J, JW, gram = _jay_system(n, m)
-    return vecs - J @ np.linalg.solve(gram, JW @ vecs)
-
-
-def tracefree_project(T: SymTensor) -> SymTensor:
-    """Orthogonal projection onto trace-free symmetric tensors.
-
-    Solves the least-squares problem on the range of jay with its exact
-    Gram matrix (in the weighted coordinates), then subtracts; this keeps
-    the projector numerically self-adjoint.
-    """
-    if T.m < 2:
-        return T
-    return vec_to_tensor(T.n, T.m, _tracefree_residual(T.n, T.m, tensor_to_vec(T)))
+def _contraction_matrices(n, m):
+    """iota_j, j < n: contraction with e_j from degree m to m-1, an
+    (n, p_{m-1}, p_m) stack of 0/1 entries."""
+    _, rows, _ = _vectorize(n, m - 1)
+    cols = monomials(n, m)
+    out = np.zeros((n, len(rows), len(cols)))
+    for c, t in enumerate(cols):
+        for j in range(n):
+            if t[j]:
+                out[j, rows[t[:j] + (t[j] - 1,) + t[j + 1:]], c] = 1.0
+    return out
 
 
 @lru_cache(maxsize=None)
-def tracefree_basis(n: int, m: int) -> tuple[SymTensor, ...]:
-    """Orthonormal basis (tensor metric) of the trace-free symmetric m-tensors.
+def _sym_product_matrices(n, m):
+    """S(e_j tensor .), j < n, from degree m to m+1, an (n, p_{m+1}, p_m)
+    stack with entries mult(t)/mult(t + e_j)."""
+    _, rows, _ = _vectorize(n, m + 1)
+    cols = monomials(n, m)
+    out = np.zeros((n, len(rows), len(cols)))
+    for c, t in enumerate(cols):
+        for j in range(n):
+            tp = t[:j] + (t[j] + 1,) + t[j + 1:]
+            out[j, rows[tp], c] = multiplicity(t) / multiplicity(tp)
+    return out
 
-    Built independently of the harmonic-polynomial route: project the
-    elementary symmetrized tensors (all in one solve) and orthonormalize,
-    dropping numerically dependent vectors.
-    """
-    mono, _, w = _vectorize(n, m)
-    cols = _tracefree_residual(n, m, np.eye(len(mono), dtype=complex)).T
-    basis_vecs: list[np.ndarray] = []
-    for c in cols:
-        v = c.copy()
-        for _ in range(2):
-            for b in basis_vecs:
-                v = v - (b.conj() @ (w * v)) * b
-        nrm = math.sqrt(abs(v.conj() @ (w * v)))
-        if nrm > 1e-8:
-            basis_vecs.append(v / nrm)
-    return tuple(vec_to_tensor(n, m, v) for v in basis_vecs)
+
+@lru_cache(maxsize=None)
+def _trace_matrix(n, m):
+    """The trace from degree m to m-2: sum_j iota_j iota_j."""
+    return (_contraction_matrices(n, m - 1) @ _contraction_matrices(n, m)).sum(axis=0)
+
+
+@lru_cache(maxsize=None)
+def _tracefree_coords(n, m):
+    """V, with V^T W V = I: columns are an orthonormal basis of the
+    trace-free m-tensors, W^{-1/2} times the kernel of trace W^{-1/2} from
+    `linalg.nullspace` at rtol 1e-12 (W^{-1/2} itself for m < 2)."""
+    scale = 1 / np.sqrt(_vectorize(n, m)[2])
+    if m < 2:
+        return np.diag(scale)
+    return scale[:, None] * nullspace(_trace_matrix(n, m) * scale, 1e-12)[0]
+
+
+def _in_tracefree_bases(stack, n, m_out, m_in):
+    """V_out^T W_out X V_in for each map X of the stack: the trace-free
+    part of its image, in the orthonormal trace-free bases."""
+    V_out = _tracefree_coords(n, m_out)
+    return (V_out.T * _vectorize(n, m_out)[2]) @ stack @ _tracefree_coords(n, m_in)
+
+
+@lru_cache(maxsize=None)
+def _tracefree_contraction(n, m):
+    """(n, h_{m-1}, h_m) stack: contraction with e_j between the trace-free
+    bases, which it preserves."""
+    return _in_tracefree_bases(_contraction_matrices(n, m), n, m - 1, m)
+
+
+@lru_cache(maxsize=None)
+def _tracefree_sym_product(n, m):
+    """(n, h_{m+1}, h_m) stack: the trace-free part of S(e_j tensor .)."""
+    return _in_tracefree_bases(_sym_product_matrices(n, m), n, m + 1, m)
+
+
+def tracefree_project(T: SymTensor) -> SymTensor:
+    """Orthogonal projection onto trace-free symmetric tensors, V V^T W t."""
+    V = _tracefree_coords(T.n, T.m)
+    return vec_to_tensor(T.n, T.m, V @ (V.T @ (_vectorize(T.n, T.m)[2] * tensor_to_vec(T))))
+
+
+def tracefree_basis(n: int, m: int) -> tuple[SymTensor, ...]:
+    """Orthonormal basis (tensor metric) of the trace-free symmetric
+    m-tensors: the columns of V, built on each call.  It spans the kernel
+    of the trace, independently of the harmonic-polynomial route."""
+    return tuple(vec_to_tensor(n, m, v) for v in _tracefree_coords(n, m).T)

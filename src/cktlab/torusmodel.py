@@ -55,8 +55,9 @@ import scipy.sparse as sparse
 from .connalg import commutator_action_matrix, harmonic_mult_blocks
 from .errors import ConvergenceError, ValidationError
 from .linalg import block_nullspace
-from .polyharm import dims, harmonic_basis
-from .symtensor import contract, sym_mult_form, to_poly, tracefree_basis
+from .polyharm import _dual_matrix, dims, harmonic_basis
+from .symtensor import (_tracefree_contraction, _tracefree_coords, _tracefree_sym_product,
+                        _vectorize)
 
 __all__ = [
     "TorusConfig",
@@ -229,12 +230,10 @@ class FourierConnection:
         return out
 
     def pointwise_skew_defect(self, samples) -> float:
-        """Max non-skewness of Gamma_x(v) over (x, v) samples (0 by reality)."""
-        worst = 0.0
-        for x, v in samples:
-            M = self.value_at(x, v)
-            worst = max(worst, float(np.abs(M + M.conj().T).max()))
-        return worst
+        """Max non-skewness of Gamma_x(v) over (x, v) samples (0 by reality);
+        nan when any sample is non-finite."""
+        mats = [self.value_at(x, v) for x, v in samples]
+        return float(np.max([np.abs(M + M.conj().T).max() for M in mats], initial=0.0))
 
 
 def _fiber_action(config: TorusConfig, M: np.ndarray) -> np.ndarray:
@@ -349,32 +348,15 @@ def connection_plus_matrix(config: TorusConfig, conn: FourierConnection):
 def _tensor_route_data(n, m):
     """Per-direction tensor matrices and the basis conversion at degree m.
 
-    T[j]: coords of the trace-free projection of S(e_j tensor .),
-    C[j]: coords of the first-slot contraction with e_j,
+    T[j]: the trace-free part of S(e_j tensor .) from degree m to m+1,
+    C[j]: the contraction with e_j from degree m+1 to m, both in
+    symtensor's orthonormal trace-free bases,
     B: matrix of the restriction-to-sphere map from the orthonormal
-    trace-free tensor basis to the sphere-orthonormal harmonic basis.
+    trace-free tensor basis V to the sphere-orthonormal harmonic basis,
+    Q^T G applied to the basis polynomials' coefficients W V.
     """
-    tf_m = tracefree_basis(n, m)
-    tf_p = tracefree_basis(n, m + 1)
-    hb = harmonic_basis(n, m)
-    T = [np.zeros((len(tf_p), len(tf_m)), dtype=complex) for _ in range(n)]
-    C = [np.zeros((len(tf_m), len(tf_p)), dtype=complex) for _ in range(n)]
-    for a, t in enumerate(tf_m):
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = 1.0
-            st = sym_mult_form(e, t)
-            for b, w in enumerate(tf_p):
-                T[j][b, a] = st.inner(w)
-    for a, w in enumerate(tf_p):
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = 1.0
-            cw = contract(w, e)
-            for b, t in enumerate(tf_m):
-                C[j][b, a] = cw.inner(t)
-    B = np.column_stack([hb.expand(to_poly(t)) for t in tf_m])
-    return T, C, B
+    B = _dual_matrix(n, m) @ (_vectorize(n, m)[2][:, None] * _tracefree_coords(n, m))
+    return _tracefree_sym_product(n, m), _tracefree_contraction(n, m + 1), B
 
 
 def assemble_via_D(config: TorusConfig, conn: FourierConnection | None = None) -> TorusAssembly:
@@ -393,9 +375,9 @@ def assemble_via_D(config: TorusConfig, conn: FourierConnection | None = None) -
     B_m_inv = np.linalg.inv(B_m)
     B_m1_inv = np.linalg.inv(B_m1)
     c_link = (m + 1) / (n + 2 * m)
-    plus_blocks = [B_m1 @ T @ B_m_inv for T in T_m]
+    plus_blocks = B_m1 @ T_m @ B_m_inv
     # X_- = -c_link * pi_m D*; free D* on mode k is -i iota_k
-    minus_blocks = [c_link * (B_m @ C @ B_m1_inv) for C in C_m1]
+    minus_blocks = c_link * (B_m @ C_m1 @ B_m1_inv)
     return _kron_assemble(config, conn, plus_blocks, minus_blocks)
 
 

@@ -72,6 +72,24 @@ class TestTransport:
         with pytest.raises(ValidationError):
             ho.transport(DIAG_CONN, seg, 8)
 
+    @pytest.mark.parametrize("x0,v", [
+        (np.zeros(3), [np.nan, 0.0, 0.0]),
+        ([np.inf, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([0.0, np.nan, 0.0], [1.0, 0.0, 0.0]),
+    ])
+    def test_non_finite_geodesic_rejected(self, x0, v):
+        # a non-finite base point or direction used to give an all-nan C
+        with pytest.raises(ValidationError, match="finite"):
+            GeodesicSegment(x0, v, 2.0)
+
+    def test_nan_skew_defect_fails(self):
+        # a nan defect is not a pass: the unitary check fails unless defect <= 1e-10
+        conn = FourierConnection.cosine_mode(3, (1, 0, 0), 1, [[0.5j]])
+        assert np.isnan(conn.pointwise_skew_defect([(np.array([np.nan, 0, 0]), unit([0, 1, 0])),
+                                                    (np.zeros(3), unit([0, 1, 0]))]))
+        with pytest.raises(ValidationError, match="skew-Hermitian"):
+            ho._require_skew(conn, np.array([np.nan, 0.0, 0.0]), unit([1, 0, 0])[None, :])
+
     @pytest.mark.parametrize("length", [0.0, -1.0, np.nan, np.inf])
     def test_length_finite_positive(self, length):
         seg = GeodesicSegment(np.zeros(3), unit([1, 0, 0]), length)
@@ -182,6 +200,12 @@ class TestInvarianceDefect:
         with pytest.raises(ValidationError):
             ho.invariance_defect(DIAG_CONN, 0.5 * np.eye(2))
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_needs_a_sample(self, samples):
+        # zero samples used to report defect 0.0, "invariant" with no evidence
+        with pytest.raises(ValidationError, match="samples"):
+            ho.invariance_defect(DIAG_CONN, np.diag([1.0, 0.0]), samples=samples)
+
 
 class TestOpacityProbe:
     def test_diagonal_not_opaque(self):
@@ -250,6 +274,13 @@ class TestParallelFrameCheck:
         vectors = np.column_stack([rep.vectors, fake])
         out = ho.parallel_frame_check(cfg, vectors, samples=80)
         assert out.gram_drift > 1e-2
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_needs_a_sample(self, samples):
+        cfg = TorusConfig(3, 1, 0, 2)
+        rep = tm.ckt_kernel(tm.assemble(cfg))
+        with pytest.raises(ValidationError, match="samples"):
+            ho.parallel_frame_check(cfg, rep.vectors, samples=samples)
 
 
 class TestParallelEigenvalues:

@@ -38,6 +38,17 @@ class TestSymbolDstar:
         M = sc.symbol_dstar(3, 0, np.array([1.0, 0, 0]))
         assert M.shape == (0, 1)
 
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_unknown_model_rejected(self, m):
+        # an unknown model used to give a zero matrix at m = 0 and the full
+        # model's dimensions in the family
+        with pytest.raises(ValidationError, match="unknown model"):
+            sc.symbol_dstar(3, m, np.array([1.0, 0, 0]), "bogus")
+        with pytest.raises(ValidationError, match="unknown model"):
+            sc.dstar_family(3, m, "bogus")
+        with pytest.raises(ValidationError, match="unknown model"):
+            sc.check_dstar_uniform(3, m, "bogus", N=4)
+
     @pytest.mark.parametrize("model", ["tracefree", "full"])
     def test_rotation_equivariance(self, model, rng):
         # sigma(R xi) rho_m(R) = rho_{m-1}(R) sigma(xi) for the pullback

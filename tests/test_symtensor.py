@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cktlab import polyharm as ph
+from cktlab import symbolcheck as sc
 from cktlab import symtensor as sy
 from cktlab.errors import ValidationError
 from cktlab.polyharm import HPoly
@@ -255,3 +256,74 @@ class TestStructure:
                     ratios.append(q / b.inner(b).real)
                 spread = (max(ratios) - min(ratios)) / max(ratios)
                 assert spread < 1e-10
+
+
+SMALL = [(n, m) for n in (2, 3, 4) for m in range(5)]
+
+
+def unit_vector(n, j):
+    e = np.zeros(n)
+    e[j] = 1.0
+    return e
+
+
+class TestCoordinateMatrices:
+    """The cached coordinate matrices against the SymTensor oracle, column by column."""
+
+    @pytest.mark.parametrize("n,m", [(n, m) for n, m in SMALL if m >= 1])
+    def test_contraction(self, n, m):
+        stack = sy._contraction_matrices(n, m)
+        for c, t in enumerate(ph.monomials(n, m)):
+            for j in range(n):
+                col = sy.tensor_to_vec(sy.contract(SymTensor.basis_element(n, t), unit_vector(n, j)))
+                assert np.abs(stack[j, :, c] - col).max() <= 1e-15
+
+    @pytest.mark.parametrize("n,m", SMALL)
+    def test_symmetric_product(self, n, m):
+        stack = sy._sym_product_matrices(n, m)
+        for c, t in enumerate(ph.monomials(n, m)):
+            for j in range(n):
+                col = sy.tensor_to_vec(sy.sym_mult_form(unit_vector(n, j),
+                                                        SymTensor.basis_element(n, t)))
+                assert np.abs(stack[j, :, c] - col).max() <= 1e-15
+
+    @pytest.mark.parametrize("n,m", [(n, m) for n, m in SMALL if m >= 2])
+    def test_trace(self, n, m):
+        T = sy._trace_matrix(n, m)
+        for c, t in enumerate(ph.monomials(n, m)):
+            col = sy.tensor_to_vec(sy.trace(SymTensor.basis_element(n, t)))
+            assert np.abs(T[:, c] - col).max() <= 1e-15
+
+    @pytest.mark.parametrize("n,m", [(4, 8), (5, 6), (3, 1), (3, 0)])
+    def test_tracefree_basis_orthonormal_and_tracefree(self, n, m):
+        V = sy._tracefree_coords(n, m)
+        w = sy._vectorize(n, m)[2]
+        assert V.shape == (ph.dims(n, m)[0], ph.dims(n, m)[1])
+        assert np.abs(V.T @ (w[:, None] * V) - np.eye(V.shape[1])).max() <= 1e-13
+        if m >= 2:
+            assert np.abs(sy._trace_matrix(n, m) @ V).max() <= 1e-13
+
+    @pytest.mark.parametrize("n,m", SMALL)
+    @pytest.mark.parametrize("model", ["tracefree", "full"])
+    def test_symbol_dstar_matches_member_oracle(self, n, m, model, rng):
+        # the per-member construction: -i contract(t, xi) expanded in an
+        # orthonormal codomain basis, entry by entry through the tensor metric
+        def orthonormal_members(k):
+            if model == "tracefree":
+                return sy.tracefree_basis(n, k)
+            members = [SymTensor.basis_element(n, t) for t in ph.monomials(n, k)]
+            return [t * (1 / t.norm()) for t in members]
+
+        dom, cod = orthonormal_members(m), orthonormal_members(m - 1)
+        for _ in range(3):
+            xi = rng.standard_normal(n)
+            xi /= np.linalg.norm(xi)
+            oracle = np.zeros((len(cod), len(dom)), dtype=complex)
+            if m >= 1:
+                for a, t in enumerate(dom):
+                    ct = sy.contract(t, xi) * (-1j)
+                    for b, w in enumerate(cod):
+                        oracle[b, a] = ct.inner(w)
+            M = sc.symbol_dstar(n, m, xi, model)
+            assert M.shape == oracle.shape
+            assert np.abs(M - oracle).max(initial=0.0) <= 1e-13

@@ -9,7 +9,7 @@ subbundle detected), and the trivial connection is transparent.
 import numpy as np
 
 from cktlab import holonomy as ho
-from cktlab.torusmodel import FourierConnection
+from cktlab.torus import FourierConnection
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

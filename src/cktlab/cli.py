@@ -8,6 +8,11 @@ only what couples keys), write CSV outputs plus a manifest echoing the
 resolved config, and are deterministic given (config, seed).  Exit codes:
 0 success, 2 validation error, 3 numerical non-convergence; stderr
 carries a one-line machine-parsable tag.
+
+Importing this module loads no scipy: only the subcommands that assemble
+torus matrices (torus-ckt, torus-eject, selftest) import torusmodel, and
+with it scipy.sparse; the rest read the torus truncation and connections
+from the numpy-only torus module.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from . import holonomy as ho
 from . import polyharm as ph
 from . import spectral as sp
 from . import symbolcheck as sc
-from . import torusmodel as tm
 from . import textio
+from . import torus
 from .errors import ConvergenceError, ValidationError
 from .textio import Key, positive_float
 
@@ -198,17 +203,19 @@ TORUS_SCHEMA_COMMON = {
 
 def _torus_config(resolved):
     t = resolved["torus"]
-    return tm.TorusConfig(t["n"], t["k"], t["m"], t["r"], t.get("bundle_kind", "vector"))
+    return torus.TorusConfig(t["n"], t["k"], t["m"], t["r"], t.get("bundle_kind", "vector"))
 
 
 def _load_conn(resolved, cfg):
     sec = resolved.get("connection", {})
     if "file" in sec:
         return textio.load_fourier_connection(_read(sec["file"]))
-    return tm.FourierConnection.zero(r=cfg.r, n=cfg.n)
+    return torus.FourierConnection.zero(r=cfg.r, n=cfg.n)
 
 
 def cmd_torus_ckt(args):
+    from . import torusmodel as tm
+
     resolved = _load_config(args, TORUS_SCHEMA_COMMON)
     cfg = _torus_config(resolved)
     conn = _load_conn(resolved, cfg)
@@ -239,6 +246,8 @@ EJECT_SCHEMA = {
 
 
 def cmd_torus_eject(args):
+    from . import torusmodel as tm
+
     resolved = _load_config(args, EJECT_SCHEMA)
     cfg = _torus_config(resolved)
     conn0 = _load_conn(resolved, cfg)
@@ -324,6 +333,8 @@ def cmd_holonomy(args):
 
 def _selftest_impl(args):
     """Fast invariant sweep across the modules; exit 0 when everything holds."""
+    from . import torusmodel as tm
+
     checks = []
 
     def check(name, ok):

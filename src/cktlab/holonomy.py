@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import nullspace
-from .torusmodel import FourierConnection, TorusConfig, eval_sections
+from .torus import FourierConnection, TorusConfig, eval_sections
 
 __all__ = [
     "GeodesicSegment",
@@ -54,6 +54,11 @@ class GeodesicSegment:
     def __post_init__(self):
         x0 = np.asarray(self.x0, dtype=float)
         v = np.asarray(self.v, dtype=float)
+        if x0.ndim != 1 or v.ndim != 1 or len(x0) != len(v):
+            raise ValidationError(
+                f"base point and direction must be vectors of one length, got shapes "
+                f"{x0.shape} and {v.shape}"
+            )
         if not (np.isfinite(x0).all() and np.isfinite(v).all()):
             raise ValidationError("base point and direction must be finite")
         nrm = np.linalg.norm(v)
@@ -157,6 +162,11 @@ def transport(conn: FourierConnection, seg: GeodesicSegment, steps: int = 128,
     half the step size; the difference is the reported error estimate and
     the finer result is returned.
     """
+    if conn.n is not None and len(seg.v) != conn.n:
+        raise ValidationError(
+            f"segment lies in dimension {len(seg.v)}, the connection's torus has "
+            f"dimension {conn.n}"
+        )
     V = seg.v[None, :]
     if unitary:
         _require_skew(conn, seg.x0, V)

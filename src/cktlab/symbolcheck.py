@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .connalg import FiberConnForm, TwistedHarmonic
 from .errors import ValidationError
@@ -99,8 +99,7 @@ def make_cosphere_sampler(n: int, seed: int = 0):
     the unit cube, pushed through the inverse normal CDF and normalized.
     The seed only shifts the sequence offset, so runs are reproducible.
     """
-    from scipy.special import ndtri
-
+    inv_cdf = NormalDist().inv_cdf
     alphas = _kronecker_alphas(n)
     rng = np.random.default_rng(seed)
     offset = rng.random(n)
@@ -108,7 +107,7 @@ def make_cosphere_sampler(n: int, seed: int = 0):
     def sample(i: int) -> np.ndarray:
         u = (offset + (i + 1) * alphas) % 1.0
         u = np.clip(u, 1e-12, 1 - 1e-12)
-        g = ndtri(u)
+        g = np.array([inv_cdf(c) for c in u])
         nrm = np.linalg.norm(g)
         if nrm < 1e-12:
             g = np.ones(n)
@@ -286,6 +285,23 @@ def check_dstar_uniform(n: int, m: int, model: str = "tracefree", N: int = 256,
 # quadrature on spheres and the fiber symbol pairing
 
 
+def _gauss_jacobi(npoints: int, a: float):
+    """Gauss rule (nodes ascending, weights) for the weight (1 - t^2)^a on
+    [-1, 1], a >= 0, by Golub-Welsch.
+
+    The nodes are the eigenvalues of the symmetric Jacobi matrix of the
+    orthonormal polynomials: zero diagonal, as the weight is even, and
+    off-diagonal b_k = sqrt(k (k + 2a) / (4 (k + a)^2 - 1)).  The weights
+    are mu_0 v_0^2, with v_0 the first eigenvector components and
+    mu_0 = sqrt(pi) Gamma(a + 1) / Gamma(a + 3/2) the weight's total mass.
+    """
+    k = np.arange(1, npoints)
+    b = np.sqrt(k * (k + 2 * a) / (4 * (k + a) ** 2 - 1))
+    t, v = np.linalg.eigh(np.diag(b, 1) + np.diag(b, -1))
+    mu0 = math.sqrt(math.pi) * math.exp(math.lgamma(a + 1) - math.lgamma(a + 1.5))
+    return t, mu0 * v[0] ** 2
+
+
 def sphere_quadrature(d: int, npoints: int):
     """Quadrature nodes/weights on the unit sphere S^d embedded in R^{d+1}.
 
@@ -303,7 +319,7 @@ def sphere_quadrature(d: int, npoints: int):
         return pts, w
     n_polar = max(4, int(round(npoints ** (1.0 / d))) + 2)
     sub_n = max(4, int(npoints // n_polar))
-    t, wt = roots_jacobi(n_polar, (d - 2) / 2.0, (d - 2) / 2.0)
+    t, wt = _gauss_jacobi(n_polar, (d - 2) / 2.0)
     sub_pts, sub_w = sphere_quadrature(d - 1, sub_n)
     pts = []
     wts = []

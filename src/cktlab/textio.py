@@ -30,7 +30,7 @@ from .connalg import FiberConnForm
 from .errors import ValidationError
 from .polyharm import HPoly
 from .symtensor import SymTensor
-from .torusmodel import FourierConnection
+from .torus import FourierConnection
 
 __all__ = [
     "dump_hpoly", "load_hpoly",

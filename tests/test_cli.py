@@ -236,21 +236,39 @@ class TestInputGuards:
         assert proc.returncode == 0
         assert "checks passed" in proc.stdout
 
-    def test_import_loads_no_dense_scipy_modules(self):
+    def test_import_loads_no_dense_scipy_modules(self, tmp_path):
         # scipy.sparse.csgraph pulls in scipy.sparse.linalg and scipy.linalg,
-        # a large share of the start-up time of every subcommand
+        # a large share of the start-up time of every subcommand; only the
+        # assembling subcommands (torus-ckt, torus-eject, selftest) load
+        # scipy.sparse, through torusmodel, and the rest load no scipy at all
         import cktlab
 
         src = os.path.dirname(os.path.dirname(cktlab.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
-        code = f"import sys, cktlab.cli; print([m for m in {heavy!r} if m in sys.modules])"
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
 
+        def loaded(code, prefixes):
+            code += f"\nprint(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
+            proc = subprocess.run([sys.executable, "-c", "import sys\n" + code], env=env,
+                                  cwd=tmp_path, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout.strip().splitlines()[-1]
+
+        heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+        assert loaded("import cktlab.torusmodel", heavy) == "[]"
+        for module in ("cktlab.cli", "cktlab.holonomy", "cktlab.textio", "cktlab.torus"):
+            assert loaded(f"import {module}", ("scipy",)) == "[]", module
+
+        conn = tm.FourierConnection.constant(3, [np.diag([1j, 2j]), np.zeros((2, 2)),
+                                                 np.zeros((2, 2))])
+        (tmp_path / "c.fourconn").write_text(textio.dump_fourier_connection(conn))
+        (tmp_path / "h.cfg").write_text(
+            "[holonomy]\nconnection = c.fourconn\nnum_geodesics = 2\nsteps = 16\n")
+        (tmp_path / "k.cfg").write_text("[kato]\nsize = 6\ninstances = 1\n")
+        runs = ("from cktlab.cli import run\n"
+                "assert run(['holonomy', '--config', 'h.cfg', '--out', 'h']) == 0\n"
+                "assert run(['kato', '--config', 'k.cfg', '--out', 'k']) == 0")
+        assert loaded(runs, ("scipy",)) == "[]"
 
 class TestDivtype:
     def test_dstar_table_entry(self, tmp_path, capsys):

@@ -90,6 +90,29 @@ class TestTransport:
         with pytest.raises(ValidationError, match="skew-Hermitian"):
             ho._require_skew(conn, np.array([np.nan, 0.0, 0.0]), unit([1, 0, 0])[None, :])
 
+    @pytest.mark.parametrize("x0,v", [
+        (0.0, [1.0, 0.0, 0.0]),
+        (np.zeros(3), 1.0),
+        (np.zeros((1, 3)), [[1.0, 0.0, 0.0]]),
+        (np.zeros(3), [1.0, 0.0]),
+        (np.zeros(2), [1.0, 0.0, 0.0]),
+    ])
+    def test_segment_shape_rejected(self, x0, v):
+        # a scalar base point used to raise TypeError from len() in transport
+        with pytest.raises(ValidationError, match="vectors of one length"):
+            GeodesicSegment(x0, v, 2.0)
+
+    def test_segment_dimension_must_match_connection(self):
+        # a 2-vector segment on a 3-torus connection used to raise numpy's ValueError
+        seg = GeodesicSegment(np.zeros(2), [1.0, 0.0], 2.0)
+        with pytest.raises(ValidationError, match="dimension 2.*dimension 3"):
+            ho.transport(DIAG_CONN, seg, 64)
+        with pytest.raises(ValidationError, match="dimension"):
+            ho.transport(DIAG_CONN, seg, 64, unitary=False)
+        # a connection that leaves the torus dimension open takes any segment
+        res = ho.transport(FourierConnection.zero(r=2), seg, 64)
+        assert np.abs(res.C - np.eye(2)).max() < 1e-12
+
     @pytest.mark.parametrize("length", [0.0, -1.0, np.nan, np.inf])
     def test_length_finite_positive(self, length):
         seg = GeodesicSegment(np.zeros(3), unit([1, 0, 0]), length)

@@ -169,6 +169,44 @@ class TestSphereQuadrature:
         assert got4 == pytest.approx(ph.sphere_monomial_moment((0, 0, 4), 3), rel=1e-10)
 
 
+class TestGaussJacobi:
+    A_VALUES = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
+
+    @pytest.mark.parametrize("a", A_VALUES)
+    def test_matches_scipy_roots_jacobi(self, a):
+        from scipy.special import roots_jacobi
+
+        for npoints in range(4, 31):
+            t, w = sc._gauss_jacobi(npoints, a)
+            t_ref, w_ref = roots_jacobi(npoints, a, a)
+            assert np.abs(t - t_ref).max() <= 1e-13, npoints
+            assert np.abs(w - w_ref).max() <= 1e-13 * w_ref.max(), npoints
+
+    @pytest.mark.parametrize("a", A_VALUES)
+    def test_exact_for_even_moments(self, a):
+        # integral of (1 - t^2)^a t^(2j) over [-1, 1] is B(j + 1/2, a + 1)
+        for npoints in range(4, 31):
+            t, w = sc._gauss_jacobi(npoints, a)
+            for j in range(npoints):  # degree 2j <= 2 npoints - 1
+                exact = math.exp(math.lgamma(j + 0.5) + math.lgamma(a + 1)
+                                 - math.lgamma(j + a + 1.5))
+                assert w @ t ** (2 * j) == pytest.approx(exact, rel=1e-13), (npoints, j)
+
+
+class TestCosphereSampler:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_scipy_ndtri_sampler(self, n):
+        from scipy.special import ndtri
+
+        seed = 7
+        sample = sc.make_cosphere_sampler(n, seed)
+        alphas = sc._kronecker_alphas(n)
+        offset = np.random.default_rng(seed).random(n)
+        for i in range(256):
+            g = ndtri(np.clip((offset + (i + 1) * alphas) % 1.0, 1e-12, 1 - 1e-12))
+            assert np.abs(sample(i) - g / np.linalg.norm(g)).max() <= 1e-14, i
+
+
 def matrix_valued(n, m, mat, poly):
     r = mat.shape[0]
     return TwistedHarmonic(n, m, tuple(poly * mat[i, j] for i in range(r) for j in range(r)))

@@ -296,9 +296,8 @@ def cmd_kato(args):
         W = sp.spectral_window(X, sec["radius"])
         resid = sp.resolvent_identity_check(W)
         worst_identity = max(worst_identity, resid)
-        d1c, d2c, d1f, d2f = sp.lambda_derivatives(W, P_A)
-        conj = sp.conjugation_check(X, 0.05 * P_A, np.linspace(-1, 1, 3),
-                                    radius=sec["radius"])
+        d1c, d2c, d1f, d2f, conj = sp.perturbation_suite(W, P_A, 0.05 * P_A,
+                                                         np.linspace(-1, 1, 3))
         pi_norm = float(np.abs(sp.pi_operator(W)).max())
         rows.append(
             f"{i},{float(resid)!r},{float(abs(d1f - d1c))!r},"

@@ -77,51 +77,86 @@ class TransportResult:
 
 
 # RK4 steps per batch of step propagators: one chunk holds (G, chunk, r, r)
-# propagators and the Gamma values at its 2 * chunk + 1 stage times
+# propagators, and a coarse chunk the Gamma values at the 4 * chunk + 1
+# stage times of the two fine chunks it spans
 _STEP_CHUNK = 32
 
 
-def _transport_rk4(conn, x0, V, length, steps):
-    """Classical RK4 for C_g' = -Gamma_{x0 + t v_g}(v_g) C_g, every row v_g of V at once.
+def _gamma_field(conn, x0, V):
+    """t -> -Gamma_{x0 + t v_g}(v_g) at the times t, as a (G, T, r, r) array.
 
-    The ODE is linear, so one step is C <- R C with the step propagator
-    R = 1 + h/6 (K1 + 2 K2 + 2 K3 + K4), where K1 = G0, K2 = Gm (1 + h/2 K1),
-    K3 = Gm (1 + h/2 K2), K4 = G1 (1 + h K3) and G0, Gm, G1 are -Gamma at
-    the step's start, midpoint and end.  With A_{g,q} = sum_j v_{g,j}
-    hat(Gamma)_{q,j} precomputed, Gamma along geodesic g at time t is
-    sum_q exp(i q.(x0 + t v_g)) A_{g,q}.  The steps go in chunks of
-    _STEP_CHUNK: one einsum gives Gamma at all stage times of the chunk,
-    batched matmuls its step propagators, and a pairwise product reduces
-    them to one matrix, applied to C.  Returns (G, r, r).
+    With A_{g,q} = sum_j v_{g,j} hat(Gamma)_{q,j} precomputed, Gamma along
+    geodesic g at time t is sum_q exp(i q.(x0 + t v_g)) A_{g,q}; one einsum
+    gives it at every time of a chunk.
     """
-    r = conn.r
-    C = np.broadcast_to(np.eye(r, dtype=complex), (len(V), r, r)).copy()
-    if not conn.coeffs:
-        return C
     q = np.array(list(conn.coeffs), dtype=float)  # (Q, n)
     A = np.einsum("gj,qjab->gqab", V, np.array(list(conn.coeffs.values())))
     base = q @ x0  # (Q,)
     rate = V @ q.T  # (G, Q)
-    eye = np.eye(r)
 
-    h = length / steps
+    def minus_gamma(t):
+        phase = np.exp(1j * (base + t[:, None, None] * rate))  # (T, G, Q)
+        return -np.einsum("tgq,gqab->gtab", phase, A)
+
+    return minus_gamma
+
+
+def _chunk_propagator(G, h):
+    """R_{c-1} ... R_1 R_0 for the c RK4 steps of size h whose start,
+    midpoint and end values -Gamma are G[:, 0], G[:, 1], G[:, 2] for the
+    first step, G[:, 2], G[:, 3], G[:, 4] for the next, and so on:
+    G is (G, 2c + 1, r, r).  The product is taken pairwise.
+    """
+    eye = np.eye(G.shape[-1])
+    G0, Gm, G1 = G[:, 0:-1:2], G[:, 1::2], G[:, 2::2]
+    K1 = G0
+    K2 = Gm + h / 2 * (Gm @ K1)
+    K3 = Gm + h / 2 * (Gm @ K2)
+    K4 = G1 + h * (G1 @ K3)
+    R = eye + h / 6 * (K1 + 2 * K2 + 2 * K3 + K4)  # (G, c, r, r)
+    while R.shape[1] > 1:  # R_{c-1} ... R_1 R_0, pairwise
+        half = R.shape[1] // 2
+        pairs = R[:, 1:2 * half:2] @ R[:, 0:2 * half:2]
+        R = np.concatenate([pairs, R[:, 2 * half:]], axis=1)
+    return R[:, 0]
+
+
+def _identity_frames(conn, V):
+    return np.broadcast_to(np.eye(conn.r, dtype=complex), (len(V), conn.r, conn.r)).copy()
+
+
+def _transport_pair(conn, x0, V, length, steps):
+    """Classical RK4 for C_g' = -Gamma_{x0 + t v_g}(v_g) C_g, every row v_g of V
+    at once, run at steps and at 2 * steps: returns (coarse, fine), each (G, r, r).
+
+    The ODE is linear, so one step is C <- R C with the step propagator
+    R = 1 + h/6 (K1 + 2 K2 + 2 K3 + K4), where K1 = G0, K2 = Gm (1 + h/2 K1),
+    K3 = Gm (1 + h/2 K2), K4 = G1 (1 + h K3) and G0, Gm, G1 are -Gamma at
+    the step's start, midpoint and end.  Each run goes in chunks of
+    _STEP_CHUNK steps: batched matmuls give a chunk's step propagators and
+    a pairwise product reduces them to one matrix, applied to C.  The fine
+    step is h / 2 exactly, so the coarse stage times (j / 2) h are the fine
+    step boundaries j (h / 2), the same floating-point numbers: one einsum
+    gives Gamma at the stage times of the two fine chunks a coarse chunk
+    spans, and the coarse chunk reads every other value.  Each run still
+    has its own chunks and products, so both equal separate runs bit for
+    bit.
+    """
+    coarse, fine = _identity_frames(conn, V), _identity_frames(conn, V)
+    if not conn.coeffs:
+        return coarse, fine
+    minus_gamma = _gamma_field(conn, x0, V)
+    h, h_fine = length / steps, length / (2 * steps)
     for start in range(0, steps, _STEP_CHUNK):
         count = min(_STEP_CHUNK, steps - start)
-        t = (start + np.arange(2 * count + 1) / 2) * h  # step starts, midpoints and ends
-        phase = np.exp(1j * (base + t[:, None, None] * rate))  # (T, G, Q)
-        G = -np.einsum("tgq,gqab->gtab", phase, A)  # (G, T, r, r)
-        G0, Gm, G1 = G[:, 0:-1:2], G[:, 1::2], G[:, 2::2]
-        K1 = G0
-        K2 = Gm + h / 2 * (Gm @ K1)
-        K3 = Gm + h / 2 * (Gm @ K2)
-        K4 = G1 + h * (G1 @ K3)
-        R = eye + h / 6 * (K1 + 2 * K2 + 2 * K3 + K4)  # (G, count, r, r)
-        while R.shape[1] > 1:  # R_{count-1} ... R_1 R_0, pairwise
-            half = R.shape[1] // 2
-            pairs = R[:, 1:2 * half:2] @ R[:, 0:2 * half:2]
-            R = np.concatenate([pairs, R[:, 2 * half:]], axis=1)
-        C = R[:, 0] @ C
-    return C
+        # the stage times of the fine steps 2 start ... 2 (start + count) - 1
+        G = minus_gamma((2 * start + np.arange(4 * count + 1) / 2) * h_fine)
+        coarse = _chunk_propagator(G[:, ::2], h) @ coarse
+        for fine_start in range(0, 2 * count, _STEP_CHUNK):
+            fine_count = min(_STEP_CHUNK, 2 * count - fine_start)
+            chunk = G[:, 2 * fine_start:2 * (fine_start + fine_count) + 1]
+            fine = _chunk_propagator(chunk, h_fine) @ fine
+    return coarse, fine
 
 
 def _require_skew(conn, x0, V):
@@ -139,16 +174,15 @@ def _require_skew(conn, x0, V):
 def _transport_doubled(conn, x0, V, length, steps):
     """Transport along x0 + t v_g, 0 <= t <= length, for every row v_g of V.
 
-    Runs RK4 at steps and at 2 * steps and returns the finer (G, r, r)
-    result with each geodesic's error estimate max|fine - coarse| and
-    unitarity defect max|C^H C - 1|.
+    Runs RK4 at steps and at 2 * steps (`_transport_pair`) and returns the finer (G, r, r) result with each
+    geodesic's error estimate max|fine - coarse| and unitarity defect
+    max|C^H C - 1|.
     """
     if steps < 16:
         raise ValidationError("need at least 16 steps")
     if not (math.isfinite(length) and length > 0):
         raise ValidationError(f"geodesic length must be finite and > 0, got {length}")
-    coarse = _transport_rk4(conn, x0, V, length, steps)
-    fine = _transport_rk4(conn, x0, V, length, 2 * steps)
+    coarse, fine = _transport_pair(conn, x0, V, length, steps)
     err = np.abs(fine - coarse).max(axis=(1, 2))
     unit = np.abs(fine.conj().transpose(0, 2, 1) @ fine - np.eye(conn.r)).max(axis=(1, 2))
     return fine, err, unit

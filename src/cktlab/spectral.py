@@ -16,11 +16,15 @@ unitary similarity, so traces of resolvents are unchanged) and take
 Tr (H + z)^{-1} = d/dz log det(H + z) from a pivoted LU of the shifted
 Hessenberg matrix that carries the z-derivative along: O(n^2) work per
 node instead of a dense O(n^3) inverse, batched over a stack of
-matrices and the nodes of a level.
+matrices and the nodes of a level.  The perturbation suite of one
+window (`perturbation_suite`: the finite-difference stencil of
+`lambda_derivatives` and the grid of `conjugation_check`) is one such
+stack, reduced once and walked once per level.
 
 The window radius must isolate the cluster at 0: the quadrature for the
 Laurent constant term reads off the residue at z = 0 and is only the
-reduced resolvent when no other eigenvalue sits inside the circle.
+reduced resolvent when no other eigenvalue sits inside the circle, so
+`spectral_window` rejects a radius that encloses a nonzero eigenvalue.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ __all__ = [
     "cluster_sum_minus",
     "lambda_derivatives",
     "conjugation_check",
+    "perturbation_suite",
     "default_window_radius",
     "random_skew_adjoint_with_kernel",
 ]
@@ -157,12 +162,16 @@ def eigenprojector_sum(X, radius):
 
 
 def spectral_window(X, radius=None, tol=1e-11) -> SpectralWindow:
-    """Projectors and reduced resolvents at the eigenvalue cluster inside |z| < radius.
+    """Projectors and reduced resolvents at the eigenvalue cluster at 0.
 
     Both resolvent conventions are integrated: pi0_plus/r0_plus from
     (X + z)^{-1} (whose Laurent expansion at 0 is pi0_plus/z + r0_plus + O(z))
     and pi0_minus/r0_minus from (z - X)^{-1}.  For skew-adjoint X the two
-    projectors agree and are orthogonal.
+    projectors agree and are orthogonal.  The disc |z| < radius must hold
+    the cluster at 0 and nothing else: an enclosed eigenvalue that is
+    nonzero by default_window_radius's rule and past its own rounding error
+    (_enclosed_nonzero) is a ValidationError, since the constant Laurent
+    term would no longer be a reduced resolvent.
     """
     X = np.asarray(X, dtype=complex)
     if X.shape[0] != X.shape[1]:
@@ -170,7 +179,13 @@ def spectral_window(X, radius=None, tol=1e-11) -> SpectralWindow:
     if radius is None:
         radius = default_window_radius(X)
     _check_radius(radius)
-    _check_contour_clear(X, radius)
+    enclosed = _enclosed_nonzero(X, _check_contour_clear(X, radius), radius)
+    if len(enclosed):
+        raise ValidationError(
+            f"window |z| < {radius} encloses {len(enclosed)} nonzero eigenvalue(s), the "
+            f"smallest of modulus {float(enclosed.min())!r}; the radius must isolate "
+            "the cluster at 0"
+        )
     pi_p, r_p, pi_m, r_m, nodes = _contour_quadrature(X, radius, tol)
     try:
         cross = float(np.abs(pi_p - eigenprojector_sum(X, radius)).max())
@@ -179,11 +194,43 @@ def spectral_window(X, radius=None, tol=1e-11) -> SpectralWindow:
     return SpectralWindow(X, float(radius), pi_p, pi_m, r_p, r_m, nodes, cross)
 
 
+def _nonzero_magnitudes(evals):
+    """|lambda| of the eigenvalues that count as nonzero: above 1e-12 max |lambda|
+    and above 1e-300."""
+    mags = np.abs(evals)
+    scale = mags.max() if len(mags) else 0.0
+    return mags[mags > max(1e-12 * scale, 1e-300)]
+
+
+def _enclosed_nonzero(X, evals, radius):
+    """|lambda| of the eigenvalues inside |z| < radius that are nonzero:
+    by default_window_radius's rule, and above their rounding error.
+
+    A cluster at 0 with an ill-conditioned eigenbasis comes out of eigvals
+    well above 1e-12 max |lambda|: eig moves an eigenvalue of condition
+    number kappa by up to about kappa n eps |X|_F (a defective cluster by
+    about as much, its kappa being huge).  So when the rule flags an
+    enclosed eigenvalue, eig gives kappa (V's columns have unit norm, so
+    kappa_i is the norm of row i of V^-1) and an eigenvalue within ten
+    times that bound counts as zero.  Well-conditioned spectra never need
+    the eig.
+    """
+    mags = _nonzero_magnitudes(evals)
+    if not (mags < radius).any():
+        return mags[:0]
+    w, V = np.linalg.eig(X)
+    try:
+        kappa = np.linalg.norm(np.linalg.inv(V), axis=1)
+    except np.linalg.LinAlgError:  # no eigenbasis to working precision: none resolved
+        return mags[:0]
+    mags = np.abs(w)
+    rounding = 10 * kappa * len(X) * np.finfo(float).eps * np.linalg.norm(X)
+    return mags[(mags < radius) & (mags > rounding) & (mags > max(1e-12 * mags.max(), 1e-300))]
+
+
 def default_window_radius(X) -> float:
     """Half the smallest nonzero |eigenvalue|; 1.0 when the matrix is nilpotent-at-0."""
-    evals = np.abs(np.linalg.eigvals(np.asarray(X, dtype=complex)))
-    scale = evals.max() if len(evals) else 0.0
-    nonzero = evals[evals > max(1e-12 * scale, 1e-300)]
+    nonzero = _nonzero_magnitudes(np.linalg.eigvals(np.asarray(X, dtype=complex)))
     if len(nonzero) == 0:
         return 1.0
     return float(nonzero.min()) / 2
@@ -261,7 +308,7 @@ def _hessenberg_traces(H, z):
     of U comes with u'_kk and Tr (H + z)^{-1} = d/dz log det = sum_k
     u'_kk / u_kk.  Vectorised over (B, m): n steps of O(B m n) work, on
     rows stored column-major as (n - k, B, m) so each step's updates run
-    over contiguous (B, m) slabs.
+    over contiguous (B, m) slabs, in place in three (n, B, m) arrays.
 
     A shift singular to working precision (a pivot at most
     n eps (|H_b|_F + |z|)) gets nan: its trace carries no digits.
@@ -275,11 +322,15 @@ def _hessenberg_traces(H, z):
     Ht = H.transpose(1, 2, 0)[..., None]  # (n, n, B, 1)
     sub = np.diagonal(H, -1, 1, 2).T[:, :, None]  # (n - 1, B, 1), free of z
     abs_sub = np.abs(sub)
-    floor = n * np.finfo(float).eps * (np.linalg.norm(H, axis=(1, 2))[:, None] + np.abs(z))
+    # |H_b|_F from the real and imaginary parts: no complex temporary of the stack
+    frob = np.sqrt(np.einsum("bij,bij->b", H.real, H.real)
+                   + np.einsum("bij,bij->b", H.imag, H.imag))
+    floor = n * np.finfo(float).eps * (frob[:, None] + np.abs(z))
     cur = Ht[0] + np.zeros((n, B, m))  # current row of H + z, columns k..n-1
     cur[0] += z
     dcur = np.zeros_like(cur)  # its z-derivative
     dcur[0] = 1
+    work = np.empty_like(cur)  # scratch for the row updates
     tr = np.zeros((B, m), dtype=complex)
     least = np.full((B, m), np.inf)  # smallest |pivot|
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -300,23 +351,28 @@ def _hessenberg_traces(H, z):
             c2 = np.where(swap, -l, 1)
             dc1 = np.where(swap, 0, -dl)
             dc2 = np.where(swap, -dl, 0)
+            # in place over the tails: the derivative first, while the
+            # current row is still unchanged
             row = Ht[k + 1, k + 1:]
-            new = c1 * cur[1:]
-            new += c2 * row
-            new[0] += c2 * z
-            dnew = c1 * dcur[1:]
-            dnew += dc1 * cur[1:]
-            dnew += dc2 * row
-            dnew[0] += dc2 * z + c2
-            cur, dcur = new, dnew
+            tail, dtail, w = cur[1:], dcur[1:], work[k + 1:]
+            np.multiply(c1, dtail, out=dtail)
+            dtail += np.multiply(dc1, tail, out=w)
+            dtail += np.multiply(dc2, row, out=w)
+            dtail[0] += dc2 * z + c2
+            np.multiply(c1, tail, out=tail)
+            tail += np.multiply(c2, row, out=w)
+            tail[0] += c2 * z
+            cur, dcur = tail, dtail
         tr += dcur[0] / cur[0]
     least = np.minimum(least, np.abs(cur[0]))
     tr[~(least > floor)] = np.nan
     return tr
 
 
-# complex entries B * m * n of the working rows of one _hessenberg_traces call
-_TRACE_BUDGET = 1 << 12
+# complex entries B * m * n of the working rows of one _hessenberg_traces call:
+# the eleven 40 x 40 matrices of a kato instance take a 16-node level in one
+# chunk and the 32 new nodes of N = 64 in two
+_TRACE_BUDGET = 1 << 13
 
 
 def _cluster_sums(Xs, radius, tol=1e-12, max_nodes=1 << 15):
@@ -326,9 +382,9 @@ def _cluster_sums(Xs, radius, tol=1e-12, max_nodes=1 << 15):
     circle.  Every matrix walks the nested endpoint levels N = 16, 32, ...
     and returns its mean of z^2 Tr (X_b + z)^{-1} over the N nodes at the
     first level within tol * max(1, |value|) of the previous one; a
-    converged matrix drops out of later levels.  Each level's new nodes
-    go through _hessenberg_traces in chunks of at most _TRACE_BUDGET
-    working entries.  Returns (B,).
+    converged matrix, with its Hessenberg form, drops out of later levels.
+    Each level's new nodes go through _hessenberg_traces in chunks of at
+    most _TRACE_BUDGET working entries.  Returns (B,).
     """
     _check_radius(radius)
     Xs = np.asarray(Xs, dtype=complex)
@@ -343,9 +399,8 @@ def _cluster_sums(Xs, radius, tol=1e-12, max_nodes=1 << 15):
     out = np.zeros_like(total)
     active = np.arange(len(H))
     for N, zs in _endpoint_levels(radius, max_nodes):
-        Ha = H[active]
         step = max(1, _TRACE_BUDGET // max(1, len(active) * n))
-        tr = np.concatenate([_hessenberg_traces(Ha, zs[i:i + step])
+        tr = np.concatenate([_hessenberg_traces(H, zs[i:i + step])
                              for i in range(0, len(zs), step)], axis=1)
         bad = ~np.isfinite(tr)
         if bad.any():
@@ -363,6 +418,7 @@ def _cluster_sums(Xs, radius, tol=1e-12, max_nodes=1 << 15):
             out[active[done]] = vals[done]
         prev[active] = vals
         active = active[~done]
+        H = H[~done]  # H holds the Hessenberg forms of the active matrices only
         if len(active) == 0:
             return out
     raise ConvergenceError("cluster-sum quadrature did not converge")
@@ -381,19 +437,18 @@ def cluster_sum_minus(X, radius, tol=1e-12) -> complex:
     return _cluster_sums(-np.asarray(X, dtype=complex)[None], radius, tol)[0]
 
 
-def lambda_derivatives(W: SpectralWindow, P_A, fd_step=None):
-    """Closed-form and finite-difference derivatives of the window eigenvalue sum.
+def _closed_derivatives(W: SpectralWindow, P_A):
+    """-Tr(P_A Pi_0) and 2 Tr(Pi_0 P_A R_0 P_A Pi_0) from W's window."""
+    dot = -np.trace(P_A @ W.pi0_plus)
+    ddot = 2 * np.trace(W.pi0_plus @ P_A @ W.r0_plus @ P_A @ W.pi0_plus)
+    return dot, ddot
 
-    W is the window of X; lambda(s) = -Tr((X + s P_A) Pi_s) with Pi_s the
-    projector of X + s P_A on W's contour; the closed forms are -Tr(P_A Pi_0)
-    and 2 Tr(Pi_0 P_A R_0 P_A Pi_0).  Returns (dot_closed, ddot_closed,
-    dot_fd, ddot_fd).
-    """
+
+def _fd_stencil(W: SpectralWindow, P_A, fd_step):
+    """(h, the five matrices X + s P_A for s = -2h, -h, 0, h, 2h) of the
+    finite-difference derivatives, after checking that the stencil keeps
+    W's cluster strictly inside its contour."""
     X, radius = W.X, W.contour_radius
-    P_A = np.asarray(P_A, dtype=complex)
-    dot_closed = -np.trace(P_A @ W.pi0_plus)
-    ddot_closed = 2 * np.trace(W.pi0_plus @ P_A @ W.r0_plus @ P_A @ W.pi0_plus)
-
     pa_norm = float(np.linalg.norm(P_A, 2))
     if fd_step is None:
         fd_step = min(0.05 * radius / max(pa_norm, 1e-12), 1e-2)
@@ -410,11 +465,43 @@ def lambda_derivatives(W: SpectralWindow, P_A, fd_step=None):
                 "eigenvalue cluster leaves the contour inside the fd stencil; "
                 "reduce fd_step or enlarge the window"
             )
-    lm2, lm1, l0, lp1, lp2 = _cluster_sums(
-        np.stack([X + s * P_A for s in (-2 * h, -h, 0.0, h, 2 * h)]), radius)
-    dot_fd = (-lp2 + 8 * lp1 - 8 * lm1 + lm2) / (12 * h)
-    ddot_fd = (-lp2 + 16 * lp1 - 30 * l0 + 16 * lm1 - lm2) / (12 * h * h)
-    return dot_closed, ddot_closed, dot_fd, ddot_fd
+    return h, np.stack([X + s * P_A for s in (-2 * h, -h, 0.0, h, 2 * h)])
+
+
+def _fd_derivatives(h, sums):
+    """Five-point first and second derivatives from the stencil's cluster sums."""
+    lm2, lm1, l0, lp1, lp2 = sums
+    dot = (-lp2 + 8 * lp1 - 8 * lm1 + lm2) / (12 * h)
+    ddot = (-lp2 + 16 * lp1 - 30 * l0 + 16 * lm1 - lm2) / (12 * h * h)
+    return dot, ddot
+
+
+def _conjugation_grid(X, P_A, s_grid):
+    """X_s = X + s P_A over the grid, then -X_s: lambda^+ and lambda^- of
+    every grid point as cluster sums."""
+    s = np.asarray(list(s_grid)).reshape(-1, 1, 1)
+    Xs = X + s * P_A
+    return np.concatenate([Xs, -Xs])
+
+
+def _conjugation_defect(sums):
+    """max_s |conj(lambda_s^-) - lambda_s^+| from the cluster sums of _conjugation_grid."""
+    lam_plus, lam_minus = np.split(sums, 2)
+    return float(np.abs(np.conj(lam_minus) - lam_plus).max(initial=0.0))
+
+
+def lambda_derivatives(W: SpectralWindow, P_A, fd_step=None):
+    """Closed-form and finite-difference derivatives of the window eigenvalue sum.
+
+    W is the window of X; lambda(s) = -Tr((X + s P_A) Pi_s) with Pi_s the
+    projector of X + s P_A on W's contour; the closed forms are -Tr(P_A Pi_0)
+    and 2 Tr(Pi_0 P_A R_0 P_A Pi_0).  Returns (dot_closed, ddot_closed,
+    dot_fd, ddot_fd).
+    """
+    P_A = np.asarray(P_A, dtype=complex)
+    closed = _closed_derivatives(W, P_A)
+    h, stencil = _fd_stencil(W, P_A, fd_step)
+    return (*closed, *_fd_derivatives(h, _cluster_sums(stencil, W.contour_radius)))
 
 
 def conjugation_check(X, P_A, s_grid, radius=None) -> float:
@@ -427,11 +514,27 @@ def conjugation_check(X, P_A, s_grid, radius=None) -> float:
     P_A = np.asarray(P_A, dtype=complex)
     if radius is None:
         radius = default_window_radius(X)
-    s = np.asarray(list(s_grid)).reshape(-1, 1, 1)
-    Xs = X + s * P_A
-    sums = _cluster_sums(np.concatenate([Xs, -Xs]), radius)
-    lam_plus, lam_minus = sums[:len(Xs)], sums[len(Xs):]
-    return float(np.abs(np.conj(lam_minus) - lam_plus).max(initial=0.0))
+    return _conjugation_defect(_cluster_sums(_conjugation_grid(X, P_A, s_grid), radius))
+
+
+def perturbation_suite(W: SpectralWindow, P_A, conj_P_A, s_grid):
+    """lambda_derivatives(W, P_A) and conjugation_check(W.X, conj_P_A,
+    s_grid, W.contour_radius) in one pass.
+
+    The five stencil matrices and the conjugation grid go through one
+    _cluster_sums call: one Hessenberg reduction of the whole stack and one
+    trace walk per level instead of two.  Every matrix's sum is computed
+    on its own, so the results equal the two separate calls bit for bit.
+    Returns (dot_closed, ddot_closed, dot_fd, ddot_fd, conj_defect).
+    """
+    P_A = np.asarray(P_A, dtype=complex)
+    closed = _closed_derivatives(W, P_A)
+    h, stencil = _fd_stencil(W, P_A, None)
+    stack = np.concatenate(
+        [stencil, _conjugation_grid(W.X, np.asarray(conj_P_A, dtype=complex), s_grid)])
+    del stencil  # only the one stack stays alive through the quadrature
+    sums = _cluster_sums(stack, W.contour_radius)
+    return (*closed, *_fd_derivatives(h, sums[:5]), _conjugation_defect(sums[5:]))
 
 
 def random_skew_adjoint_with_kernel(rng, dim, kernel_dim, gap=0.5, spread=5.0):

@@ -407,10 +407,38 @@ class ScanResult:
         return rows
 
 
+def _adjoint(x):
+    """Conjugate transposes of a (count, rows, cols) stack."""
+    return np.swapaxes(x.conj(), 1, 2)
+
+
+def _stack_eigvalsh(grams):
+    """Ascending eigenvalues of stacks of Hermitian blocks, all blocks together."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(g).ravel() for g in grams]))
+
+
 def _gram_eigvalsh(stacks):
-    """Ascending eigenvalues of X^H X from stacks of the diagonal blocks of X."""
-    return np.sort(np.concatenate(
-        [np.linalg.eigvalsh(np.swapaxes(x.conj(), 1, 2) @ x).ravel() for x in stacks]))
+    """Ascending eigenvalues of X^H X from stacks of the diagonal blocks of X,
+    with the Gram formed directly: the reference of the scan's expansion."""
+    return _stack_eigvalsh([_adjoint(x) @ x for x in stacks])
+
+
+def _gram_expansion(x0, dx):
+    """(G0, C, D) with X(s)^H X(s) = G0 + s C + s^2 D for X(s) = x0 + s dx.
+
+    G0 = x0^H x0, C = x0^H dx + (x0^H dx)^H and D = dx^H dx, one batched
+    product each; every conjugate copy, and x0 when the caller holds no
+    other reference to it, is dropped as soon as its last product is
+    formed.  C is Hermitian by construction."""
+    xh = _adjoint(x0)
+    g0 = xh @ x0
+    c = xh @ dx
+    del xh, x0
+    dh = _adjoint(dx)
+    d = dh @ dx
+    del dh
+    c += _adjoint(c)
+    return g0, c, d
 
 
 def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
@@ -426,14 +454,23 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
 
     X+(s) = X+(conn0) + s P with P = connection_plus_matrix(A) is affine in
     s, so it is assembled once; its eigenvalues come block by block over
-    the mode blocks of X+(conn0) and P together.
+    the mode blocks of X+(conn0) and P together.  The Laplacian is then
+    quadratic in s: per block size, X+(s)^H X+(s) = G0 + s C + s^2 D with
+    the three terms formed once (`_gram_expansion`), so a grid point costs
+    one sum and one eigvalsh instead of a Gram product.  The expanded sum
+    rounds differently from the directly formed Gram, so a windowed sum at
+    s != 0 can differ from it in the last digits; a grid point s == 0
+    reuses the eigenvalues of G0, so lambda(0) is exact as before.
     """
     asm0 = assemble(config, conn0)
     P = connection_plus_matrix(config, A)
     groups = _mode_blocks(config, asm0.xplus, P)
     X0 = _dense_blocks(config, asm0.xplus, groups)
     dX = _dense_blocks(config, P, groups)
-    evs0 = _gram_eigvalsh(X0)
+    largest_block = X0[-1].shape[1:]
+    # popping drops each dense stack as soon as its terms are formed
+    expansion = [_gram_expansion(X0.pop(0), dX.pop(0)) for _ in groups]
+    evs0 = _stack_eigvalsh([g0 for g0, _, _ in expansion])
     ev_max = float(evs0[-1]) if len(evs0) else 1.0
     kernel_thresh = kernel_tol if kernel_tol is not None else max(1e-11, 1e-13 * ev_max)
     nonzero = evs0[evs0 > kernel_thresh]
@@ -460,7 +497,8 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
     kdims = np.empty(len(s_values), dtype=int)
     margin = np.inf
     for i, s in enumerate(s_values):
-        evs = _gram_eigvalsh([x0 + s * dx for x0, dx in zip(X0, dX)])
+        evs = evs0 if s == 0 else _stack_eigvalsh(
+            [g0 + s * c + (s * s) * d for g0, c, d in expansion])
         inside = evs[evs < window_radius]
         if len(inside) != kernel0.dim:
             raise ValidationError(
@@ -477,7 +515,7 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
     factor = lam_ddot / (2 * predicted) if predicted > 0 else float("nan")
     return ScanResult(s_values, lambdas, kdims, predicted, float(window_radius),
                       lam_dot, lam_ddot, factor, sum(len(g) for g in groups),
-                      X0[-1].shape[1:], margin)
+                      largest_block, margin)
 
 
 # ---------------------------------------------------------------------------

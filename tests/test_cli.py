@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cktlab import cli, textio
+from cktlab import spectral as sp
 from cktlab import torusmodel as tm
 from cktlab.cli import run
 
@@ -269,6 +270,16 @@ class TestInputGuards:
                 "assert run(['holonomy', '--config', 'h.cfg', '--out', 'h']) == 0\n"
                 "assert run(['kato', '--config', 'k.cfg', '--out', 'k']) == 0")
         assert loaded(runs, ("scipy",)) == "[]"
+        # the ejection scan's spectra are numpy eigvalsh: a subset-eigenvalue
+        # shortcut through scipy.linalg would show up here
+        pert = tm.FourierConnection.cosine_mode(3, (0, 1, 0), 0, 0.5j * np.eye(1))
+        (tmp_path / "p.fourconn").write_text(textio.dump_fourier_connection(pert))
+        (tmp_path / "e.cfg").write_text(
+            "[torus]\nn = 3\nk = 1\nm = 0\nr = 1\n\n[perturbation]\nfile = p.fourconn\n\n"
+            "[scan]\nsmax = 0.1\npoints = 5\n")
+        eject = ("from cktlab.cli import run\n"
+                 "assert run(['torus-eject', '--config', 'e.cfg', '--out', 'e']) == 0")
+        assert loaded(eject, ("scipy.linalg",)) == "[]"
 
 class TestDivtype:
     def test_dstar_table_entry(self, tmp_path, capsys):
@@ -351,6 +362,40 @@ class TestKato:
             cells = row.strip().split(",")
             assert float(cells[1]) <= 1e-9   # identity residual
             assert float(cells[5]) <= 1e-10  # pi operator norm
+
+    def test_rerun_byte_identical_and_equal_to_separate_passes(self, tmp_path):
+        # the one-pass suite must give the rows that lambda_derivatives and
+        # conjugation_check, called separately, give for the same draws
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("[kato]\nsize = 12\ninstances = 3\n")
+        outs = []
+        for out in (tmp_path / "o1", tmp_path / "o2"):
+            assert run(["kato", "--config", str(cfg), "--out", str(out), "--seed", "7"]) == 0
+            outs.append((out / "kato.csv").read_text().splitlines())
+        assert outs[0][0].startswith("# timestamp:") and outs[0][1:] == outs[1][1:]
+        rng = np.random.default_rng(7)
+        expected = []
+        for i in range(3):
+            X = sp.random_skew_adjoint_with_kernel(rng, 12, 2, gap=0.8, spread=4.0)
+            M = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+            P_A = (M - M.conj().T) / 2
+            W = sp.spectral_window(X, 0.3)
+            d1c, d2c, d1f, d2f = sp.lambda_derivatives(W, P_A)
+            conj = sp.conjugation_check(X, 0.05 * P_A, np.linspace(-1, 1, 3), radius=0.3)
+            pi_norm = float(np.abs(sp.pi_operator(W)).max())
+            expected.append(f"{i},{sp.resolvent_identity_check(W)!r},{float(abs(d1f - d1c))!r},"
+                            f"{float(abs(d2f - d2c))!r},{conj!r},{pi_norm!r}")
+        assert [ln.strip() for ln in read_data_lines(tmp_path / "o1" / "kato.csv")][1:] == expected
+
+    def test_window_enclosing_nonzero_eigenvalues_rejected(self, tmp_path, capsys):
+        # radius 100 encloses the whole spectrum: the d1/d2/conjugation
+        # columns still looked perfect, but the identity residual was 4.8
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("[kato]\nsize = 4\nkernel_dim = 2\ninstances = 1\nradius = 100\n")
+        assert run(["kato", "--config", str(cfg), "--out", str(tmp_path), "--seed", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "tag=validation" in err and "nonzero eigenvalue" in err
+        assert not (tmp_path / "kato.csv").exists()
 
 
 class TestHolonomyCmd:

@@ -156,6 +156,18 @@ def _rk4_steps(conn, x0, V, T, steps):
     return C
 
 
+def _chunked_run(conn, x0, V, T, steps):
+    """One RK4 run on its own: Gamma at its own stage times, _STEP_CHUNK
+    step propagators per chunk, as _transport_pair builds each of its runs."""
+    C = np.broadcast_to(np.eye(conn.r, dtype=complex), (len(V), conn.r, conn.r)).copy()
+    minus_gamma = ho._gamma_field(conn, x0, V)
+    h = T / steps
+    for start in range(0, steps, ho._STEP_CHUNK):
+        count = min(ho._STEP_CHUNK, steps - start)
+        C = ho._chunk_propagator(minus_gamma((start + np.arange(2 * count + 1) / 2) * h), h) @ C
+    return C
+
+
 class TestBatchedTransport:
     # four modes (two cosines) and four directions: an einsum that mixed the
     # geodesic and the support index would still have matching shapes
@@ -181,11 +193,46 @@ class TestBatchedTransport:
     @pytest.mark.parametrize("steps", [1, 5, 32, 64, 70, 257])
     def test_step_propagators_match_step_loop(self, rng, steps):
         # chunks of step propagators, a short last chunk included, against
-        # applying every RK4 step to C in turn
+        # applying every RK4 step to C in turn, for both runs of the pair
         x0 = rng.uniform(0, 2 * np.pi, 3)
         V = np.array([unit(rng.standard_normal(3)) for _ in range(3)])
-        C = ho._transport_rk4(self.CONN, x0, V, 3.0, steps)
-        assert np.abs(C - _rk4_steps(self.CONN, x0, V, 3.0, steps)).max() <= 1e-13
+        coarse, fine = ho._transport_pair(self.CONN, x0, V, 3.0, steps)
+        assert np.abs(coarse - _rk4_steps(self.CONN, x0, V, 3.0, steps)).max() <= 1e-13
+        assert np.abs(fine - _rk4_steps(self.CONN, x0, V, 3.0, 2 * steps)).max() <= 1e-13
+
+
+    @pytest.mark.parametrize("steps", [1, 5, 32, 70])
+    def test_doubled_run_equals_two_independent_runs(self, rng, steps, monkeypatch):
+        # the coarse run reads Gamma at the fine run's step boundaries: the
+        # same floating-point times, so both results are those of separate runs
+        x0 = rng.uniform(0, 2 * np.pi, 3)
+        V = np.array([unit(rng.standard_normal(3)) for _ in range(3)])
+        coarse = _chunked_run(self.CONN, x0, V, 3.0, steps)
+        fine = _chunked_run(self.CONN, x0, V, 3.0, 2 * steps)
+        times = []
+        field = ho._gamma_field
+
+        def recorded(*args):
+            minus_gamma = field(*args)
+
+            def at(t):
+                times.extend(t)
+                return minus_gamma(t)
+            return at
+
+        monkeypatch.setattr(ho, "_gamma_field", recorded)
+        pair = ho._transport_pair(self.CONN, x0, V, 3.0, steps)
+        assert np.array_equal(pair[0], coarse) and np.array_equal(pair[1], fine)
+        # Gamma at each fine stage time once, chunk boundaries twice
+        chunks = -(-steps // ho._STEP_CHUNK)
+        assert len(times) == 4 * steps + chunks
+        assert len(set(times)) == 4 * steps + 1
+        if steps >= 16:
+            C, err, unit_defect = ho._transport_doubled(self.CONN, x0, V, 3.0, steps)
+            assert np.array_equal(C, fine)
+            assert np.array_equal(err, np.abs(fine - coarse).max(axis=(1, 2)))
+            gram = fine.conj().transpose(0, 2, 1) @ fine
+            assert np.array_equal(unit_defect, np.abs(gram - np.eye(2)).max(axis=(1, 2)))
 
 
 class TestInvarianceDefect:

@@ -43,6 +43,45 @@ class TestSpectralWindow:
             sp.spectral_window(X, 0.5)
         assert "nearest eigenvalue" in str(ei.value)
 
+    def test_enclosed_nonzero_eigenvalues_rejected(self):
+        # the disc |z| < 2 holds +-i as well as 0: the constant Laurent term
+        # would not be the reduced resolvent at 0
+        with pytest.raises(ValidationError, match="2 nonzero eigenvalue"):
+            sp.spectral_window(np.diag([0.0, 1j, -1j]), 2.0)
+
+    def test_enclosed_zero_by_the_default_radius_rule_accepted(self):
+        # 1e-14 is below 1e-12 max|lambda|: default_window_radius counts it
+        # as zero, and so does the window
+        X = np.diag([0.0, 1e-14, 1j])
+        assert sp.default_window_radius(X) == 0.5
+        W = sp.spectral_window(X, 0.5)
+        assert abs(np.trace(W.pi0_plus) - 2) < 1e-11
+
+    @staticmethod
+    def _ill_conditioned(d, cond):
+        # S diag(d) S^-1 with cond(S) = cond
+        rng = np.random.default_rng(3)
+        n = len(d)
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        V, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        S = U @ np.diag(np.logspace(0, np.log10(cond), n)) @ V
+        return S @ np.diag(d) @ np.linalg.inv(S)
+
+    def test_ill_conditioned_semisimple_kernel_accepted(self):
+        # rounding lifts a zero eigenvalue above 1e-12 max|lambda|, but not
+        # above its condition number times n eps |X|_F
+        X = self._ill_conditioned([0, 0, 3j], 1e3)
+        mags = np.abs(np.linalg.eigvals(X))
+        assert ((mags > 1e-12 * mags.max()) & (mags < 1.0)).any()
+        W = sp.spectral_window(X, 1.0)
+        assert abs(np.trace(W.pi0_plus) - 2) < 1e-11
+        assert W.eig_crosscheck < 1e-8
+
+    def test_ill_conditioned_nonzero_enclosed_rejected(self):
+        X = self._ill_conditioned([0, 0.5j, 3j], 1e3)
+        with pytest.raises(ValidationError, match="1 nonzero eigenvalue"):
+            sp.spectral_window(X, 1.0)
+
     def test_quadrature_matches_eigenprojectors(self, rng):
         # random matrices, gap >= 0.1 around the contour
         for _ in range(100):
@@ -359,6 +398,37 @@ class TestBatchedClusterSums:
     def test_empty_grid(self, rng):
         X = sp.random_skew_adjoint_with_kernel(rng, 6, 1)
         assert sp.conjugation_check(X, random_skew_hermitian(rng, 6), [], radius=0.3) == 0.0
+
+
+class TestPerturbationSuite:
+    GRID = np.linspace(-1, 1, 3)
+
+    @pytest.mark.parametrize("dim, kernel_dim", [(3, 1), (12, 2), (25, 0), (40, 2)])
+    def test_equals_separate_calls_bitwise(self, rng, dim, kernel_dim):
+        X = sp.random_skew_adjoint_with_kernel(rng, dim, kernel_dim, gap=0.8, spread=4.0)
+        P_A = random_skew_hermitian(rng, dim)
+        W = sp.spectral_window(X, 0.3)
+        got = sp.perturbation_suite(W, P_A, 0.05 * P_A, self.GRID)
+        want = (*sp.lambda_derivatives(W, P_A),
+                sp.conjugation_check(X, 0.05 * P_A, self.GRID, radius=0.3))
+        assert len(got) == 5
+        for a, b in zip(got, want):
+            assert a == b
+
+    def test_one_reduction_and_one_walk(self, rng, monkeypatch):
+        X = sp.random_skew_adjoint_with_kernel(rng, 10, 2, gap=0.8, spread=4.0)
+        P_A = random_skew_hermitian(rng, 10)
+        W = sp.spectral_window(X, 0.3)
+        stacks = []
+        reduce = sp._hessenberg
+
+        def counted(Xs):
+            stacks.append(len(Xs))
+            return reduce(Xs)
+
+        monkeypatch.setattr(sp, "_hessenberg", counted)
+        sp.perturbation_suite(W, P_A, 0.05 * P_A, self.GRID)
+        assert stacks == [5 + 2 * len(self.GRID)]
 
 
 class TestContourThroughSpectrum:

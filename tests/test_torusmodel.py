@@ -374,6 +374,62 @@ class TestBlockPathAgainstDense:
             assert np.abs(diff).max() <= 1e-12
 
 
+# (config, conn0, A): the eject workload's box, the harmonic workload's
+# degree with all modes coupled, and an r = 2 End(E) case with conn0 != 0
+GRAM_CASES = {
+    "eject": BLOCK_CASES["eject"][:3],
+    "harmonic": (TorusConfig(3, 1, 5, 1), FourierConnection.zero(r=1, n=3),
+                 three_axis_connection()),
+    "endomorphism": BLOCK_CASES["conn0-other-support"][:3],
+}
+
+
+@pytest.mark.parametrize("case", list(GRAM_CASES))
+class TestGramExpansion:
+    GRID = np.linspace(-0.1, 0.1, 9)
+
+    @staticmethod
+    def _blocks(cfg, conn0, A):
+        asm0 = tm.assemble(cfg, conn0)
+        P = tm.connection_plus_matrix(cfg, A)
+        groups = tm._mode_blocks(cfg, asm0.xplus, P)
+        return tm._dense_blocks(cfg, asm0.xplus, groups), tm._dense_blocks(cfg, P, groups)
+
+    def test_expansion_matches_direct_gram(self, case):
+        X0, dX = self._blocks(*GRAM_CASES[case])
+        expansion = [tm._gram_expansion(x0, dx) for x0, dx in zip(X0, dX)]
+        evs0 = tm._gram_eigvalsh(X0)
+        assert np.array_equal(tm._stack_eigvalsh([g0 for g0, _, _ in expansion]), evs0)
+        for _, c, _ in expansion:
+            assert np.array_equal(c, np.swapaxes(c.conj(), 1, 2))
+        for s in self.GRID:
+            direct = tm._gram_eigvalsh([x0 + s * dx for x0, dx in zip(X0, dX)])
+            expanded = tm._stack_eigvalsh([g0 + s * c + (s * s) * d for g0, c, d in expansion])
+            assert np.abs(expanded - direct).max() <= 1e-12 * evs0[-1]
+
+    def test_scan_reuses_the_s0_spectrum(self, case, monkeypatch):
+        cfg, conn0, A = GRAM_CASES[case]
+        X0, dX = self._blocks(cfg, conn0, A)
+        evs0 = tm._gram_eigvalsh(X0)
+        spectra = []
+        eigvalsh = tm._stack_eigvalsh
+
+        def recorded(grams):
+            spectra.append(eigvalsh(grams))
+            return spectra[-1]
+
+        monkeypatch.setattr(tm, "_stack_eigvalsh", recorded)
+        res = tm.lambda_scan(cfg, conn0, A, self.GRID)
+        # one spectrum at s = 0 (evs0) and one per nonzero grid point
+        assert len(spectra) == 1 + np.count_nonzero(self.GRID)
+        assert np.array_equal(spectra[0], evs0)
+        radius = res.window_radius
+        assert res.lambdas[4] == float(evs0[evs0 < radius].sum())
+        for s, lam in zip(self.GRID, res.lambdas):
+            direct = tm._gram_eigvalsh([x0 + s * dx for x0, dx in zip(X0, dX)])
+            assert abs(lam - direct[direct < radius].sum()) <= 1e-12 * evs0[-1]
+
+
 def test_kernel_vectors_stay_in_one_block():
     # conn0 couples along axis 0 only: each zero mode lives on one line of
     # modes, and mode_support names exactly the modes carrying its mass

@@ -209,19 +209,15 @@ def transport(conn: FourierConnection, seg: GeodesicSegment, steps: int = 128,
 
 
 def _projector_field(P):
-    """Normalize the projector argument: constant matrix or {mode: value}."""
+    """Normalize the projector argument: constant matrix or {mode: matrix}."""
     if isinstance(P, dict):
-        out = {}
-        for q, val in P.items():
-            out[tuple(int(c) for c in q)] = val
-        return out
+        return {tuple(int(c) for c in q): np.asarray(M, dtype=complex) for q, M in P.items()}
     return {None: np.asarray(P, dtype=complex)}
 
 
-def _eval_field(field_modes, x, v):
+def _eval_field(field_modes, x):
     acc = None
-    for q, val in field_modes.items():
-        M = val(v) if callable(val) else np.asarray(val, dtype=complex)
+    for q, M in field_modes.items():
         if q is not None:
             M = M * np.exp(1j * float(np.dot(q, x)))
         acc = M if acc is None else acc + M
@@ -231,10 +227,9 @@ def _eval_field(field_modes, x, v):
 def _eval_flow_derivative(field_modes, x, v):
     """v . d_x of the field (geodesics are straight, so no v-derivatives)."""
     acc = None
-    for q, val in field_modes.items():
+    for q, M in field_modes.items():
         if q is None:
             continue
-        M = val(v) if callable(val) else np.asarray(val, dtype=complex)
         M = M * (1j * float(np.dot(q, v))) * np.exp(1j * float(np.dot(q, x)))
         acc = M if acc is None else acc + M
     return acc
@@ -244,8 +239,8 @@ def invariance_defect(conn: FourierConnection, P, samples: int = 64,
                       seed: int = 0, n: int | None = None) -> float:
     """Max over sampled (x, v) of || X.P + [Gamma_x(v), P] ||.
 
-    P may be a constant matrix or a dict of Fourier modes over the sphere
-    bundle (values: matrices or callables of v).  Vanishing defect is the
+    P may be a constant matrix or a dict {Fourier mode q: matrix}, the
+    field sum_q P_q e^{i q.x} over the torus.  Vanishing defect is the
     flow-parallelism of the subbundle projector, i.e. invariance.
     """
     if samples < 1:
@@ -260,7 +255,7 @@ def invariance_defect(conn: FourierConnection, P, samples: int = 64,
         x = rng.uniform(0, 2 * math.pi, n)
         v = rng.standard_normal(n)
         v /= np.linalg.norm(v)
-        Pxv = _eval_field(field_modes, x, v)
+        Pxv = _eval_field(field_modes, x)
         herm = np.abs(Pxv - Pxv.conj().T).max()
         idem = np.abs(Pxv @ Pxv - Pxv).max()
         if herm > 1e-8 or idem > 1e-8:

@@ -21,10 +21,13 @@ window (`perturbation_suite`: the finite-difference stencil of
 `lambda_derivatives` and the grid of `conjugation_check`) is one such
 stack, reduced once and walked once per level.
 
-The window radius must isolate the cluster at 0: the quadrature for the
-Laurent constant term reads off the residue at z = 0 and is only the
-reduced resolvent when no other eigenvalue sits inside the circle, so
-`spectral_window` rejects a radius that encloses a nonzero eigenvalue.
+The window radius must isolate the cluster at 0, and the cluster must be
+semisimple: the quadrature for the Laurent constant term reads off the
+residue at z = 0 and is only the reduced resolvent when no other
+eigenvalue sits inside the circle and X Pi = 0.  `spectral_window`
+takes one eig of X for its default radius, contour clearance, zero rule
+(conditioning-aware, so an ill-conditioned zero cluster stays at zero),
+enclosed count and cross-check, and refuses a window that breaks either.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .errors import ConvergenceError, ValidationError
 __all__ = [
     "SpectralWindow",
     "spectral_window",
-    "eigenprojector_sum",
     "resolvent_identity_check",
     "pi_operator",
     "cluster_sum",
@@ -61,22 +63,54 @@ class SpectralWindow:
     r0_plus: np.ndarray
     r0_minus: np.ndarray
     quadrature_nodes: int
+    enclosed: int  # eigenvalues of X inside the contour, with multiplicity
     eig_crosscheck: float = field(default=float("nan"))
 
 
-def _check_contour_clear(X, radius):
-    evals = np.linalg.eigvals(X)
-    if len(evals) == 0:
-        return evals
-    dist = np.abs(np.abs(evals) - radius)
-    scale = max(radius, float(np.abs(evals).max()), 1e-30)
-    if dist.min() < 1e-8 * scale:
-        nearest = evals[int(dist.argmin())]
+def _eig(X):
+    """One eigendecomposition of X: (w, V, V^-1, kappa).
+
+    V's columns have unit norm, so the condition number kappa_i of w_i is
+    the norm of row i of V^-1.  When V is singular to working precision
+    (no eigenbasis), V^-1 is None and every kappa is infinite.
+    """
+    w, V = np.linalg.eig(X)
+    try:
+        Vinv = np.linalg.inv(V)
+    except np.linalg.LinAlgError:
+        return w, V, None, np.full(len(w), np.inf)
+    with np.errstate(over="ignore"):  # kappa overflows to inf for a nilpotent X
+        return w, V, Vinv, np.linalg.norm(Vinv, axis=1)
+
+
+def _zero(X, w, kappa, kappa_max=np.inf):
+    """Mask of the eigenvalues w of X that count as zero: |w| at most
+    max(1e-12 max |w|, 1e-300), or within the rounding error of eig,
+    10 kappa n eps |X|_F, where kappa <= kappa_max.  The second rule keeps
+    a zero cluster with an ill-conditioned eigenbasis at zero."""
+    mags = np.abs(w)
+    rounding = 10 * kappa * len(w) * np.finfo(float).eps * np.linalg.norm(X)
+    first = mags <= max(1e-12 * mags.max(initial=0.0), 1e-300)
+    return first | ((mags <= rounding) & (kappa <= kappa_max))
+
+
+def _default_radius(X, w, kappa):
+    """Half the smallest nonzero |w|, 1.0 when there is none.  Rounding
+    excuses only where first-order perturbation theory holds, kappa <=
+    eps^-1/2: a defective eigenvalue (kappa about 1/eps) stays nonzero."""
+    nonzero = np.abs(w)[~_zero(X, w, kappa, np.finfo(float).eps ** -0.5)]
+    return float(nonzero.min()) / 2 if len(nonzero) else 1.0
+
+
+def _check_contour_clear(w, radius):
+    dist = np.abs(np.abs(w) - radius)
+    scale = max(radius, float(np.abs(w).max(initial=0.0)), 1e-30)
+    if len(w) and dist.min() < 1e-8 * scale:
+        nearest = w[int(dist.argmin())]
         raise ValidationError(
             f"contour |z| = {radius} passes through the spectrum; "
             f"nearest eigenvalue {nearest}"
         )
-    return evals
 
 
 # nodes per stacked inverse: a whole level at once would hold every
@@ -136,104 +170,70 @@ def _window_group_sum(X):
     return group_sum
 
 
-def _contour_quadrature(X, radius, tol=1e-11, max_nodes=1 << 15):
+def _contour_quadrature(X, radius, max_nodes=1 << 15):
     """Trapezoidal contour integrals of the four window quantities at once.
 
     Returns (pi_plus, r_plus, pi_minus, r_minus, nodes).  Node count is
-    doubled until the projector stops changing by more than tol.
+    doubled until the projector stops changing by more than 1e-11.
     """
     prev = None
     levels = _trapezoid_levels(radius, _window_group_sum(X), max_nodes)
     for N, (pi_p, r_p, pi_m, r_m) in levels:
-        if prev is not None and np.abs(pi_p - prev).max() <= tol:
+        if prev is not None and np.abs(pi_p - prev).max() <= 1e-11:
             return pi_p, r_p, pi_m, r_m, N
         prev = pi_p
     raise ConvergenceError(
-        f"contour quadrature did not converge to {tol} within {max_nodes} nodes"
+        f"contour quadrature did not converge to 1e-11 within {max_nodes} nodes"
     )
 
 
-def eigenprojector_sum(X, radius):
-    """Riesz projector onto eigenvalues inside |z| < radius, via eig."""
-    evals, V = np.linalg.eig(X)
-    inside = np.abs(evals) < radius
-    Vinv = np.linalg.inv(V)
-    return V[:, inside] @ Vinv[inside, :]
-
-
-def spectral_window(X, radius=None, tol=1e-11) -> SpectralWindow:
+def spectral_window(X, radius=None) -> SpectralWindow:
     """Projectors and reduced resolvents at the eigenvalue cluster at 0.
 
     Both resolvent conventions are integrated: pi0_plus/r0_plus from
     (X + z)^{-1} (whose Laurent expansion at 0 is pi0_plus/z + r0_plus + O(z))
     and pi0_minus/r0_minus from (z - X)^{-1}.  For skew-adjoint X the two
-    projectors agree and are orthogonal.  The disc |z| < radius must hold
-    the cluster at 0 and nothing else: an enclosed eigenvalue that is
-    nonzero by default_window_radius's rule and past its own rounding error
-    (_enclosed_nonzero) is a ValidationError, since the constant Laurent
-    term would no longer be a reduced resolvent.
+    projectors agree and are orthogonal.  One eig of X gives the default
+    radius, the contour clearance, the enclosed count and the cross-check
+    projector V[:, in] V^-1[in, :].  The disc |z| < radius must hold a
+    semisimple cluster at 0 and nothing else, or the constant Laurent term
+    is no reduced resolvent: an enclosed eigenvalue that is nonzero by
+    _zero's rule is a ValidationError, and so is an eigennilpotent X Pi
+    with |X Pi|_F > 1e-8 |X|_F max(1, |Pi|_F).
     """
     X = np.asarray(X, dtype=complex)
     if X.shape[0] != X.shape[1]:
         raise ValidationError("matrix must be square")
+    w, V, Vinv, kappa = _eig(X)
     if radius is None:
-        radius = default_window_radius(X)
+        radius = _default_radius(X, w, kappa)
     _check_radius(radius)
-    enclosed = _enclosed_nonzero(X, _check_contour_clear(X, radius), radius)
-    if len(enclosed):
+    _check_contour_clear(w, radius)
+    mags = np.abs(w)
+    inside = mags < radius
+    stray = mags[inside & ~_zero(X, w, kappa)]
+    if len(stray):
         raise ValidationError(
-            f"window |z| < {radius} encloses {len(enclosed)} nonzero eigenvalue(s), the "
-            f"smallest of modulus {float(enclosed.min())!r}; the radius must isolate "
+            f"window |z| < {radius} encloses {len(stray)} nonzero eigenvalue(s), the "
+            f"smallest of modulus {float(stray.min())!r}; the radius must isolate "
             "the cluster at 0"
         )
-    pi_p, r_p, pi_m, r_m, nodes = _contour_quadrature(X, radius, tol)
-    try:
-        cross = float(np.abs(pi_p - eigenprojector_sum(X, radius)).max())
-    except np.linalg.LinAlgError:
-        cross = float("nan")
-    return SpectralWindow(X, float(radius), pi_p, pi_m, r_p, r_m, nodes, cross)
-
-
-def _nonzero_magnitudes(evals):
-    """|lambda| of the eigenvalues that count as nonzero: above 1e-12 max |lambda|
-    and above 1e-300."""
-    mags = np.abs(evals)
-    scale = mags.max() if len(mags) else 0.0
-    return mags[mags > max(1e-12 * scale, 1e-300)]
-
-
-def _enclosed_nonzero(X, evals, radius):
-    """|lambda| of the eigenvalues inside |z| < radius that are nonzero:
-    by default_window_radius's rule, and above their rounding error.
-
-    A cluster at 0 with an ill-conditioned eigenbasis comes out of eigvals
-    well above 1e-12 max |lambda|: eig moves an eigenvalue of condition
-    number kappa by up to about kappa n eps |X|_F (a defective cluster by
-    about as much, its kappa being huge).  So when the rule flags an
-    enclosed eigenvalue, eig gives kappa (V's columns have unit norm, so
-    kappa_i is the norm of row i of V^-1) and an eigenvalue within ten
-    times that bound counts as zero.  Well-conditioned spectra never need
-    the eig.
-    """
-    mags = _nonzero_magnitudes(evals)
-    if not (mags < radius).any():
-        return mags[:0]
-    w, V = np.linalg.eig(X)
-    try:
-        kappa = np.linalg.norm(np.linalg.inv(V), axis=1)
-    except np.linalg.LinAlgError:  # no eigenbasis to working precision: none resolved
-        return mags[:0]
-    mags = np.abs(w)
-    rounding = 10 * kappa * len(X) * np.finfo(float).eps * np.linalg.norm(X)
-    return mags[(mags < radius) & (mags > rounding) & (mags > max(1e-12 * mags.max(), 1e-300))]
+    pi_p, r_p, pi_m, r_m, nodes = _contour_quadrature(X, radius)
+    nilpotent = float(np.linalg.norm(X @ pi_p))
+    if nilpotent > 1e-8 * np.linalg.norm(X) * max(1.0, np.linalg.norm(pi_p)):
+        raise ValidationError(f"the cluster inside |z| < {radius} is not semisimple at 0: "
+                              f"|X Pi|_F = {nilpotent:.3e}")
+    cross = (float("nan") if Vinv is None
+             else float(np.abs(pi_p - V[:, inside] @ Vinv[inside, :]).max()))
+    return SpectralWindow(X, float(radius), pi_p, pi_m, r_p, r_m, nodes,
+                          int(inside.sum()), cross)
 
 
 def default_window_radius(X) -> float:
-    """Half the smallest nonzero |eigenvalue|; 1.0 when the matrix is nilpotent-at-0."""
-    nonzero = _nonzero_magnitudes(np.linalg.eigvals(np.asarray(X, dtype=complex)))
-    if len(nonzero) == 0:
-        return 1.0
-    return float(nonzero.min()) / 2
+    """Half the smallest nonzero |eigenvalue| (_default_radius); 1.0 when none."""
+    X = np.asarray(X, dtype=complex)
+    w, _, _, kappa = _eig(X)
+    return _default_radius(X, w, kappa)
 
 
 def resolvent_identity_check(W: SpectralWindow) -> float:
@@ -375,13 +375,13 @@ def _hessenberg_traces(H, z):
 _TRACE_BUDGET = 1 << 13
 
 
-def _cluster_sums(Xs, radius, tol=1e-12, max_nodes=1 << 15):
+def _cluster_sums(Xs, radius, max_nodes=1 << 15):
     """(1/2 pi i) contour integral of Tr[z (X_b + z)^{-1}] dz for each X_b of a stack.
 
     The value is minus the sum of the eigenvalues of X_b inside the
     circle.  Every matrix walks the nested endpoint levels N = 16, 32, ...
     and returns its mean of z^2 Tr (X_b + z)^{-1} over the N nodes at the
-    first level within tol * max(1, |value|) of the previous one; a
+    first level within 1e-12 * max(1, |value|) of the previous one; a
     converged matrix, with its Hessenberg form, drops out of later levels.
     Each level's new nodes go through _hessenberg_traces in chunks of at
     most _TRACE_BUDGET working entries.  Returns (B,).
@@ -414,7 +414,7 @@ def _cluster_sums(Xs, radius, tol=1e-12, max_nodes=1 << 15):
         vals = total[active] / N
         done = np.zeros(len(active), dtype=bool)
         if N > 16:
-            done = np.abs(vals - prev[active]) <= tol * np.maximum(1.0, np.abs(vals))
+            done = np.abs(vals - prev[active]) <= 1e-12 * np.maximum(1.0, np.abs(vals))
             out[active[done]] = vals[done]
         prev[active] = vals
         active = active[~done]
@@ -424,17 +424,17 @@ def _cluster_sums(Xs, radius, tol=1e-12, max_nodes=1 << 15):
     raise ConvergenceError("cluster-sum quadrature did not converge")
 
 
-def cluster_sum(X, radius, tol=1e-12) -> complex:
+def cluster_sum(X, radius) -> complex:
     """lambda^+ = -Tr(X Pi) = sum of the eigenvalues of -X inside the window,
     computed as the trace of the contour integral of z (X+z)^{-1}."""
-    return _cluster_sums(np.asarray(X, dtype=complex)[None], radius, tol)[0]
+    return _cluster_sums(np.asarray(X, dtype=complex)[None], radius)[0]
 
 
-def cluster_sum_minus(X, radius, tol=1e-12) -> complex:
+def cluster_sum_minus(X, radius) -> complex:
     """lambda^- = Tr(X Pi_minus), the other resolvent convention.
 
     (z - X)^{-1} = (-X + z)^{-1}, so this is the cluster sum of -X."""
-    return _cluster_sums(-np.asarray(X, dtype=complex)[None], radius, tol)[0]
+    return _cluster_sums(-np.asarray(X, dtype=complex)[None], radius)[0]
 
 
 def _closed_derivatives(W: SpectralWindow, P_A):
@@ -444,26 +444,22 @@ def _closed_derivatives(W: SpectralWindow, P_A):
     return dot, ddot
 
 
-def _fd_stencil(W: SpectralWindow, P_A, fd_step):
+def _fd_stencil(W: SpectralWindow, P_A):
     """(h, the five matrices X + s P_A for s = -2h, -h, 0, h, 2h) of the
     finite-difference derivatives, after checking that the stencil keeps
     W's cluster strictly inside its contour."""
     X, radius = W.X, W.contour_radius
-    pa_norm = float(np.linalg.norm(P_A, 2))
-    if fd_step is None:
-        fd_step = min(0.05 * radius / max(pa_norm, 1e-12), 1e-2)
-    h = fd_step
+    h = min(0.05 * radius / max(float(np.linalg.norm(P_A, 2)), 1e-12), 1e-2)
     # the stencil must keep the cluster strictly inside the contour: the
     # enclosed-eigenvalue count may not change and nothing may touch the circle
-    n_inside_0 = int((np.abs(np.linalg.eigvals(X)) < radius).sum())
     for s in (2 * h, -2 * h):
         evals = np.linalg.eigvals(X + s * P_A)
         dist = np.abs(np.abs(evals) - radius)
         n_inside = int((np.abs(evals) < radius).sum())
-        if dist.min() < 1e-6 * radius or n_inside != n_inside_0:
+        if dist.min() < 1e-6 * radius or n_inside != W.enclosed:
             raise ValidationError(
                 "eigenvalue cluster leaves the contour inside the fd stencil; "
-                "reduce fd_step or enlarge the window"
+                "enlarge the window"
             )
     return h, np.stack([X + s * P_A for s in (-2 * h, -h, 0.0, h, 2 * h)])
 
@@ -490,7 +486,7 @@ def _conjugation_defect(sums):
     return float(np.abs(np.conj(lam_minus) - lam_plus).max(initial=0.0))
 
 
-def lambda_derivatives(W: SpectralWindow, P_A, fd_step=None):
+def lambda_derivatives(W: SpectralWindow, P_A):
     """Closed-form and finite-difference derivatives of the window eigenvalue sum.
 
     W is the window of X; lambda(s) = -Tr((X + s P_A) Pi_s) with Pi_s the
@@ -500,7 +496,7 @@ def lambda_derivatives(W: SpectralWindow, P_A, fd_step=None):
     """
     P_A = np.asarray(P_A, dtype=complex)
     closed = _closed_derivatives(W, P_A)
-    h, stencil = _fd_stencil(W, P_A, fd_step)
+    h, stencil = _fd_stencil(W, P_A)
     return (*closed, *_fd_derivatives(h, _cluster_sums(stencil, W.contour_radius)))
 
 
@@ -529,7 +525,7 @@ def perturbation_suite(W: SpectralWindow, P_A, conj_P_A, s_grid):
     """
     P_A = np.asarray(P_A, dtype=complex)
     closed = _closed_derivatives(W, P_A)
-    h, stencil = _fd_stencil(W, P_A, None)
+    h, stencil = _fd_stencil(W, P_A)
     stack = np.concatenate(
         [stencil, _conjugation_grid(W.X, np.asarray(conj_P_A, dtype=complex), s_grid)])
     del stencil  # only the one stack stays alive through the quadrature

@@ -387,6 +387,27 @@ class TestKato:
                             f"{float(abs(d2f - d2c))!r},{conj!r},{pi_norm!r}")
         assert [ln.strip() for ln in read_data_lines(tmp_path / "o1" / "kato.csv")][1:] == expected
 
+    def test_one_eig_per_instance(self, tmp_path, monkeypatch):
+        # the window's eig of X serves the contour check, the zero rule,
+        # the cross-check and the enclosed count; eigvals runs only at the
+        # two ends X +- 2h P_A of the fd stencil
+        calls = {"eig": [], "eigvals": []}
+        for name in calls:
+            solver = getattr(np.linalg, name)
+
+            def counted(A, solver=solver, name=name):
+                calls[name].append(np.array(A))
+                return solver(A)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("[kato]\nsize = 10\ninstances = 1\n")
+        assert run(["kato", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        [X] = calls["eig"]
+        assert np.abs(X + X.conj().T).max() < 1e-12  # the skew-adjoint instance
+        plus, minus = (A - X for A in calls["eigvals"])
+        assert np.abs(plus + minus).max() < 1e-12 and np.abs(plus).max() > 0
+
     def test_window_enclosing_nonzero_eigenvalues_rejected(self, tmp_path, capsys):
         # radius 100 encloses the whole spectrum: the d1/d2/conjugation
         # columns still looked perfect, but the identity residual was 4.8

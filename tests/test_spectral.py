@@ -82,6 +82,53 @@ class TestSpectralWindow:
         with pytest.raises(ValidationError, match="1 nonzero eigenvalue"):
             sp.spectral_window(X, 1.0)
 
+    @pytest.mark.parametrize("cond", [1e2, 1e3, 1e4, 1e6])
+    def test_default_radius_of_ill_conditioned_zero_cluster(self, cond):
+        # the zero eigenvalues come out of eig within their rounding error,
+        # so the default radius is half of |3i|, not half a rounding error
+        X = self._ill_conditioned([0, 0, 3j], cond)
+        assert sp.default_window_radius(X) == pytest.approx(1.5, rel=1e-6)
+
+    def test_default_window_of_ill_conditioned_zero_cluster_has_rank_2(self):
+        X = self._ill_conditioned([0, 0, 3j], 1e3)
+        W = sp.spectral_window(X)
+        assert W.contour_radius == pytest.approx(1.5, rel=1e-6)
+        assert W.enclosed == 2
+        assert abs(np.trace(W.pi0_plus) - 2) < 1e-11
+        assert W.eig_crosscheck < 1e-8
+
+    def test_default_radius_keeps_defective_eigenvalues_nonzero(self):
+        # a Jordan block's kappa is about 1/eps: rounding does not excuse it
+        assert sp.default_window_radius(np.array([[1.0, 1.0], [0.0, 1.0]])) == 0.5
+
+    @pytest.mark.parametrize("J, radius", [
+        ([[0.5, 1.0], [0.0, 0.5]], 0.7),
+        ([[1.0, 1.0], [0.0, 1.0]], 1.5),
+        ([[0.0, 1.0], [0.0, 0.0]], 1.0),
+    ])
+    def test_defective_cluster_rejected(self, J, radius):
+        # kappa of a Jordan block excuses its eigenvalue as rounding, but
+        # X Pi, the eigennilpotent, is of order one
+        with pytest.raises(ValidationError, match="not semisimple"):
+            sp.spectral_window(np.array(J), radius)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("cond", [1.0, 1e2])
+    def test_conjugated_jordan_block_at_zero_rejected(self, n, cond):
+        J = np.diag(np.concatenate([[0, 0], 1j * np.linspace(2, 4, n - 2)]))
+        J[0, 1] = 1.0
+        rng = np.random.default_rng(n)
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        S = U @ np.diag(np.logspace(0, np.log10(cond), n))
+        with pytest.raises(ValidationError, match="not semisimple"):
+            sp.spectral_window(S @ J @ np.linalg.inv(S), 1.0)
+
+    def test_enclosed_count(self, rng):
+        for X, radius in ((np.diag([0.0, 0.0, 1j]), 0.5), (np.diag([2j, -2j]), 0.5),
+                          (sp.random_skew_adjoint_with_kernel(rng, 12, 3), 0.25)):
+            w = np.linalg.eigvals(X)
+            assert sp.spectral_window(X, radius).enclosed == int((np.abs(w) < radius).sum())
+
     def test_quadrature_matches_eigenprojectors(self, rng):
         # random matrices, gap >= 0.1 around the contour
         for _ in range(100):
@@ -185,11 +232,13 @@ class TestLambdaDerivatives:
         assert abs(d1f - d1c) <= 1e-6 * (1 + abs(d1c))
         assert abs(d2f - d2c) <= 1e-6 * (1 + abs(d2c))
 
-    def test_stencil_escape_detected(self, rng):
-        X = np.diag([0.0, 1j, -1j])
-        P_A = 1000 * random_skew_hermitian(rng, 3)
-        with pytest.raises(ValidationError):
-            sp.lambda_derivatives(sp.spectral_window(X, 0.5), P_A, fd_step=0.1)
+    def test_stencil_escape_detected(self):
+        # the default step is h = 0.01: at s = -2h the eigenvalue 0.515i
+        # moves to 0.495i, inside the contour
+        X = np.diag([0.0, 0.515j, -1j])
+        P_A = np.diag([0.0, 1j, 0.0])
+        with pytest.raises(ValidationError, match="leaves the contour"):
+            sp.lambda_derivatives(sp.spectral_window(X, 0.5), P_A)
 
 
 class TestTorusGeneratorWindow:

@@ -81,6 +81,9 @@ class TransportResult:
 # stage times of the two fine chunks it spans
 _STEP_CHUNK = 32
 
+# sampled (x, v) points of the invariance defect of each opacity candidate
+_DEFECT_SAMPLES = 32
+
 
 def _gamma_field(conn, x0, V):
     """t -> -Gamma_{x0 + t v_g}(v_g) at the times t, as a (G, T, r, r) array.
@@ -291,8 +294,7 @@ class OpacityReport:
 
 
 def opacity_probe(conn: FourierConnection, num_geodesics: int = 24,
-                  length: float = 7.0, steps: int = 256, seed: int = 0,
-                  defect_samples: int = 32) -> OpacityReport:
+                  length: float = 7.0, steps: int = 256, seed: int = 0) -> OpacityReport:
     """Probe for invariant subbundles through the transport commutant.
 
     Transports num_geodesics seeded segments from a common base point
@@ -341,7 +343,7 @@ def opacity_probe(conn: FourierConnection, num_geodesics: int = 24,
         for g in groups:
             V = evecs[:, list(g)]
             Pg = V @ V.conj().T
-            defect = invariance_defect(conn, Pg, samples=defect_samples, seed=seed + 1)
+            defect = invariance_defect(conn, Pg, samples=_DEFECT_SAMPLES, seed=seed + 1)
             projectors.append((len(list(g)), defect, Pg))
 
     if cdim == 1:

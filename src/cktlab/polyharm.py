@@ -1,4 +1,5 @@
-"""Exact algebra of homogeneous polynomials on R^n.
+"""Exact algebra of homogeneous polynomials on R^n, and the monomial
+coordinates of all degree-m data.
 
 Everything here works on polynomials that are homogeneous of a single
 degree, stored sparsely as multi-index -> coefficient maps.  The module
@@ -6,19 +7,26 @@ provides the differentiation pairing, the Euclidean Laplacian, the
 radial/harmonic decomposition, exact monomial moments over the unit
 sphere, and sphere-L2-orthonormal bases of harmonic polynomials.
 
+Degree-m data has one monomial order, the lexicographic order of
+`monomials`, and one term container, `Terms`: the validated
+exponent -> coefficient storage with its vector-space operations and the
+conversions `coords()` / `from_coords(n, m, v)`.  `HPoly` adds products,
+derivatives and evaluation; `symtensor.SymTensor` adds the tensor metric.
 Coefficients are ordinarily complex doubles.  The dict-based arithmetic
 is type-agnostic, so tests may feed `fractions.Fraction` coefficients to
 `laplace` and `harmonic_decompose` and get exact results back; `HPoly`
 and `sphere_inner` are the exact reference the matrix route is tested
 against.
 
-The numerical harmonic layer works in monomial coordinates (the
-lexicographic order of `monomials`), with matrices cached per (n, m):
-the basis coefficients Q (p x h, real, the stored form of a
-`HarmonicBasis`, orthonormalized by CholeskyQR2), the moment Gram G,
+The numerical harmonic layer works in monomial coordinates, with matrices
+cached per (n, m): the basis coefficients Q (p x h, real, the stored form
+of a `HarmonicBasis`, orthonormalized by CholeskyQR2), the moment Gram G,
 multiplication by v_j, differentiation d_j and multiplication by |v|^2.
-Coordinates in a harmonic basis are then one product,
-`expand(P) = Q^T G p`; the members as `HPoly`s are built on demand.
+Every coordinate matrix of a single step, here and in `symtensor`,
+scatters its own entries from one cached neighbour table, the row of
+a + step e_j in degree m + step.  Coordinates in a harmonic basis are
+then one product, `expand(P) = Q^T G p`; the members as `HPoly`s are
+built on demand.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from .errors import ConvergenceError, NoSolutionError, ValidationError
 from .linalg import nullspace
 
 __all__ = [
+    "Terms",
     "HPoly",
     "HarmonicBasis",
     "dims",
@@ -83,14 +92,17 @@ def monomials(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(rec(n, m)))
 
 
-class HPoly:
-    """Homogeneous polynomial of degree m in n variables.
+class Terms:
+    """Degree-m data in n variables, stored as exponent tuple -> coefficient.
 
-    Stored as a map from exponent tuples (all of total degree m) to
-    coefficients.  Explicit zero coefficients may be present; equality
-    ignores them.  Degree m = -1 or -2 is allowed and denotes the zero
-    polynomial in a degree slot that has no monomials (it shows up when
-    an operation drops the degree below zero).
+    The vector-space half shared by `HPoly` and `symtensor.SymTensor`: the
+    validated storage, +, -, scalar * and /, equality, and the conversion
+    to and from coordinates in the lexicographic order of `monomials`.
+    Explicit zero coefficients may be present; equality ignores them.
+    Degree m = -1 or -2 is allowed and denotes the zero element of a
+    degree slot that has no monomials (it shows up when an operation drops
+    the degree below zero).  The dict arithmetic is type-agnostic, so
+    `fractions.Fraction` coefficients stay exact.
     """
 
     __slots__ = ("n", "m", "coeffs")
@@ -104,6 +116,67 @@ class HPoly:
         for a in self.coeffs:
             if len(a) != self.n or any(e < 0 for e in a) or sum(a) != self.m:
                 raise ValidationError(f"exponent {a} is not a degree-{self.m} multi-index")
+
+    @classmethod
+    def zero(cls, n, m):
+        return cls(n, m, {})
+
+    @classmethod
+    def from_coords(cls, n, m, v):
+        """The element with coordinates v in the order of `monomials(n, m)`."""
+        return cls(n, m, {a: c for a, c in zip(monomials(n, m), v) if c != 0})
+
+    def coords(self) -> np.ndarray:
+        """Coefficients in the lexicographic order of `monomials`, as complex."""
+        index = _monomial_index(self.n, self.m)
+        v = np.zeros(len(index), dtype=complex)
+        for a, c in self.coeffs.items():
+            v[index[a]] = complex(c)
+        return v
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)) or (other.n, other.m) != (self.n, self.m):
+            raise ValidationError("operands must share (n, m)")
+        out = dict(self.coeffs)
+        for a, c in other.coeffs.items():
+            out[a] = out.get(a, 0) + c
+        return type(self)(self.n, self.m, out)
+
+    def __sub__(self, other):
+        return self + (other * (-1))
+
+    def __mul__(self, scalar):
+        return type(self)(self.n, self.m, {a: c * scalar for a, c in self.coeffs.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        return type(self)(self.n, self.m, {a: c / scalar for a, c in self.coeffs.items()})
+
+    def __neg__(self):
+        return self * (-1)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self.n != other.n:
+            return False
+        keys = set(self.coeffs) | set(other.coeffs)
+        return all(self.coeffs.get(a, 0) == other.coeffs.get(a, 0) for a in keys)
+
+    def __hash__(self):
+        raise TypeError(f"{type(self).__name__} is not hashable")
+
+    def __repr__(self):
+        terms = ", ".join(f"{a}: {c}" for a, c in sorted(self.coeffs.items()))
+        return f"{type(self).__name__}(n={self.n}, m={self.m}, {{{terms}}})"
+
+
+class HPoly(Terms):
+    """Homogeneous polynomial of degree m in n variables: `Terms` with
+    products, derivatives and evaluation."""
+
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------------
 
@@ -121,41 +194,19 @@ class HPoly:
     def constant(cls, n, c):
         return cls(n, 0, {(0,) * n: c})
 
-    @classmethod
-    def zero(cls, n, m):
-        return cls(n, m, {})
-
-    # -- basic algebra -----------------------------------------------------
-
-    def __add__(self, other):
-        self._check_same_slot(other)
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            out[a] = out.get(a, 0) + c
-        return HPoly(self.n, self.m, out)
-
-    def __sub__(self, other):
-        return self + (other * (-1))
+    # -- algebra -----------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, HPoly):
-            if other.n != self.n:
-                raise ValidationError("polynomial product needs matching n")
-            out = {}
-            for a, ca in self.coeffs.items():
-                for b, cb in other.coeffs.items():
-                    k = tuple(x + y for x, y in zip(a, b))
-                    out[k] = out.get(k, 0) + ca * cb
-            return HPoly(self.n, self.m + other.m, out)
-        return HPoly(self.n, self.m, {a: c * other for a, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return HPoly(self.n, self.m, {a: c / scalar for a, c in self.coeffs.items()})
-
-    def __neg__(self):
-        return self * (-1)
+        if not isinstance(other, HPoly):
+            return super().__mul__(other)
+        if other.n != self.n:
+            raise ValidationError("polynomial product needs matching n")
+        out = {}
+        for a, ca in self.coeffs.items():
+            for b, cb in other.coeffs.items():
+                k = tuple(x + y for x, y in zip(a, b))
+                out[k] = out.get(k, 0) + ca * cb
+        return HPoly(self.n, self.m + other.m, out)
 
     def conj(self):
         return HPoly(self.n, self.m, {a: c.conjugate() for a, c in self.coeffs.items()})
@@ -203,21 +254,6 @@ class HPoly:
     def max_abs_coeff(self):
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
-    def __eq__(self, other):
-        if not isinstance(other, HPoly):
-            return NotImplemented
-        if self.n != other.n:
-            return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(self.coeffs.get(a, 0) == other.coeffs.get(a, 0) for a in keys)
-
-    def __hash__(self):
-        raise TypeError("HPoly is not hashable")
-
-    def __repr__(self):
-        terms = ", ".join(f"{a}: {c}" for a, c in sorted(self.coeffs.items()))
-        return f"HPoly(n={self.n}, m={self.m}, {{{terms}}})"
-
     # -- evaluation --------------------------------------------------------
 
     def eval(self, points):
@@ -233,10 +269,6 @@ class HPoly:
                     term = term * pts[:, i] ** e
             vals += complex(c) * term
         return vals
-
-    def _check_same_slot(self, other):
-        if not isinstance(other, HPoly) or other.n != self.n or other.m != self.m:
-            raise ValidationError("operands must share (n, m)")
 
 
 def radial_squared(n):
@@ -378,13 +410,16 @@ class HarmonicBasis:
     """Sphere-L2-orthonormal basis of the harmonic polynomials of degree m.
 
     Q (p x h, real) holds the members' coefficients in the lexicographic monomial
-    order; orthonormality_residual is max|Q^T G Q - I|.  From `harmonic_basis`.
+    order; orthonormality_residual is max|Q^T G Q - I| and harmonicity_residual
+    is max|L Q| / (max|L| max|Q|), L the Laplacian constraint (0 for m < 2).
+    From `harmonic_basis`, which gates on the first and only records the second.
     """
 
     n: int
     m: int
     Q: np.ndarray
     orthonormality_residual: float
+    harmonicity_residual: float
 
     def __len__(self):
         return self.Q.shape[1]
@@ -392,7 +427,7 @@ class HarmonicBasis:
     @cached_property
     def members(self) -> tuple[HPoly, ...]:
         """The columns of Q as `HPoly`s, built on first use."""
-        return tuple(self._hpoly(col) for col in self.Q.T)
+        return tuple(HPoly.from_coords(self.n, self.m, col) for col in self.Q.T)
 
     def expand(self, P: HPoly) -> np.ndarray:
         """Sphere-L2 products of P with the members, Q^T G p.
@@ -404,32 +439,23 @@ class HarmonicBasis:
             raise ValidationError(
                 f"polynomial of (n={P.n}, m={P.m}) expanded in the (n={self.n}, m={self.m}) basis"
             )
-        return _dual_matrix(self.n, self.m) @ _coeff_vector(P)
+        return _dual_matrix(self.n, self.m) @ P.coords()
 
     def combine(self, coords) -> HPoly:
-        return self._hpoly(self.Q @ np.asarray(coords, dtype=complex))
+        return HPoly.from_coords(self.n, self.m, self.Q @ np.asarray(coords, dtype=complex))
 
     def eval_members(self, points) -> np.ndarray:
         """(N, h) array of member values at an (N, n) array of sphere points."""
         pts = np.atleast_2d(np.asarray(points))
         return np.prod(pts[:, None, :] ** np.array(monomials(self.n, self.m)), axis=2) @ self.Q
 
-    def _hpoly(self, coeffs) -> HPoly:
-        mono = monomials(self.n, self.m)
-        return HPoly(self.n, self.m, {a: c for a, c in zip(mono, coeffs) if c != 0})
-
 
 def _laplacian_constraint_matrix(n, m):
-    """Matrix of the Laplacian from degree-m to degree-(m-2) monomial coefficients."""
-    rows = monomials(n, m - 2)
-    cols = monomials(n, m)
-    row_ix = {a: i for i, a in enumerate(rows)}
-    L = np.zeros((len(rows), len(cols)))
-    for jcol, a in enumerate(cols):
-        for j, e in enumerate(a):
-            if e >= 2:
-                b = a[:j] + (e - 2,) + a[j + 1:]
-                L[row_ix[b], jcol] += e * (e - 1)
+    """Matrix of the Laplacian from degree-m to degree-(m-2) monomial
+    coefficients: a_j (a_j - 1) at the row of a - 2 e_j."""
+    _, row, col, e = _neighbours(n, m, -2)
+    L = np.zeros((len(monomials(n, m - 2)), len(monomials(n, m))))
+    L[row, col] = e * (e - 1)
     return L
 
 
@@ -465,10 +491,8 @@ def harmonic_basis(n: int, m: int) -> HarmonicBasis:
     through (3, 24) and (4, 18); (3, 36) and (2, 60) fail.
     """
     p, h = dims(n, m)
-    if m < 2:
-        Q = np.eye(p)
-    else:
-        Q, _ = nullspace(_laplacian_constraint_matrix(n, m), 1e-12)
+    L = _laplacian_constraint_matrix(n, m)
+    Q = np.eye(p) if m < 2 else nullspace(L, 1e-12)[0]
     if Q.shape[1] != h:
         raise ConvergenceError(
             f"nullity of the Laplacian constraint at (n={n}, m={m}) is "
@@ -483,7 +507,10 @@ def harmonic_basis(n: int, m: int) -> HarmonicBasis:
     resid = float(np.abs(Q.T @ G @ Q - np.eye(h)).max())
     if not resid <= 1e-9:
         raise ConvergenceError(f"(n={n}, m={m}) harmonic basis orthonormal to {resid:.1e} > 1e-9")
-    return HarmonicBasis(n, m, Q, resid)
+    harmonicity = 0.0
+    if m >= 2:
+        harmonicity = float(np.abs(L @ Q).max() / (np.abs(L).max() * np.abs(Q).max()))
+    return HarmonicBasis(n, m, Q, resid, harmonicity)
 
 
 # ---------------------------------------------------------------------------
@@ -495,13 +522,28 @@ def _monomial_index(n, m):
     return {a: i for i, a in enumerate(monomials(n, m))}
 
 
-def _coeff_vector(P: HPoly) -> np.ndarray:
-    """Coefficients of P in the lexicographic monomial order."""
-    index = _monomial_index(P.n, P.m)
-    v = np.zeros(len(index), dtype=complex)
-    for a, c in P.coeffs.items():
-        v[index[a]] = complex(c)
-    return v
+@lru_cache(maxsize=None)
+def _neighbours(n, m, step):
+    """The neighbour table of the degree-m monomials for step in {+1, -1, -2}.
+
+    Flat index arrays (j, row, col, e), one entry per column a =
+    monomials(n, m)[col] and direction j < n with a_j + step >= 0: row is
+    the index of a + step e_j among the degree-(m + step) monomials and
+    e = a_j.  Each single-step coordinate matrix, here and in `symtensor`,
+    scatters its own entries, a function of e, at (j, row, col).
+    """
+    index = _monomial_index(n, m + step)
+    table = [(j, index[a[:j] + (a[j] + step,) + a[j + 1:]], col, a[j])
+             for col, a in enumerate(monomials(n, m)) for j in range(n) if a[j] + step >= 0]
+    return tuple(np.array(table, dtype=np.intp).reshape(-1, 4).T)
+
+
+def _neighbour_stack(n, m, step, entries):
+    """(n, p_{m+step}, p_m) stack with entries(e) at the table's (j, row, col)."""
+    j, row, col, e = _neighbours(n, m, step)
+    out = np.zeros((n, len(monomials(n, m + step)), len(monomials(n, m))))
+    out[j, row, col] = entries(e)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -513,25 +555,14 @@ def _dual_matrix(n, m):
 
 @lru_cache(maxsize=None)
 def _mult_matrices(n, m):
-    """S_j, j < n: multiplication by v_j from degree m to degree m+1."""
-    rows, cols = _monomial_index(n, m + 1), monomials(n, m)
-    out = tuple(np.zeros((len(rows), len(cols))) for _ in range(n))
-    for c, a in enumerate(cols):
-        for j, S in enumerate(out):
-            S[rows[a[:j] + (a[j] + 1,) + a[j + 1:]], c] = 1.0
-    return out
+    """S_j, j < n: multiplication by v_j from degree m to degree m+1 (entries 1)."""
+    return tuple(_neighbour_stack(n, m, 1, lambda e: 1.0))
 
 
 @lru_cache(maxsize=None)
 def _diff_matrices(n, m):
-    """D_j, j < n: the partial derivative d_j from degree m to degree m-1."""
-    rows, cols = _monomial_index(n, m - 1), monomials(n, m)
-    out = tuple(np.zeros((len(rows), len(cols))) for _ in range(n))
-    for c, a in enumerate(cols):
-        for j, D in enumerate(out):
-            if a[j]:
-                D[rows[a[:j] + (a[j] - 1,) + a[j + 1:]], c] = a[j]
-    return out
+    """D_j, j < n: the partial derivative d_j from degree m to degree m-1 (entries a_j)."""
+    return tuple(_neighbour_stack(n, m, -1, lambda e: e))
 
 
 @lru_cache(maxsize=None)

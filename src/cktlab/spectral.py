@@ -204,6 +204,8 @@ def spectral_window(X, radius=None) -> SpectralWindow:
     X = np.asarray(X, dtype=complex)
     if X.shape[0] != X.shape[1]:
         raise ValidationError("matrix must be square")
+    if X.shape[0] == 0:
+        raise ValidationError("matrix must not be empty")
     w, V, Vinv, kappa = _eig(X)
     if radius is None:
         radius = _default_radius(X, w, kappa)

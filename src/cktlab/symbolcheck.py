@@ -23,7 +23,7 @@ import numpy as np
 from .connalg import FiberConnForm, TwistedHarmonic
 from .errors import ValidationError
 from .linalg import nullspace
-from .symtensor import _contraction_matrices, _tracefree_contraction, _vectorize
+from .symtensor import _contraction_matrices, _tracefree_contraction, _weights
 
 __all__ = [
     "SymbolFamily",
@@ -44,12 +44,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SymbolFamily:
-    """A 0-homogeneous matrix symbol, queried only at unit covectors."""
+    """A 0-homogeneous matrix symbol, queried only at unit covectors of R^covector_dim."""
 
     domain_dim: int
     codomain_dim: int
     evaluator: callable
+    covector_dim: int
     name: str = ""
+
+    def __post_init__(self):
+        _check_covector_dim(self.covector_dim)
 
     def __call__(self, xi) -> np.ndarray:
         M = np.asarray(self.evaluator(np.asarray(xi, dtype=float)))
@@ -117,21 +121,20 @@ def make_cosphere_sampler(n: int, seed: int = 0):
     return sample
 
 
-def uniform_span(family: SymbolFamily, sampler=None, N: int = 256,
-                 seed: int = 0) -> SpanReport:
+def uniform_span(family: SymbolFamily, N: int = 256, seed: int = 0) -> SpanReport:
     """Accumulate ker(symbol) over sampled covectors and report the span.
 
-    Deterministic given the seed.  The span is declared final once it has
-    been stable over the last max(16, fiber_dim) samples; the verdicts
-    are 'uniform' (span fills the fiber), 'elliptic' (every sampled
-    kernel was trivial), or 'not-uniform'.
+    The covectors come from `make_cosphere_sampler(family.covector_dim,
+    seed)`, so the report is deterministic given the seed.  The span is
+    declared final once it has been stable over the last max(16, fiber_dim)
+    samples; the verdicts are 'uniform' (span fills the fiber), 'elliptic'
+    (every sampled kernel was trivial), or 'not-uniform'.
     """
     if N < 1:
         raise ValidationError(f"need at least one covector sample, got N={N}")
     if family.domain_dim < 1:
         raise ValidationError(f"{family.name} acts on a fiber of dimension {family.domain_dim}")
-    if sampler is None:
-        sampler = make_cosphere_sampler_for(family, seed)
+    sampler = make_cosphere_sampler(family.covector_dim, seed)
     fiber = family.domain_dim
     span = np.zeros((fiber, 0), dtype=complex)
     kernel_dims = []
@@ -169,20 +172,9 @@ def uniform_span(family: SymbolFamily, sampler=None, N: int = 256,
                       name=family.name)
 
 
-def make_cosphere_sampler_for(family: SymbolFamily, seed: int):
-    # families built in this module record their covector dimension on the
-    # evaluator; anything else must supply its own sampler
-    n = getattr(family.evaluator, "covector_dim", None)
-    if n is None:
-        raise ValidationError("family does not carry a covector dimension; pass a sampler")
-    return make_cosphere_sampler(n, seed)
-
-
-def _with_covector_dim(fn, n):
+def _check_covector_dim(n):
     if n < 2:
         raise ValidationError(f"need covector dimension n >= 2, got {n}")
-    fn.covector_dim = n
-    return fn
 
 
 @lru_cache(maxsize=None)
@@ -194,7 +186,7 @@ def _dstar_stack(n, m, model):
     if model == "tracefree":
         return _tracefree_contraction(n, m)
     if model == "full":
-        lo, hi = (np.sqrt(_vectorize(n, k)[2]) for k in (m - 1, m))
+        lo, hi = (np.sqrt(_weights(n, k)) for k in (m - 1, m))
         return lo[:, None] * _contraction_matrices(n, m) / hi
     raise ValidationError(f"unknown model {model!r}")
 
@@ -212,15 +204,15 @@ def symbol_dstar(n: int, m: int, xi, model: str = "tracefree") -> np.ndarray:
 
 
 def dstar_family(n: int, m: int, model: str = "tracefree") -> SymbolFamily:
-    ev = _with_covector_dim(lambda xi: symbol_dstar(n, m, xi, model), n)
+    _check_covector_dim(n)  # before any tensor basis is built
     cod, dom = _dstar_stack(n, m, model).shape[1:]
-    return SymbolFamily(dom, cod, ev, name=f"dstar[{model}] n={n} m={m}")
+    return SymbolFamily(dom, cod, lambda xi: symbol_dstar(n, m, xi, model), n,
+                        name=f"dstar[{model}] n={n} m={m}")
 
 
 def divergence_family(n: int) -> SymbolFamily:
     """Symbol of the divergence of a vector field: v -> i <xi, v>."""
-    ev = _with_covector_dim(lambda xi: (1j * xi)[None, :], n)
-    return SymbolFamily(n, 1, ev, name=f"divergence n={n}")
+    return SymbolFamily(n, 1, lambda xi: (1j * xi)[None, :], n, name=f"divergence n={n}")
 
 
 def counterexample_family(r: int, n: int = 3) -> SymbolFamily:
@@ -233,7 +225,7 @@ def counterexample_family(r: int, n: int = 3) -> SymbolFamily:
     def ev(xi):
         return float(xi @ xi) * block
 
-    return SymbolFamily(2 * r, r, _with_covector_dim(ev, n), name=f"counterexample r={r}")
+    return SymbolFamily(2 * r, r, ev, n, name=f"counterexample r={r}")
 
 
 @lru_cache(maxsize=None)
@@ -259,8 +251,8 @@ def forms_family(n: int, k: int) -> SymbolFamily:
         raise ValidationError(f"need 0 <= k <= n, got k={k}")
     dom = math.comb(n, k)
     cod = math.comb(n, k - 1) if k >= 1 else 0
-    ev = _with_covector_dim(lambda xi: _forms_contraction_matrix(n, k, xi), n)
-    return SymbolFamily(dom, cod, ev, name=f"forms n={n} k={k}")
+    return SymbolFamily(dom, cod, lambda xi: _forms_contraction_matrix(n, k, xi), n,
+                        name=f"forms n={n} k={k}")
 
 
 def forms_contraction_span(n: int, k: int, N: int = 256, seed: int = 0) -> SpanReport:

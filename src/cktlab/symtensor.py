@@ -11,11 +11,15 @@ The module provides symmetrization, trace, its adjoint (multiplication
 by the metric followed by symmetrization), trace-free projection, the
 degree-m polynomial correspondence, and first-slot contraction.
 
+`SymTensor` is a `polyharm.Terms`, so its storage, vector-space
+operations and coordinates (`coords()` / `from_coords`, in the order of
+`polyharm.monomials`) are those of `HPoly`; it adds the tensor metric.
 The dict-based `SymTensor` arithmetic is the exact reference.  The
-numerical routes read coordinate matrices, cached per (n, m) in the
-lexicographic multiplicity order where the metric is diag(W), W the
-multiplicities: contraction with e_j, the symmetric product S(e_j tensor .),
-the trace, and the trace-free tensors as one W-orthonormal matrix V.
+numerical routes read coordinate matrices, cached per (n, m), in which
+the metric is diag(W), W the multiplicities: contraction with e_j and the
+symmetric product S(e_j tensor .), each scattered from polyharm's
+neighbour table, the trace, and the trace-free tensors as one
+W-orthonormal matrix V.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import nullspace
-from .polyharm import HPoly, monomials
+from .polyharm import HPoly, Terms, _neighbour_stack, monomials
 
 __all__ = [
     "SymTensor",
@@ -55,44 +59,17 @@ def multiplicity(theta: tuple[int, ...]) -> int:
     return out
 
 
-class SymTensor:
-    """Symmetric m-tensor over R^n keyed by multiplicity vector."""
+class SymTensor(Terms):
+    """Symmetric m-tensor over R^n keyed by multiplicity vector: `Terms`
+    with the tensor metric."""
 
-    __slots__ = ("n", "m", "coeffs")
-
-    def __init__(self, n, m, coeffs=None):
-        self.n = int(n)
-        self.m = int(m)
-        self.coeffs = dict(coeffs) if coeffs else {}
-        for t in self.coeffs:
-            if len(t) != self.n or any(e < 0 for e in t) or sum(t) != self.m:
-                raise ValidationError(f"{t} is not a degree-{self.m} multiplicity vector")
-
-    @classmethod
-    def zero(cls, n, m):
-        return cls(n, m, {})
+    __slots__ = ()
 
     @classmethod
     def basis_element(cls, n, theta, c=1.0):
         """The symmetrized elementary tensor S e*_K with Theta(K) = theta, scaled by c."""
         theta = tuple(int(e) for e in theta)
         return cls(n, sum(theta), {theta: c})
-
-    def __add__(self, other):
-        if not isinstance(other, SymTensor) or (other.n, other.m) != (self.n, self.m):
-            raise ValidationError("operands must share (n, m)")
-        out = dict(self.coeffs)
-        for t, c in other.coeffs.items():
-            out[t] = out.get(t, 0) + c
-        return SymTensor(self.n, self.m, out)
-
-    def __sub__(self, other):
-        return self + other * (-1)
-
-    def __mul__(self, scalar):
-        return SymTensor(self.n, self.m, {t: c * scalar for t, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
 
     def inner(self, other) -> complex:
         """Tensor-power scalar product with multinomial weights."""
@@ -114,21 +91,6 @@ class SymTensor:
         for k in K:
             theta[k] += 1
         return self.coeffs.get(tuple(theta), 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, SymTensor):
-            return NotImplemented
-        if self.n != other.n:
-            return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(self.coeffs.get(t, 0) == other.coeffs.get(t, 0) for t in keys)
-
-    def __hash__(self):
-        raise TypeError("SymTensor is not hashable")
-
-    def __repr__(self):
-        terms = ", ".join(f"{t}: {c}" for t, c in sorted(self.coeffs.items()))
-        return f"SymTensor(n={self.n}, m={self.m}, {{{terms}}})"
 
 
 def metric_tensor(n: int) -> SymTensor:
@@ -231,54 +193,24 @@ def from_poly(P: HPoly) -> SymTensor:
 
 
 @lru_cache(maxsize=None)
-def _vectorize(n, m):
-    """(multiplicity vectors, their index, multiplicities W): the coordinates
-    of degree-m tensors, in which the tensor metric is diag(W)."""
-    mono = monomials(n, m)
-    index = {t: i for i, t in enumerate(mono)}
-    weights = np.array([multiplicity(t) for t in mono], dtype=float)
-    return mono, index, weights
-
-
-def tensor_to_vec(T: SymTensor) -> np.ndarray:
-    mono, index, _ = _vectorize(T.n, T.m)
-    v = np.zeros(len(mono), dtype=complex)
-    for t, c in T.coeffs.items():
-        v[index[t]] = c
-    return v
-
-
-def vec_to_tensor(n, m, v) -> SymTensor:
-    mono, _, _ = _vectorize(n, m)
-    return SymTensor(n, m, {t: c for t, c in zip(mono, v) if c != 0})
+def _weights(n, m):
+    """The multiplicities W of the degree-m multiplicity vectors, in the
+    order of `monomials`: the tensor metric in coordinates is diag(W)."""
+    return np.array([multiplicity(t) for t in monomials(n, m)], dtype=float)
 
 
 @lru_cache(maxsize=None)
 def _contraction_matrices(n, m):
     """iota_j, j < n: contraction with e_j from degree m to m-1, an
     (n, p_{m-1}, p_m) stack of 0/1 entries."""
-    _, rows, _ = _vectorize(n, m - 1)
-    cols = monomials(n, m)
-    out = np.zeros((n, len(rows), len(cols)))
-    for c, t in enumerate(cols):
-        for j in range(n):
-            if t[j]:
-                out[j, rows[t[:j] + (t[j] - 1,) + t[j + 1:]], c] = 1.0
-    return out
+    return _neighbour_stack(n, m, -1, lambda e: 1.0)
 
 
 @lru_cache(maxsize=None)
 def _sym_product_matrices(n, m):
     """S(e_j tensor .), j < n, from degree m to m+1, an (n, p_{m+1}, p_m)
-    stack with entries mult(t)/mult(t + e_j)."""
-    _, rows, _ = _vectorize(n, m + 1)
-    cols = monomials(n, m)
-    out = np.zeros((n, len(rows), len(cols)))
-    for c, t in enumerate(cols):
-        for j in range(n):
-            tp = t[:j] + (t[j] + 1,) + t[j + 1:]
-            out[j, rows[tp], c] = multiplicity(t) / multiplicity(tp)
-    return out
+    stack with entries mult(t)/mult(t + e_j) = (t_j + 1)/(m + 1)."""
+    return _neighbour_stack(n, m, 1, lambda e: (e + 1) / (m + 1))
 
 
 @lru_cache(maxsize=None)
@@ -292,7 +224,7 @@ def _tracefree_coords(n, m):
     """V, with V^T W V = I: columns are an orthonormal basis of the
     trace-free m-tensors, W^{-1/2} times the kernel of trace W^{-1/2} from
     `linalg.nullspace` at rtol 1e-12 (W^{-1/2} itself for m < 2)."""
-    scale = 1 / np.sqrt(_vectorize(n, m)[2])
+    scale = 1 / np.sqrt(_weights(n, m))
     if m < 2:
         return np.diag(scale)
     return scale[:, None] * nullspace(_trace_matrix(n, m) * scale, 1e-12)[0]
@@ -302,7 +234,7 @@ def _in_tracefree_bases(stack, n, m_out, m_in):
     """V_out^T W_out X V_in for each map X of the stack: the trace-free
     part of its image, in the orthonormal trace-free bases."""
     V_out = _tracefree_coords(n, m_out)
-    return (V_out.T * _vectorize(n, m_out)[2]) @ stack @ _tracefree_coords(n, m_in)
+    return (V_out.T * _weights(n, m_out)) @ stack @ _tracefree_coords(n, m_in)
 
 
 @lru_cache(maxsize=None)
@@ -321,11 +253,11 @@ def _tracefree_sym_product(n, m):
 def tracefree_project(T: SymTensor) -> SymTensor:
     """Orthogonal projection onto trace-free symmetric tensors, V V^T W t."""
     V = _tracefree_coords(T.n, T.m)
-    return vec_to_tensor(T.n, T.m, V @ (V.T @ (_vectorize(T.n, T.m)[2] * tensor_to_vec(T))))
+    return SymTensor.from_coords(T.n, T.m, V @ (V.T @ (_weights(T.n, T.m) * T.coords())))
 
 
 def tracefree_basis(n: int, m: int) -> tuple[SymTensor, ...]:
     """Orthonormal basis (tensor metric) of the trace-free symmetric
     m-tensors: the columns of V, built on each call.  It spans the kernel
     of the trace, independently of the harmonic-polynomial route."""
-    return tuple(vec_to_tensor(n, m, v) for v in _tracefree_coords(n, m).T)
+    return tuple(SymTensor.from_coords(n, m, v) for v in _tracefree_coords(n, m).T)

@@ -64,7 +64,7 @@ from .errors import ConvergenceError, ValidationError
 from .linalg import block_nullspace
 from .polyharm import _dual_matrix, dims
 from .symtensor import (_tracefree_contraction, _tracefree_coords, _tracefree_sym_product,
-                        _vectorize)
+                        _weights)
 from .torus import FourierConnection, TorusConfig, _mode_index, eval_sections, mode_list
 
 __all__ = [
@@ -205,7 +205,7 @@ def _tensor_route_data(n, m):
     trace-free tensor basis V to the sphere-orthonormal harmonic basis,
     Q^T G applied to the basis polynomials' coefficients W V.
     """
-    B = _dual_matrix(n, m) @ (_vectorize(n, m)[2][:, None] * _tracefree_coords(n, m))
+    B = _dual_matrix(n, m) @ (_weights(n, m)[:, None] * _tracefree_coords(n, m))
     return _tracefree_sym_product(n, m), _tracefree_contraction(n, m + 1), B
 
 

@@ -306,6 +306,15 @@ class TestHarmonicBasis:
         assert b.orthonormality_residual == np.abs(b.Q.T @ G @ b.Q - np.eye(len(b))).max()
         assert b.orthonormality_residual <= 1e-11
 
+    @pytest.mark.parametrize("n,m", [(3, 20), (4, 12)])
+    def test_records_harmonicity_residual(self, n, m):
+        b = ph.harmonic_basis(n, m)
+        L = ph._laplacian_constraint_matrix(n, m)
+        want = np.abs(L @ b.Q).max() / (np.abs(L).max() * np.abs(b.Q).max())
+        assert b.harmonicity_residual == want
+        assert b.harmonicity_residual <= 1e-14
+        assert ph.harmonic_basis(n, 1).harmonicity_residual == 0.0
+
     @pytest.mark.parametrize("n,m", [(3, 36), (2, 60)])
     def test_past_the_degree_ceiling_raises(self, n, m):
         # (3, 36): Q^T G Q is 1.5e-7 from the identity; (2, 60): the
@@ -322,6 +331,43 @@ class TestMomentGram:
             want = np.array([[ph.sphere_monomial_moment(tuple(x + y for x, y in zip(a, b)), n)
                               for b in mono] for a in mono])
             assert (ph._moment_gram(n, m) == want).all()
+
+
+SMALL = [(n, m) for n in (2, 3, 4) for m in range(5)]
+
+
+class TestCoordinateMatrices:
+    """The cached coordinate matrices against the HPoly oracle, column by column."""
+
+    @staticmethod
+    def columns(n, m):
+        return enumerate(HPoly.monomial(n, a) for a in ph.monomials(n, m))
+
+    @pytest.mark.parametrize("n,m", SMALL)
+    def test_multiplication(self, n, m):
+        S = ph._mult_matrices(n, m)
+        for c, P in self.columns(n, m):
+            for j in range(n):
+                assert np.array_equal(S[j][:, c], (HPoly.variable(n, j) * P).coords())
+
+    @pytest.mark.parametrize("n,m", SMALL)
+    def test_derivative(self, n, m):
+        D = ph._diff_matrices(n, m)
+        for c, P in self.columns(n, m):
+            for j in range(n):
+                assert np.array_equal(D[j][:, c], P.deriv(j).coords())
+
+    @pytest.mark.parametrize("n,m", SMALL)
+    def test_radial(self, n, m):
+        R = ph._radial_matrix(n, m)
+        for c, P in self.columns(n, m):
+            assert np.array_equal(R[:, c], (ph.radial_squared(n) * P).coords())
+
+    @pytest.mark.parametrize("n,m", SMALL)
+    def test_laplacian_constraint(self, n, m):
+        L = ph._laplacian_constraint_matrix(n, m)
+        for c, P in self.columns(n, m):
+            assert np.array_equal(L[:, c], ph.laplace(P).coords())
 
 
 class TestExpand:
@@ -395,6 +441,13 @@ class TestHarmonicAntiderivative:
 
 
 class TestHPolyBasics:
+    def test_coords_roundtrip(self, rng):
+        P = random_hpoly(rng, 3, 4)
+        v = P.coords()
+        assert v.shape == (len(ph.monomials(3, 4)),)
+        assert HPoly.from_coords(3, 4, v) == P
+        assert HPoly.monomial(3, ph.monomials(3, 4)[7]).coords()[7] == 1
+
     def test_equality_ignores_zeros(self):
         a = HPoly(3, 1, {(1, 0, 0): 1.0, (0, 1, 0): 0.0})
         b = HPoly(3, 1, {(1, 0, 0): 1.0})

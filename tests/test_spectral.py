@@ -525,6 +525,11 @@ class TestWindowInputs:
         assert sp.cluster_sum(np.zeros((0, 0)), 0.3) == 0
         assert sp.cluster_sum_minus(np.zeros((0, 0)), 0.3) == 0
 
+    @pytest.mark.parametrize("radius", [1.0, None])
+    def test_empty_matrix_has_no_window(self, radius):
+        with pytest.raises(ValidationError, match="empty"):
+            sp.spectral_window(np.zeros((0, 0)), radius)
+
     def test_negative_kernel_dim(self, rng):
         with pytest.raises(ValidationError, match="kernel_dim"):
             sp.random_skew_adjoint_with_kernel(rng, 6, -1)

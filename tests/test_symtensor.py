@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
@@ -127,7 +128,7 @@ class TestJay:
     def test_injective_rank(self):
         mono = ph.monomials(3, 2)
         J = np.column_stack(
-            [sy.tensor_to_vec(sy.jay(SymTensor.basis_element(3, t))) for t in mono]
+            [sy.jay(SymTensor.basis_element(3, t)).coords() for t in mono]
         )
         assert np.linalg.matrix_rank(J) == 6
 
@@ -148,10 +149,10 @@ class TestTracefreeProject:
         rest = T - P
         mono = ph.monomials(3, 2)
         J = np.column_stack(
-            [sy.tensor_to_vec(sy.jay(SymTensor.basis_element(3, t))) for t in mono]
+            [sy.jay(SymTensor.basis_element(3, t)).coords() for t in mono]
         )
-        w, *_ = np.linalg.lstsq(J, sy.tensor_to_vec(rest), rcond=None)
-        assert np.linalg.norm(J @ w - sy.tensor_to_vec(rest)) < 1e-12 * T.norm()
+        w, *_ = np.linalg.lstsq(J, rest.coords(), rcond=None)
+        assert np.linalg.norm(J @ w - rest.coords()) < 1e-12 * T.norm()
 
     def test_idempotent_selfadjoint(self, rng):
         T = random_symtensor(rng, 3, 3)
@@ -216,6 +217,35 @@ class TestContract:
             assert got.full_coeff(K) == pytest.approx(expected[K], rel=1e-12, abs=1e-13)
 
 
+class TestContainer:
+    def test_fraction_arithmetic_exact(self):
+        T = SymTensor(3, 2, {(2, 0, 0): Fraction(1, 3), (0, 1, 1): Fraction(2, 7)})
+        U = SymTensor(3, 2, {(0, 1, 1): Fraction(-1, 7), (0, 0, 2): Fraction(5, 6)})
+        S = (T + U) * Fraction(3, 5) - U / 3
+        want = {(2, 0, 0): Fraction(1, 5), (0, 1, 1): Fraction(2, 15), (0, 0, 2): Fraction(2, 9)}
+        assert S == SymTensor(3, 2, want)
+        assert all(type(c) is Fraction for c in S.coeffs.values())
+        assert (T - T) == SymTensor.zero(3, 2)
+
+    def test_coords_roundtrip(self, rng):
+        T = random_symtensor(rng, 4, 3)
+        assert T.coords().shape == (ph.dims(4, 3)[0],)
+        assert SymTensor.from_coords(4, 3, T.coords()) == T
+        assert type(SymTensor.from_coords(4, 3, T.coords())) is SymTensor
+
+    def test_not_mixed_with_polynomials(self):
+        T = SymTensor.basis_element(3, (1, 1, 0))
+        P = HPoly.monomial(3, (1, 1, 0))
+        with pytest.raises(ValidationError):
+            T + P
+        with pytest.raises(ValidationError):
+            P + T
+        assert T != P
+        with pytest.raises(TypeError, match="SymTensor is not hashable"):
+            hash(T)
+        assert repr(T) == "SymTensor(n=3, m=2, {(1, 1, 0): 1.0})"
+
+
 class TestStructure:
     @pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (3, 4), (4, 3), (4, 5)])
     def test_splitting_dimensions(self, n, m):
@@ -275,7 +305,7 @@ class TestCoordinateMatrices:
         stack = sy._contraction_matrices(n, m)
         for c, t in enumerate(ph.monomials(n, m)):
             for j in range(n):
-                col = sy.tensor_to_vec(sy.contract(SymTensor.basis_element(n, t), unit_vector(n, j)))
+                col = sy.contract(SymTensor.basis_element(n, t), unit_vector(n, j)).coords()
                 assert np.abs(stack[j, :, c] - col).max() <= 1e-15
 
     @pytest.mark.parametrize("n,m", SMALL)
@@ -283,21 +313,20 @@ class TestCoordinateMatrices:
         stack = sy._sym_product_matrices(n, m)
         for c, t in enumerate(ph.monomials(n, m)):
             for j in range(n):
-                col = sy.tensor_to_vec(sy.sym_mult_form(unit_vector(n, j),
-                                                        SymTensor.basis_element(n, t)))
+                col = sy.sym_mult_form(unit_vector(n, j), SymTensor.basis_element(n, t)).coords()
                 assert np.abs(stack[j, :, c] - col).max() <= 1e-15
 
     @pytest.mark.parametrize("n,m", [(n, m) for n, m in SMALL if m >= 2])
     def test_trace(self, n, m):
         T = sy._trace_matrix(n, m)
         for c, t in enumerate(ph.monomials(n, m)):
-            col = sy.tensor_to_vec(sy.trace(SymTensor.basis_element(n, t)))
+            col = sy.trace(SymTensor.basis_element(n, t)).coords()
             assert np.abs(T[:, c] - col).max() <= 1e-15
 
     @pytest.mark.parametrize("n,m", [(4, 8), (5, 6), (3, 1), (3, 0)])
     def test_tracefree_basis_orthonormal_and_tracefree(self, n, m):
         V = sy._tracefree_coords(n, m)
-        w = sy._vectorize(n, m)[2]
+        w = sy._weights(n, m)
         assert V.shape == (ph.dims(n, m)[0], ph.dims(n, m)[1])
         assert np.abs(V.T @ (w[:, None] * V) - np.eye(V.shape[1])).max() <= 1e-13
         if m >= 2:

@@ -25,10 +25,9 @@ from .errors import ValidationError
 from .linalg import nullspace
 from .polyharm import (
     HPoly,
-    _diff_matrices,
     _dual_matrix,
-    _mult_matrices,
-    _radial_matrix,
+    _neighbour_rows,
+    _radial_rows,
     bombieri_inner,
     bombieri_norm,
     harmonic_antiderivative,
@@ -287,25 +286,26 @@ def harmonic_mult_blocks(n: int, m: int):
     harmonic bases.  Multiplication by a 1-form sum_j eta_j v_j then has
     raising matrix sum_j eta_j plus_blocks[j].
 
-    Each block is a product of polyharm's cached monomial-coordinate
-    matrices: with Q the basis coefficients, G the moment Gram, S_j, D_j
-    and R multiplication by v_j, d_j and |v|^2, and c = n + 2m - 2,
+    Each block is a product in polyharm's monomial coordinates: with Q the
+    basis coefficients, G the moment Gram, S_j, D_j and R multiplication
+    by v_j, d_j and |v|^2, and c = n + 2m - 2,
 
         minus_j = Q_{m-1}^T G D_j Q_m / c,
         plus_j  = Q_{m+1}^T G (S_j - R D_j / c) Q_m,
 
-    the split v_j u = plus + |v|^2 minus of `gamma_split`.
+    the split v_j u = plus + |v|^2 minus of `gamma_split`.  S_j Q, D_j Q
+    and R (D_j Q / c) are row gathers from polyharm's neighbour table, with
+    the values of the matrix products.
     """
     Q = harmonic_basis(n, m).Q
-    S = _mult_matrices(n, m)
+    raised = _neighbour_rows(n, m, 1, Q, lambda e: 1.0)
     dual_p = _dual_matrix(n, m + 1)
     if m == 0:
-        plus = tuple(dual_p @ (Sj @ Q) for Sj in S)
+        plus = tuple(dual_p @ SQ for SQ in raised)
         return plus, tuple(np.zeros((0, Q.shape[1]), dtype=complex) for _ in range(n))
-    R = _radial_matrix(n, m - 1)
     dual_l = _dual_matrix(n, m - 1)
-    lowered = [Dj @ Q / (n + 2 * (m - 1)) for Dj in _diff_matrices(n, m)]
-    plus = tuple(dual_p @ (Sj @ Q - R @ L) for Sj, L in zip(S, lowered))
+    lowered = _neighbour_rows(n, m, -1, Q, lambda e: e) / (n + 2 * (m - 1))
+    plus = tuple(dual_p @ (SQ - _radial_rows(n, m - 1, L)) for SQ, L in zip(raised, lowered))
     minus = tuple(dual_l @ L for L in lowered)
     return plus, minus
 

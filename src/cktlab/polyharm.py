@@ -538,12 +538,22 @@ def _neighbours(n, m, step):
     return tuple(np.array(table, dtype=np.intp).reshape(-1, 4).T)
 
 
+def _neighbour_rows(n, m, step, X, entries):
+    """The (n, p_{m+step}, cols) stack of the products M_j X, M_j the
+    single-step matrix with entries(e) at the table's (j, row, col).
+
+    M_j has at most one nonzero per row, so M_j X is a row gather: its row
+    `row` is entries(e) times row `col` of X, the value the product gives.
+    """
+    j, row, col, e = _neighbours(n, m, step)
+    out = np.zeros((n, len(monomials(n, m + step)), X.shape[1]), dtype=X.dtype)
+    out[j, row] = np.reshape(entries(e), (-1, 1)) * X[col]
+    return out
+
+
 def _neighbour_stack(n, m, step, entries):
     """(n, p_{m+step}, p_m) stack with entries(e) at the table's (j, row, col)."""
-    j, row, col, e = _neighbours(n, m, step)
-    out = np.zeros((n, len(monomials(n, m + step)), len(monomials(n, m))))
-    out[j, row, col] = entries(e)
-    return out
+    return _neighbour_rows(n, m, step, np.eye(len(monomials(n, m))), entries)
 
 
 @lru_cache(maxsize=None)
@@ -565,10 +575,26 @@ def _diff_matrices(n, m):
     return tuple(_neighbour_stack(n, m, -1, lambda e: e))
 
 
-@lru_cache(maxsize=None)
+def _radial_rows(n, m, X):
+    """R X for R = sum_k S_k S_k, multiplication by |v|^2 from degree m to
+    degree m+2 (p_m rows of X).
+
+    Row b of R X is the sum of the rows b - 2 e_k of X over k with
+    b_k >= 2, gathered from the step -2 neighbour table of degree m+2 and
+    added for k = 0, 1, ..., which is ascending order of the rows of X
+    (b - 2 e_k precedes b - 2 e_l lexicographically for k < l).
+    """
+    k, row, col, _ = _neighbours(n, m + 2, -2)
+    out = np.zeros((len(monomials(n, m + 2)), X.shape[1]), dtype=X.dtype)
+    for j in range(n):
+        sel = k == j
+        out[col[sel]] += X[row[sel]]
+    return out
+
+
 def _radial_matrix(n, m):
-    """R = sum_k S_k S_k: multiplication by |v|^2 from degree m to degree m+2."""
-    return sum(S1 @ S0 for S1, S0 in zip(_mult_matrices(n, m + 1), _mult_matrices(n, m)))
+    """R = sum_k S_k S_k as a matrix, degree m to degree m+2 (entries 0 and 1)."""
+    return _radial_rows(n, m, np.eye(len(monomials(n, m))))
 
 
 def harmonic_antiderivative(p: HPoly, j: int, c=1.0) -> HPoly:

@@ -19,7 +19,9 @@ node instead of a dense O(n^3) inverse, batched over a stack of
 matrices and the nodes of a level.  The perturbation suite of one
 window (`perturbation_suite`: the finite-difference stencil of
 `lambda_derivatives` and the grid of `conjugation_check`) is one such
-stack, reduced once and walked once per level.
+stack, reduced once and walked once per level; the minus convention's
+matrices -X_s take the negated forms of X_s instead of a reduction of
+their own.
 
 The window radius must isolate the cluster at 0, and the cluster must be
 semisimple: the quadrature for the Laurent constant term reads off the
@@ -174,16 +176,22 @@ def _contour_quadrature(X, radius, max_nodes=1 << 15):
     """Trapezoidal contour integrals of the four window quantities at once.
 
     Returns (pi_plus, r_plus, pi_minus, r_minus, nodes).  Node count is
-    doubled until the projector stops changing by more than 1e-11.
+    doubled until the projector stops changing by more than 1e-11, an
+    absolute bound: a projector of norm about 1e4 or more (an
+    ill-conditioned cluster) stalls above it, and the ConvergenceError
+    reports the last change and |Pi|_F.
     """
-    prev = None
+    prev, change = None, math.inf
     levels = _trapezoid_levels(radius, _window_group_sum(X), max_nodes)
     for N, (pi_p, r_p, pi_m, r_m) in levels:
-        if prev is not None and np.abs(pi_p - prev).max() <= 1e-11:
-            return pi_p, r_p, pi_m, r_m, N
+        if prev is not None:
+            change = float(np.abs(pi_p - prev).max())
+            if change <= 1e-11:
+                return pi_p, r_p, pi_m, r_m, N
         prev = pi_p
     raise ConvergenceError(
-        f"contour quadrature did not converge to 1e-11 within {max_nodes} nodes"
+        f"contour quadrature did not converge to 1e-11 within {max_nodes} nodes: "
+        f"last projector change {change:.1e}, |Pi|_F {np.linalg.norm(prev):.1e}"
     )
 
 
@@ -279,7 +287,11 @@ def _hessenberg(Xs):
 
     Column k's entries below the subdiagonal are reflected onto the
     subdiagonal, for every matrix of the stack at once; the similarity is
-    unitary, so traces, norms and spectra are those of X.
+    unitary, so traces, norms and spectra are those of X.  Every step is
+    odd in X (-x flips the phase and v and keeps the norms, tau, w and u),
+    so the forms of -X are -_hessenberg(X) bit for bit whenever no
+    reflected column starts with an exact zero, and another Hessenberg
+    form of -X otherwise.
     """
     H = np.array(Xs, dtype=complex)
     n = H.shape[-1]
@@ -371,6 +383,16 @@ def _hessenberg_traces(H, z):
     return tr
 
 
+def _reduce(Xs):
+    """_hessenberg of a stack of finite square matrices."""
+    Xs = np.asarray(Xs, dtype=complex)
+    if Xs.ndim != 3 or Xs.shape[1] != Xs.shape[2]:
+        raise ValidationError("matrix must be square")
+    if not np.isfinite(Xs).all():
+        raise ValidationError("matrix entries must be finite")
+    return _hessenberg(Xs)
+
+
 # complex entries B * m * n of the working rows of one _hessenberg_traces call:
 # the eleven 40 x 40 matrices of a kato instance take a 16-node level in one
 # chunk and the 32 new nodes of N = 64 in two
@@ -381,20 +403,21 @@ def _cluster_sums(Xs, radius, max_nodes=1 << 15):
     """(1/2 pi i) contour integral of Tr[z (X_b + z)^{-1}] dz for each X_b of a stack.
 
     The value is minus the sum of the eigenvalues of X_b inside the
-    circle.  Every matrix walks the nested endpoint levels N = 16, 32, ...
+    circle.  Returns (B,)."""
+    _check_radius(radius)
+    return _hessenberg_sums(_reduce(Xs), radius, max_nodes)
+
+
+def _hessenberg_sums(H, radius, max_nodes=1 << 15):
+    """_cluster_sums of the matrices X_b whose Hessenberg forms are the stack H.
+
+    Every matrix walks the nested endpoint levels N = 16, 32, ...
     and returns its mean of z^2 Tr (X_b + z)^{-1} over the N nodes at the
     first level within 1e-12 * max(1, |value|) of the previous one; a
     converged matrix, with its Hessenberg form, drops out of later levels.
     Each level's new nodes go through _hessenberg_traces in chunks of at
     most _TRACE_BUDGET working entries.  Returns (B,).
     """
-    _check_radius(radius)
-    Xs = np.asarray(Xs, dtype=complex)
-    if Xs.ndim != 3 or Xs.shape[1] != Xs.shape[2]:
-        raise ValidationError("matrix must be square")
-    if not np.isfinite(Xs).all():
-        raise ValidationError("matrix entries must be finite")
-    H = _hessenberg(Xs)
     n = H.shape[1]
     total = np.zeros(len(H), dtype=complex)
     prev = np.zeros_like(total)
@@ -475,15 +498,15 @@ def _fd_derivatives(h, sums):
 
 
 def _conjugation_grid(X, P_A, s_grid):
-    """X_s = X + s P_A over the grid, then -X_s: lambda^+ and lambda^- of
-    every grid point as cluster sums."""
+    """X_s = X + s P_A over the grid: lambda^+ of each grid point is the
+    cluster sum of X_s and lambda^- that of -X_s."""
     s = np.asarray(list(s_grid)).reshape(-1, 1, 1)
-    Xs = X + s * P_A
-    return np.concatenate([Xs, -Xs])
+    return X + s * P_A
 
 
 def _conjugation_defect(sums):
-    """max_s |conj(lambda_s^-) - lambda_s^+| from the cluster sums of _conjugation_grid."""
+    """max_s |conj(lambda_s^-) - lambda_s^+| from the cluster sums of the
+    conjugation grid followed by its negation."""
     lam_plus, lam_minus = np.split(sums, 2)
     return float(np.abs(np.conj(lam_minus) - lam_plus).max(initial=0.0))
 
@@ -506,32 +529,37 @@ def conjugation_check(X, P_A, s_grid, radius=None) -> float:
     """max_s |conj(lambda_s^-) - lambda_s^+| over the grid.
 
     Both conventions at every grid point are one batched quadrature:
-    lambda^+ from X_s = X + s P_A, lambda^- from -X_s.
+    lambda^+ from X_s = X + s P_A, lambda^- from -X_s, whose Hessenberg
+    forms are the negated forms of X_s.
     """
     X = np.asarray(X, dtype=complex)
     P_A = np.asarray(P_A, dtype=complex)
     if radius is None:
         radius = default_window_radius(X)
-    return _conjugation_defect(_cluster_sums(_conjugation_grid(X, P_A, s_grid), radius))
+    _check_radius(radius)
+    H = _reduce(_conjugation_grid(X, P_A, s_grid))
+    return _conjugation_defect(_hessenberg_sums(np.concatenate([H, -H]), radius))
 
 
 def perturbation_suite(W: SpectralWindow, P_A, conj_P_A, s_grid):
     """lambda_derivatives(W, P_A) and conjugation_check(W.X, conj_P_A,
     s_grid, W.contour_radius) in one pass.
 
-    The five stencil matrices and the conjugation grid go through one
-    _cluster_sums call: one Hessenberg reduction of the whole stack and one
-    trace walk per level instead of two.  Every matrix's sum is computed
-    on its own, so the results equal the two separate calls bit for bit.
+    The five stencil matrices and the conjugation grid X_s are reduced to
+    Hessenberg form once, the minus convention's -X_s take the negated
+    forms, and the whole stack walks the levels together: one reduction
+    and one trace walk per level instead of two.  Every matrix's sum is
+    computed on its own, so the results equal the two separate calls bit
+    for bit.
     Returns (dot_closed, ddot_closed, dot_fd, ddot_fd, conj_defect).
     """
     P_A = np.asarray(P_A, dtype=complex)
     closed = _closed_derivatives(W, P_A)
     h, stencil = _fd_stencil(W, P_A)
-    stack = np.concatenate(
-        [stencil, _conjugation_grid(W.X, np.asarray(conj_P_A, dtype=complex), s_grid)])
-    del stencil  # only the one stack stays alive through the quadrature
-    sums = _cluster_sums(stack, W.contour_radius)
+    H = _reduce(np.concatenate(
+        [stencil, _conjugation_grid(W.X, np.asarray(conj_P_A, dtype=complex), s_grid)]))
+    del stencil  # only the Hessenberg forms stay alive through the quadrature
+    sums = _hessenberg_sums(np.concatenate([H, -H[5:]]), W.contour_radius)
     return (*closed, *_fd_derivatives(h, sums[:5]), _conjugation_defect(sums[5:]))
 
 

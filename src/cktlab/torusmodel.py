@@ -398,6 +398,7 @@ class ScanResult:
     blocks: int  # mode blocks of X+(s)
     largest_block: tuple  # (rows, cols) of the largest block of X+(s)
     window_margin: float  # min over the grid of |eigenvalue - radius| / radius
+    real_gram: bool  # X+(s) = i R(s), R real: Gram and spectra taken in float64
 
     def csv_rows(self):
         rows = ["s,lambda,kernel_dim,predicted_second_variation"]
@@ -408,12 +409,14 @@ class ScanResult:
 
 
 def _adjoint(x):
-    """Conjugate transposes of a (count, rows, cols) stack."""
+    """Conjugate transposes of a (count, rows, cols) stack (transposes of a
+    real one)."""
     return np.swapaxes(x.conj(), 1, 2)
 
 
 def _stack_eigvalsh(grams):
-    """Ascending eigenvalues of stacks of Hermitian blocks, all blocks together."""
+    """Ascending eigenvalues of stacks of Hermitian (or real symmetric)
+    blocks, all blocks together."""
     return np.sort(np.concatenate([np.linalg.eigvalsh(g).ravel() for g in grams]))
 
 
@@ -429,7 +432,8 @@ def _gram_expansion(x0, dx):
     G0 = x0^H x0, C = x0^H dx + (x0^H dx)^H and D = dx^H dx, one batched
     product each; every conjugate copy, and x0 when the caller holds no
     other reference to it, is dropped as soon as its last product is
-    formed.  C is Hermitian by construction."""
+    formed.  C is Hermitian by construction.  Real stacks give the real
+    symmetric terms in real arithmetic."""
     xh = _adjoint(x0)
     g0 = xh @ x0
     c = xh @ dx
@@ -461,12 +465,18 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
     rounds differently from the directly formed Gram, so a windowed sum at
     s != 0 can differ from it in the last digits; a grid point s == 0
     reuses the eigenvalues of G0, so lambda(0) is exact as before.
+
+    When every stored entry of X+(conn0) and P has real part exactly 0,
+    X+(s) = i R(s) with R(s) real and X+(s)^H X+(s) = R(s)^T R(s), so the
+    blocks are taken from the imaginary parts and the Gram terms and
+    spectra are real (`real_gram`); any other input stays complex.
     """
     asm0 = assemble(config, conn0)
     P = connection_plus_matrix(config, A)
     groups = _mode_blocks(config, asm0.xplus, P)
-    X0 = _dense_blocks(config, asm0.xplus, groups)
-    dX = _dense_blocks(config, P, groups)
+    real_gram = not (asm0.xplus.data.real.any() or P.data.real.any())
+    X0, dX = (_dense_blocks(config, M.imag if real_gram else M, groups)
+              for M in (asm0.xplus, P))
     largest_block = X0[-1].shape[1:]
     # popping drops each dense stack as soon as its terms are formed
     expansion = [_gram_expansion(X0.pop(0), dX.pop(0)) for _ in groups]
@@ -515,7 +525,7 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
     factor = lam_ddot / (2 * predicted) if predicted > 0 else float("nan")
     return ScanResult(s_values, lambdas, kdims, predicted, float(window_radius),
                       lam_dot, lam_ddot, factor, sum(len(g) for g in groups),
-                      largest_block, margin)
+                      largest_block, margin, real_gram)
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,13 @@ class TestHarmonicBasis:
         with pytest.raises(ConvergenceError):
             ph.harmonic_basis(n, m)
 
+    def test_n2_ceiling_reports_its_residual(self):
+        # the n = 2 ceiling is not monotone: (2, 31) and (2, 32) miss the
+        # bound at 1.1e-9 and 2.5e-9, (2, 33) meets it at 8.6e-10
+        with pytest.raises(ConvergenceError,
+                           match=r"\(n=2, m=31\) harmonic basis orthonormal to [\d.]+e-\d+ > 1e-9"):
+            ph.harmonic_basis(2, 31)
+
 
 class TestMomentGram:
     @pytest.mark.parametrize("n", [2, 3, 4])

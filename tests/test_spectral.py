@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -76,6 +78,16 @@ class TestSpectralWindow:
         W = sp.spectral_window(X, 1.0)
         assert abs(np.trace(W.pi0_plus) - 2) < 1e-11
         assert W.eig_crosscheck < 1e-8
+
+    def test_stalled_quadrature_reports_its_margin(self):
+        # cond(S) = 1e5: |Pi|_F is about 2e4 and the projector change stalls
+        # near 1e-6, above the absolute 1e-11 at every level
+        X = self._ill_conditioned([0, 0, 3j, -2.5j], 1e5)
+        with pytest.raises(ConvergenceError) as ei:
+            sp.spectral_window(X)
+        margin = re.search(r"last projector change (\S+), \|Pi\|_F (\S+)$", str(ei.value))
+        assert 1e-11 < float(margin[1]) < 1e-4
+        assert float(margin[2]) > 1e4
 
     def test_ill_conditioned_nonzero_enclosed_rejected(self):
         X = self._ill_conditioned([0, 0.5j, 3j], 1e3)
@@ -379,6 +391,13 @@ def hessenberg_cases(draw, hessenberg=True):
 
 
 class TestHessenbergTraces:
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_reduction_is_odd(self, n, rng):
+        # every Householder step is sign-symmetric, so the minus convention
+        # may negate the forms of the plus convention's matrices
+        X = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        assert np.array_equal(sp._hessenberg(-X), -sp._hessenberg(X))
+
     @settings(deadline=None, max_examples=150)
     @given(hessenberg_cases(hessenberg=False))
     def test_hessenberg_is_unitary_reduction(self, case):
@@ -477,7 +496,8 @@ class TestPerturbationSuite:
 
         monkeypatch.setattr(sp, "_hessenberg", counted)
         sp.perturbation_suite(W, P_A, 0.05 * P_A, self.GRID)
-        assert stacks == [5 + 2 * len(self.GRID)]
+        # the minus convention's -X_s take the negated forms of X_s
+        assert stacks == [5 + len(self.GRID)]
 
 
 class TestContourThroughSpectrum:

@@ -407,10 +407,9 @@ class TestGramExpansion:
             expanded = tm._stack_eigvalsh([g0 + s * c + (s * s) * d for g0, c, d in expansion])
             assert np.abs(expanded - direct).max() <= 1e-12 * evs0[-1]
 
-    def test_scan_reuses_the_s0_spectrum(self, case, monkeypatch):
-        cfg, conn0, A = GRAM_CASES[case]
-        X0, dX = self._blocks(cfg, conn0, A)
-        evs0 = tm._gram_eigvalsh(X0)
+    @staticmethod
+    def _recorded_spectra(monkeypatch):
+        """The list every later `_stack_eigvalsh` call appends its result to."""
         spectra = []
         eigvalsh = tm._stack_eigvalsh
 
@@ -419,7 +418,18 @@ class TestGramExpansion:
             return spectra[-1]
 
         monkeypatch.setattr(tm, "_stack_eigvalsh", recorded)
+        return spectra
+
+    def test_scan_reuses_the_s0_spectrum(self, case, monkeypatch):
+        cfg, conn0, A = GRAM_CASES[case]
+        X0, dX = self._blocks(cfg, conn0, A)
+        # the direct Gram in the scan's own arithmetic: real, of the
+        # imaginary parts, when every entry is imaginary
+        real = not any(x.real.any() for x in X0 + dX)
+        evs0 = tm._gram_eigvalsh([x.imag for x in X0] if real else X0)
+        spectra = self._recorded_spectra(monkeypatch)
         res = tm.lambda_scan(cfg, conn0, A, self.GRID)
+        assert res.real_gram == real
         # one spectrum at s = 0 (evs0) and one per nonzero grid point
         assert len(spectra) == 1 + np.count_nonzero(self.GRID)
         assert np.array_equal(spectra[0], evs0)
@@ -428,6 +438,33 @@ class TestGramExpansion:
         for s, lam in zip(self.GRID, res.lambdas):
             direct = tm._gram_eigvalsh([x0 + s * dx for x0, dx in zip(X0, dX)])
             assert abs(lam - direct[direct < radius].sum()) <= 1e-12 * evs0[-1]
+
+    def test_scan_spectra_match_the_complex_gram(self, case, monkeypatch):
+        # every spectrum the scan takes, on the real path or not, against
+        # the complex Gram of X+(s) formed directly
+        cfg, conn0, A = GRAM_CASES[case]
+        X0, dX = self._blocks(cfg, conn0, A)
+        grid = [0.0, *self.GRID[self.GRID != 0]]  # the order the scan takes them in
+        directs = [tm._gram_eigvalsh([x0 + s * dx for x0, dx in zip(X0, dX)]) for s in grid]
+        spectra = self._recorded_spectra(monkeypatch)
+        tm.lambda_scan(cfg, conn0, A, self.GRID)
+        assert len(spectra) == len(grid)
+        for evs, direct in zip(spectra, directs):
+            assert np.abs(evs - direct).max() <= 1e-12 * directs[0][-1]
+
+
+SCAN_CASES = {**{case: BLOCK_CASES[case][:3] for case in BLOCK_CASES},
+              "harmonic": GRAM_CASES["harmonic"]}
+
+
+@pytest.mark.parametrize("case, real", [
+    ("eject", True), ("one-block", True), ("harmonic", True),
+    ("endomorphism", False), ("conn0-other-support", False)])
+def test_real_gram_decision(case, real):
+    # connections with every coefficient in i (real) make X+(s) = i R(s):
+    # the scan's Gram and spectra are then real; ENDO_A's real entries are not
+    cfg, conn0, A = SCAN_CASES[case]
+    assert tm.lambda_scan(cfg, conn0, A, np.linspace(-0.08, 0.08, 3)).real_gram is real
 
 
 def test_kernel_vectors_stay_in_one_block():

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .connalg import commutator_action_matrix
 from .errors import ValidationError
 from .linalg import nullspace
 from .torus import FourierConnection, TorusConfig, eval_sections
@@ -321,8 +322,7 @@ def opacity_probe(conn: FourierConnection, num_geodesics: int = 24,
     _require_skew(conn, x0, V)
     mats, err, unit = _transport_doubled(conn, x0, V, length, steps)
 
-    eye = np.eye(r)
-    rows = [np.kron(C, eye) - np.kron(eye, C.T) for C in mats]
+    rows = [commutator_action_matrix(C) for C in mats]
     null, _ = nullspace(np.vstack(rows), 1e-6)  # (r^2, commutant_dim)
     cdim = null.shape[1]
 

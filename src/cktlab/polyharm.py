@@ -20,13 +20,13 @@ against.
 
 The numerical harmonic layer works in monomial coordinates, with matrices
 cached per (n, m): the basis coefficients Q (p x h, real, the stored form
-of a `HarmonicBasis`, orthonormalized by CholeskyQR2), the moment Gram G,
-multiplication by v_j, differentiation d_j and multiplication by |v|^2.
-Every coordinate matrix of a single step, here and in `symtensor`,
-scatters its own entries from one cached neighbour table, the row of
-a + step e_j in degree m + step.  Coordinates in a harmonic basis are
-then one product, `expand(P) = Q^T G p`; the members as `HPoly`s are
-built on demand.
+of a `HarmonicBasis`, orthonormalized by CholeskyQR2), the moment Gram G
+and differentiation d_j.  Every coordinate matrix of a single step, here
+and in `symtensor`, scatters its own entries from one cached neighbour
+table, the row of a + step e_j in degree m + step; multiplication by v_j
+and by |v|^2 act on a matrix as row gathers from the same tables.
+Coordinates in a harmonic basis are then one product, `expand(P) =
+Q^T G p`; the members as `HPoly`s are built on demand.
 """
 
 from __future__ import annotations
@@ -564,19 +564,13 @@ def _dual_matrix(n, m):
 
 
 @lru_cache(maxsize=None)
-def _mult_matrices(n, m):
-    """S_j, j < n: multiplication by v_j from degree m to degree m+1 (entries 1)."""
-    return tuple(_neighbour_stack(n, m, 1, lambda e: 1.0))
-
-
-@lru_cache(maxsize=None)
 def _diff_matrices(n, m):
     """D_j, j < n: the partial derivative d_j from degree m to degree m-1 (entries a_j)."""
     return tuple(_neighbour_stack(n, m, -1, lambda e: e))
 
 
 def _radial_rows(n, m, X):
-    """R X for R = sum_k S_k S_k, multiplication by |v|^2 from degree m to
+    """R X for R = sum_k v_k^2, multiplication by |v|^2 from degree m to
     degree m+2 (p_m rows of X).
 
     Row b of R X is the sum of the rows b - 2 e_k of X over k with
@@ -590,11 +584,6 @@ def _radial_rows(n, m, X):
         sel = k == j
         out[col[sel]] += X[row[sel]]
     return out
-
-
-def _radial_matrix(n, m):
-    """R = sum_k S_k S_k as a matrix, degree m to degree m+2 (entries 0 and 1)."""
-    return _radial_rows(n, m, np.eye(len(monomials(n, m))))
 
 
 def harmonic_antiderivative(p: HPoly, j: int, c=1.0) -> HPoly:

@@ -1,14 +1,18 @@
 """Finite-dimensional resolvent calculus around an eigenvalue cluster at 0.
 
-The spectral window of a matrix X holds the Riesz projectors of both
-resolvent conventions, (X + z)^{-1} and (z - X)^{-1}, together with the
-constant Laurent terms (reduced resolvents) at z = 0.  Projectors and
-reduced resolvents are computed by trapezoidal contour quadrature with
-node doubling, which converges geometrically for analytic integrands,
-and cross-checked against the eigendecomposition route.  The nodes are
-the endpoint nodes radius exp(2 pi i k / N), which nest under doubling:
-each refinement inverts only the N/2 new nodes, a few at a time as one
-stacked inverse, and adds them to a running sum.
+The spectral window of a matrix X holds the Riesz projector of the
+resolvent (X + z)^{-1} and its constant Laurent term (reduced resolvent)
+at z = 0.  Projector and reduced resolvent are computed by trapezoidal
+contour quadrature with node doubling, which converges geometrically for
+analytic integrands, and cross-checked against the eigendecomposition
+route.  The nodes are the endpoint nodes radius exp(2 pi i k / N), which
+nest under doubling: each refinement inverts only the N/2 new nodes, a
+few at a time as one stacked inverse, and adds them to a running sum.
+
+The other convention, (z - X)^{-1} = -(X + (-z))^{-1}, is this one at
+the mirrored node, and every level is closed under z -> -z: its
+projector is the same, its Laurent constant term and cluster sum the
+negatives.
 
 Cluster sums need only the trace of the resolvent, not the resolvent
 itself.  They reduce each matrix once to upper Hessenberg form H (a
@@ -19,9 +23,7 @@ node instead of a dense O(n^3) inverse, batched over a stack of
 matrices and the nodes of a level.  The perturbation suite of one
 window (`perturbation_suite`: the finite-difference stencil of
 `lambda_derivatives` and the grid of `conjugation_check`) is one such
-stack, reduced once and walked once per level; the minus convention's
-matrices -X_s take the negated forms of X_s instead of a reduction of
-their own.
+stack, reduced once and walked once per level.
 
 The window radius must isolate the cluster at 0, and the cluster must be
 semisimple: the quadrature for the Laurent constant term reads off the
@@ -61,12 +63,19 @@ class SpectralWindow:
     X: np.ndarray
     contour_radius: float
     pi0_plus: np.ndarray
-    pi0_minus: np.ndarray
     r0_plus: np.ndarray
-    r0_minus: np.ndarray
     quadrature_nodes: int
     enclosed: int  # eigenvalues of X inside the contour, with multiplicity
     eig_crosscheck: float = field(default=float("nan"))
+
+    # (z - X)^{-1} = -(X + (-z))^{-1} on a contour symmetric under z -> -z
+    @property
+    def pi0_minus(self) -> np.ndarray:
+        return self.pi0_plus
+
+    @property
+    def r0_minus(self) -> np.ndarray:
+        return -self.r0_plus
 
 
 def _eig(X):
@@ -154,40 +163,38 @@ def _trapezoid_levels(radius, group_sum, max_nodes=1 << 15):
 
 
 def _window_group_sum(X):
-    """group_sum of the window integrands z R(z), R(z) for both resolvents R.
+    """group_sum of the window integrands z R(z) and R(z), R(z) = (X + z)^{-1}.
 
     The trapezoidal mean of z R(z) over the circle is the Riesz projector
     (the dz = i z dtheta weight turns 1/z into 1), that of R(z) the
-    Laurent constant term at 0.  Stacked as (pi_plus, r_plus, pi_minus,
-    r_minus) for the nodes z.
+    Laurent constant term at 0.  Stacked as (pi, r) for the nodes z.
     """
     eye = np.eye(X.shape[0])
 
     def group_sum(z):
         z = z[:, None, None]
-        res_p = np.linalg.inv(X + z * eye)
-        res_m = np.linalg.inv(z * eye - X)
-        return np.stack([(z * res_p).sum(0), res_p.sum(0), (z * res_m).sum(0), res_m.sum(0)])
+        res = np.linalg.inv(X + z * eye)
+        return np.stack([(z * res).sum(0), res.sum(0)])
 
     return group_sum
 
 
 def _contour_quadrature(X, radius, max_nodes=1 << 15):
-    """Trapezoidal contour integrals of the four window quantities at once.
+    """Trapezoidal contour integrals of the projector and the reduced resolvent.
 
-    Returns (pi_plus, r_plus, pi_minus, r_minus, nodes).  Node count is
-    doubled until the projector stops changing by more than 1e-11, an
-    absolute bound: a projector of norm about 1e4 or more (an
-    ill-conditioned cluster) stalls above it, and the ConvergenceError
-    reports the last change and |Pi|_F.
+    Returns (pi_plus, r_plus, nodes).  Node count is doubled until the
+    projector stops changing by more than 1e-11, an absolute bound: a
+    projector of norm about 1e4 or more (an ill-conditioned cluster)
+    stalls above it, and the ConvergenceError reports the last change
+    and |Pi|_F.
     """
     prev, change = None, math.inf
     levels = _trapezoid_levels(radius, _window_group_sum(X), max_nodes)
-    for N, (pi_p, r_p, pi_m, r_m) in levels:
+    for N, (pi_p, r_p) in levels:
         if prev is not None:
             change = float(np.abs(pi_p - prev).max())
             if change <= 1e-11:
-                return pi_p, r_p, pi_m, r_m, N
+                return pi_p, r_p, N
         prev = pi_p
     raise ConvergenceError(
         f"contour quadrature did not converge to 1e-11 within {max_nodes} nodes: "
@@ -198,12 +205,11 @@ def _contour_quadrature(X, radius, max_nodes=1 << 15):
 def spectral_window(X, radius=None) -> SpectralWindow:
     """Projectors and reduced resolvents at the eigenvalue cluster at 0.
 
-    Both resolvent conventions are integrated: pi0_plus/r0_plus from
-    (X + z)^{-1} (whose Laurent expansion at 0 is pi0_plus/z + r0_plus + O(z))
-    and pi0_minus/r0_minus from (z - X)^{-1}.  For skew-adjoint X the two
-    projectors agree and are orthogonal.  One eig of X gives the default
-    radius, the contour clearance, the enclosed count and the cross-check
-    projector V[:, in] V^-1[in, :].  The disc |z| < radius must hold a
+    pi0_plus/r0_plus are integrated from (X + z)^{-1}, whose Laurent
+    expansion at 0 is pi0_plus/z + r0_plus + O(z); for skew-adjoint X the
+    projector is orthogonal.  One eig of X gives the default radius, the
+    contour clearance, the enclosed count and the cross-check projector
+    V[:, in] V^-1[in, :].  The disc |z| < radius must hold a
     semisimple cluster at 0 and nothing else, or the constant Laurent term
     is no reduced resolvent: an enclosed eigenvalue that is nonzero by
     _zero's rule is a ValidationError, and so is an eigennilpotent X Pi
@@ -228,15 +234,14 @@ def spectral_window(X, radius=None) -> SpectralWindow:
             f"smallest of modulus {float(stray.min())!r}; the radius must isolate "
             "the cluster at 0"
         )
-    pi_p, r_p, pi_m, r_m, nodes = _contour_quadrature(X, radius)
+    pi_p, r_p, nodes = _contour_quadrature(X, radius)
     nilpotent = float(np.linalg.norm(X @ pi_p))
     if nilpotent > 1e-8 * np.linalg.norm(X) * max(1.0, np.linalg.norm(pi_p)):
         raise ValidationError(f"the cluster inside |z| < {radius} is not semisimple at 0: "
                               f"|X Pi|_F = {nilpotent:.3e}")
     cross = (float("nan") if Vinv is None
              else float(np.abs(pi_p - V[:, inside] @ Vinv[inside, :]).max()))
-    return SpectralWindow(X, float(radius), pi_p, pi_m, r_p, r_m, nodes,
-                          int(inside.sum()), cross)
+    return SpectralWindow(X, float(radius), pi_p, r_p, nodes, int(inside.sum()), cross)
 
 
 def default_window_radius(X) -> float:
@@ -247,25 +252,19 @@ def default_window_radius(X) -> float:
 
 
 def resolvent_identity_check(W: SpectralWindow) -> float:
-    """Max Frobenius residual over the resolvent-relation identities."""
+    """Max Frobenius residual over the resolvent-relation identities (the
+    minus convention's are the same up to sign)."""
     X = W.X
     eye = np.eye(X.shape[0], dtype=complex)
-    pi_p, pi_m, r_p, r_m = W.pi0_plus, W.pi0_minus, W.r0_plus, W.r0_minus
+    pi_p, r_p = W.pi0_plus, W.r0_plus
     resids = [
         pi_p @ pi_p - pi_p,
-        pi_m @ pi_m - pi_m,
         pi_p @ r_p,
         r_p @ pi_p,
-        pi_m @ r_m,
-        r_m @ pi_m,
         X @ pi_p,
         pi_p @ X,
-        X @ pi_m,
-        pi_m @ X,
         X @ r_p - (eye - pi_p),
         r_p @ X - (eye - pi_p),
-        -X @ r_m - (eye - pi_m),
-        -r_m @ X - (eye - pi_m),
     ]
     return max(float(np.linalg.norm(R)) for R in resids)
 
@@ -274,7 +273,7 @@ def pi_operator(W: SpectralWindow) -> np.ndarray:
     """The sum of the two reduced resolvents.
 
     In finite dimension the two Laurent constant terms are exact
-    negatives of each other, so this vanishes for every matrix; the
+    negatives of each other, so this is exactly 0 for every matrix; the
     operator is kept because the identity Pi = r0_plus + r0_minus is the
     object whose positivity carries content in the
     absolutely-continuous-spectrum setting (no finite analogue).
@@ -287,11 +286,7 @@ def _hessenberg(Xs):
 
     Column k's entries below the subdiagonal are reflected onto the
     subdiagonal, for every matrix of the stack at once; the similarity is
-    unitary, so traces, norms and spectra are those of X.  Every step is
-    odd in X (-x flips the phase and v and keeps the norms, tau, w and u),
-    so the forms of -X are -_hessenberg(X) bit for bit whenever no
-    reflected column starts with an exact zero, and another Hessenberg
-    form of -X otherwise.
+    unitary, so traces, norms and spectra are those of X.
     """
     H = np.array(Xs, dtype=complex)
     n = H.shape[-1]
@@ -394,7 +389,7 @@ def _reduce(Xs):
 
 
 # complex entries B * m * n of the working rows of one _hessenberg_traces call:
-# the eleven 40 x 40 matrices of a kato instance take a 16-node level in one
+# the eight 40 x 40 matrices of a kato instance take a 16-node level in one
 # chunk and the 32 new nodes of N = 64 in two
 _TRACE_BUDGET = 1 << 13
 
@@ -458,8 +453,8 @@ def cluster_sum(X, radius) -> complex:
 def cluster_sum_minus(X, radius) -> complex:
     """lambda^- = Tr(X Pi_minus), the other resolvent convention.
 
-    (z - X)^{-1} = (-X + z)^{-1}, so this is the cluster sum of -X."""
-    return _cluster_sums(-np.asarray(X, dtype=complex)[None], radius)[0]
+    Pi_minus = Pi_plus (SpectralWindow.pi0_minus), so lambda^- = -lambda^+."""
+    return -cluster_sum(X, radius)
 
 
 def _closed_derivatives(W: SpectralWindow, P_A):
@@ -498,17 +493,15 @@ def _fd_derivatives(h, sums):
 
 
 def _conjugation_grid(X, P_A, s_grid):
-    """X_s = X + s P_A over the grid: lambda^+ of each grid point is the
-    cluster sum of X_s and lambda^- that of -X_s."""
+    """X_s = X + s P_A over the grid, whose cluster sums are the lambda_s^+."""
     s = np.asarray(list(s_grid)).reshape(-1, 1, 1)
     return X + s * P_A
 
 
-def _conjugation_defect(sums):
+def _conjugation_defect(lam_plus):
     """max_s |conj(lambda_s^-) - lambda_s^+| from the cluster sums of the
-    conjugation grid followed by its negation."""
-    lam_plus, lam_minus = np.split(sums, 2)
-    return float(np.abs(np.conj(lam_minus) - lam_plus).max(initial=0.0))
+    conjugation grid: lambda^- = -lambda^+, so this is 2 max_s |Re lambda_s^+|."""
+    return 2 * float(np.abs(lam_plus.real).max(initial=0.0))
 
 
 def lambda_derivatives(W: SpectralWindow, P_A):
@@ -526,19 +519,17 @@ def lambda_derivatives(W: SpectralWindow, P_A):
 
 
 def conjugation_check(X, P_A, s_grid, radius=None) -> float:
-    """max_s |conj(lambda_s^-) - lambda_s^+| over the grid.
+    """max_s |conj(lambda_s^-) - lambda_s^+| over the grid, X_s = X + s P_A.
 
-    Both conventions at every grid point are one batched quadrature:
-    lambda^+ from X_s = X + s P_A, lambda^- from -X_s, whose Hessenberg
-    forms are the negated forms of X_s.
+    lambda^- = -lambda^+ (cluster_sum_minus), so the defect is 2 max_s
+    |Re lambda_s^+|: 0 when every X_s holds an imaginary window sum, as a
+    skew-adjoint X_s does.
     """
     X = np.asarray(X, dtype=complex)
     P_A = np.asarray(P_A, dtype=complex)
     if radius is None:
         radius = default_window_radius(X)
-    _check_radius(radius)
-    H = _reduce(_conjugation_grid(X, P_A, s_grid))
-    return _conjugation_defect(_hessenberg_sums(np.concatenate([H, -H]), radius))
+    return _conjugation_defect(_cluster_sums(_conjugation_grid(X, P_A, s_grid), radius))
 
 
 def perturbation_suite(W: SpectralWindow, P_A, conj_P_A, s_grid):
@@ -546,11 +537,10 @@ def perturbation_suite(W: SpectralWindow, P_A, conj_P_A, s_grid):
     s_grid, W.contour_radius) in one pass.
 
     The five stencil matrices and the conjugation grid X_s are reduced to
-    Hessenberg form once, the minus convention's -X_s take the negated
-    forms, and the whole stack walks the levels together: one reduction
-    and one trace walk per level instead of two.  Every matrix's sum is
-    computed on its own, so the results equal the two separate calls bit
-    for bit.
+    Hessenberg form once, and the whole stack walks the levels together:
+    one reduction and one trace walk per level instead of two.  Every
+    matrix's sum is computed on its own, so the results equal the two
+    separate calls bit for bit.
     Returns (dot_closed, ddot_closed, dot_fd, ddot_fd, conj_defect).
     """
     P_A = np.asarray(P_A, dtype=complex)
@@ -559,7 +549,7 @@ def perturbation_suite(W: SpectralWindow, P_A, conj_P_A, s_grid):
     H = _reduce(np.concatenate(
         [stencil, _conjugation_grid(W.X, np.asarray(conj_P_A, dtype=complex), s_grid)]))
     del stencil  # only the Hessenberg forms stay alive through the quadrature
-    sums = _hessenberg_sums(np.concatenate([H, -H[5:]]), W.contour_radius)
+    sums = _hessenberg_sums(H, W.contour_radius)
     return (*closed, *_fd_derivatives(h, sums[:5]), _conjugation_defect(sums[5:]))
 
 

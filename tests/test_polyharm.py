@@ -352,7 +352,7 @@ class TestCoordinateMatrices:
 
     @pytest.mark.parametrize("n,m", SMALL)
     def test_multiplication(self, n, m):
-        S = ph._mult_matrices(n, m)
+        S = ph._neighbour_stack(n, m, 1, lambda e: 1.0)
         for c, P in self.columns(n, m):
             for j in range(n):
                 assert np.array_equal(S[j][:, c], (HPoly.variable(n, j) * P).coords())
@@ -366,7 +366,7 @@ class TestCoordinateMatrices:
 
     @pytest.mark.parametrize("n,m", SMALL)
     def test_radial(self, n, m):
-        R = ph._radial_matrix(n, m)
+        R = ph._radial_rows(n, m, np.eye(len(ph.monomials(n, m))))
         for c, P in self.columns(n, m):
             assert np.array_equal(R[:, c], (ph.radial_squared(n) * P).coords())
 

@@ -302,6 +302,17 @@ class TestConjugation:
         P_A = random_skew_hermitian(rng, 8)
         assert sp.conjugation_check(X, P_A, [0.0], radius=0.25) <= 1e-10
 
+    def test_real_window_eigenvalue_fires(self):
+        # the window holds the real eigenvalue 0.1; the real coupling keeps
+        # the trace of the first 2 x 2 block, so lambda_s^+ = -0.1 on the
+        # grid and the defect is 2 |Re lambda^+|
+        X = np.diag([0.0, 0.1, 2j, -3j])
+        P_A = np.zeros((4, 4))
+        P_A[0, 1] = P_A[1, 0] = 0.05
+        defect = sp.conjugation_check(X, P_A, [-0.5, 0.0, 0.5], radius=0.25)
+        assert defect == pytest.approx(0.2, rel=1e-12)
+        assert sp.cluster_sum_minus(X, 0.25) == pytest.approx(0.1, rel=1e-12)
+
     def test_real_part_stays_zero(self, rng):
         # skew-adjoint + skew-Hermitian family has imaginary spectrum, so
         # Re lambda(s) = 0 exactly; the O(s^3) bound holds trivially
@@ -336,9 +347,24 @@ class TestNestedNodes:
         Ns = []
         for N, sums in levels:
             direct, _ = _endpoint_sums(X, radius, N)
-            assert np.abs(sums - direct).max() <= 1e-13
+            # the two integrands z R+ and R+; the minus convention is not integrated
+            assert np.abs(sums - direct[:2]).max() <= 1e-13
             Ns.append(N)
         assert Ns == [16, 32, 64, 128, 256]
+
+    def test_one_inverse_per_node(self, rng, monkeypatch):
+        X = sp.random_skew_adjoint_with_kernel(rng, 12, 2, gap=0.5, spread=3.0)
+        inverted = []
+        inv = np.linalg.inv
+
+        def counted(a):
+            inverted.append(len(a) if a.ndim == 3 else 1)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        W = sp.spectral_window(X, 0.3)
+        # one resolvent per node and eig's V^-1
+        assert sum(inverted) == W.quadrature_nodes + 1
 
     def test_quadrature_nodes_is_converged_level(self, rng):
         X = sp.random_skew_adjoint_with_kernel(rng, 15, 1, gap=0.5, spread=3.0)
@@ -393,8 +419,8 @@ def hessenberg_cases(draw, hessenberg=True):
 class TestHessenbergTraces:
     @pytest.mark.parametrize("n", range(1, 41))
     def test_reduction_is_odd(self, n, rng):
-        # every Householder step is sign-symmetric, so the minus convention
-        # may negate the forms of the plus convention's matrices
+        # every Householder step is sign-symmetric (the reflector's phase
+        # follows x_0), so the reduction of -X is minus that of X
         X = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
         assert np.array_equal(sp._hessenberg(-X), -sp._hessenberg(X))
 
@@ -496,13 +522,31 @@ class TestPerturbationSuite:
 
         monkeypatch.setattr(sp, "_hessenberg", counted)
         sp.perturbation_suite(W, P_A, 0.05 * P_A, self.GRID)
-        # the minus convention's -X_s take the negated forms of X_s
+        # the stencil and the grid X_s, the plus convention's matrices only
         assert stacks == [5 + len(self.GRID)]
+
+    def test_trace_walks_hold_the_plus_convention_only(self, rng, monkeypatch):
+        X = sp.random_skew_adjoint_with_kernel(rng, 10, 2, gap=0.8, spread=4.0)
+        P_A = random_skew_hermitian(rng, 10)
+        W = sp.spectral_window(X, 0.3)
+        stacks = []
+        traces = sp._hessenberg_traces
+
+        def counted(H, z):
+            stacks.append(len(H))
+            return traces(H, z)
+
+        monkeypatch.setattr(sp, "_hessenberg_traces", counted)
+        sp.perturbation_suite(W, P_A, 0.05 * P_A, self.GRID)
+        assert 0 < max(stacks) <= 5 + len(self.GRID)
+        stacks.clear()
+        sp.conjugation_check(X, 0.05 * P_A, self.GRID, radius=0.3)
+        assert 0 < max(stacks) <= len(self.GRID)
 
 
 class TestContourThroughSpectrum:
-    # -0.3 is an eigenvalue of X: the plus convention's node z = 0.3 and the
-    # minus convention's node z = -0.3 (up to rounding) sit on the spectrum
+    # -0.3 is an eigenvalue of X: X + z is singular at the node z = 0.3,
+    # which both conventions walk (the minus one is the plus one of X)
     X = np.diag([0.0, -0.3])
 
     @pytest.mark.parametrize("call", [

@@ -107,11 +107,8 @@ class FiberConnForm:
         return cls(tuple(mats), unitary=unitary)
 
     def value_at(self, v) -> np.ndarray:
-        """Gamma(v) = sum_j v_j Gamma(e_j)."""
-        out = np.zeros_like(self.gammas[0])
-        for j, g in enumerate(self.gammas):
-            out = out + v[j] * g
-        return out
+        """Gamma(v) = sum_j v_j Gamma(e_j) for v of shape (..., n): (..., r, r)."""
+        return np.tensordot(v, np.stack(self.gammas), axes=(-1, 0))
 
     def is_skew(self, tol=1e-12):
         return all(is_skew_hermitian(g, tol) for g in self.gammas)

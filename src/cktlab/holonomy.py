@@ -3,8 +3,8 @@
 Transport solves the matrix ODE C' = -Gamma_{x(t)}(v) C along the
 straight line x(t) = x0 + t v with classical fourth-order steps, run
 again at half the step size for an error estimate.  All geodesics of a
-probe are integrated together on a (G, r, r) array: Gamma along each is
-a phase-weighted sum of precomputed per-direction mode matrices.  The
+probe are integrated together on a (G, r, r) array, and Gamma comes from
+one batched `FourierConnection.value_at` call per chunk of steps.  The
 ODE is linear, so each RK4 step is a fixed matrix polynomial in Gamma
 at the step's stage times; the steps are built as such propagators a
 chunk at a time and multiplied together before they act on C.  The
@@ -13,7 +13,9 @@ point, reports the largest error estimate and unitarity defect among
 them, extracts the (numerical) commutant of the transport set, and
 diagonalizes a random Hermitian element of it: spectral projectors of
 flow-parallel Hermitian sections are themselves flow-parallel, so each
-projector is reported with its invariance defect.
+projector is reported with its invariance defect, which evaluates the
+projector field, Gamma and the field's flow derivative at all sampled
+points at once: every field is a Fourier sum (`torus.fourier_sum`).
 
 The probe certifies only a finite transport set: its verdict for a
 trivial commutant is worded as 'no invariant subbundle detected at
@@ -30,7 +32,7 @@ import numpy as np
 from .connalg import commutator_action_matrix
 from .errors import ValidationError
 from .linalg import nullspace
-from .torus import FourierConnection, TorusConfig, eval_sections
+from .torus import FourierConnection, TorusConfig, eval_sections, fourier_sum
 
 __all__ = [
     "GeodesicSegment",
@@ -87,20 +89,10 @@ _DEFECT_SAMPLES = 32
 
 
 def _gamma_field(conn, x0, V):
-    """t -> -Gamma_{x0 + t v_g}(v_g) at the times t, as a (G, T, r, r) array.
-
-    With A_{g,q} = sum_j v_{g,j} hat(Gamma)_{q,j} precomputed, Gamma along
-    geodesic g at time t is sum_q exp(i q.(x0 + t v_g)) A_{g,q}; one einsum
-    gives it at every time of a chunk.
-    """
-    q = np.array(list(conn.coeffs), dtype=float)  # (Q, n)
-    A = np.einsum("gj,qjab->gqab", V, np.array(list(conn.coeffs.values())))
-    base = q @ x0  # (Q,)
-    rate = V @ q.T  # (G, Q)
+    """t -> -Gamma_{x0 + t v_g}(v_g) at the times t, as a (G, T, r, r) array."""
 
     def minus_gamma(t):
-        phase = np.exp(1j * (base + t[:, None, None] * rate))  # (T, G, Q)
-        return -np.einsum("tgq,gqab->gtab", phase, A)
+        return -conn.value_at(x0 + t[:, None] * V[:, None, :], V[:, None, :])
 
     return minus_gamma
 
@@ -212,68 +204,42 @@ def transport(conn: FourierConnection, seg: GeodesicSegment, steps: int = 128,
     return TransportResult(fine[0], 2 * steps, float(unit[0]), float(err[0]))
 
 
-def _projector_field(P):
-    """Normalize the projector argument: constant matrix or {mode: matrix}."""
-    if isinstance(P, dict):
-        return {tuple(int(c) for c in q): np.asarray(M, dtype=complex) for q, M in P.items()}
-    return {None: np.asarray(P, dtype=complex)}
-
-
-def _eval_field(field_modes, x):
-    acc = None
-    for q, M in field_modes.items():
-        if q is not None:
-            M = M * np.exp(1j * float(np.dot(q, x)))
-        acc = M if acc is None else acc + M
-    return acc
-
-
-def _eval_flow_derivative(field_modes, x, v):
-    """v . d_x of the field (geodesics are straight, so no v-derivatives)."""
-    acc = None
-    for q, M in field_modes.items():
-        if q is None:
-            continue
-        M = M * (1j * float(np.dot(q, v))) * np.exp(1j * float(np.dot(q, x)))
-        acc = M if acc is None else acc + M
-    return acc
-
-
 def invariance_defect(conn: FourierConnection, P, samples: int = 64,
                       seed: int = 0, n: int | None = None) -> float:
     """Max over sampled (x, v) of || X.P + [Gamma_x(v), P] ||.
 
     P may be a constant matrix or a dict {Fourier mode q: matrix}, the
     field sum_q P_q e^{i q.x} over the torus.  Vanishing defect is the
-    flow-parallelism of the subbundle projector, i.e. invariance.
+    flow-parallelism of the subbundle projector, i.e. invariance.  The
+    flow derivative X.P at (x, v) is the 1-form dP, with coefficients
+    (i q_j P_q)_j, evaluated at (x, v).
     """
     if samples < 1:
         raise ValidationError(f"need samples >= 1, got {samples}")
-    field_modes = _projector_field(P)
-    rng = np.random.default_rng(seed)
     n = n if n is not None else conn.n
     if n is None:
         raise ValidationError("torus dimension is undetermined; pass n explicitly")
-    worst = 0.0
-    for _ in range(samples):
-        x = rng.uniform(0, 2 * math.pi, n)
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        Pxv = _eval_field(field_modes, x)
-        herm = np.abs(Pxv - Pxv.conj().T).max()
-        idem = np.abs(Pxv @ Pxv - Pxv).max()
-        if herm > 1e-8 or idem > 1e-8:
-            raise ValidationError(
-                f"field is not an orthogonal projector at a sample "
-                f"(hermitian defect {herm:.2e}, idempotency defect {idem:.2e})"
-            )
-        dP = _eval_flow_derivative(field_modes, x, v)
-        G = conn.value_at(x, v)
-        total = G @ Pxv - Pxv @ G
-        if dP is not None:
-            total = total + dP
-        worst = max(worst, float(np.abs(total).max()))
-    return worst
+    if not isinstance(P, dict):
+        P = {(0,) * n: P}
+    rng = np.random.default_rng(seed)
+    x, v = np.empty((samples, n)), np.empty((samples, n))
+    for i in range(samples):  # x, then v, per sample
+        x[i] = rng.uniform(0, 2 * math.pi, n)
+        v[i] = rng.standard_normal(n)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    modes, Pq = list(P), np.array(list(P.values()), dtype=complex)
+    Px = fourier_sum(modes, Pq, x)  # (samples, r, r)
+    herm = np.abs(Px - Px.conj().swapaxes(1, 2)).max()
+    idem = np.abs(Px @ Px - Px).max()
+    if not (herm <= 1e-8 and idem <= 1e-8):
+        raise ValidationError(
+            f"field is not an orthogonal projector at a sample "
+            f"(hermitian defect {herm:.2e}, idempotency defect {idem:.2e})"
+        )
+    dP = FourierConnection({q: tuple(1j * c * M for c in q) for q, M in zip(modes, Pq)},
+                           check_reality=False)
+    G = conn.value_at(x, v)
+    return float(np.abs(G @ Px - Px @ G + dP.value_at(x, v)).max())
 
 
 @dataclass
@@ -333,18 +299,11 @@ def opacity_probe(conn: FourierConnection, num_geodesics: int = 24,
         H = (H + H.conj().T) / 2
         evals, evecs = np.linalg.eigh(H)
         spread = max(evals[-1] - evals[0], 1e-12)
-        groups = []
-        start = 0
-        for i in range(1, r):
-            if evals[i] - evals[i - 1] > 1e-4 * spread:
-                groups.append(range(start, i))
-                start = i
-        groups.append(range(start, r))
-        for g in groups:
-            V = evecs[:, list(g)]
-            Pg = V @ V.conj().T
+        cuts = np.flatnonzero(np.diff(evals) > 1e-4 * spread) + 1
+        for group in np.split(evecs, cuts, axis=1):
+            Pg = group @ group.conj().T
             defect = invariance_defect(conn, Pg, samples=_DEFECT_SAMPLES, seed=seed + 1)
-            projectors.append((len(list(g)), defect, Pg))
+            projectors.append((group.shape[1], defect, Pg))
 
     if cdim == 1:
         verdict = "opaque: no invariant subbundle detected at tolerance 1e-6"
@@ -382,13 +341,8 @@ def parallel_frame_check(config: TorusConfig, vectors, samples: int = 100,
     vs = rng.standard_normal((samples, config.n))
     vs /= np.linalg.norm(vs, axis=1, keepdims=True)
     vals = eval_sections(config, vectors, xs, vs, degree=degree)  # (N, fdim, p)
-    gram0 = vals[0].conj().T @ vals[0]
-    drift = 0.0
-    min_sv = math.inf
-    for i in range(samples):
-        U = vals[i]
-        gram = U.conj().T @ U
-        drift = max(drift, float(np.abs(gram - gram0).max()))
-        sv = np.linalg.svd(U, compute_uv=False)
-        min_sv = min(min_sv, float(sv[-1]) if len(sv) else 0.0)
+    gram = vals.conj().swapaxes(1, 2) @ vals
+    drift = float(np.abs(gram - gram[0]).max())
+    sv = np.linalg.svd(vals, compute_uv=False)  # (N, min(fdim, p)), descending
+    min_sv = float(sv[:, -1].min()) if sv.shape[1] else 0.0
     return FrameCheckResult(drift, min_sv, min_sv >= 1e-6)

@@ -359,7 +359,7 @@ def fiber_symbol_pairing(A1: FiberConnForm, u: TwistedHarmonic, Am0: TwistedHarm
         vpts = ypts @ W.T  # points on the sub-sphere, shape (M, n)
         u_vals = np.stack([c.eval(vpts) for c in u.columns], axis=1).reshape(-1, r, r)
         a_vals = np.stack([c.eval(vpts) for c in Am0.columns], axis=1).reshape(-1, r, r)
-        A_at = np.einsum("mj,jab->mab", vpts, np.stack(A1.gammas))
+        A_at = A1.value_at(vpts)
         comm = A_at @ u_vals - u_vals @ A_at
         integrand = np.einsum("mab,mab->m", comm, a_vals.conj())
         return (wts @ integrand) * (2 * math.pi / xi_norm)

@@ -2,16 +2,17 @@
 
 `TorusConfig` fixes the truncation (torus dimension n, Fourier box
 |k|_inf <= K, harmonic degree m, fiber rank r and bundle kind),
-`mode_list` enumerates the box, `FourierConnection` holds a connection
-1-form by its Fourier coefficients, and `eval_sections` evaluates
-coefficient vectors over (mode, harmonic, fiber) as functions on
-T^n x S^{n-1}.
+`mode_list` enumerates the box, `fourier_sum` evaluates a matrix field
+sum_q c_q e^{i q.x} at a batch of points, `FourierConnection` holds a
+connection 1-form by its Fourier coefficients and evaluates it through
+`fourier_sum`, and `eval_sections` evaluates coefficient vectors over
+(mode, harmonic, fiber) as functions on T^n x S^{n-1}.
 
 Nothing here assembles a matrix, so this module imports no scipy: the
 holonomy probe, the text formats and the CLI's config handling read it
 directly.  The sparse raising/lowering assembly, the kernels and the
 ejection scan live in `torusmodel`, which imports `scipy.sparse` and
-re-exports every name defined here.
+re-exports every name defined here but `fourier_sum`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .polyharm import dims, harmonic_basis
 __all__ = [
     "TorusConfig",
     "FourierConnection",
+    "fourier_sum",
     "mode_list",
     "eval_sections",
 ]
@@ -72,6 +74,17 @@ def mode_list(n, K):
 @lru_cache(maxsize=None)
 def _mode_index(n, K):
     return {k: i for i, k in enumerate(mode_list(n, K))}
+
+
+def fourier_sum(modes, coeffs, x):
+    """sum_q coeffs_q e^{i q.x} at the points x.
+
+    modes: (Q, n); coeffs: (..., Q, r, r), which may vary with the point,
+    since its leading axes broadcast against those of x: (..., n).
+    Returns (..., r, r).
+    """
+    phase = np.exp(1j * (np.asarray(x, dtype=float) @ np.asarray(modes, dtype=float).T))
+    return np.einsum("...q,...qab->...ab", phase, coeffs)
 
 
 class FourierConnection:
@@ -175,20 +188,28 @@ class FourierConnection:
                                  check_reality=self.unitary and other.unitary)
 
     def value_at(self, x, v) -> np.ndarray:
-        """Gamma_x(v): the fiber matrix at base point x and direction v."""
-        r = self._r
-        out = np.zeros((r, r), dtype=complex)
-        for q, mats in self.coeffs.items():
-            phase = np.exp(1j * float(np.dot(q, x)))
-            for j, M in enumerate(mats):
-                out += phase * v[j] * M
-        return out
+        """Gamma_x(v): the fiber matrix at base points x and directions v.
+
+        x and v have shape (..., n) and broadcast against each other; the
+        result is (..., r, r).  v is contracted with the coefficients
+        first, then `fourier_sum` adds the modes up.
+        """
+        x, v = np.asarray(x, dtype=float), np.asarray(v)
+        if not self.coeffs:
+            shape = np.broadcast_shapes(x.shape[:-1], v.shape[:-1])
+            return np.zeros(shape + (self._r, self._r), dtype=complex)
+        A = np.einsum("...j,qjab->...qab", v, np.array(list(self.coeffs.values())))
+        return fourier_sum(list(self.coeffs), A, x)
 
     def pointwise_skew_defect(self, samples) -> float:
         """Max non-skewness of Gamma_x(v) over (x, v) samples (0 by reality);
         nan when any sample is non-finite."""
-        mats = [self.value_at(x, v) for x, v in samples]
-        return float(np.max([np.abs(M + M.conj().T).max() for M in mats], initial=0.0))
+        samples = list(samples)
+        if not samples:
+            return 0.0
+        xs, vs = (np.array(arrs, dtype=float) for arrs in zip(*samples))
+        M = self.value_at(xs, vs)
+        return float(np.abs(M + M.conj().swapaxes(-1, -2)).max())
 
 
 def eval_sections(config: TorusConfig, vectors, xs, vs, degree=None):

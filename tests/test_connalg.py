@@ -44,6 +44,18 @@ def reconstruction_residual(G, f, plus, minus, endo=False):
     return resid
 
 
+class TestFiberConnForm:
+    def test_value_at_batched(self, rng):
+        G = FiberConnForm(tuple(random_skew_hermitian(rng, 2) for _ in range(3)))
+        V = rng.standard_normal((4, 5, 3))
+        got = G.value_at(V)
+        assert got.shape == (4, 5, 2, 2)
+        for idx in np.ndindex(4, 5):
+            expect = sum(V[idx][j] * G.gammas[j] for j in range(3))
+            assert np.abs(got[idx] - expect).max() <= 1e-14
+        assert np.abs(G.value_at(V[0, 0]) - got[0, 0]).max() <= 1e-14
+
+
 class TestGammaSplit:
     def test_v1_against_closed_form(self):
         G = FiberConnForm.single_direction(3, 0, 1j * np.eye(1), unitary=True)

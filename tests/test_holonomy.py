@@ -258,23 +258,82 @@ class TestInvarianceDefect:
             assert d2 <= d1 + 1e-12
 
     def test_fourier_mode_projector(self):
-        # x-dependent projector field: P(x) = U(x) P0 U(x)^dagger for the
-        # diagonal gauge U(x) = exp(-i x1 diag(1, 2)) is flow-parallel for
-        # the diagonal constant connection
+        # a projector field given by its Fourier modes: only the constant mode
         P_field = {
             (0, 0, 0): np.diag([1.0, 0.0]).astype(complex),
         }
         assert ho.invariance_defect(DIAG_CONN, P_field) <= 1e-10
 
+    # P(x) = U(x) P0 U(x)^dagger with P0 = [[1, 1], [1, 1]] / 2 and the
+    # diagonal gauge U(x) = exp(-i x1 diag(1, 2)): P(x) = [[1, e^{i x1}],
+    # [e^{-i x1}, 1]] / 2, whose modes (1, 0, 0) and (-1, 0, 0) carry the
+    # off-diagonal halves.  X.P = v1 d_1 P cancels [Gamma_x(v), P] for the
+    # diagonal connection diag(i, 2i) dx_1.
+    GAUGED = {
+        (0, 0, 0): np.eye(2) / 2,
+        (1, 0, 0): np.array([[0, 0.5], [0, 0]]),
+        (-1, 0, 0): np.array([[0, 0], [0.5, 0]]),
+    }
+
+    def test_gauge_rotated_projector_is_invariant(self):
+        assert ho.invariance_defect(DIAG_CONN, self.GAUGED) <= 1e-10
+
+    def test_wrong_gauge_detected(self):
+        # the modes swapped: P(x) rotates against the connection, so the
+        # flow derivative adds to the commutator instead of cancelling it
+        swapped = {(0, 0, 0): self.GAUGED[(0, 0, 0)],
+                   (1, 0, 0): self.GAUGED[(-1, 0, 0)],
+                   (-1, 0, 0): self.GAUGED[(1, 0, 0)]}
+        assert ho.invariance_defect(DIAG_CONN, swapped) > 0.5
+
+    def test_constant_gauge_seed_detected(self):
+        # P0 itself, held constant, is not parallel
+        assert ho.invariance_defect(DIAG_CONN, np.full((2, 2), 0.5)) > 0.4
+
     def test_rejects_non_projector(self):
         with pytest.raises(ValidationError):
             ho.invariance_defect(DIAG_CONN, 0.5 * np.eye(2))
+
+    def test_rejects_non_finite_field(self):
+        # a nan projector used to pass the projector check and read defect 0.0
+        with pytest.raises(ValidationError, match="projector"):
+            ho.invariance_defect(DIAG_CONN, np.full((2, 2), np.nan))
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_needs_a_sample(self, samples):
         # zero samples used to report defect 0.0, "invariant" with no evidence
         with pytest.raises(ValidationError, match="samples"):
             ho.invariance_defect(DIAG_CONN, np.diag([1.0, 0.0]), samples=samples)
+
+
+class TestSingleBatchedEvaluation:
+    """Each caller evaluates its field at all its points in one call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        value_at = FourierConnection.value_at
+
+        def counted(conn, x, v):
+            calls.append(np.shape(x))
+            return value_at(conn, x, v)
+
+        monkeypatch.setattr(FourierConnection, "value_at", counted)
+        return calls
+
+    def test_invariance_defect(self, calls):
+        counts = []
+        for samples in (8, 64):
+            calls.clear()
+            ho.invariance_defect(DIAG_CONN, TestInvarianceDefect.GAUGED, samples=samples)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 2
+
+    @pytest.mark.parametrize("geodesics", [1, 4, 12])
+    def test_require_skew(self, calls, rng, geodesics):
+        V = np.array([unit(rng.standard_normal(3)) for _ in range(geodesics)])
+        ho._require_skew(TestBatchedTransport.CONN, rng.uniform(0, 2 * np.pi, 3), V)
+        assert len(calls) == 1
 
 
 class TestOpacityProbe:

@@ -1,5 +1,9 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cktlab import polyharm as ph
 from cktlab import torusmodel as tm
@@ -74,6 +78,62 @@ class TestFourierConnection:
         b = a.scaled(2.0).plus(a.scaled(-2.0))
         asm = tm.assemble(TorusConfig(3, 1, 0, 1), b)
         assert abs(tm.connection_plus_matrix(TorusConfig(3, 1, 0, 1), b)).max() < 1e-14
+
+
+def _value_loop(conn, x, v):
+    """Reference Gamma_x(v) = sum_q sum_j v_j hat(Gamma)_{q,j} e^{i q.x}, one point."""
+    out = np.zeros((conn.r, conn.r), dtype=complex)
+    for q, mats in conn.coeffs.items():
+        phase = np.exp(1j * float(np.dot(q, x)))
+        for j, M in enumerate(mats):
+            out += phase * v[j] * M
+    return out
+
+
+@st.composite
+def connections_and_points(draw):
+    """A connection on the 2- or 3-torus with modes in the box |q|_inf <= 2
+    (edges and negative modes included), with or without the reality
+    check, and (N, n) base points and directions."""
+    n = draw(st.sampled_from([2, 3]))
+    r = draw(st.integers(1, 3))
+    box = list(product(range(-2, 3), repeat=n))
+    support = draw(st.lists(st.sampled_from(box), min_size=1, max_size=4, unique=True))
+    unitary = draw(st.booleans())
+    npts = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = {}
+    for q in support:
+        mats = [rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)) for _ in range(n)]
+        mq = tuple(-c for c in q)
+        if not unitary:
+            coeffs[q] = tuple(mats)
+        elif q == mq:
+            coeffs[q] = tuple((M - M.conj().T) / 2 for M in mats)
+        else:
+            coeffs[q] = tuple(mats)
+            coeffs[mq] = tuple(-M.conj().T for M in mats)
+    conn = FourierConnection(coeffs, check_reality=unitary)
+    xs = rng.uniform(0, 2 * np.pi, (npts, n))
+    vs = rng.standard_normal((npts, n))
+    return conn, xs, vs
+
+
+class TestBatchedValueAt:
+    @settings(max_examples=60, deadline=1000)
+    @given(connections_and_points())
+    def test_matches_pointwise_sum(self, drawn):
+        conn, xs, vs = drawn
+        batched = conn.value_at(xs, vs)
+        assert batched.shape == (len(xs), conn.r, conn.r)
+        for x, v, got in zip(xs, vs, batched):
+            scale = max(1.0, sum(np.abs(v) @ [np.abs(M).max() for M in mats]
+                                 for mats in conn.coeffs.values()))
+            assert np.abs(got - _value_loop(conn, x, v)).max() <= 1e-13 * scale
+            assert np.abs(conn.value_at(x, v) - got).max() <= 1e-13 * scale
+        if conn.unitary:
+            scale = max(1.0, np.abs(batched).max())
+            assert conn.pointwise_skew_defect(list(zip(xs, vs))) <= 1e-12 * scale
 
 
 class TestAssemble:

@@ -1,0 +1,161 @@
+"""Compare the CLI outputs of two cktlab source trees on the benchmark inputs.
+
+    python3 scripts/compare_outputs.py OLD_SRC NEW_SRC [SEED ...]
+
+For each seed (default 101 105 110) and each workload of
+`perfbench/workloads.py`, the workload's inputs are written with
+`workloads.generate` into one directory per tree, and every CLI subcommand
+the workload runs is run there, plus `torus-ckt` on each torus config (its
+[torus] section, with and without the perturbation as the connection).
+Each tree runs all of it in one Python process with that tree first on the
+path.
+Every output file is then compared past its first line when that line is
+the CSV timestamp, and reported as
+
+    identical        the same bytes,
+    same data rows   only '#' comment lines differ,
+    DIFFERENT        a data row differs, or the file exists in one tree only.
+
+The exit code is 0 when every file is identical and 1 otherwise.
+`perfbench/workloads.py` is only read.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+SEEDS = (101, 105, 110)
+
+# runs each (directory, subcommand, config, out, seed) of argv[1] with the
+# cktlab found first on the path; the exit code goes into the output
+# directory, so the comparison shows it
+RUNNER = """
+import json, os, sys
+from cktlab import cli
+for workdir, sub, config, out, seed in json.loads(sys.argv[1]):
+    os.chdir(workdir)
+    rc = cli.run([sub, "--config", config, "--out", out, "--seed", str(seed)])
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, "exit_code"), "w", encoding="utf-8") as fh:
+        fh.write(f"{rc}\\n")
+"""
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def ckt_config(eject_cfg, with_perturbation):
+    """A torus-ckt config from a torus-eject one: its [torus] section, and the
+    perturbation file as the [connection] when asked."""
+    lines = eject_cfg.split("[perturbation]")[0].rstrip().splitlines()
+    if with_perturbation:
+        pert = eject_cfg.split("[perturbation]")[1].split("file =")[1].split()[0]
+        lines += ["", "[connection]", f"file = {pert}"]
+    return "\n".join(lines) + "\n"
+
+
+def commands(workloads, name, seed):
+    """(files to write, [(subcommand, config, out directory, seed)]) of a workload."""
+    inputs = workloads.generate(name, seed)
+    files = dict(inputs["files"])
+    runs = []
+    for config, text in inputs["files"].items():
+        if not config.endswith(".cfg"):
+            continue
+        stem = config[:-4]
+        section = text.split("]")[0].lstrip("[")
+        if section == "torus":
+            runs.append(("torus-eject", config, f"{stem}-eject", seed))
+            for with_pert, tag in ((False, "zero"), (True, "pert")):
+                ckt = f"{stem}-ckt-{tag}.cfg"
+                files[ckt] = ckt_config(text, with_pert)
+                runs.append(("torus-ckt", ckt, f"{stem}-ckt-{tag}", seed))
+        elif section == "divtype":
+            runs.append(("check-divtype", config, stem, seed))
+        elif section == "holonomy":
+            runs.append(("holonomy", config, stem, seed))
+        elif section == "kato":
+            runs.append(("kato", config, stem, seed))
+    return files, runs
+
+
+def run_tree(src, cases):
+    """Write every case's inputs and run all its subcommands on the tree at
+    src, in one process: cases are (directory, files, runs)."""
+    todo = []
+    for workdir, files, runs in cases:
+        os.makedirs(workdir)
+        for name, text in files.items():
+            with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        todo.extend((workdir, *run) for run in runs)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    subprocess.run([sys.executable, "-c", RUNNER, json.dumps(todo)], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+
+
+def outputs(workdir, runs):
+    """{relative path: lines} of every file the runs wrote."""
+    found = {}
+    for _, _, out, _ in runs:
+        for path in sorted(pathlib.Path(workdir, out).iterdir()):
+            lines = path.read_text(encoding="utf-8").splitlines()
+            if lines and lines[0].startswith("# timestamp:"):
+                lines = lines[1:]
+            found[os.path.join(out, path.name)] = lines
+    return found
+
+
+def verdict(old, new):
+    if old == new:
+        return "identical"
+    if old is not None and new is not None and (
+            [ln for ln in old if not ln.startswith("#")]
+            == [ln for ln in new if not ln.startswith("#")]):
+        return "same data rows"
+    return "DIFFERENT"
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("old_src")
+    ap.add_argument("new_src")
+    ap.add_argument("seeds", nargs="*", type=int, default=list(SEEDS))
+    args = ap.parse_args(argv)
+    workloads = load_workloads()
+    cases = [(seed, name, *commands(workloads, name, seed))
+             for seed in args.seeds for name in sorted(workloads.OPERATIONS)]
+    all_identical = True
+    with tempfile.TemporaryDirectory() as tmp:
+        found = {}
+        for tree, src in (("old", args.old_src), ("new", args.new_src)):
+            dirs = {(seed, name): os.path.join(tmp, tree, f"{name}-{seed}")
+                    for seed, name, _, _ in cases}
+            run_tree(src, [(dirs[seed, name], files, runs) for seed, name, files, runs in cases])
+            found[tree] = {(seed, name): outputs(dirs[seed, name], runs)
+                           for seed, name, _, runs in cases}
+        for seed, name, _, _ in cases:
+            old, new = found["old"][seed, name], found["new"][seed, name]
+            for path in sorted(set(old) | set(new)):
+                result = verdict(old.get(path), new.get(path))
+                all_identical &= result == "identical"
+                print(f"seed {seed} {name} {path}: {result}")
+    print("all identical" if all_identical else "some outputs differ")
+    return 0 if all_identical else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

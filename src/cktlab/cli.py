@@ -229,6 +229,7 @@ def cmd_torus_ckt(args):
         f"kernel_dim: {rep.dim}",
         f"adjointness_defect: {asm.adjointness_defect!r}",
         f"dropped_couplings: {asm.dropped_couplings}",
+        rep.rank_margin(),
     ]
     textio.write_csv(os.path.join(_outdir(args), "ckt_kernel.csv"), rows,
                      resolved, comments)

@@ -174,6 +174,8 @@ def _transport_doubled(conn, x0, V, length, steps):
     geodesic's error estimate max|fine - coarse| and unitarity defect
     max|C^H C - 1|.
     """
+    if conn.r is None:
+        raise ValidationError("connection does not determine a fiber rank")
     if steps < 16:
         raise ValidationError("need at least 16 steps")
     if not (math.isfinite(length) and length > 0):

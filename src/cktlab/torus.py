@@ -192,9 +192,12 @@ class FourierConnection:
 
         x and v have shape (..., n) and broadcast against each other; the
         result is (..., r, r).  v is contracted with the coefficients
-        first, then `fourier_sum` adds the modes up.
+        first, then `fourier_sum` adds the modes up.  An empty connection
+        built without a fiber rank has no value: ValidationError.
         """
         x, v = np.asarray(x, dtype=float), np.asarray(v)
+        if self._r is None:
+            raise ValidationError("connection does not determine a fiber rank")
         if not self.coeffs:
             shape = np.broadcast_shapes(x.shape[:-1], v.shape[:-1])
             return np.zeros(shape + (self._r, self._r), dtype=complex)

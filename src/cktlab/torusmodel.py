@@ -13,18 +13,23 @@ as a matrix-level testbed for the perturbation formulas (which are
 operator-calculus facts independent of hyperbolicity), not as a
 reproduction of chaotic dynamics.
 
-Both sides are assembled as one sum of sparse Kronecker products over
-modes x harmonics x fiber,
+Both sides are one sum of Kronecker products over modes x harmonics x
+fiber,
 
     sum_j diag(i k_j) (x) P_j (x) I_f
         + sum_{q in support} S_q (x) (sum_j P_j (x) F_j(hat Gamma_q)),
 
 where P_j are the per-direction harmonic blocks, F_j the fiber action
 of the connection coefficient (commutator action on endomorphism fibers)
-and S_q the 0/1 matrix sending mode k to k+q.  The two assembly routes
-share only this skeleton: `assemble` supplies the harmonic splitting of
-multiplication by v_j, `assemble_via_D` the symmetric-tensor derivative
-conjugated into the harmonic bases, so their agreement checks the blocks.
+and S_q the 0/1 matrix sending mode k to k+q.  No product is formed as
+a sparse matrix: the dense free blocks F_k = sum_j (i k_j) P_j (x) I_f
+and couplings C_q = sum_j P_j (x) F_j(hat Gamma_q) are placed at the mode
+blocks (k, k) and (k+q, k) by index arithmetic, from cached (k, k+q)
+mode-index pairs, and each side becomes one csr matrix.  The two
+assembly routes share only this skeleton: `assemble` supplies the
+harmonic splitting of multiplication by v_j, `assemble_via_D` the
+symmetric-tensor derivative conjugated into the harmonic bases, so
+their agreement checks the blocks.
 
 Mode couplings that would leave the truncation box are dropped, never
 wrapped: wrapping would alias modes and silently break the symmetry of
@@ -35,12 +40,15 @@ box, counted once per side: nmodes - nnz(S_q) per q and side.
 The matrices are block diagonal over coset blocks: the connection term
 couples mode k only to k+q for q in the support, so the modes split into
 the connected components of the mode graph of a matrix's sparsity
-pattern.  Every dense factorization here runs per block: the kernels of
-X+ and X- over the blocks of that matrix, with one rank cut against the
-largest singular value of the whole matrix (`linalg.block_nullspace`),
-and the spectra of the ejection scan over the blocks of X+(conn0) and the
-connection derivative together, since X+(s) = X+(conn0) + s P is affine
-in s and is assembled once.
+pattern.  Every dense factorization here runs per block, with the blocks
+of one size stacked: the kernels of X+ and X- over the blocks of that
+matrix, with one rank cut against the largest singular value of the
+whole matrix (`linalg.block_nullspace`), and the spectra of the ejection
+scan over the blocks of X+(conn0) and the connection derivative
+together, since X+(s) = X+(conn0) + s P is affine in s and is assembled
+once.  A stack's kernel vectors are read from its V^H factors through
+the mask of each block's rank and scattered with one indexed assignment,
+so no Python loop runs over the blocks.
 
 This module is the assembling half of the torus model and imports
 `scipy.sparse` at module level, so a subcommand pays for that import
@@ -110,21 +118,33 @@ class TorusAssembly:
 
 
 @lru_cache(maxsize=None)
-def _shift_matrix(n, K, q):
-    """0/1 matrix sending mode k to k + q; couplings leaving the box have no
-    entry, so nmodes - nnz of them are dropped.  Shared by every caller:
-    never mutate it."""
+def _shift_pairs(n, K, q):
+    """(k, k + q) as mode-index arrays over the modes k with k + q inside the
+    box; the nmodes - len(k) others are the couplings dropped for q.  The
+    arrays are cached, so they are read-only."""
     modes = np.asarray(mode_list(n, K))
     target = modes + np.asarray(q)
     inside = (np.abs(target) <= K).all(axis=1)
-    rows = np.ravel_multi_index((target[inside] + K).T, (2 * K + 1,) * n)
-    cols = np.nonzero(inside)[0]
-    return sparse.csr_matrix((np.ones(len(cols)), (rows, cols)), shape=(len(modes),) * 2)
+    pairs = (np.nonzero(inside)[0],
+             np.ravel_multi_index((target[inside] + K).T, (2 * K + 1,) * n))
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
-def _connection_term(config, conn, blocks):
-    """Sum over the support of S_q kron (sum_j P_j kron F_j(hat Gamma_q)), with
-    the number of couplings dropped at the box edge."""
+def _side(config, conn, blocks, free=True):
+    """(csr matrix, couplings dropped at the box edge) of one side, from the
+    per-direction harmonic blocks P_j.
+
+    Each coupling C_q = sum_j P_j kron F_j(hat Gamma_q) is placed at the
+    mode blocks (k + q, k) with k + q inside the box.  With `free`, the
+    free block F_k = sum_j (i k_j) P_j kron I_f is placed at (k, k), C_0
+    (0 when q = 0 is not in the support) added to it; without, the side is
+    the connection term alone.  Every sum runs in j order and starts from
+    0, so no entry has a -0.0 part and the entries are those of the
+    Kronecker sum of the module docstring bit for bit.  Exact zeros are
+    dropped.
+    """
     if conn is not None and conn.r is not None and conn.r != config.r:
         raise ValidationError(
             f"fiber rank mismatch: config r={config.r}, connection r={conn.r}"
@@ -133,40 +153,51 @@ def _connection_term(config, conn, blocks):
         raise ValidationError(
             f"torus dimension mismatch: config n={config.n}, connection n={conn.n}"
         )
-    nmodes = len(config.modes)
-    h_out, h_in = blocks[0].shape
-    total = sparse.csr_matrix(
-        (nmodes * h_out * config.fdim, nmodes * h_in * config.fdim), dtype=complex)
-    dropped = 0
-    for q, mats in (conn.coeffs.items() if conn is not None else ()):
-        shift = _shift_matrix(config.n, config.K, q)
-        dropped += nmodes - shift.nnz
-        coupling = sum(np.kron(P, _fiber_action(config, M)) for P, M in zip(blocks, mats))
-        total = total + sparse.kron(shift, coupling, format="csr")
-    return total, dropped
-
-
-def _kron_assemble(config, conn, plus_blocks, minus_blocks) -> TorusAssembly:
-    """Both sides of the flow derivative from per-direction harmonic blocks
-    P_j (degree m -> m+1 for raising, m+1 -> m for lowering):
-    sum_j diag(i k_j) kron P_j kron I_f plus the connection term.
-
-    The blocks carry all of an assembly route's mathematics; this skeleton
-    only places them over the modes and the fiber."""
     modes = np.asarray(config.modes)
-    eye_f = np.eye(config.fdim)
-    sides = []
+    nmodes = len(modes)
+    height, width = (h * config.fdim for h in blocks[0].shape)  # of one mode block
+    couplings = {q: sum(np.kron(P, _fiber_action(config, M)) for P, M in zip(blocks, mats))
+                 for q, mats in (conn.coeffs.items() if conn is not None else ())}
+    placed = []  # (target modes, source modes, entry rows, entry cols, values)
     dropped = 0
-    for blocks in (plus_blocks, minus_blocks):
-        free = sum(sparse.kron(sparse.diags(1j * modes[:, j]), np.kron(P, eye_f), format="csr")
-                   for j, P in enumerate(blocks))
-        coupled, side_dropped = _connection_term(config, conn, blocks)
-        sides.append(free + coupled)
-        dropped += side_dropped
-    xplus, xminus = sides
+    for q, coupling in couplings.items():
+        source, target = _shift_pairs(config.n, config.K, q)
+        dropped += nmodes - len(source)
+        if any(q) or not free:
+            a, b = np.nonzero(coupling)
+            placed.append((target, source, a, b, coupling[a, b]))
+    if free:
+        free_blocks = np.stack([np.kron(P, np.eye(config.fdim)) for P in blocks])
+        c0 = couplings.get((0,) * config.n, np.zeros((height, width)))
+        a, b = np.nonzero(free_blocks.any(axis=0) | (c0 != 0))
+        values = sum((1j * modes[:, j])[:, None] * Pf[a, b] for j, Pf in enumerate(free_blocks))
+        everywhere = np.arange(nmodes)
+        placed.append((everywhere, everywhere, a, b, values + c0[a, b]))
+    shape = (nmodes * height, nmodes * width)
+    if not placed:
+        return sparse.csr_matrix(shape, dtype=complex), dropped
+    rows, cols, data = (np.concatenate(part) for part in zip(*(
+        ((target[:, None] * height + a).ravel(), (source[:, None] * width + b).ravel(),
+         np.broadcast_to(values, (len(source), len(a))).ravel())
+        for target, source, a, b, values in placed)))
+    keep = data != 0
+    rows, cols, data = rows[keep], cols[keep], data[keep]
+    order = np.argsort(rows * shape[1] + cols)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
+    return sparse.csr_matrix((data[order], cols[order], indptr), shape=shape), dropped
+
+
+def _assemble_sides(config, conn, plus_blocks, minus_blocks) -> TorusAssembly:
+    """Both sides of the flow derivative from per-direction harmonic blocks
+    P_j (degree m -> m+1 for raising, m+1 -> m for lowering).
+
+    The blocks carry all of an assembly route's mathematics; `_side` only
+    places them over the modes and the fiber."""
+    (xplus, plus_dropped), (xminus, minus_dropped) = (
+        _side(config, conn, blocks) for blocks in (plus_blocks, minus_blocks))
     diff = (xminus + xplus.conj().T).tocoo()
     defect = float(np.abs(diff.data).max()) if diff.nnz else 0.0
-    return TorusAssembly(config, xplus, xminus, dropped, defect)
+    return TorusAssembly(config, xplus, xminus, plus_dropped + minus_dropped, defect)
 
 
 def assemble(config: TorusConfig, conn: FourierConnection | None = None) -> TorusAssembly:
@@ -177,9 +208,9 @@ def assemble(config: TorusConfig, conn: FourierConnection | None = None) -> Toru
     the conjugate transpose of the raising matrix; the two agree exactly
     because the truncation drop is symmetric.
     """
-    asm = _kron_assemble(config, conn, harmonic_mult_blocks(config.n, config.m)[0],
-                         harmonic_mult_blocks(config.n, config.m + 1)[1])
-    if asm.adjointness_defect > 1e-12 * max(1.0, abs(asm.xplus).max()):
+    asm = _assemble_sides(config, conn, harmonic_mult_blocks(config.n, config.m)[0],
+                          harmonic_mult_blocks(config.n, config.m + 1)[1])
+    if asm.adjointness_defect > 1e-12 * max(1.0, np.abs(asm.xplus.data).max(initial=0.0)):
         raise ConvergenceError(f"adjointness defect {asm.adjointness_defect:.3e} in assembly")
     return asm
 
@@ -187,7 +218,7 @@ def assemble(config: TorusConfig, conn: FourierConnection | None = None) -> Toru
 def connection_plus_matrix(config: TorusConfig, conn: FourierConnection):
     """Raising matrix of the connection part alone (the derivative of the
     assembly with respect to the connection)."""
-    return _connection_term(config, conn, harmonic_mult_blocks(config.n, config.m)[0])[0]
+    return _side(config, conn, harmonic_mult_blocks(config.n, config.m)[0], free=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +259,7 @@ def assemble_via_D(config: TorusConfig, conn: FourierConnection | None = None) -
     plus_blocks = B_m1 @ T_m @ B_m_inv
     # X_- = -c_link * pi_m D*; free D* on mode k is -i iota_k
     minus_blocks = c_link * (B_m @ C_m1 @ B_m1_inv)
-    return _kron_assemble(config, conn, plus_blocks, minus_blocks)
+    return _assemble_sides(config, conn, plus_blocks, minus_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +302,10 @@ def _mode_blocks(config, *mats):
     return [order[size[order] == nb].reshape(-1, nb) for nb in np.unique(size)]
 
 
-def _block_index(modes, width):
-    """Flat indices of the given modes in a space with `width` entries per mode."""
-    return (modes[:, None] * width + np.arange(width)).ravel()
+def _block_index(blocks, width):
+    """Flat indices of each block's modes in a space with `width` entries per
+    mode: (count, size * width) for a (count, size) array of mode blocks."""
+    return (blocks[:, :, None] * width + np.arange(width)).reshape(len(blocks), -1)
 
 
 def _dense_blocks(config, M, groups):
@@ -302,21 +334,29 @@ def _dense_blocks(config, M, groups):
 
 
 def _block_kernels(config, M, rtol):
-    """([(modes of a block, its block-local kernel basis)], singular values of M)
-    over the mode blocks of M, with one rank cut for the whole of M."""
+    """([(flat indices of the blocks' modes, V^H stack, ranks)] per block
+    size, singular values of M) over the mode blocks of M, with one rank cut
+    for the whole of M (`linalg.block_nullspace`)."""
     groups = _mode_blocks(config, M)
-    kernels, s = block_nullspace(_dense_blocks(config, M, groups), rtol)
-    return list(zip((modes for blocks in groups for modes in blocks), kernels)), s
+    stacks, s = block_nullspace(_dense_blocks(config, M, groups), rtol)
+    width = M.shape[1] // len(config.modes)
+    return [(_block_index(blocks, width), vt, rank)
+            for blocks, (vt, rank) in zip(groups, stacks)], s
 
 
-def _scatter(parts, width, dim):
-    """Full-length columns, block by block, from block-local bases."""
-    out = np.zeros((dim, sum(k.shape[1] for _, k in parts)), dtype=complex)
+def _kernel_columns(config, M, rtol):
+    """(orthonormal kernel basis of M as full-length columns, singular values
+    of M): block by block, each block's vectors in the order of its V^H
+    rows, scattered with one assignment per block size."""
+    stacks, s = _block_kernels(config, M, rtol)
+    masks = [np.arange(vt.shape[1]) >= rank[:, None] for _, vt, rank in stacks]
+    out = np.zeros((M.shape[1], sum(int(mask.sum()) for mask in masks)), dtype=complex)
     j = 0
-    for modes, k in parts:
-        out[_block_index(modes, width), j:j + k.shape[1]] = k
-        j += k.shape[1]
-    return out
+    for (index, vt, _), mask in zip(stacks, masks):
+        rows = vt[mask]
+        out[index[np.nonzero(mask)[0]], j + np.arange(len(rows))[:, None]] = rows.conj()
+        j += len(rows)
+    return out, s
 
 
 @dataclass
@@ -324,32 +364,43 @@ class KernelReport:
     vectors: np.ndarray  # (dim, d), orthonormal columns
     singular_values: np.ndarray
     mode_support: list  # per kernel vector: modes carrying > 1e-8 of its mass
+    rank_cut: float  # 1e-10 * the largest singular value
+    min_kept: float  # smallest singular value above the cut (nan if none)
+    max_cut: float  # largest singular value at or below the cut (nan if none)
 
     @property
     def dim(self):
         return self.vectors.shape[1]
 
+    def rank_margin(self):
+        """The `# rank_margin:` comment of ckt_kernel.csv."""
+        return (f"rank_margin: cut={self.rank_cut!r} min_kept={self.min_kept!r} "
+                f"max_cut={self.max_cut!r}")
+
 
 def ckt_kernel(asm: TorusAssembly) -> KernelReport:
-    """Orthonormal kernel basis of the raising matrix with per-mode support.
+    """Orthonormal kernel basis of the raising matrix with per-mode support
+    and the margin of its rank cut.
 
-    Each basis vector lives in one mode block of the raising matrix."""
+    Each basis vector lives in one mode block of the raising matrix.  The
+    cut is 1e-10 times the largest singular value; a kept singular value
+    near it or a dropped one near it marks a kernel dimension that a small
+    change of tolerance would move."""
     modes = mode_list(asm.config.n, asm.config.K)
-    dim = asm.xplus.shape[1]
-    width = dim // len(modes)
-    parts, s = _block_kernels(asm.config, asm.xplus, 1e-10)
-    support = []
-    for block, k in parts:
-        mass = np.linalg.norm(k.reshape(len(block), width, k.shape[1]), axis=1)
-        support.extend([modes[j] for j in block[mass[:, i] > 1e-8]] for i in range(k.shape[1]))
-    return KernelReport(_scatter(parts, width, dim), s, support)
+    vectors, s = _kernel_columns(asm.config, asm.xplus, 1e-10)
+    width = vectors.shape[0] // len(modes)
+    mass = np.linalg.norm(vectors.reshape(len(modes), width, vectors.shape[1]), axis=1)
+    support = [[modes[j] for j in np.flatnonzero(col > 1e-8)] for col in mass.T]
+    cut = 1e-10 * s[0] if len(s) else 0.0
+    kept, dropped = s[s > cut], s[s <= cut]
+    return KernelReport(vectors, s, support, float(cut),
+                        float(kept[-1]) if len(kept) else float("nan"),
+                        float(dropped[0]) if len(dropped) else float("nan"))
 
 
 def xminus_kernel_basis(asm: TorusAssembly) -> np.ndarray:
     """Orthonormal basis of ker(lowering) inside the degree-(m+1) space."""
-    dim = asm.xminus.shape[1]
-    parts, _ = _block_kernels(asm.config, asm.xminus, 1e-10)
-    return _scatter(parts, dim // len(asm.config.modes), dim)
+    return _kernel_columns(asm.config, asm.xminus, 1e-10)[0]
 
 
 def second_variation_predict(asm0: TorusAssembly, A: FourierConnection, kernel) -> tuple:
@@ -376,11 +427,15 @@ def _second_variation(asm0: TorusAssembly, P, kernel) -> tuple:
     if np.abs(gram - np.eye(kernel.shape[1])).max() > 1e-8:
         raise ValidationError("kernel basis must be orthonormal")
     W = P @ kernel
-    width = asm0.xminus.shape[1] // len(asm0.config.modes)
-    sq = np.zeros(kernel.shape[1])
-    for modes, V in _block_kernels(asm0.config, asm0.xminus, 1e-10)[0]:
-        coords = V.conj().T @ W[_block_index(modes, width)]
-        sq += np.real(np.sum(coords.conj() * coords, axis=0))
+    sums = []  # per block, in block order
+    for index, vt, rank in _block_kernels(asm0.config, asm0.xminus, 1e-10)[0]:
+        coords = vt @ W[index]
+        block_sums = np.empty((len(vt), W.shape[1]))
+        for r in np.unique(rank):
+            x = coords[rank == r, r:]
+            block_sums[rank == r] = np.real(np.sum(x.conj() * x, axis=1))
+        sums.append(block_sums)
+    sq = np.add.accumulate(np.concatenate(sums), axis=0)[-1]
     per_vector = [float(x) for x in sq]
     return per_vector, float(sum(per_vector))
 

@@ -349,6 +349,25 @@ class TestTorusCkt:
         assert run(["torus-ckt", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert "kernel dimension 3" in capsys.readouterr().out
 
+    def test_rank_margin_line(self, tmp_path):
+        # zero connection at n=3 K=1 m=0: the largest singular value is
+        # |(1,1,1)| / sqrt(3) = 1, the smallest kept 1 / sqrt(3) at |k| = 1,
+        # and the mode-0 block's is exactly 0
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("[torus]\nn = 3\nk = 1\nm = 0\nr = 1\n")
+        assert run(["torus-ckt", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "ckt_kernel.csv").read_text().splitlines()
+        margin = [ln for ln in lines if ln.startswith("# rank_margin:")]
+        assert len(margin) == 1
+        fields = dict(f.split("=") for f in margin[0].split(": ", 1)[1].split(" "))
+        assert list(fields) == ["cut", "min_kept", "max_cut"]
+        assert float(fields["cut"]) == pytest.approx(1e-10, rel=1e-12)
+        assert float(fields["min_kept"]) == pytest.approx(1 / math.sqrt(3), rel=1e-12)
+        assert fields["max_cut"] == "0.0"
+        # the margin is a comment: the data rows are as before
+        assert read_data_lines(tmp_path / "ckt_kernel.csv") == [
+            "kernel_index,mode_support\n", "0,0/0/0\n"]
+
 
 class TestKato:
     def test_small_run(self, tmp_path):

@@ -6,6 +6,7 @@ from cktlab import holonomy as ho
 from cktlab import torusmodel as tm
 from cktlab.errors import ValidationError
 from cktlab.holonomy import GeodesicSegment
+from cktlab.textio import load_fourier_connection
 from cktlab.torusmodel import FourierConnection, TorusConfig
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -304,6 +305,35 @@ class TestInvarianceDefect:
         # zero samples used to report defect 0.0, "invariant" with no evidence
         with pytest.raises(ValidationError, match="samples"):
             ho.invariance_defect(DIAG_CONN, np.diag([1.0, 0.0]), samples=samples)
+
+
+def _rankless(kind):
+    """An empty connection on the 3-torus whose fiber rank is unknown."""
+    if kind == "zero":
+        return FourierConnection.zero(n=3)
+    return load_fourier_connection("FOURCONN 3 0 0\n")
+
+
+class TestUnknownFiberRank:
+    """Such a connection has no value to transport or test against; both
+    functions used to fail with a raw TypeError from np.zeros or np.eye."""
+
+    @pytest.mark.parametrize("kind", ["zero", "payload"])
+    def test_value_at(self, kind):
+        with pytest.raises(ValidationError, match="fiber rank"):
+            _rankless(kind).value_at(np.zeros(3), unit([1, 0, 0]))
+
+    @pytest.mark.parametrize("unitary", [True, False])
+    @pytest.mark.parametrize("kind", ["zero", "payload"])
+    def test_transport(self, kind, unitary):
+        seg = GeodesicSegment(np.zeros(3), unit([1, 0.3, -0.2]), 5.0)
+        with pytest.raises(ValidationError, match="fiber rank"):
+            ho.transport(_rankless(kind), seg, 64, unitary=unitary)
+
+    @pytest.mark.parametrize("kind", ["zero", "payload"])
+    def test_invariance_defect(self, kind):
+        with pytest.raises(ValidationError, match="fiber rank"):
+            ho.invariance_defect(_rankless(kind), np.eye(1))
 
 
 class TestSingleBatchedEvaluation:

@@ -63,11 +63,18 @@ class TestNullspace:
             nullspace(M, 1e-10)
 
 
+def bases(stacks):
+    """Each block's orthonormal kernel basis, as columns, from block_nullspace's
+    (V^H stack, ranks) per stack."""
+    return [v[rank:].conj().T for vt, ranks in stacks for v, rank in zip(vt, ranks)]
+
+
 class TestBlockNullspace:
     def test_cut_against_the_whole_matrix(self):
         # 1e-11 is the largest singular value of its own block, but below
         # 1e-10 times that of the whole matrix
-        kernels, s = block_nullspace([np.eye(2)[None], np.array([[[1e-11]]])], 1e-10)
+        stacks, s = block_nullspace([np.eye(2)[None], np.array([[[1e-11]]])], 1e-10)
+        kernels = bases(stacks)
         assert [k.shape[1] for k in kernels] == [0, 1]
         assert nullspace(np.array([[1e-11]]), 1e-10)[0].shape[1] == 0
         assert np.array_equal(s, [1.0, 1.0, 1e-11])
@@ -77,7 +84,8 @@ class TestBlockNullspace:
         tall = np.stack([np.outer(rng.standard_normal(3), rng.standard_normal(2)),
                          np.zeros((3, 2))])
         wide = (rng.standard_normal((2, 2)) @ rng.standard_normal((2, 4)))[None]
-        kernels, s = block_nullspace([tall, wide], 1e-10)
+        stacks, s = block_nullspace([tall, wide], 1e-10)
+        kernels = bases(stacks)
         blocks = [*tall, *wide]
         dense = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
         full = np.zeros((dense.shape[1], 0))
@@ -95,9 +103,21 @@ class TestBlockNullspace:
         assert len(s_dense) == len(s) + 2
         assert np.abs(s_dense - np.append(s, [0.0, 0.0])).max() < 1e-12
 
+    def test_ragged_ranks(self, rng):
+        # one stack holds blocks of ranks 0, 1 and 2; the kernel rows of each
+        # block are read through its own rank, as nullspace reads its one block
+        square = np.stack([np.zeros((3, 3)),
+                           np.outer(rng.standard_normal(3), rng.standard_normal(3)),
+                           rng.standard_normal((3, 2)) @ rng.standard_normal((2, 3))])
+        wide = rng.standard_normal((2, 2, 4))
+        stacks, _ = block_nullspace([square, wide], 1e-10)
+        assert [list(rank) for _, rank in stacks] == [[0, 1, 2], [2, 2]]
+        for block, basis in zip([*square, *wide], bases(stacks)):
+            assert np.array_equal(basis, nullspace(block, 1e-10)[0])
+
     def test_no_blocks(self):
-        kernels, s = block_nullspace([], 1e-10)
-        assert kernels == [] and len(s) == 0
+        stacks, s = block_nullspace([], 1e-10)
+        assert bases(stacks) == [] and len(s) == 0
 
 
 @st.composite

@@ -33,3 +33,16 @@ def test_divtype_table_surfaces_elliptic(capsys):
     assert len(rows) == 12
     for n, m, verdict in rows:
         assert verdict == ("elliptic" if n == "2" and int(m) >= 2 else "uniform")
+
+
+def test_compare_outputs_of_a_tree_with_itself(capsys):
+    compare = runpy.run_path(str(SCRIPTS / "compare_outputs.py"))
+    src = str(SCRIPTS.parent / "src")
+    assert compare["main"]([src, src, "101"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "all identical"
+    reported = {line.split(": ")[0].split(" ", 3)[3] for line in lines[:-1]}
+    for path in ("eject-eject/eject.csv", "eject-ckt-zero/ckt_kernel.csv",
+                 "harmonic-ckt-pert/ckt_kernel.csv", "divtype/divtype.csv",
+                 "generic/opacity.csv", "diagonal/opacity.csv", "kato/kato.csv"):
+        assert path in reported

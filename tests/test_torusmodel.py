@@ -2,11 +2,13 @@ from itertools import product
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cktlab import polyharm as ph
 from cktlab import torusmodel as tm
+from cktlab.connalg import commutator_action_matrix, harmonic_mult_blocks
 from cktlab.errors import ValidationError
 from cktlab.linalg import nullspace
 from cktlab.torusmodel import FourierConnection, TorusConfig
@@ -153,6 +155,10 @@ class TestAssemble:
                 assert s.min() > 1e-10  # injective
         assert zero_blocks == 1
 
+    def test_zero_connection_kernel_support(self):
+        rep = tm.ckt_kernel(tm.assemble(TorusConfig(3, 3, 0, 1)))
+        assert rep.mode_support == [[(0, 0, 0)]]
+
     def test_m1_kernel_at_mode0(self):
         rep = tm.ckt_kernel(tm.assemble(TorusConfig(3, 1, 1, 1)))
         assert rep.dim == 3
@@ -257,6 +263,112 @@ class TestAssembleViaD:
         cfg = TorusConfig(2, 2, 2, 1)
         a, b = tm.assemble(cfg), tm.assemble_via_D(cfg)
         assert abs((a.xplus - b.xplus)).max() <= 1e-10
+
+
+def kron_side(config, conn, blocks, free=True):
+    """(csr matrix, dropped couplings) of one side as the sparse Kronecker sum
+    of the torusmodel docstring, built with scipy.sparse.kron and summed
+    with scipy.sparse: the oracle of the index-built assembly."""
+    modes = np.asarray(config.modes)
+    nmodes = len(modes)
+    rows, cols = (h * config.fdim for h in blocks[0].shape)
+    fiber = (lambda M: M) if config.bundle_kind == "vector" else commutator_action_matrix
+    coupled = sparse.csr_matrix((nmodes * rows, nmodes * cols), dtype=complex)
+    dropped = 0
+    for q, mats in (conn.coeffs.items() if conn is not None else ()):
+        target = modes + np.asarray(q)
+        inside = (np.abs(target) <= config.K).all(axis=1)
+        shift = sparse.csr_matrix(
+            (np.ones(inside.sum()),
+             (np.ravel_multi_index((target[inside] + config.K).T, (2 * config.K + 1,) * config.n),
+              np.nonzero(inside)[0])), shape=(nmodes, nmodes))
+        dropped += nmodes - shift.nnz
+        coupling = sum(np.kron(P, fiber(M)) for P, M in zip(blocks, mats))
+        coupled = coupled + sparse.kron(shift, coupling, format="csr")
+    if not free:
+        return coupled, dropped
+    eye_f = np.eye(config.fdim)
+    free_part = sum(sparse.kron(sparse.diags(1j * modes[:, j]), np.kron(P, eye_f), format="csr")
+                    for j, P in enumerate(blocks))
+    return free_part + coupled, dropped
+
+
+def assert_same_csr(got, oracle):
+    assert got.nnz == oracle.nnz
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(oracle, name)), name
+
+
+@st.composite
+def assembly_cases(draw):
+    """(config, connection or None) with n in {2, 3}, K <= 2, m <= 2, r <= 2,
+    either bundle kind, and a support that may hold q = 0, box-edge modes
+    (every entry +-K) and modes coupling nothing inside the box."""
+    n = draw(st.sampled_from([2, 3]))
+    K, m, r = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(1, 2))
+    cfg = TorusConfig(n, K, m, r, draw(st.sampled_from(["vector", "endomorphism"])))
+    qs = draw(st.lists(st.tuples(*[st.integers(-2 * K - 1, 2 * K + 1)] * n), max_size=2))
+    if draw(st.booleans()):
+        qs.append((0,) * n)
+    if draw(st.booleans()):
+        qs.append(tuple(draw(st.sampled_from([-K, K])) for _ in range(n)))
+    if not qs:
+        return cfg, None
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = {}
+    for q in qs:
+        # some direction matrices zero, so that couplings have exact zeros
+        mats = [rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+                if rng.random() < 0.7 else np.zeros((r, r)) for _ in range(n)]
+        mq = tuple(-c for c in q)
+        if q == mq:
+            coeffs[q] = tuple((M - M.conj().T) / 2 for M in mats)
+        else:
+            coeffs[q], coeffs[mq] = tuple(mats), tuple(-M.conj().T for M in mats)
+    return cfg, FourierConnection(coeffs)
+
+
+class TestIndexAssembly:
+    """The csr arrays are those of the scipy.sparse Kronecker sum, exactly."""
+
+    @settings(max_examples=40, deadline=2000)
+    @given(assembly_cases())
+    def test_matches_the_kron_oracle(self, case):
+        cfg, conn = case
+        for route in (tm.assemble, tm.assemble_via_D):
+            sides, side = [], tm._side
+
+            def spy(config, conn, blocks, free=True):
+                sides.append(blocks)  # each route's harmonic blocks, plus then minus
+                return side(config, conn, blocks, free)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(tm, "_side", spy)
+                asm = route(cfg, conn)
+            (plus, plus_dropped), (minus, minus_dropped) = (
+                kron_side(cfg, conn, blocks) for blocks in sides)
+            assert_same_csr(asm.xplus, plus)
+            assert_same_csr(asm.xminus, minus)
+            assert asm.dropped_couplings == plus_dropped + minus_dropped
+        if conn is not None:
+            oracle, _ = kron_side(cfg, conn, harmonic_mult_blocks(cfg.n, cfg.m)[0], free=False)
+            assert_same_csr(tm.connection_plus_matrix(cfg, conn), oracle)
+
+    def test_no_sparse_kron(self, monkeypatch, rng):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.sparse.kron called during assembly")
+
+        monkeypatch.setattr(sparse, "kron", refuse)
+        cfg = TorusConfig(3, 1, 1, 2, "endomorphism")
+        conn = random_connection(rng, 3, 2, qs=[(0, 1, 0), (0, 0, 0)])
+        tm.assemble(cfg, conn)
+        tm.assemble_via_D(cfg, conn)
+        tm.connection_plus_matrix(cfg, conn)
+
+    def test_cached_index_pairs_are_read_only(self):
+        for index in tm._shift_pairs(3, 1, (0, 1, 0)):
+            with pytest.raises(ValueError):
+                index[0] = 0
 
 
 class TestSecondVariation:

@@ -7,6 +7,9 @@ For each seed (default 101 105 110) and each workload of
 `workloads.generate` into one directory per tree, and every CLI subcommand
 the workload runs is run there, plus `torus-ckt` on each torus config (its
 [torus] section, with and without the perturbation as the connection).
+The subcommands no workload runs are added at each seed on fixed inputs:
+`dims --n 3 --mmax 4`, `harmdecomp` on one HPOLY payload and
+`commutator-factor` on `r = 3, count = 2` and on one ENDO payload.
 Each tree runs all of it in one Python process with that tree first on the
 path.
 Every output file is then compared past its first line when that line is
@@ -35,15 +38,15 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 SEEDS = (101, 105, 110)
 
-# runs each (directory, subcommand, config, out, seed) of argv[1] with the
-# cktlab found first on the path; the exit code goes into the output
-# directory, so the comparison shows it
+# runs each (directory, out, argv) of argv[1] with the cktlab found first on
+# the path; the exit code goes into the output directory, so the comparison
+# shows it
 RUNNER = """
 import json, os, sys
 from cktlab import cli
-for workdir, sub, config, out, seed in json.loads(sys.argv[1]):
+for workdir, out, argv in json.loads(sys.argv[1]):
     os.chdir(workdir)
-    rc = cli.run([sub, "--config", config, "--out", out, "--seed", str(seed)])
+    rc = cli.run(argv)
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "exit_code"), "w", encoding="utf-8") as fh:
         fh.write(f"{rc}\\n")
@@ -67,8 +70,13 @@ def ckt_config(eject_cfg, with_perturbation):
     return "\n".join(lines) + "\n"
 
 
+def config_run(sub, config, out, seed):
+    """(out directory, argv) of a config-driven subcommand."""
+    return out, [sub, "--config", config, "--out", out, "--seed", str(seed)]
+
+
 def commands(workloads, name, seed):
-    """(files to write, [(subcommand, config, out directory, seed)]) of a workload."""
+    """(files to write, [(out directory, argv)]) of a workload."""
     inputs = workloads.generate(name, seed)
     files = dict(inputs["files"])
     runs = []
@@ -78,17 +86,33 @@ def commands(workloads, name, seed):
         stem = config[:-4]
         section = text.split("]")[0].lstrip("[")
         if section == "torus":
-            runs.append(("torus-eject", config, f"{stem}-eject", seed))
+            runs.append(config_run("torus-eject", config, f"{stem}-eject", seed))
             for with_pert, tag in ((False, "zero"), (True, "pert")):
                 ckt = f"{stem}-ckt-{tag}.cfg"
                 files[ckt] = ckt_config(text, with_pert)
-                runs.append(("torus-ckt", ckt, f"{stem}-ckt-{tag}", seed))
+                runs.append(config_run("torus-ckt", ckt, f"{stem}-ckt-{tag}", seed))
         elif section == "divtype":
-            runs.append(("check-divtype", config, stem, seed))
+            runs.append(config_run("check-divtype", config, stem, seed))
         elif section == "holonomy":
-            runs.append(("holonomy", config, stem, seed))
+            runs.append(config_run("holonomy", config, stem, seed))
         elif section == "kato":
-            runs.append(("kato", config, stem, seed))
+            runs.append(config_run("kato", config, stem, seed))
+    return files, runs
+
+
+def other_commands(seed):
+    """(files to write, runs) of the subcommands no workload runs, on fixed inputs."""
+    files = {
+        "p.hpoly": "HPOLY 3 4 3\n1.0 0.0 4 0 0\n0.5 -1.0 2 1 1\n-0.25 0.0 0 0 4\n",
+        "harmdecomp.cfg": "[harmdecomp]\ninput = p.hpoly\n",
+        "u.endo": "ENDO 2\n0.0 1.0 2.0 1.0\n-2.0 1.0 0.0 -1.0\n",
+        "commutator-file.cfg": "[commutator]\ninput = u.endo\n",
+        "commutator-random.cfg": "[commutator]\nr = 3\ncount = 2\n",
+    }
+    runs = [("dims", ["dims", "--n", "3", "--mmax", "4", "--out", "dims", "--seed", str(seed)])]
+    runs += [config_run(sub, f"{stem}.cfg", stem, seed) for sub, stem in (
+        ("harmdecomp", "harmdecomp"), ("commutator-factor", "commutator-file"),
+        ("commutator-factor", "commutator-random"))]
     return files, runs
 
 
@@ -110,7 +134,7 @@ def run_tree(src, cases):
 def outputs(workdir, runs):
     """{relative path: lines} of every file the runs wrote."""
     found = {}
-    for _, _, out, _ in runs:
+    for out, _ in runs:
         for path in sorted(pathlib.Path(workdir, out).iterdir()):
             lines = path.read_text(encoding="utf-8").splitlines()
             if lines and lines[0].startswith("# timestamp:"):
@@ -138,6 +162,7 @@ def main(argv=None):
     workloads = load_workloads()
     cases = [(seed, name, *commands(workloads, name, seed))
              for seed in args.seeds for name in sorted(workloads.OPERATIONS)]
+    cases += [(seed, "other", *other_commands(seed)) for seed in args.seeds]
     all_identical = True
     with tempfile.TemporaryDirectory() as tmp:
         found = {}

@@ -1,13 +1,18 @@
 """Batch experiment runner: every module behind a subcommand.
 
 Subcommands: dims, harmdecomp, check-divtype, commutator-factor,
-torus-ckt, torus-eject, kato, holonomy, selftest.  Runs read an
-INI-style config checked against one table of textio.Key entries per
-subcommand (parse_config owns every single-key rule; a subcommand checks
-only what couples keys), write CSV outputs plus a manifest echoing the
-resolved config, and are deterministic given (config, seed).  Exit codes:
-0 success, 2 validation error, 3 numerical non-convergence; stderr
-carries a one-line machine-parsable tag.
+torus-ckt, torus-eject, kato, holonomy, selftest.  Each is one entry of
+SUBCOMMANDS: its help text, its function and the table of textio.Key
+entries its input is checked against.  The input is an INI-style config
+(for dims, its --n and --mmax flags), and textio.resolve_config checks
+every value and every key that another key's value needs.  A
+subcommand's function computes and returns an Output and does no file
+I/O; run() then writes the CSV, any further files and last a manifest
+echoing the resolved config, so a run whose subcommand fails writes no
+file.  Runs are deterministic given (config, seed).  Exit codes: 0
+success, 2 validation error (an unreadable input or an unwritable --out
+included), 3 numerical non-convergence; stderr carries a one-line
+machine-parsable tag.
 
 Importing this module loads no scipy: only the subcommands that assemble
 torus matrices (torus-ckt, torus-eject, selftest) import torusmodel, and
@@ -20,6 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,6 +43,30 @@ from .textio import Key, positive_float
 __all__ = ["main", "run"]
 
 
+class Output(NamedTuple):
+    """What a subcommand produced.  csv=None writes no file; files are further
+    (name, text) pairs written next to the CSV; message goes to stdout."""
+
+    csv: str | None
+    rows: list | tuple = ()
+    comments: list | tuple = ()
+    files: tuple = ()
+    message: str = ""
+
+
+class Subcommand(NamedTuple):
+    """A subcommand: help text, function(args, resolved) -> Output, its Key table,
+    where the table's values come from ("config": the --config file; "flags": one
+    --KEY flag per key; None: nowhere, and --seed is the only flag) and any
+    further (flag, argparse keywords) pairs."""
+
+    help: str
+    func: Callable
+    table: dict = {}
+    source: str | None = "config"
+    flags: tuple = ()
+
+
 def _read(path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -45,92 +75,42 @@ def _read(path):
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
-def _outdir(args):
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _manifest(args, resolved, extra=()):
-    out = _outdir(args)
-    lines = [
-        f"tool = ckt-lab {__version__}",
-        f"subcommand = {args.subcommand}",
-        f"seed = {args.seed}",
-        f"config-hash = {textio.config_hash(resolved)}",
-        "",
-        textio.render_config(resolved).rstrip(),
-    ]
-    lines.extend(extra)
-    with open(os.path.join(out, "manifest.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _load_config(args, schema):
-    return textio.parse_config(_read(args.config) if args.config else "", schema)
+def _random_skew_hermitian(rng, size):
+    M = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    return (M - M.conj().T) / 2
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_dims(args):
-    if args.n is None or args.mmax is None:
-        raise ValidationError("dims needs --n and --mmax")
-    if args.mmax < 0:
-        raise ValidationError(f"--mmax must be >= 0, got {args.mmax}")
+def cmd_dims(args, resolved):
+    n, mmax = resolved["dims"]["n"], resolved["dims"]["mmax"]
     rows = ["m,p,h"]
-    print(f"{'m':>3} {'p':>8} {'h':>8}")
-    for m in range(args.mmax + 1):
-        p, h = ph.dims(args.n, m)
+    table = [f"{'m':>3} {'p':>8} {'h':>8}"]
+    for m in range(mmax + 1):
+        p, h = ph.dims(n, m)
         rows.append(f"{m},{p},{h}")
-        print(f"{m:>3} {p:>8} {h:>8}")
-    if args.out:
-        resolved = {"dims": {"n": args.n, "mmax": args.mmax}}
-        textio.write_csv(os.path.join(_outdir(args), "dims.csv"), rows, resolved)
-        _manifest(args, resolved)
-    return 0
+        table.append(f"{m:>3} {p:>8} {h:>8}")
+    return Output("dims.csv" if args.out else None, rows, message="\n".join(table))
 
 
-HARMDECOMP_SCHEMA = {"harmdecomp": {"input": Key(str, required=True)}}
-
-
-def cmd_harmdecomp(args):
-    resolved = _load_config(args, HARMDECOMP_SCHEMA)
+def cmd_harmdecomp(args, resolved):
     P = textio.load_hpoly(_read(resolved["harmdecomp"]["input"]))
     parts = ph.harmonic_decompose(P)
-    out = _outdir(args)
     rows = ["k,harmonic_degree,bombieri_norm,laplace_residual"]
     for k, h in parts:
         rows.append(f"{k},{h.m},{ph.bombieri_norm(h)!r},{ph.bombieri_norm(ph.laplace(h))!r}")
-        with open(os.path.join(out, f"part_k{k}.hpoly"), "w", encoding="utf-8") as fh:
-            fh.write(textio.dump_hpoly(h))
-    textio.write_csv(os.path.join(out, "harmdecomp.csv"), rows, resolved)
-    _manifest(args, resolved)
-    print(f"decomposed into {len(parts)} harmonic parts -> {out}")
-    return 0
+    return Output("harmdecomp.csv", rows,
+                  files=tuple((f"part_k{k}.hpoly", textio.dump_hpoly(h)) for k, h in parts),
+                  message=f"decomposed into {len(parts)} harmonic parts -> {args.out or '.'}")
 
 
-# the keys each family reads, checked by the subcommand because the rule spans two keys
-DIVTYPE_FAMILY_KEYS = {"dstar": ("n", "m"), "divergence": ("n",), "forms": ("n", "k"),
-                       "counterexample": ("r",)}
-DIVTYPE_SCHEMA = {"divtype": {
-    "family": Key(str, choices=tuple(DIVTYPE_FAMILY_KEYS), required=True),
-    "n": Key(int, 2), "m": Key(int, 0), "k": Key(int, 0), "r": Key(int, 1),
-    "model": Key(str, choices=("tracefree", "full"), default="tracefree"),
-    "samples": Key(int, 1, default=256),
-}}
-
-
-def cmd_check_divtype(args):
-    resolved = _load_config(args, DIVTYPE_SCHEMA)
+def cmd_check_divtype(args, resolved):
     sec = resolved["divtype"]
     family = sec["family"]
     N = sec["samples"]
     seed = args.seed
-    missing = [k for k in DIVTYPE_FAMILY_KEYS[family] if k not in sec]
-    if missing:
-        raise ValidationError(f"[divtype] family {family!r} needs keys {missing}")
     if family == "dstar":
         rep = sc.check_dstar_uniform(sec["n"], sec["m"], sec["model"], N=N, seed=seed)
     elif family == "divergence":
@@ -142,34 +122,21 @@ def cmd_check_divtype(args):
     comments = [f"family: {rep.name}", f"verdict: {rep.verdict}"]
     if rep.note:
         comments.append(f"note: {rep.note}")
-    textio.write_csv(os.path.join(_outdir(args), "divtype.csv"), rep.csv_rows(),
-                     resolved, comments)
-    _manifest(args, resolved)
-    print(f"{rep.name}: span {rep.span_dim}/{rep.fiber_dim} -> {rep.verdict}")
-    return 0
+    return Output("divtype.csv", rep.csv_rows(), comments,
+                  message=f"{rep.name}: span {rep.span_dim}/{rep.fiber_dim} -> {rep.verdict}")
 
 
-COMMUTATOR_SCHEMA = {"commutator": {"input": Key(str), "r": Key(int, 1),
-                                    "count": Key(int, 1, default=1)}}
-
-
-def cmd_commutator_factor(args):
-    resolved = _load_config(args, COMMUTATOR_SCHEMA)
+def cmd_commutator_factor(args, resolved):
     sec = resolved["commutator"]
     rows = ["index,residual,skewness_A,skewness_G"]
     if "input" in sec:
-        u = textio.load_endo(_read(sec["input"]))
-        cases = [u]
-    elif "r" in sec:
+        cases = [textio.load_endo(_read(sec["input"]))]
+    else:  # the table requires r when input is unset
         rng = np.random.default_rng(args.seed)
         cases = []
         for _ in range(sec["count"]):
-            M = rng.standard_normal((sec["r"], sec["r"])) + 1j * rng.standard_normal(
-                (sec["r"], sec["r"]))
-            S = (M - M.conj().T) / 2
+            S = _random_skew_hermitian(rng, sec["r"])
             cases.append(S - np.trace(S) / sec["r"] * np.eye(sec["r"]))
-    else:
-        raise ValidationError("commutator-factor needs input = FILE or r = RANK")
     worst = 0.0
     for i, u in enumerate(cases):
         A, G = ca.commutator_factor(u, tol=max(args.tol, 1e-12))
@@ -179,26 +146,13 @@ def cmd_commutator_factor(args):
             f"{i},{resid!r},{float(np.abs(A + A.conj().T).max())!r},"
             f"{float(np.abs(G + G.conj().T).max())!r}"
         )
-    # the gate comes before any output, so a failed run leaves no files
     if worst > args.tol * 10:
         raise ConvergenceError(f"worst factorization residual {worst:.3e}")
-    out = _outdir(args)
+    files = ()
     if len(cases) == 1:
-        for name, M in (("factor_A.endo", A), ("factor_G.endo", G)):
-            with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
-                fh.write(textio.dump_endo(M))
-    textio.write_csv(os.path.join(out, "commutator.csv"), rows, resolved)
-    _manifest(args, resolved)
-    print(f"factored {len(cases)} matrices, worst residual {worst:.3e}")
-    return 0
-
-
-TORUS_SCHEMA_COMMON = {
-    "torus": {"n": Key(int, 2, required=True), "k": Key(int, 0, required=True),
-              "m": Key(int, 0, required=True), "r": Key(int, 1, required=True),
-              "bundle_kind": Key(str, choices=("vector", "endomorphism"))},
-    "connection": {"file": Key(str)},
-}
+        files = (("factor_A.endo", textio.dump_endo(A)), ("factor_G.endo", textio.dump_endo(G)))
+    return Output("commutator.csv", rows, files=files,
+                  message=f"factored {len(cases)} matrices, worst residual {worst:.3e}")
 
 
 def _torus_config(resolved):
@@ -213,10 +167,9 @@ def _load_conn(resolved, cfg):
     return torus.FourierConnection.zero(r=cfg.r, n=cfg.n)
 
 
-def cmd_torus_ckt(args):
+def cmd_torus_ckt(args, resolved):
     from . import torusmodel as tm
 
-    resolved = _load_config(args, TORUS_SCHEMA_COMMON)
     cfg = _torus_config(resolved)
     conn = _load_conn(resolved, cfg)
     asm = tm.assemble(cfg, conn)
@@ -231,25 +184,13 @@ def cmd_torus_ckt(args):
         f"dropped_couplings: {asm.dropped_couplings}",
         rep.rank_margin(),
     ]
-    textio.write_csv(os.path.join(_outdir(args), "ckt_kernel.csv"), rows,
-                     resolved, comments)
-    _manifest(args, resolved)
-    print(f"kernel dimension {rep.dim} (space dim {cfg.space_dim()})")
-    return 0
+    return Output("ckt_kernel.csv", rows, comments,
+                  message=f"kernel dimension {rep.dim} (space dim {cfg.space_dim()})")
 
 
-EJECT_SCHEMA = {
-    **TORUS_SCHEMA_COMMON,
-    "perturbation": {"file": Key(str, required=True)},
-    "scan": {"smax": Key(float, default=0.1), "points": Key(int, 3, default=9),
-             "window_radius": Key(positive_float)},
-}
-
-
-def cmd_torus_eject(args):
+def cmd_torus_eject(args, resolved):
     from . import torusmodel as tm
 
-    resolved = _load_config(args, EJECT_SCHEMA)
     cfg = _torus_config(resolved)
     conn0 = _load_conn(resolved, cfg)
     A = textio.load_fourier_connection(_read(resolved["perturbation"]["file"]))
@@ -266,24 +207,12 @@ def cmd_torus_eject(args):
         f"blocks: {res.blocks} (largest {res.largest_block[0]}x{res.largest_block[1]})",
         f"window_margin: {res.window_margin!r}",
     ]
-    textio.write_csv(os.path.join(_outdir(args), "eject.csv"), res.csv_rows(),
-                     resolved, comments)
-    _manifest(args, resolved)
-    print(
+    return Output("eject.csv", res.csv_rows(), comments, message=(
         f"lambda_ddot/(2*predicted) = {res.curvature_factor:.6f}; "
-        f"kernel {res.kernel_dims.max()} -> {res.kernel_dims.min()}"
-    )
-    return 0
+        f"kernel {res.kernel_dims.max()} -> {res.kernel_dims.min()}"))
 
 
-KATO_SCHEMA = {"kato": {
-    "size": Key(int, 1, default=20), "kernel_dim": Key(int, 0, default=2),
-    "instances": Key(int, 1, default=10), "radius": Key(positive_float, default=0.3),
-}}
-
-
-def cmd_kato(args):
-    resolved = _load_config(args, KATO_SCHEMA)
+def cmd_kato(args, resolved):
     sec = resolved["kato"]
     rng = np.random.default_rng(args.seed)
     rows = ["instance,identity_residual,d1_mismatch,d2_mismatch,conj_defect,pi_norm"]
@@ -291,9 +220,7 @@ def cmd_kato(args):
     for i in range(sec["instances"]):
         X = sp.random_skew_adjoint_with_kernel(rng, sec["size"], sec["kernel_dim"],
                                                gap=0.8, spread=4.0)
-        M = rng.standard_normal((sec["size"], sec["size"])) + 1j * rng.standard_normal(
-            (sec["size"], sec["size"]))
-        P_A = (M - M.conj().T) / 2
+        P_A = _random_skew_hermitian(rng, sec["size"])
         W = sp.spectral_window(X, sec["radius"])
         resid = sp.resolvent_identity_check(W)
         worst_identity = max(worst_identity, resid)
@@ -304,34 +231,22 @@ def cmd_kato(args):
             f"{i},{float(resid)!r},{float(abs(d1f - d1c))!r},"
             f"{float(abs(d2f - d2c))!r},{float(conj)!r},{pi_norm!r}"
         )
-    textio.write_csv(os.path.join(_outdir(args), "kato.csv"), rows, resolved)
-    _manifest(args, resolved)
-    print(f"{sec['instances']} instances, worst identity residual {worst_identity:.3e}")
-    return 0
+    return Output("kato.csv", rows, message=(
+        f"{sec['instances']} instances, worst identity residual {worst_identity:.3e}"))
 
 
-HOLONOMY_SCHEMA = {"holonomy": {
-    "connection": Key(str, required=True), "num_geodesics": Key(int, 1, default=24),
-    "length": Key(positive_float, default=7.0), "steps": Key(int, 16, default=256),
-}}
-
-
-def cmd_holonomy(args):
-    resolved = _load_config(args, HOLONOMY_SCHEMA)
+def cmd_holonomy(args, resolved):
     sec = resolved["holonomy"]
     conn = textio.load_fourier_connection(_read(sec["connection"]))
     rep = ho.opacity_probe(conn, num_geodesics=sec["num_geodesics"],
                            length=sec["length"], steps=sec["steps"], seed=args.seed)
-    textio.write_csv(os.path.join(_outdir(args), "opacity.csv"), rep.csv_rows(),
-                     resolved, [f"verdict: {rep.verdict}",
-                                f"transport_error: {rep.transport_error!r}",
-                                f"unitarity_defect: {rep.unitarity_defect!r}"])
-    _manifest(args, resolved)
-    print(rep.verdict)
-    return 0
+    return Output("opacity.csv", rep.csv_rows(), [f"verdict: {rep.verdict}",
+                                                  f"transport_error: {rep.transport_error!r}",
+                                                  f"unitarity_defect: {rep.unitarity_defect!r}"],
+                  message=rep.verdict)
 
 
-def _selftest_impl(args):
+def cmd_selftest(args, resolved):
     """Fast invariant sweep across the modules; exit 0 when everything holds."""
     from . import torusmodel as tm
 
@@ -378,8 +293,7 @@ def _selftest_impl(args):
     W = sp.spectral_window(X, 0.25)
     check("resolvent identities", sp.resolvent_identity_check(W) <= 1e-9)
     check("pi operator vanishes", np.abs(sp.pi_operator(W)).max() <= 1e-10)
-    M = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    P_A = (M - M.conj().T) / 2
+    P_A = _random_skew_hermitian(rng, 12)
     Xp = X + 0.05 * P_A / np.linalg.norm(P_A, 2)
     evals = np.linalg.eigvals(Xp)
     enclosed = evals[np.abs(evals) < 0.25].sum()
@@ -396,8 +310,55 @@ def _selftest_impl(args):
 
     if not all(checks):
         raise ConvergenceError("selftest failed")
-    print(f"selftest: {len(checks)} checks passed")
-    return 0
+    return Output(None, message=f"selftest: {len(checks)} checks passed")
+
+
+TORUS_TABLE = {
+    "torus": {"n": Key(int, 2, required=True), "k": Key(int, 0, required=True),
+              "m": Key(int, 0, required=True), "r": Key(int, 1, required=True),
+              "bundle_kind": Key(str, choices=("vector", "endomorphism"))},
+    "connection": {"file": Key(str)},
+}
+
+SUBCOMMANDS = {
+    "dims": Subcommand(
+        "dimension table of homogeneous/harmonic polynomials", cmd_dims,
+        {"dims": {"n": Key(int, 2, required=True), "mmax": Key(int, 0, required=True)}},
+        source="flags"),
+    "harmdecomp": Subcommand(
+        "harmonic decomposition of an HPOLY file", cmd_harmdecomp,
+        {"harmdecomp": {"input": Key(str, required=True)}}),
+    "check-divtype": Subcommand("uniform-divergence-type verdict", cmd_check_divtype, {"divtype": {
+        "family": Key(str, choices=("dstar", "divergence", "forms", "counterexample"),
+                      required=True, needs={"dstar": ("n", "m"), "divergence": ("n",),
+                                            "forms": ("n", "k"), "counterexample": ("r",)}),
+        "n": Key(int, 2), "m": Key(int, 0), "k": Key(int, 0), "r": Key(int, 1),
+        "model": Key(str, choices=("tracefree", "full"), default="tracefree"),
+        "samples": Key(int, 1, default=256),
+    }}),
+    "commutator-factor": Subcommand(
+        "factor skew-Hermitian trace-free matrices", cmd_commutator_factor,
+        {"commutator": {"input": Key(str, needs={None: ("r",)}), "r": Key(int, 1),
+                        "count": Key(int, 1, default=1)}},
+        flags=(("--tol", {"type": positive_float, "default": 1e-9}),)),
+    "torus-ckt": Subcommand("kernel of the raising operator on the torus", cmd_torus_ckt,
+                            TORUS_TABLE),
+    "torus-eject": Subcommand("eigenvalue ejection scan", cmd_torus_eject, {
+        **TORUS_TABLE,
+        "perturbation": {"file": Key(str, required=True)},
+        "scan": {"smax": Key(float, default=0.1), "points": Key(int, 3, default=9),
+                 "window_radius": Key(positive_float)},
+    }),
+    "kato": Subcommand("resolvent identity and perturbation suite", cmd_kato, {"kato": {
+        "size": Key(int, 1, default=20), "kernel_dim": Key(int, 0, default=2),
+        "instances": Key(int, 1, default=10), "radius": Key(positive_float, default=0.3),
+    }}),
+    "holonomy": Subcommand("parallel-transport opacity probe", cmd_holonomy, {"holonomy": {
+        "connection": Key(str, required=True), "num_geodesics": Key(int, 1, default=24),
+        "length": Key(positive_float, default=7.0), "steps": Key(int, 16, default=256),
+    }}),
+    "selftest": Subcommand("fast invariant sweep", cmd_selftest, source=None),
+}
 
 
 def build_parser():
@@ -409,66 +370,72 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"ckt-lab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, config=True):
-        if config:
+    for name, entry in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=entry.help)
+        if entry.source == "config":
             p.add_argument("--config", help="INI config file")
+        elif entry.source == "flags":
+            for keys in entry.table.values():
+                for key_name, key in keys.items():
+                    p.add_argument(f"--{key_name}", type=key.kind)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", help="output directory")
-
-    p = sub.add_parser("dims", help="dimension table of homogeneous/harmonic polynomials")
-    p.add_argument("--n", type=int)
-    p.add_argument("--mmax", type=int)
-    common(p, config=False)
-    p.set_defaults(func=cmd_dims)
-
-    p = sub.add_parser("harmdecomp", help="harmonic decomposition of an HPOLY file")
-    common(p)
-    p.set_defaults(func=cmd_harmdecomp)
-
-    p = sub.add_parser("check-divtype", help="uniform-divergence-type verdict")
-    common(p)
-    p.set_defaults(func=cmd_check_divtype)
-
-    p = sub.add_parser("commutator-factor", help="factor skew-Hermitian trace-free matrices")
-    common(p)
-    p.add_argument("--tol", type=positive_float, default=1e-9)
-    p.set_defaults(func=cmd_commutator_factor)
-
-    p = sub.add_parser("torus-ckt", help="kernel of the raising operator on the torus")
-    common(p)
-    p.set_defaults(func=cmd_torus_ckt)
-
-    p = sub.add_parser("torus-eject", help="eigenvalue ejection scan")
-    common(p)
-    p.set_defaults(func=cmd_torus_eject)
-
-    p = sub.add_parser("kato", help="resolvent identity and perturbation suite")
-    common(p)
-    p.set_defaults(func=cmd_kato)
-
-    p = sub.add_parser("holonomy", help="parallel-transport opacity probe")
-    common(p)
-    p.set_defaults(func=cmd_holonomy)
-
-    p = sub.add_parser("selftest", help="fast invariant sweep")
-    p.add_argument("--seed", type=int, default=0)  # reads no config, writes no file
-    p.set_defaults(func=_selftest_impl)
-
+        if entry.source is not None:
+            p.add_argument("--out", help="output directory")
+        for flag, kwargs in entry.flags:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
-def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _resolve(args, entry):
+    """The subcommand's input checked against its table."""
+    if entry.source == "config":
+        return textio.parse_config(_read(args.config) if args.config else "", entry.table)
+    if entry.source == "flags":
+        given = {section: {name: getattr(args, name) for name in keys
+                           if getattr(args, name) is not None}
+                 for section, keys in entry.table.items()}
+        return textio.resolve_config(given, entry.table)
+    return {}
+
+
+def _write(args, resolved, output):
+    """Write a run's CSV, its further files and last manifest.txt into --out
+    (default: the working directory)."""
+    out = args.out or "."
+    manifest = "\n".join([
+        f"tool = ckt-lab {__version__}",
+        f"subcommand = {args.subcommand}",
+        f"seed = {args.seed}",
+        f"config-hash = {textio.config_hash(resolved)}",
+        "",
+        textio.render_config(resolved).rstrip(),
+    ]) + "\n"
     try:
-        return args.func(args)
+        os.makedirs(out, exist_ok=True)
+        textio.write_csv(os.path.join(out, output.csv), output.rows, resolved, output.comments)
+        for name, text in (*output.files, ("manifest.txt", manifest)):
+            with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write to {out}: {exc}") from exc
+
+
+def run(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    entry = SUBCOMMANDS[args.subcommand]
+    try:
+        resolved = _resolve(args, entry)
+        output = entry.func(args, resolved)
+        if output.csv is not None:
+            _write(args, resolved, output)
     except ValidationError as exc:
         print(f"ckt-lab: error code=2 tag=validation msg={str(exc)!r}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"ckt-lab: error code=3 tag=non-convergence msg={str(exc)!r}", file=sys.stderr)
         return 3
+    print(output.message)
+    return 0
 
 
 def main():

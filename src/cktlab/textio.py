@@ -38,7 +38,8 @@ __all__ = [
     "dump_endo", "load_endo",
     "dump_connform", "load_connform",
     "dump_fourier_connection", "load_fourier_connection",
-    "write_csv", "config_hash", "parse_config", "render_config", "Key", "positive_float",
+    "write_csv", "config_hash", "read_config", "resolve_config", "parse_config", "render_config",
+    "Key", "positive_float",
 ]
 
 
@@ -220,33 +221,42 @@ def positive_float(raw) -> float:
 
 class Key(NamedTuple):
     """A config key: kind converts the text (int, float, str or positive_float), low
-    bounds an int from below, choices lists a str's values, default=None means none."""
+    bounds an int from below, choices lists a str's values, default=None means none.
+    needs maps a value of the key, or None for the key left unset, to the other keys
+    of its section that the run then reads."""
 
     kind: Callable
     low: int | None = None
     choices: tuple = ()
     default: object = None
     required: bool = False
+    needs: dict = {}
 
 
-def parse_config(text: str, table: dict) -> dict:
-    """Resolve an INI-style config, possibly empty, against a {section: {key: Key}} table.
-
-    The one place a single config value is checked.  Defaults fill omitted keys; an unknown
-    section or key, a value its Key rejects, a non-finite float or a missing required key
-    is an error, so misspellings never fall back to silent defaults.
-    """
+def read_config(text: str) -> dict:
+    """{section: {key: raw text}} of an INI-style config, possibly empty."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ValidationError(f"config parse error: {exc}") from exc
+    return {section: dict(cp.items(section)) for section in cp.sections()}
+
+
+def resolve_config(given: dict, table: dict) -> dict:
+    """Check {section: {key: value}} against a {section: {key: Key}} table.
+
+    The one place an input value is checked.  Defaults fill omitted keys; an unknown
+    section or key, a value its Key rejects, a non-finite float, a missing required key
+    or a key missing that another key's value needs is an error, so misspellings never
+    fall back to silent defaults.
+    """
     out = {}
-    for section in cp.sections():
+    for section, values in given.items():
         if section not in table:
             raise ValidationError(f"unknown config section [{section}]")
         out[section] = {}
-        for name, raw in cp.items(section):
+        for name, raw in values.items():
             key = table[section].get(name)
             if key is None:
                 raise ValidationError(f"unknown key {name!r} in section [{section}]")
@@ -266,7 +276,19 @@ def parse_config(text: str, table: dict) -> dict:
                 raise ValidationError(f"missing key {name!r} in section [{section}]")
             if key.default is not None:
                 out.setdefault(section, {}).setdefault(name, key.default)
+        values = out.get(section, {})
+        for name, key in keys.items():
+            value = values.get(name)
+            missing = [k for k in key.needs.get(value, ()) if k not in values]
+            if missing:
+                given_as = f"{name} = {value}" if name in values else f"without {name}"
+                raise ValidationError(f"[{section}] {given_as} needs keys {missing}")
     return out
+
+
+def parse_config(text: str, table: dict) -> dict:
+    """Resolve an INI-style config, possibly empty, against a {section: {key: Key}} table."""
+    return resolve_config(read_config(text), table)
 
 
 def render_config(resolved: dict) -> str:

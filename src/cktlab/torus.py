@@ -141,10 +141,6 @@ class FourierConnection:
     def n(self):
         return self._n
 
-    @property
-    def support(self):
-        return tuple(sorted(self.coeffs))
-
     @classmethod
     def zero(cls, r=None, n=None):
         return cls({}, r=r, n=n)

@@ -555,6 +555,52 @@ class TestConfigTable:
         assert run(["holonomy"]) == 2
         assert "missing key 'connection'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sub,keys", [
+        ("check-divtype", "family = dstar, n = 3"),
+        ("check-divtype", "family = forms, n = 3"),
+        ("check-divtype", "family = counterexample, n = 3"),
+        ("commutator-factor", "count = 2"),
+    ])
+    def test_keys_that_couple(self, tmp_path, capsys, sub, keys):
+        # dstar reads m, forms k, counterexample r; commutator needs input or r
+        section = "divtype" if sub == "check-divtype" else "commutator"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"[{section}]\n" + keys.replace(", ", "\n") + "\n")
+        out = tmp_path / "out"
+        assert run([sub, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "tag=validation" in err and "needs keys" in err
+        assert not out.exists()
+
+
+class TestWriteStep:
+    @pytest.mark.parametrize("sub", ["dims", "kato"])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_unwritable_out(self, tmp_path, capsys, sub, under):
+        # --out an existing file, or a path under one: exit 2, not a traceback
+        (tmp_path / "k.cfg").write_text("[kato]\nsize = 6\ninstances = 1\n")
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        argv = (["dims", "--n", "3", "--mmax", "2"] if sub == "dims"
+                else ["kato", "--config", str(tmp_path / "k.cfg")])
+        out = blocker / "sub" if under else blocker
+        assert run(argv + ["--out", str(out)]) == 2
+        assert "tag=validation" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["blocker", "k.cfg"]
+        assert blocker.read_text() == "kept\n"
+
+    def test_dims_without_out_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["dims", "--n", "2", "--mmax", "1"]) == 0
+        assert "  1        2        2" in capsys.readouterr().out
+        assert not os.listdir(tmp_path)
+
+    def test_manifest_of_the_flags(self, tmp_path):
+        assert run(["dims", "--n", "3", "--mmax", "2", "--out", str(tmp_path)]) == 0
+        manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert manifest[1:3] == ["subcommand = dims", "seed = 0"]
+        assert manifest[-3:] == ["[dims]", "mmax = 2", "n = 3"]
+
 
 # every payload the fuzz below can point a file key at
 FUZZ_PAYLOADS = {
@@ -568,18 +614,7 @@ FUZZ_PAYLOADS = {
         tm.FourierConnection.cosine_mode(3, (1, 0, 0), 1,
                                          np.array([[0.7j, 0.3], [-0.3, -0.2j]]))),
 }
-FUZZ_TABLES = {
-    "dims": {"dims": {"n": textio.Key(int, 2, required=True),  # flags, not a config
-                      "mmax": textio.Key(int, 0, required=True)}},
-    "harmdecomp": cli.HARMDECOMP_SCHEMA,
-    "check-divtype": cli.DIVTYPE_SCHEMA,
-    "commutator-factor": cli.COMMUTATOR_SCHEMA,
-    "torus-ckt": cli.TORUS_SCHEMA_COMMON,
-    "torus-eject": cli.EJECT_SCHEMA,
-    "kato": cli.KATO_SCHEMA,
-    "holonomy": cli.HOLONOMY_SCHEMA,
-    "selftest": {},
-}
+FUZZ_TABLES = {name: entry.table for name, entry in cli.SUBCOMMANDS.items()}
 # the torus space has (2k+1)^n modes: keep every assembly to about 1000 rows
 FUZZ_INT_MAX = {("torus", "k"): 1, ("torus", "m"): 2, ("torus", "r"): 2}
 FUZZ_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0]),
@@ -665,7 +700,8 @@ def test_every_subcommand_exits_0_2_or_3(drawn):
         csvs = glob.glob(os.path.join(workdir, "out", "*.csv"))
         if rc:
             assert "tag=" in stderr.getvalue()
-            assert not csvs
+            out = os.path.join(workdir, "out")
+            assert not os.path.exists(out) or not os.listdir(out)
         for path in csvs:
             # a count below 1 once exited 0 with a header and no data row; only
             # a trivial kernel legitimately lists nothing

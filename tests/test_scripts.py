@@ -44,5 +44,8 @@ def test_compare_outputs_of_a_tree_with_itself(capsys):
     reported = {line.split(": ")[0].split(" ", 3)[3] for line in lines[:-1]}
     for path in ("eject-eject/eject.csv", "eject-ckt-zero/ckt_kernel.csv",
                  "harmonic-ckt-pert/ckt_kernel.csv", "divtype/divtype.csv",
-                 "generic/opacity.csv", "diagonal/opacity.csv", "kato/kato.csv"):
+                 "generic/opacity.csv", "diagonal/opacity.csv", "kato/kato.csv",
+                 "dims/dims.csv", "dims/manifest.txt", "harmdecomp/harmdecomp.csv",
+                 "harmdecomp/part_k2.hpoly", "commutator-random/commutator.csv",
+                 "commutator-file/factor_A.endo", "commutator-file/factor_G.endo"):
         assert path in reported

@@ -133,3 +133,30 @@ class TestParseConfig:
     def test_rejects(self, text):
         with pytest.raises(ValidationError):
             textio.parse_config(text, self.TABLE)
+
+    NEEDS = {"s": {"mode": textio.Key(str, choices=("x", "y"), needs={"x": ("a",)}),
+                   "src": textio.Key(str, needs={None: ("b",)}),
+                   "a": textio.Key(int), "b": textio.Key(int), "c": textio.Key(int, default=0)}}
+
+    @pytest.mark.parametrize("text,ok", [
+        ("[s]\nmode = y\nb = 1\n", True),
+        ("[s]\nmode = x\na = 1\nb = 1\n", True),
+        ("[s]\nsrc = f\n", True),
+        ("[s]\nmode = x\nb = 1\n", False),  # x needs a
+        ("[s]\nmode = y\n", False),  # src unset needs b
+        ("", False),
+    ])
+    def test_needs(self, text, ok):
+        if ok:
+            assert textio.parse_config(text, self.NEEDS)["s"]["c"] == 0
+        else:
+            with pytest.raises(ValidationError, match="needs keys"):
+                textio.parse_config(text, self.NEEDS)
+
+    def test_resolve_values_given_as_numbers(self):
+        table = {"d": {"n": textio.Key(int, 2, required=True), "m": textio.Key(int, 0)}}
+        assert textio.resolve_config({"d": {"n": 3}}, table) == {"d": {"n": 3}}
+        with pytest.raises(ValidationError, match="must be >= 2"):
+            textio.resolve_config({"d": {"n": 1}}, table)
+        with pytest.raises(ValidationError, match="missing key 'n'"):
+            textio.resolve_config({"d": {}}, table)

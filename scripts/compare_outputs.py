@@ -8,8 +8,11 @@ For each seed (default 101 105 110) and each workload of
 the workload runs is run there, plus `torus-ckt` on each torus config (its
 [torus] section, with and without the perturbation as the connection).
 The subcommands no workload runs are added at each seed on fixed inputs:
-`dims --n 3 --mmax 4`, `harmdecomp` on one HPOLY payload and
-`commutator-factor` on `r = 3, count = 2` and on one ENDO payload.
+`dims --n 3 --mmax 4`, `harmdecomp` on one HPOLY payload,
+`commutator-factor` on `r = 3, count = 2` and on one ENDO payload, and
+`holonomy` on one generic r = 3 FOURCONN payload at `steps = 100`, which
+is not a multiple of the transport's step chunk, so the run ends on a
+short chunk.
 Each tree runs all of it in one Python process with that tree first on the
 path.
 Every output file is then compared past its first line when that line is
@@ -100,6 +103,15 @@ def commands(workloads, name, seed):
     return files, runs
 
 
+# a generic constant connection on C^3 over the 3-torus: one complex
+# skew-Hermitian matrix per direction, entries row-major as (re, im)
+GENERIC_R3 = "FOURCONN 3 3 3\n" + "".join(f"0 0 0 {j} {row}\n" for j, row in enumerate((
+    "0.0 0.3 0.2 0.1 -0.1 0.4 -0.2 0.1 0.0 -0.5 0.3 0.2 0.1 0.4 -0.3 0.2 0.0 0.2",
+    "0.0 -0.4 0.1 -0.3 0.5 0.0 -0.1 -0.3 0.0 0.1 -0.2 0.6 -0.5 0.0 0.2 0.6 0.0 0.3",
+    "0.0 0.2 -0.3 0.3 0.0 0.4 0.3 0.3 0.0 0.0 0.1 -0.2 0.0 0.4 -0.1 -0.2 0.0 -0.6",
+)))
+
+
 def other_commands(seed):
     """(files to write, runs) of the subcommands no workload runs, on fixed inputs."""
     files = {
@@ -108,11 +120,14 @@ def other_commands(seed):
         "u.endo": "ENDO 2\n0.0 1.0 2.0 1.0\n-2.0 1.0 0.0 -1.0\n",
         "commutator-file.cfg": "[commutator]\ninput = u.endo\n",
         "commutator-random.cfg": "[commutator]\nr = 3\ncount = 2\n",
+        "generic-r3.fourconn": GENERIC_R3,
+        "holonomy-steps100.cfg": ("[holonomy]\nconnection = generic-r3.fourconn\n"
+                                  "num_geodesics = 8\nsteps = 100\n"),
     }
     runs = [("dims", ["dims", "--n", "3", "--mmax", "4", "--out", "dims", "--seed", str(seed)])]
     runs += [config_run(sub, f"{stem}.cfg", stem, seed) for sub, stem in (
         ("harmdecomp", "harmdecomp"), ("commutator-factor", "commutator-file"),
-        ("commutator-factor", "commutator-random"))]
+        ("commutator-factor", "commutator-random"), ("holonomy", "holonomy-steps100"))]
     return files, runs
 
 

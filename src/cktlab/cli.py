@@ -23,6 +23,7 @@ from the numpy-only torus module.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -400,7 +401,8 @@ def _resolve(args, entry):
 
 def _write(args, resolved, output):
     """Write a run's CSV, its further files and last manifest.txt into --out
-    (default: the working directory)."""
+    (default: the working directory); a failed write removes the files of
+    the run again."""
     out = args.out or "."
     manifest = "\n".join([
         f"tool = ckt-lab {__version__}",
@@ -410,13 +412,23 @@ def _write(args, resolved, output):
         "",
         textio.render_config(resolved).rstrip(),
     ]) + "\n"
+    written = set()  # this run's files, removed again when a write fails
     try:
         os.makedirs(out, exist_ok=True)
-        textio.write_csv(os.path.join(out, output.csv), output.rows, resolved, output.comments)
-        for name, text in (*output.files, ("manifest.txt", manifest)):
-            with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
-                fh.write(text)
+        for name, text in ((output.csv, None), *output.files, ("manifest.txt", manifest)):
+            path = os.path.join(out, name)
+            if not os.path.lexists(path):
+                written.add(path)  # a new file goes even if its own write fails
+            if text is None:
+                textio.write_csv(path, output.rows, resolved, output.comments)
+            else:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            written.add(path)
     except OSError as exc:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         raise ValidationError(f"cannot write to {out}: {exc}") from exc
 
 

@@ -1,9 +1,11 @@
 """Connection-form multiplication on twisted harmonics and the
 commutator algebra on the endomorphism fiber.
 
-A fiber connection form assigns a matrix to each coordinate direction;
-multiplying a twisted harmonic by it raises and lowers the harmonic
-degree by one.  The lowering part has the closed formula
+A connection form here is Gamma(v) at one point: a constant
+`torus.FourierConnection`, whose only mode is 0, assigns a matrix to each
+coordinate direction.  Multiplying a twisted harmonic by it raises and
+lowers the harmonic degree by one.  The lowering part has the closed
+formula
 
     minus = (n + 2(m-1))^{-1} sum_j Gamma_j (d_j applied fiberwise),
 
@@ -36,9 +38,9 @@ from .polyharm import (
     radial_squared,
     sphere_inner,
 )
+from .torus import FourierConnection
 
 __all__ = [
-    "FiberConnForm",
     "TwistedHarmonic",
     "gamma_split",
     "gamma_minus_matrix",
@@ -63,55 +65,14 @@ def is_skew_hermitian(M, tol=1e-12) -> bool:
     return bool(np.abs(M + M.conj().T).max() <= tol * max(1.0, np.abs(M).max()))
 
 
-@dataclass(frozen=True)
-class FiberConnForm:
-    """Value of a connection 1-form on the coordinate directions.
-
-    gammas[j] is the r x r matrix Gamma(e_j).  When `unitary` is set the
-    entries must be skew-Hermitian.
-    """
-
-    gammas: tuple
-    unitary: bool = False
-
-    def __post_init__(self):
-        gam = tuple(np.asarray(g, dtype=complex) for g in self.gammas)
-        object.__setattr__(self, "gammas", gam)
-        r = gam[0].shape[0]
-        for g in gam:
-            if g.shape != (r, r):
-                raise ValidationError("all coordinate matrices must be square, same size")
-        if self.unitary:
-            for g in gam:
-                if not is_skew_hermitian(g):
-                    raise ValidationError("unitary connection form needs skew-Hermitian values")
-
-    @property
-    def n(self):
-        return len(self.gammas)
-
-    @property
-    def r(self):
-        return self.gammas[0].shape[0]
-
-    @classmethod
-    def zero(cls, n, r):
-        return cls(tuple(np.zeros((r, r), dtype=complex) for _ in range(n)))
-
-    @classmethod
-    def single_direction(cls, n, j, M, unitary=False):
-        M = np.asarray(M, dtype=complex)
-        r = M.shape[0]
-        mats = [np.zeros((r, r), dtype=complex) for _ in range(n)]
-        mats[j] = M
-        return cls(tuple(mats), unitary=unitary)
-
-    def value_at(self, v) -> np.ndarray:
-        """Gamma(v) = sum_j v_j Gamma(e_j) for v of shape (..., n): (..., r, r)."""
-        return np.tensordot(v, np.stack(self.gammas), axes=(-1, 0))
-
-    def is_skew(self, tol=1e-12):
-        return all(is_skew_hermitian(g, tol) for g in self.gammas)
+def _fiber_values(conn: FourierConnection) -> np.ndarray:
+    """The stack Gamma(e_j), (n, r, r), of a connection form whose only mode is 0."""
+    if conn.n is None or conn.r is None:
+        raise ValidationError("connection form must determine its torus dimension and fiber rank")
+    for q in conn.coeffs:
+        if any(q):
+            raise ValidationError(f"connection form must be constant, got mode {q}")
+    return conn.value_at(np.zeros(conn.n), np.eye(conn.n))
 
 
 @dataclass(frozen=True)
@@ -235,19 +196,20 @@ def _split_with_matrices(fiber_mats, f: TwistedHarmonic):
     )
 
 
-def gamma_split(G: FiberConnForm, f: TwistedHarmonic):
+def gamma_split(G: FourierConnection, f: TwistedHarmonic):
     """Split Gamma(v) f(v) into harmonic parts of degree m+1 and m-1.
 
     Reconstruction (Gamma f)(v) = plus(v) + |v|^2 minus(v) is exact; the
     lowering part is the closed formula
     (n+2(m-1))^{-1} sum_{j,k} (Gamma_j)_{.k} d_j f_k.
     """
+    gammas = _fiber_values(G)
     if G.n != f.n:
         raise ValidationError("connection form and harmonic must share n")
     if G.r != f.fiber_dim:
         raise ValidationError(f"fiber mismatch: form has r={G.r}, element has {f.fiber_dim}")
     f.check_harmonic()
-    return _split_with_matrices(G.gammas, f)
+    return _split_with_matrices(gammas, f)
 
 
 def commutator_action_matrix(A: np.ndarray) -> np.ndarray:
@@ -257,12 +219,13 @@ def commutator_action_matrix(A: np.ndarray) -> np.ndarray:
     return np.kron(A, eye) - np.kron(eye, A.T)
 
 
-def endo_split(A: FiberConnForm, u: TwistedHarmonic):
+def endo_split(A: FourierConnection, u: TwistedHarmonic):
     """gamma_split with the fiber action replaced by the commutator.
 
     u lives over the endomorphism fiber (dimension r^2, row-major); the
     product being split is A(v) u(v) - u(v) A(v).
     """
+    gammas = _fiber_values(A)
     if A.n != u.n:
         raise ValidationError("connection form and harmonic must share n")
     if A.r * A.r != u.fiber_dim:
@@ -270,7 +233,7 @@ def endo_split(A: FiberConnForm, u: TwistedHarmonic):
             f"fiber mismatch: form has r={A.r}, element has fiber {u.fiber_dim} != r^2"
         )
     u.check_harmonic()
-    mats = [commutator_action_matrix(g) for g in A.gammas]
+    mats = [commutator_action_matrix(g) for g in gammas]
     return _split_with_matrices(mats, u)
 
 
@@ -315,8 +278,9 @@ class GammaMinusReport:
     singular_values: np.ndarray = field(repr=False)
 
 
-def gamma_minus_matrix(G: FiberConnForm, n: int, m: int) -> GammaMinusReport:
+def gamma_minus_matrix(G: FourierConnection, n: int, m: int) -> GammaMinusReport:
     """Matrix of the lowering map on H_m tensor C^r, with rank/nullity via SVD."""
+    gammas = _fiber_values(G)
     if m < 1:
         raise ValidationError("lowering map needs m >= 1")
     if G.n != n:
@@ -327,7 +291,7 @@ def gamma_minus_matrix(G: FiberConnForm, n: int, m: int) -> GammaMinusReport:
     h_m = minus_blocks[0].shape[1]
     M = np.zeros((h_lo * r, h_m * r), dtype=complex)
     for j in range(n):
-        M += np.kron(minus_blocks[j], G.gammas[j])
+        M += np.kron(minus_blocks[j], gammas[j])
     null, s = nullspace(M, 1e-10)
     return GammaMinusReport(M, M.shape[1] - null.shape[1], null.shape[1], s)
 
@@ -342,7 +306,7 @@ def solve_gamma_preimage(u: TwistedHarmonic):
     n, m, r = u.n, u.m, u.fiber_dim
     if n < 3:
         raise ValidationError("preimage construction requires n >= 3")
-    gam = FiberConnForm.single_direction(n, 0, 1j * np.eye(r), unitary=True)
+    gam = FourierConnection.cosine_mode(n, (0,) * n, 0, 1j * np.eye(r))
     if all(c.is_zero() for c in u.columns):
         return gam, TwistedHarmonic.zero(n, m + 1, r)
     c = -1j * (n + 2 * m)
@@ -526,7 +490,7 @@ def endo_pairing_witness(u: TwistedHarmonic, r: int):
 
     A1, w_tilde = commutator_factor(s_i)
     f = harmonic_antiderivative(p_i, 0, n + 2 * m)
-    A = FiberConnForm.single_direction(n, 0, A1, unitary=True)
+    A = FourierConnection.cosine_mode(n, (0,) * n, 0, A1)
     w = TwistedHarmonic(n, m + 1, tuple(f * w_tilde[i, j] for i in range(r) for j in range(r)))
     minus = endo_split(A, w)[1]
     pairing = sum(

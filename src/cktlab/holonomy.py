@@ -2,20 +2,22 @@
 
 Transport solves the matrix ODE C' = -Gamma_{x(t)}(v) C along the
 straight line x(t) = x0 + t v with classical fourth-order steps, run
-again at half the step size for an error estimate.  All geodesics of a
-probe are integrated together on a (G, r, r) array, and Gamma comes from
-one batched `FourierConnection.value_at` call per chunk of steps.  The
-ODE is linear, so each RK4 step is a fixed matrix polynomial in Gamma
-at the step's stage times; the steps are built as such propagators a
-chunk at a time and multiplied together before they act on C.  The
-opacity probe transports a seeded family of segments from a common base
-point, reports the largest error estimate and unitarity defect among
-them, extracts the (numerical) commutant of the transport set, and
-diagonalizes a random Hermitian element of it: spectral projectors of
-flow-parallel Hermitian sections are themselves flow-parallel, so each
-projector is reported with its invariance defect, which evaluates the
-projector field, Gamma and the field's flow derivative at all sampled
-points at once: every field is a Fourier sum (`torus.fourier_sum`).
+again at half the step size for an error estimate.  `transport` is the
+one driver: a segment carries one direction or a fan of directions from
+one base point, all integrated together on a (G, r, r) array, and Gamma
+comes from one batched `FourierConnection.value_at` call per chunk of
+steps.  The ODE is linear, so each RK4 step is a fixed matrix polynomial
+in Gamma at the step's stage times; the steps are built as such
+propagators a chunk at a time and multiplied together before they act
+on C.  The opacity probe transports a seeded fan of segments in one
+`transport` call, which reports the largest error estimate and
+unitarity defect over the fan, extracts the (numerical) commutant of the
+transport set, and diagonalizes a random Hermitian element of it:
+spectral projectors of flow-parallel Hermitian sections are themselves
+flow-parallel, so each projector is reported with its invariance
+defect, which evaluates the projector field, Gamma and the field's flow
+derivative at all sampled points at once: every field is a Fourier sum
+(`torus.fourier_sum`).
 
 The probe certifies only a finite transport set: its verdict for a
 trivial commutant is worded as 'no invariant subbundle detected at
@@ -48,7 +50,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GeodesicSegment:
-    """Straight-line geodesic on the flat torus: x(t) = x0 + t v, 0 <= t <= length."""
+    """Straight-line geodesic on the flat torus: x(t) = x0 + t v, 0 <= t <= length.
+
+    v is one unit vector (n,) or a fan (G, n) of unit vectors, G >= 1
+    geodesics from the same base point.
+    """
 
     x0: np.ndarray
     v: np.ndarray
@@ -57,15 +63,14 @@ class GeodesicSegment:
     def __post_init__(self):
         x0 = np.asarray(self.x0, dtype=float)
         v = np.asarray(self.v, dtype=float)
-        if x0.ndim != 1 or v.ndim != 1 or len(x0) != len(v):
+        if x0.ndim != 1 or v.ndim not in (1, 2) or v.shape[-1] != len(x0) or not v.size:
             raise ValidationError(
                 f"base point and direction must be vectors of one length, got shapes "
                 f"{x0.shape} and {v.shape}"
             )
         if not (np.isfinite(x0).all() and np.isfinite(v).all()):
             raise ValidationError("base point and direction must be finite")
-        nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > 1e-12:
+        if np.abs(np.linalg.norm(v, axis=-1) - 1.0).max() > 1e-12:
             raise ValidationError("direction must be a unit vector")
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "v", v)
@@ -167,43 +172,34 @@ def _require_skew(conn, x0, V):
         )
 
 
-def _transport_doubled(conn, x0, V, length, steps):
-    """Transport along x0 + t v_g, 0 <= t <= length, for every row v_g of V.
+def transport(conn: FourierConnection, seg: GeodesicSegment, steps: int = 128,
+              unitary: bool = True) -> TransportResult:
+    """Parallel transport along a geodesic segment or a fan of them.
 
-    Runs RK4 at steps and at 2 * steps (`_transport_pair`) and returns the finer (G, r, r) result with each
-    geodesic's error estimate max|fine - coarse| and unitarity defect
-    max|C^H C - 1|.
+    Runs the fourth-order integrator at the requested step count and at
+    half the step size (`_transport_pair`) and returns the finer result,
+    (r, r) for one direction and (G, r, r) for a fan, with the largest
+    error estimate max|fine - coarse| and unitarity defect max|C^H C - 1|
+    over the fan.
     """
+    if conn.n is not None and seg.v.shape[-1] != conn.n:
+        raise ValidationError(
+            f"segment lies in dimension {seg.v.shape[-1]}, the connection's torus has "
+            f"dimension {conn.n}"
+        )
     if conn.r is None:
         raise ValidationError("connection does not determine a fiber rank")
     if steps < 16:
         raise ValidationError("need at least 16 steps")
-    if not (math.isfinite(length) and length > 0):
-        raise ValidationError(f"geodesic length must be finite and > 0, got {length}")
-    coarse, fine = _transport_pair(conn, x0, V, length, steps)
-    err = np.abs(fine - coarse).max(axis=(1, 2))
-    unit = np.abs(fine.conj().transpose(0, 2, 1) @ fine - np.eye(conn.r)).max(axis=(1, 2))
-    return fine, err, unit
-
-
-def transport(conn: FourierConnection, seg: GeodesicSegment, steps: int = 128,
-              unitary: bool = True) -> TransportResult:
-    """Parallel transport along a geodesic segment.
-
-    Runs the fourth-order integrator at the requested step count and at
-    half the step size; the difference is the reported error estimate and
-    the finer result is returned.
-    """
-    if conn.n is not None and len(seg.v) != conn.n:
-        raise ValidationError(
-            f"segment lies in dimension {len(seg.v)}, the connection's torus has "
-            f"dimension {conn.n}"
-        )
-    V = seg.v[None, :]
+    if not (math.isfinite(seg.length) and seg.length > 0):
+        raise ValidationError(f"geodesic length must be finite and > 0, got {seg.length}")
+    V = seg.v.reshape(-1, len(seg.x0))
     if unitary:
         _require_skew(conn, seg.x0, V)
-    fine, err, unit = _transport_doubled(conn, seg.x0, V, seg.length, steps)
-    return TransportResult(fine[0], 2 * steps, float(unit[0]), float(err[0]))
+    coarse, fine = _transport_pair(conn, seg.x0, V, seg.length, steps)
+    unit = np.abs(fine.conj().transpose(0, 2, 1) @ fine - np.eye(conn.r)).max()
+    return TransportResult(fine.reshape(seg.v.shape[:-1] + fine.shape[1:]), 2 * steps,
+                           float(unit), float(np.abs(fine - coarse).max()))
 
 
 def invariance_defect(conn: FourierConnection, P, samples: int = 64,
@@ -273,10 +269,7 @@ def opacity_probe(conn: FourierConnection, num_geodesics: int = 24,
     joint commutant of the transport set, and diagonalizes a random
     Hermitian commutant element into candidate invariant projectors.
     """
-    r = conn.r
-    if r is None:
-        raise ValidationError("connection does not determine a fiber rank")
-    n = conn.n
+    n, r = conn.n, conn.r
     if n is None:
         raise ValidationError("connection does not determine the torus dimension")
     if num_geodesics < 1:
@@ -287,10 +280,9 @@ def opacity_probe(conn: FourierConnection, num_geodesics: int = 24,
     for g in range(num_geodesics):
         v = rng.standard_normal(n)
         V[g] = v / np.linalg.norm(v)
-    _require_skew(conn, x0, V)
-    mats, err, unit = _transport_doubled(conn, x0, V, length, steps)
+    res = transport(conn, GeodesicSegment(x0, V, length), steps)
 
-    rows = [commutator_action_matrix(C) for C in mats]
+    rows = [commutator_action_matrix(C) for C in res.C]
     null, _ = nullspace(np.vstack(rows), 1e-6)  # (r^2, commutant_dim)
     cdim = null.shape[1]
 
@@ -314,7 +306,7 @@ def opacity_probe(conn: FourierConnection, num_geodesics: int = 24,
     else:
         verdict = "not opaque: invariant subbundle candidates found"
     return OpacityReport(cdim, projectors, verdict, 1e-6, num_geodesics,
-                         float(err.max()), float(unit.max()))
+                         res.error_estimate, res.unitarity_defect)
 
 
 @dataclass

@@ -20,10 +20,11 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .connalg import FiberConnForm, TwistedHarmonic
+from .connalg import TwistedHarmonic, _fiber_values
 from .errors import ValidationError
 from .linalg import nullspace
 from .symtensor import _contraction_matrices, _tracefree_contraction, _weights
+from .torus import FourierConnection
 
 __all__ = [
     "SymbolFamily",
@@ -331,20 +332,21 @@ def _orthonormal_complement(xi):
     return q[:, 1:n]
 
 
-def fiber_symbol_pairing(A1: FiberConnForm, u: TwistedHarmonic, Am0: TwistedHarmonic,
+def fiber_symbol_pairing(A1: FourierConnection, u: TwistedHarmonic, Am0: TwistedHarmonic,
                          xi0, nq: int = 10_000, return_error: bool = False):
     """Pairing (2 pi/|xi0|) * integral over {|v|=1, <xi0, v> = 0} of
     <[A1(v), u(v)], Am0(v)>_Frobenius.
 
-    u and Am0 live over the endomorphism fiber (dimension r^2).  The
-    integral runs over the (n-2)-sphere of unit vectors perpendicular to
-    xi0, so n >= 3 is required.  With return_error=True a halving-error
+    A1 is a constant connection form: its only mode is 0.  u and Am0
+    live over the endomorphism fiber (dimension r^2).  The integral runs
+    over the (n-2)-sphere of unit vectors perpendicular to xi0, so
+    n >= 3 is required.  With return_error=True a halving-error
     estimate accompanies the value.
     """
-    n = A1.n
+    _fiber_values(A1)  # a constant form of known n and r
+    n, r = A1.n, A1.r
     if n < 3:
         raise ValidationError("fiber pairing needs n >= 3 (the sub-sphere must exist)")
-    r = A1.r
     if u.fiber_dim != r * r or Am0.fiber_dim != r * r:
         raise ValidationError("u and Am0 must have endomorphism fiber r^2")
     xi0 = np.asarray(xi0, dtype=float)
@@ -359,7 +361,7 @@ def fiber_symbol_pairing(A1: FiberConnForm, u: TwistedHarmonic, Am0: TwistedHarm
         vpts = ypts @ W.T  # points on the sub-sphere, shape (M, n)
         u_vals = np.stack([c.eval(vpts) for c in u.columns], axis=1).reshape(-1, r, r)
         a_vals = np.stack([c.eval(vpts) for c in Am0.columns], axis=1).reshape(-1, r, r)
-        A_at = A1.value_at(vpts)
+        A_at = A1.value_at(np.zeros(n), vpts)
         comm = A_at @ u_vals - u_vals @ A_at
         integrand = np.einsum("mab,mab->m", comm, a_vals.conj())
         return (wts @ integrand) * (2 * math.pi / xi_norm)

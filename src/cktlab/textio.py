@@ -7,7 +7,6 @@ single header line naming the payload:
     HPOLY n m terms        then   c_re c_im a_1 ... a_n
     SYMT n m terms         then   c_re c_im t_1 ... t_n
     ENDO r                 then   r rows of 2r floats (re im ...)
-    CONNFORM n r unitary=yes|no   then n matrix blocks of r rows
     FOURCONN n r rows      then   q_1 ... q_n j re im ... (r^2 entries)
 
 CSV outputs carry '#'-prefixed comment lines (timestamp, config hash);
@@ -26,7 +25,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .connalg import FiberConnForm
 from .errors import ValidationError
 from .polyharm import HPoly
 from .symtensor import SymTensor
@@ -36,7 +34,6 @@ __all__ = [
     "dump_hpoly", "load_hpoly",
     "dump_symtensor", "load_symtensor",
     "dump_endo", "load_endo",
-    "dump_connform", "load_connform",
     "dump_fourier_connection", "load_fourier_connection",
     "write_csv", "config_hash", "read_config", "resolve_config", "parse_config", "render_config",
     "Key", "positive_float",
@@ -145,28 +142,6 @@ def load_endo(text: str) -> np.ndarray:
     return _parse_matrix_rows(body, r)
 
 
-def dump_connform(G: FiberConnForm) -> str:
-    flag = "yes" if G.unitary else "no"
-    lines = [f"CONNFORM {G.n} {G.r} unitary={flag}"]
-    for M in G.gammas:
-        lines.extend(_matrix_rows(M))
-    return "\n".join(lines) + "\n"
-
-
-def load_connform(text: str) -> FiberConnForm:
-    head, body = _payload(text, "CONNFORM", 3)
-    n, r = _numbers(head[:2], int, "CONNFORM header")
-    if n < 1 or r < 1:
-        raise ValidationError(f"CONNFORM needs n >= 1 and r >= 1, got n={n} r={r}")
-    flags = {"unitary=yes": True, "unitary=no": False}
-    if head[2] not in flags:
-        raise ValidationError(f"expected unitary=yes or unitary=no, got {head[2]!r}")
-    if len(body) != n * r:
-        raise ValidationError(f"expected {n * r} matrix rows, got {len(body)}")
-    mats = [_parse_matrix_rows(body[j * r:(j + 1) * r], r) for j in range(n)]
-    return FiberConnForm(tuple(mats), unitary=flags[head[2]])
-
-
 def dump_fourier_connection(conn: FourierConnection) -> str:
     rows = []
     for q in sorted(conn.coeffs):
@@ -191,7 +166,7 @@ def load_fourier_connection(text: str) -> FourierConnection:
         raise ValidationError(f"FOURCONN needs n >= 1 and r >= 1, got n={n} r={r}")
     if len(body) != rows:
         raise ValidationError(f"header announces {rows} mode rows, got {len(body)}")
-    coeffs = {}
+    coeffs, seen = {}, set()
     for ln in body:
         parts = ln.split()
         if len(parts) != n + 1 + 2 * r * r:
@@ -201,6 +176,9 @@ def load_fourier_connection(text: str) -> FourierConnection:
         if not 0 <= j < n:
             raise ValidationError(f"direction {j} out of range 0..{n - 1}: {ln!r}")
         M = np.array(_numbers(parts[n + 1:], float, "mode row")).view(complex).reshape(r, r)
+        if (tuple(q), j) in seen:
+            raise ValidationError(f"duplicate row for mode {tuple(q)} and direction {j}: {ln!r}")
+        seen.add((tuple(q), j))
         mats = coeffs.setdefault(tuple(q), [np.zeros((r, r), dtype=complex) for _ in range(n)])
         mats[j] = mats[j] + M
     return FourierConnection({q: tuple(m) for q, m in coeffs.items()}, r=r or None,

@@ -17,7 +17,7 @@ from cktlab import spectral as sp
 from cktlab import symbolcheck as sc
 from cktlab import symtensor as sy
 from cktlab import torusmodel as tm
-from cktlab.connalg import FiberConnForm, TwistedHarmonic
+from cktlab.connalg import TwistedHarmonic
 from cktlab.holonomy import GeodesicSegment
 from cktlab.polyharm import HPoly
 from cktlab.torusmodel import FourierConnection, TorusConfig
@@ -93,7 +93,7 @@ def test_criterion_04_gamma_minus_surjectivity():
     rank_ok = True
     for n in (3, 4):
         for m in range(1, 5):
-            G = FiberConnForm.single_direction(n, 0, 1j * np.eye(1), unitary=True)
+            G = FourierConnection.cosine_mode(n, (0,) * n, 0, 1j * np.eye(1))
             rep = ca.gamma_minus_matrix(G, n, m)
             if rep.rank != ph.dims(n, m - 1)[1]:
                 rank_ok = False
@@ -341,7 +341,7 @@ def test_criterion_11_pairing_witness():
     r = 2
     A1mat = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
     A1mat = (A1mat - A1mat.conj().T) / 2
-    A1 = FiberConnForm.single_direction(3, 0, A1mat, unitary=True)
+    A1 = FourierConnection.cosine_mode(3, (0, 0, 0), 0, A1mat)
     basis = ca.skew_hermitian_basis(r)
     hb = ph.harmonic_basis(3, 1)
     comps = [hb.combine(rng.standard_normal(len(hb))) for _ in basis]

@@ -369,6 +369,19 @@ class TestTorusCkt:
             "kernel_index,mode_support\n", "0,0/0/0\n"]
 
 
+    def test_duplicate_connection_row(self, tmp_path, capsys):
+        # the twin rows used to add up to 1.0i, which the opposite mode matches
+        conn = tmp_path / "c.fourconn"
+        conn.write_text("FOURCONN 3 1 3\n1 0 0 0 0.0 0.5\n1 0 0 0 0.0 0.5\n-1 0 0 0 0.0 1.0\n")
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"[torus]\nn = 3\nk = 1\nm = 1\nr = 1\n\n[connection]\nfile = {conn}\n")
+        out = tmp_path / "out"
+        assert run(["torus-ckt", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "tag=validation" in err and "duplicate row for mode (1, 0, 0)" in err
+        assert not out.exists()
+
+
 class TestKato:
     def test_small_run(self, tmp_path):
         cfg = tmp_path / "k.cfg"
@@ -509,17 +522,6 @@ class TestSerializationRoundtrips:
         S = textio.load_symtensor(textio.dump_symtensor(T))
         assert T == S
 
-    def test_connform_roundtrip(self, rng):
-        from cktlab.connalg import FiberConnForm
-        from conftest import random_skew_hermitian
-
-        G = FiberConnForm(tuple(random_skew_hermitian(rng, 2) for _ in range(3)),
-                          unitary=True)
-        G2 = textio.load_connform(textio.dump_connform(G))
-        assert G2.unitary
-        for a, b in zip(G.gammas, G2.gammas):
-            assert np.array_equal(a, b)
-
     def test_fourconn_roundtrip(self, rng):
         conn = tm.FourierConnection.cosine_mode(3, (0, 1, 0), 1,
                                                 np.array([[0.5j, 0.25], [-0.25, -0.5j]]))
@@ -588,6 +590,18 @@ class TestWriteStep:
         assert "tag=validation" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["blocker", "k.cfg"]
         assert blocker.read_text() == "kept\n"
+
+    def test_failed_write_removes_the_run_files(self, tmp_path, capsys):
+        # manifest.txt is written last; a directory of that name used to
+        # leave kato.csv behind
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("[kato]\nsize = 6\ninstances = 1\n")
+        out = tmp_path / "wt"
+        (out / "manifest.txt").mkdir(parents=True)
+        assert run(["kato", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "tag=validation" in capsys.readouterr().err
+        assert os.listdir(out) == ["manifest.txt"]
+        assert not os.listdir(out / "manifest.txt")
 
     def test_dims_without_out_writes_nothing(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

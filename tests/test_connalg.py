@@ -3,9 +3,11 @@ import pytest
 
 from cktlab import connalg as ca
 from cktlab import polyharm as ph
-from cktlab.connalg import FiberConnForm, TwistedHarmonic
+from cktlab import symbolcheck as sc
+from cktlab.connalg import TwistedHarmonic
 from cktlab.errors import ValidationError
 from cktlab.polyharm import HPoly
+from cktlab.torus import FourierConnection
 
 from conftest import random_hpoly, random_skew_hermitian
 
@@ -23,12 +25,17 @@ def random_twisted(rng, n, m, fdim):
     return TwistedHarmonic(n, m, tuple(cols))
 
 
+def gammas(G):
+    """Gamma(e_j) of a constant connection form: its mode-0 coefficients."""
+    return G.coeffs[(0,) * G.n]
+
+
 def reconstruction_residual(G, f, plus, minus, endo=False):
     """max coefficient of Gamma(v) f(v) - plus - |v|^2 minus."""
     n = f.n
     r2 = ph.radial_squared(n)
     prod_cols = [HPoly.zero(n, f.m + 1) for _ in range(f.fiber_dim)]
-    mats = [ca.commutator_action_matrix(g) for g in G.gammas] if endo else G.gammas
+    mats = [ca.commutator_action_matrix(g) for g in gammas(G)] if endo else gammas(G)
     for j in range(n):
         vj = HPoly.variable(n, j)
         for i in range(f.fiber_dim):
@@ -44,21 +51,66 @@ def reconstruction_residual(G, f, plus, minus, endo=False):
     return resid
 
 
-class TestFiberConnForm:
-    def test_value_at_batched(self, rng):
-        G = FiberConnForm(tuple(random_skew_hermitian(rng, 2) for _ in range(3)))
-        V = rng.standard_normal((4, 5, 3))
-        got = G.value_at(V)
-        assert got.shape == (4, 5, 2, 2)
-        for idx in np.ndindex(4, 5):
-            expect = sum(V[idx][j] * G.gammas[j] for j in range(3))
-            assert np.abs(got[idx] - expect).max() <= 1e-14
-        assert np.abs(G.value_at(V[0, 0]) - got[0, 0]).max() <= 1e-14
+# a connection form on C^2 over the 3-torus with a nonzero mode: no value at one point
+CURVED = FourierConnection.cosine_mode(3, (0, 1, 0), 0, 1j * SIGMA_Z)
+VEC = TwistedHarmonic(3, 1, (HPoly.variable(3, 0), HPoly.variable(3, 1)))
+# v_1 i sigma_y: trace-free and skew-Hermitian on the fiber
+END = TwistedHarmonic.from_matrix_entries(
+    3, 1, [[HPoly.variable(3, 0) * (1j * SIGMA_Y[i, j]) for j in range(2)] for i in range(2)])
+XI = np.array([0.0, 0.0, 1.0])
+
+
+def _returned_form(solve, split, u):
+    """The constant form a constructor returns, plus the given connection,
+    through the split that checks the construction."""
+
+    def call(extra):
+        G, w = solve(u)[:2]
+        assert set(G.coeffs) == {(0, 0, 0)} and G.unitary
+        return split(G.plus(extra), w)
+
+    return call
+
+
+# each takes a connection form; the two constructors add it to the form they return
+TAKES_A_FORM = {
+    "gamma_split": lambda G: ca.gamma_split(G, VEC),
+    "endo_split": lambda G: ca.endo_split(G, END),
+    "gamma_minus_matrix": lambda G: ca.gamma_minus_matrix(G, 3, 2),
+    "fiber_symbol_pairing": lambda G: sc.fiber_symbol_pairing(G, END, END, XI, nq=64),
+}
+ENTRY_POINTS = {
+    **TAKES_A_FORM,
+    "solve_gamma_preimage": _returned_form(ca.solve_gamma_preimage, ca.gamma_split, VEC),
+    "endo_pairing_witness": _returned_form(lambda u: ca.endo_pairing_witness(u, 2),
+                                           ca.endo_split, END),
+}
+
+
+class TestConstantForms:
+    """A connection form is a FourierConnection whose only mode is 0."""
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_nonzero_mode_rejected(self, name):
+        ENTRY_POINTS[name](FourierConnection.zero(r=2, n=3))
+        with pytest.raises(ValidationError, match="constant"):
+            ENTRY_POINTS[name](CURVED)
+
+    @pytest.mark.parametrize("conn", [FourierConnection.zero(r=2), FourierConnection.zero(n=3)],
+                             ids=["no-n", "no-r"])
+    @pytest.mark.parametrize("name", sorted(TAKES_A_FORM))
+    def test_undetermined_form_rejected(self, name, conn):
+        with pytest.raises(ValidationError, match="determine"):
+            TAKES_A_FORM[name](conn)
+
+    def test_zero_form_has_full_nullity(self):
+        rep = ca.gamma_minus_matrix(FourierConnection.zero(r=2, n=3), 3, 2)
+        assert rep.rank == 0 and rep.nullity == 2 * ph.dims(3, 2)[1]
 
 
 class TestGammaSplit:
     def test_v1_against_closed_form(self):
-        G = FiberConnForm.single_direction(3, 0, 1j * np.eye(1), unitary=True)
+        G = FourierConnection.cosine_mode(3, (0, 0, 0), 0, 1j * np.eye(1))
         f = TwistedHarmonic(3, 1, (HPoly.variable(3, 0),))
         plus, minus = ca.gamma_split(G, f)
         assert ph.bombieri_norm(minus.columns[0] - HPoly.constant(3, 1j / 3)) < 1e-14
@@ -66,7 +118,7 @@ class TestGammaSplit:
         assert ph.bombieri_norm(plus.columns[0] - expected_plus) < 1e-14
 
     def test_orthogonal_gradient(self):
-        G = FiberConnForm.single_direction(3, 0, 1j * np.eye(1), unitary=True)
+        G = FourierConnection.cosine_mode(3, (0, 0, 0), 0, 1j * np.eye(1))
         f = TwistedHarmonic(3, 1, (HPoly.variable(3, 1),))
         plus, minus = ca.gamma_split(G, f)
         assert minus.columns[0].is_zero()
@@ -74,7 +126,7 @@ class TestGammaSplit:
         assert ph.bombieri_norm(plus.columns[0] - expected) < 1e-14
 
     def test_columnwise_fiber(self):
-        G = FiberConnForm.single_direction(3, 0, 1j * SIGMA_Z, unitary=True)
+        G = FourierConnection.cosine_mode(3, (0, 0, 0), 0, 1j * SIGMA_Z)
         f = TwistedHarmonic(3, 1, (HPoly.variable(3, 1), HPoly.zero(3, 1)))
         plus, minus = ca.gamma_split(G, f)
         assert all(c.is_zero() for c in minus.columns)
@@ -82,7 +134,7 @@ class TestGammaSplit:
         assert plus.columns[1].is_zero()
 
     def test_m0_degenerate(self):
-        G = FiberConnForm.single_direction(2, 0, 1j * np.eye(1), unitary=True)
+        G = FourierConnection.cosine_mode(2, (0, 0), 0, 1j * np.eye(1))
         f = TwistedHarmonic(2, 0, (HPoly.constant(2, 1.0),))
         plus, minus = ca.gamma_split(G, f)
         assert minus.m == -1
@@ -93,13 +145,13 @@ class TestGammaSplit:
             n = int(rng.integers(2, 5))
             m = int(rng.integers(0, 5))
             r = int(rng.integers(1, 4))
-            G = FiberConnForm(
-                tuple(random_skew_hermitian(rng, r) for _ in range(n)), unitary=True
+            G = FourierConnection.constant(
+                n, [random_skew_hermitian(rng, r) for _ in range(n)]
             )
             f = random_twisted(rng, n, m, r)
             plus, minus = ca.gamma_split(G, f)
             scale = max(c.max_abs_coeff() for c in f.columns) * max(
-                np.abs(g).max() for g in G.gammas
+                np.abs(g).max() for g in gammas(G)
             )
             assert reconstruction_residual(G, f, plus, minus) <= 1e-12 * max(1.0, scale)
             for c in plus.columns:
@@ -110,8 +162,8 @@ class TestGammaSplit:
         # skew-Hermitian Gamma
         for _ in range(20):
             n, m, r = 3, 2, 2
-            G = FiberConnForm(
-                tuple(random_skew_hermitian(rng, r) for _ in range(n)), unitary=True
+            G = FourierConnection.constant(
+                n, [random_skew_hermitian(rng, r) for _ in range(n)]
             )
             u = random_twisted(rng, n, m, r)
             w = random_twisted(rng, n, m + 1, r)
@@ -135,7 +187,8 @@ class TestHarmonicMultBlocks:
         # columns; there the reconstruction alone checks them
         by_inner = (n, m) != (4, 4)
         for j in range(n):
-            G = FiberConnForm.single_direction(n, j, [[1]])
+            G = FourierConnection({(0,) * n: tuple(np.eye(1) * (i == j) for i in range(n))},
+                                  check_reality=False)
             assert minus[j].shape == (len(bl) if m else 0, len(bm))
             for a, u in enumerate(bm.members):
                 hi, lo = (t.columns[0] for t in ca.gamma_split(G, TwistedHarmonic(n, m, (u,))))
@@ -153,24 +206,26 @@ class TestHarmonicMultBlocks:
 
 class TestGammaMinusMatrix:
     def test_n3_m2_rank(self):
-        G = FiberConnForm.single_direction(3, 0, np.eye(1))
+        G = FourierConnection({(0, 0, 0): (np.eye(1), np.zeros((1, 1)), np.zeros((1, 1)))},
+                              check_reality=False)
         rep = ca.gamma_minus_matrix(G, 3, 2)
         assert rep.rank == 3 and rep.nullity == 2
 
     def test_n3_m1(self):
-        G = FiberConnForm.single_direction(3, 0, np.eye(1))
+        G = FourierConnection({(0, 0, 0): (np.eye(1), np.zeros((1, 1)), np.zeros((1, 1)))},
+                              check_reality=False)
         rep = ca.gamma_minus_matrix(G, 3, 1)
         assert rep.rank == 1 and rep.nullity == 2
 
     def test_zero_form(self):
-        rep = ca.gamma_minus_matrix(FiberConnForm.zero(3, 2), 3, 2)
+        rep = ca.gamma_minus_matrix(FourierConnection.zero(r=2, n=3), 3, 2)
         assert rep.rank == 0
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_surjectivity_dimension_chain(self, n):
         # rank = h(n, m) - h(n-1, m) = h(n, m-1) for a single real direction
         for m in range(1, 5):
-            G = FiberConnForm.single_direction(n, 0, 1j * np.eye(1), unitary=True)
+            G = FourierConnection.cosine_mode(n, (0,) * n, 0, 1j * np.eye(1))
             rep = ca.gamma_minus_matrix(G, n, m)
             h_m = ph.dims(n, m)[1]
             h_mm1 = ph.dims(n, m - 1)[1]
@@ -205,7 +260,7 @@ class TestSolveGammaPreimage:
             r = int(rng.integers(1, 4))
             u = random_twisted(rng, n, m, r)
             G, w = ca.solve_gamma_preimage(u)
-            assert G.is_skew()
+            assert all(ca.is_skew_hermitian(g) for g in gammas(G))
             minus = ca.gamma_split(G, w)[1]
             assert (minus - u).norm_bombieri() < 1e-9 * u.norm_bombieri()
 
@@ -250,7 +305,7 @@ class TestCommutatorFactor:
 class TestEndoSplit:
     def test_closed_formula_rank_one(self):
         # A = i sigma_z e_1*, u = v_1 sigma_x: lowering = [i sigma_z, sigma_x]/n
-        A = FiberConnForm.single_direction(3, 0, 1j * SIGMA_Z, unitary=True)
+        A = FourierConnection.cosine_mode(3, (0, 0, 0), 0, 1j * SIGMA_Z)
         entries = [[HPoly.variable(3, 0) * SIGMA_X[i, j] for j in range(2)] for i in range(2)]
         u = TwistedHarmonic.from_matrix_entries(3, 1, entries)
         plus, minus = ca.endo_split(A, u)
@@ -261,8 +316,8 @@ class TestEndoSplit:
                 assert ph.bombieri_norm(minus.entry(i, j, 2) - expect) < 1e-13
 
     def test_identity_commutes(self, rng):
-        A = FiberConnForm(
-            tuple(random_skew_hermitian(rng, 2) for _ in range(3)), unitary=True
+        A = FourierConnection.constant(
+            3, [random_skew_hermitian(rng, 2) for _ in range(3)]
         )
         p = random_hpoly(rng, 3, 0)
         entries = [[p * np.eye(2)[i, j] for j in range(2)] for i in range(2)]
@@ -273,8 +328,8 @@ class TestEndoSplit:
     def test_reconstruction_random(self, rng):
         for _ in range(30):
             n, m, r = 3, int(rng.integers(0, 4)), 2
-            A = FiberConnForm(
-                tuple(random_skew_hermitian(rng, r) for _ in range(n)), unitary=True
+            A = FourierConnection.constant(
+                n, [random_skew_hermitian(rng, r) for _ in range(n)]
             )
             u = random_twisted(rng, n, m, r * r)
             plus, minus = ca.endo_split(A, u)
@@ -294,8 +349,8 @@ class TestTraceAdjoint:
 
     def test_trace_kills_commutator_action(self, rng):
         r = 3
-        A = FiberConnForm(
-            tuple(random_skew_hermitian(rng, r) for _ in range(3)), unitary=True
+        A = FourierConnection.constant(
+            3, [random_skew_hermitian(rng, r) for _ in range(3)]
         )
         u = random_twisted(rng, 3, 2, r * r)
         plus, minus = ca.endo_split(A, u)
@@ -309,8 +364,8 @@ class TestTraceAdjoint:
 
     def test_adjoint_commutes_with_split(self, rng):
         r = 2
-        A = FiberConnForm(
-            tuple(random_skew_hermitian(rng, r) for _ in range(3)), unitary=True
+        A = FourierConnection.constant(
+            3, [random_skew_hermitian(rng, r) for _ in range(3)]
         )
         u = random_twisted(rng, 3, 2, r * r)
         plus_u, minus_u = ca.endo_split(A, u)

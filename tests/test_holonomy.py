@@ -103,6 +103,25 @@ class TestTransport:
         with pytest.raises(ValidationError, match="vectors of one length"):
             GeodesicSegment(x0, v, 2.0)
 
+    def test_fan_segment(self, rng):
+        # a fan is a (G, n) array of unit directions from one base point
+        V = np.array([unit(rng.standard_normal(3)) for _ in range(3)])
+        assert GeodesicSegment(np.zeros(3), V, 1.0).v.shape == (3, 3)
+        with pytest.raises(ValidationError, match="unit"):
+            GeodesicSegment(np.zeros(3), np.vstack([V, [1.0, 1.0, 0.0]]), 1.0)
+        for bad in (np.empty((0, 3)), np.ones((2, 2, 3)) / np.sqrt(3), V[:, :2]):
+            with pytest.raises(ValidationError, match="vectors of one length"):
+                GeodesicSegment(np.zeros(3), bad, 1.0)
+
+    def test_fan_of_one(self, rng):
+        v = unit(rng.standard_normal(3))
+        single = ho.transport(NONCOMM_CONN, GeodesicSegment(np.zeros(3), v, 2.0), 64)
+        fan = ho.transport(NONCOMM_CONN, GeodesicSegment(np.zeros(3), v[None, :], 2.0), 64)
+        assert single.C.shape == (2, 2) and fan.C.shape == (1, 2, 2)
+        assert np.array_equal(fan.C[0], single.C)
+        assert (fan.error_estimate, fan.unitarity_defect) == (single.error_estimate,
+                                                              single.unitarity_defect)
+
     def test_segment_dimension_must_match_connection(self):
         # a 2-vector segment on a 3-torus connection used to raise numpy's ValueError
         seg = GeodesicSegment(np.zeros(2), [1.0, 0.0], 2.0)
@@ -180,14 +199,16 @@ class TestBatchedTransport:
         x0 = rng.uniform(0, 2 * np.pi, 3)
         V = np.array([unit(rng.standard_normal(3)) for _ in range(4)])
         T, steps = 3.0, 64
-        C, err, unit_defect = ho._transport_doubled(self.CONN, x0, V, T, steps)
+        fan = ho.transport(self.CONN, GeodesicSegment(x0, V, T), steps)
+        C = fan.C
         assert C.shape == (4, 2, 2)
-        for g, v in enumerate(V):
-            single = ho.transport(self.CONN, GeodesicSegment(x0, v, T), steps)
+        singles = [ho.transport(self.CONN, GeodesicSegment(x0, v, T), steps) for v in V]
+        for g, (v, single) in enumerate(zip(V, singles)):
             assert np.abs(C[g] - single.C).max() <= 1e-13
-            assert abs(err[g] - single.error_estimate) <= 1e-13
-            assert abs(unit_defect[g] - single.unitarity_defect) <= 1e-13
             assert np.abs(C[g] - _rk4_pointwise(self.CONN, x0, v, T, 2 * steps)).max() <= 1e-12
+        # the fan reports the largest error estimate and unitarity defect of its rows
+        assert abs(fan.error_estimate - max(s.error_estimate for s in singles)) <= 1e-13
+        assert abs(fan.unitarity_defect - max(s.unitarity_defect for s in singles)) <= 1e-13
         # the geodesics differ, so a row mix-up cannot pass by symmetry
         assert min(np.abs(C[g] - C[h]).max() for g in range(4) for h in range(g)) > 1e-3
 
@@ -229,11 +250,11 @@ class TestBatchedTransport:
         assert len(times) == 4 * steps + chunks
         assert len(set(times)) == 4 * steps + 1
         if steps >= 16:
-            C, err, unit_defect = ho._transport_doubled(self.CONN, x0, V, 3.0, steps)
-            assert np.array_equal(C, fine)
-            assert np.array_equal(err, np.abs(fine - coarse).max(axis=(1, 2)))
+            res = ho.transport(self.CONN, GeodesicSegment(x0, V, 3.0), steps)
+            assert np.array_equal(res.C, fine)
+            assert res.error_estimate == np.abs(fine - coarse).max()
             gram = fine.conj().transpose(0, 2, 1) @ fine
-            assert np.array_equal(unit_defect, np.abs(gram - np.eye(2)).max(axis=(1, 2)))
+            assert res.unitarity_defect == np.abs(gram - np.eye(2)).max()
 
 
 class TestInvarianceDefect:
@@ -394,6 +415,19 @@ class TestOpacityProbe:
             worst_unit = max(worst_unit, res.unitarity_defect)
         assert 0 < rep.transport_error == pytest.approx(worst_err, rel=1e-9)
         assert 0 < rep.unitarity_defect == pytest.approx(worst_unit, rel=1e-9)
+
+    def test_one_transport_call(self, monkeypatch):
+        # the probe transports its whole fan through the public driver
+        shapes = []
+        transport = ho.transport
+
+        def counted(conn, seg, *args, **kwargs):
+            shapes.append(seg.v.shape)
+            return transport(conn, seg, *args, **kwargs)
+
+        monkeypatch.setattr(ho, "transport", counted)
+        ho.opacity_probe(NONCOMM_CONN, num_geodesics=5, length=6.0, steps=64, seed=3)
+        assert shapes == [(5, 3)]
 
     def test_zero_connection_transparent(self):
         conn = FourierConnection.zero(r=2, n=3)

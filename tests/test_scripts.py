@@ -47,5 +47,6 @@ def test_compare_outputs_of_a_tree_with_itself(capsys):
                  "generic/opacity.csv", "diagonal/opacity.csv", "kato/kato.csv",
                  "dims/dims.csv", "dims/manifest.txt", "harmdecomp/harmdecomp.csv",
                  "harmdecomp/part_k2.hpoly", "commutator-random/commutator.csv",
-                 "commutator-file/factor_A.endo", "commutator-file/factor_G.endo"):
+                 "commutator-file/factor_A.endo", "commutator-file/factor_G.endo",
+                 "holonomy-steps100/opacity.csv"):
         assert path in reported

@@ -7,9 +7,10 @@ from cktlab import connalg as ca
 from cktlab import polyharm as ph
 from cktlab import symbolcheck as sc
 from cktlab import symtensor as sy
-from cktlab.connalg import FiberConnForm, TwistedHarmonic
+from cktlab.connalg import TwistedHarmonic
 from cktlab.errors import ValidationError
 from cktlab.polyharm import HPoly
+from cktlab.torus import FourierConnection
 
 from conftest import random_skew_hermitian
 
@@ -230,8 +231,8 @@ def subsphere_component(A1, u, xi0, m0):
             acc = HPoly.zero(n, u.m + 1)
             for jj in range(n):
                 for k in range(r):
-                    aik = A1.gammas[jj][i, k]
-                    uik = A1.gammas[jj][k, j]
+                    aik = A1.coeffs[(0,) * n][jj][i, k]
+                    uik = A1.coeffs[(0,) * n][jj][k, j]
                     if aik != 0:
                         acc = acc + vpoly[jj] * (u.entry(k, j, r) * aik)
                     if uik != 0:
@@ -256,7 +257,7 @@ def subsphere_component(A1, u, xi0, m0):
 class TestFiberSymbolPairing:
     def test_commuting_gives_zero(self):
         sz = np.array([[1j, 0], [0, -1j]])
-        A1 = FiberConnForm.single_direction(3, 0, sz, unitary=True)
+        A1 = FourierConnection.cosine_mode(3, (0, 0, 0), 0, sz)
         u = matrix_valued(3, 1, sz, HPoly.variable(3, 1))
         Am0 = matrix_valued(3, 1, sz, HPoly.variable(3, 1))
         val = sc.fiber_symbol_pairing(A1, u, Am0, np.array([0.0, 0, 1.0]), nq=512)
@@ -264,7 +265,7 @@ class TestFiberSymbolPairing:
 
     def test_positive_case_matches_norm(self, rng):
         n, r = 3, 2
-        A1 = FiberConnForm.single_direction(n, 0, random_skew_hermitian(rng, r), unitary=True)
+        A1 = FourierConnection.cosine_mode(n, (0,) * n, 0, random_skew_hermitian(rng, r))
         basis = ca.skew_hermitian_basis(r)
         hb = ph.harmonic_basis(n, 1)
         cols = []
@@ -289,7 +290,7 @@ class TestFiberSymbolPairing:
     def test_orthogonal_component_gives_zero(self, rng):
         # a component of the wrong parity is absent from the commutator
         n, r = 3, 2
-        A1 = FiberConnForm.single_direction(n, 0, random_skew_hermitian(rng, r), unitary=True)
+        A1 = FourierConnection.cosine_mode(n, (0,) * n, 0, random_skew_hermitian(rng, r))
         u = matrix_valued(n, 1, ca.skew_hermitian_basis(r)[0], HPoly.variable(n, 0))
         xi0 = np.array([0.0, 0.0, 1.0])
         # commutator has degree 2 in v: odd sub-sphere degrees vanish
@@ -300,7 +301,7 @@ class TestFiberSymbolPairing:
         assert abs(val) < 1e-10
 
     def test_n2_unsupported(self):
-        A1 = FiberConnForm.single_direction(2, 0, 1j * np.eye(2), unitary=True)
+        A1 = FourierConnection.cosine_mode(2, (0, 0), 0, 1j * np.eye(2))
         u = TwistedHarmonic.zero(2, 1, 4)
         with pytest.raises(ValidationError):
             sc.fiber_symbol_pairing(A1, u, u, np.array([1.0, 0]))

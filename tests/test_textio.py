@@ -10,7 +10,6 @@ LOADERS = {
     "HPOLY": textio.load_hpoly,
     "SYMT": textio.load_symtensor,
     "ENDO": textio.load_endo,
-    "CONNFORM": textio.load_connform,
     "FOURCONN": textio.load_fourier_connection,
 }
 
@@ -25,10 +24,6 @@ class TestMalformedPayloads:
         with pytest.raises(ValidationError):
             textio.load_endo("ENDO 1\n1.0 0.0\n2.0 0.0\n")
 
-    def test_connform_missing_rows(self):
-        with pytest.raises(ValidationError):
-            textio.load_connform("CONNFORM 2 2 unitary=no\n0.0 1.0 0.0 0.0\n0.0 0.0 0.0 1.0\n")
-
     @pytest.mark.parametrize("tag", sorted(LOADERS))
     @pytest.mark.parametrize("text", ["", "\n   \n"])
     def test_empty_payload(self, tag, text):
@@ -39,7 +34,6 @@ class TestMalformedPayloads:
         "HPOLY 3 two 0\n",
         "SYMT 3 2 x\n",
         "ENDO 1.5\n1.0 0.0\n",
-        "CONNFORM n 1 unitary=no\n0.0 1.0\n",
         "FOURCONN 3 1 one\n",
     ])
     def test_non_integer_header(self, text):
@@ -49,10 +43,6 @@ class TestMalformedPayloads:
     def test_non_numeric_entry(self):
         with pytest.raises(ValidationError):
             textio.load_endo("ENDO 1\n1.0 i\n")
-
-    def test_unitary_flag_must_be_yes_or_no(self):
-        with pytest.raises(ValidationError):
-            textio.load_connform("CONNFORM 1 1 unitary=maybe\n0.0 1.0\n")
 
     @pytest.mark.parametrize("announced", [0, 3])
     def test_fourconn_row_count(self, announced):
@@ -64,6 +54,12 @@ class TestMalformedPayloads:
         with pytest.raises(ValidationError):
             textio.load_fourier_connection("FOURCONN 2 1 2\n1 0 -1 0.0 1.0\n-1 0 -1 0.0 1.0\n")
 
+    def test_fourconn_duplicate_row(self):
+        # the row used to be added to its twin: 0.5i twice loaded as 1.0i
+        rows = "1 0 0 0.0 0.5\n1 0 0 0.0 0.5\n-1 0 0 0.0 1.0\n"
+        with pytest.raises(ValidationError, match=r"duplicate row for mode \(1, 0\) and direction 0"):
+            textio.load_fourier_connection("FOURCONN 2 1 3\n" + rows)
+
     def test_fourconn_zero_rank_only_when_empty(self):
         empty = textio.load_fourier_connection("FOURCONN 0 0 0\n")
         assert empty.r is None and empty.n is None and not empty.coeffs
@@ -74,7 +70,6 @@ class TestMalformedPayloads:
         "HPOLY 2 1 1\nnan 0.0 1 0\n",
         "SYMT 2 1 1\n0.0 inf 1 0\n",
         "ENDO 1\n-inf 0.0\n",
-        "CONNFORM 1 1 unitary=no\n0.0 1e999\n",
         "FOURCONN 3 1 1\n0 0 0 0 nan 0\n",
     ], ids=lambda text: text.split()[0])
     def test_non_finite_entry(self, text):
@@ -87,7 +82,7 @@ class TestMalformedPayloads:
 
 
 TOKENS = st.sampled_from(["0", "1", "2", "3", "-1", "0.5", "-0.0", "nan", "inf", "1e999",
-                          "x", "unitary=yes", "unitary=no", "unitary=maybe"])
+                          "x"])
 
 
 @st.composite

@@ -22,6 +22,11 @@ the CSV timestamp, and reported as
     same data rows   only '#' comment lines differ,
     DIFFERENT        a data row differs, or the file exists in one tree only.
 
+A DIFFERENT file whose data rows match in number, and in fields per row,
+and differ only in comma-separated fields that are finite floats in both
+trees, is reported as `DIFFERENT (numbers only, max rel diff 3.6e-16)`:
+the largest |a - b| / max(|a|, |b|) over those fields.
+
 The exit code is 0 when every file is identical and 1 otherwise.
 `perfbench/workloads.py` is only read.
 """
@@ -31,6 +36,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -158,14 +164,42 @@ def outputs(workdir, runs):
     return found
 
 
+def numbers_only(old_rows, new_rows):
+    """The largest relative difference of the fields that differ between two
+    lists of data rows, or None unless the lists have as many rows, each row
+    as many comma-separated fields, and every differing field is a finite
+    float in both."""
+    if len(old_rows) != len(new_rows):
+        return None
+    worst = 0.0
+    for old_row, new_row in zip(old_rows, new_rows):
+        old_fields, new_fields = old_row.split(","), new_row.split(",")
+        if len(old_fields) != len(new_fields):
+            return None
+        for a, b in zip(old_fields, new_fields):
+            if a == b:
+                continue
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                return None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                return None
+            if x != y:
+                worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return worst
+
+
 def verdict(old, new):
     if old == new:
         return "identical"
-    if old is not None and new is not None and (
-            [ln for ln in old if not ln.startswith("#")]
-            == [ln for ln in new if not ln.startswith("#")]):
+    if old is None or new is None:
+        return "DIFFERENT"
+    old_rows, new_rows = ([ln for ln in lines if not ln.startswith("#")] for lines in (old, new))
+    if old_rows == new_rows:
         return "same data rows"
-    return "DIFFERENT"
+    worst = numbers_only(old_rows, new_rows)
+    return "DIFFERENT" if worst is None else f"DIFFERENT (numbers only, max rel diff {worst:.1e})"
 
 
 def main(argv=None):

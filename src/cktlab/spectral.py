@@ -466,10 +466,12 @@ def _closed_derivatives(W: SpectralWindow, P_A):
 
 def _fd_stencil(W: SpectralWindow, P_A):
     """(h, the five matrices X + s P_A for s = -2h, -h, 0, h, 2h) of the
-    finite-difference derivatives, after checking that the stencil keeps
-    W's cluster strictly inside its contour."""
+    finite-difference derivatives, after checking that h * h does not
+    underflow and that the stencil keeps W's cluster strictly inside its contour."""
     X, radius = W.X, W.contour_radius
     h = min(0.05 * radius / max(float(np.linalg.norm(P_A, 2)), 1e-12), 1e-2)
+    if h * h < np.finfo(float).tiny:
+        raise ValidationError(f"fd step h = {h!r} (radius {radius!r}) underflows h * h")
     # the stencil must keep the cluster strictly inside the contour: the
     # enclosed-eigenvalue count may not change and nothing may touch the circle
     for s in (2 * h, -2 * h):

@@ -48,7 +48,8 @@ scan over the blocks of X+(conn0) and the connection derivative
 together, since X+(s) = X+(conn0) + s P is affine in s and is assembled
 once.  A stack's kernel vectors are read from its V^H factors through
 the mask of each block's rank and scattered with one indexed assignment,
-so no Python loop runs over the blocks.
+so no Python loop runs over the blocks.  As X- = -X+^H, the ejection
+prediction projects onto ker X- = (ran X+)^perp with X+'s U factors.
 
 This module is the assembling half of the torus model and imports
 `scipy.sparse` at module level, so a subcommand pays for that import
@@ -334,29 +335,29 @@ def _dense_blocks(config, M, groups):
 
 
 def _block_kernels(config, M, rtol):
-    """([(flat indices of the blocks' modes, V^H stack, ranks)] per block
-    size, singular values of M) over the mode blocks of M, with one rank cut
-    for the whole of M (`linalg.block_nullspace`)."""
+    """([(flat row and column indices of the blocks' modes, U stack, V^H
+    stack, ranks)] per block size, singular values of M) over the mode
+    blocks of M, with one rank cut for the whole of M (`linalg.block_nullspace`)."""
     groups = _mode_blocks(config, M)
     stacks, s = block_nullspace(_dense_blocks(config, M, groups), rtol)
-    width = M.shape[1] // len(config.modes)
-    return [(_block_index(blocks, width), vt, rank)
-            for blocks, (vt, rank) in zip(groups, stacks)], s
+    height, width = (d // len(config.modes) for d in M.shape)
+    return [(_block_index(blocks, height), _block_index(blocks, width), *factors)
+            for blocks, factors in zip(groups, stacks)], s
 
 
 def _kernel_columns(config, M, rtol):
     """(orthonormal kernel basis of M as full-length columns, singular values
-    of M): block by block, each block's vectors in the order of its V^H
-    rows, scattered with one assignment per block size."""
+    of M, its `_block_kernels`): block by block, each block's vectors in the
+    order of its V^H rows, scattered with one assignment per block size."""
     stacks, s = _block_kernels(config, M, rtol)
-    masks = [np.arange(vt.shape[1]) >= rank[:, None] for _, vt, rank in stacks]
+    masks = [np.arange(vt.shape[1]) >= rank[:, None] for _, _, _, vt, rank in stacks]
     out = np.zeros((M.shape[1], sum(int(mask.sum()) for mask in masks)), dtype=complex)
     j = 0
-    for (index, vt, _), mask in zip(stacks, masks):
+    for (_, index, _, vt, _), mask in zip(stacks, masks):
         rows = vt[mask]
         out[index[np.nonzero(mask)[0]], j + np.arange(len(rows))[:, None]] = rows.conj()
         j += len(rows)
-    return out, s
+    return out, s, stacks
 
 
 @dataclass
@@ -387,7 +388,7 @@ def ckt_kernel(asm: TorusAssembly) -> KernelReport:
     near it or a dropped one near it marks a kernel dimension that a small
     change of tolerance would move."""
     modes = mode_list(asm.config.n, asm.config.K)
-    vectors, s = _kernel_columns(asm.config, asm.xplus, 1e-10)
+    vectors, s, _ = _kernel_columns(asm.config, asm.xplus, 1e-10)
     width = vectors.shape[0] // len(modes)
     mass = np.linalg.norm(vectors.reshape(len(modes), width, vectors.shape[1]), axis=1)
     support = [[modes[j] for j in np.flatnonzero(col > 1e-8)] for col in mass.T]
@@ -403,41 +404,37 @@ def xminus_kernel_basis(asm: TorusAssembly) -> np.ndarray:
     return _kernel_columns(asm.config, asm.xminus, 1e-10)[0]
 
 
-def second_variation_predict(asm0: TorusAssembly, A: FourierConnection, kernel) -> tuple:
+def second_variation_predict(asm0: TorusAssembly, A: FourierConnection) -> tuple:
     """Per-vector squared norms of the kernel-of-lowering projection of the
-    perturbed raising applied to each zero mode, plus their total.
+    perturbed raising applied to each zero mode of the raising matrix
+    (`ckt_kernel`'s basis), plus their total.
 
-    The projection is made block by block over the mode blocks of the
-    lowering matrix, with the rank cut of `xminus_kernel_basis`; the
-    squared norm of a block's projection is that of its coordinates in the
-    block's orthonormal kernel basis.
+    X- = -X+^H, so the projection is the residual of the projection onto
+    ran X+ (`_second_variation`).
 
     Reported without the statement-vs-proof constant: lambda_scan's fit
     decides whether the curvature is 1 or 2 times this total.
     """
-    return _second_variation(asm0, connection_plus_matrix(asm0.config, A), kernel)
+    return _second_variation(asm0, connection_plus_matrix(asm0.config, A))[1:]
 
 
-def _second_variation(asm0: TorusAssembly, P, kernel) -> tuple:
-    """second_variation_predict with the perturbed raising P = connection_plus_matrix(A)."""
-    kernel = np.asarray(kernel)
-    if kernel.ndim == 1:
-        kernel = kernel[:, None]
-    gram = kernel.conj().T @ kernel
-    if np.abs(gram - np.eye(kernel.shape[1])).max() > 1e-8:
-        raise ValidationError("kernel basis must be orthonormal")
-    W = P @ kernel
-    sums = []  # per block, in block order
-    for index, vt, rank in _block_kernels(asm0.config, asm0.xminus, 1e-10)[0]:
-        coords = vt @ W[index]
-        block_sums = np.empty((len(vt), W.shape[1]))
-        for r in np.unique(rank):
-            x = coords[rank == r, r:]
-            block_sums[rank == r] = np.real(np.sum(x.conj() * x, axis=1))
-        sums.append(block_sums)
-    sq = np.add.accumulate(np.concatenate(sums), axis=0)[-1]
-    per_vector = [float(x) for x in sq]
-    return per_vector, float(sum(per_vector))
+def _second_variation(asm0: TorusAssembly, P) -> tuple:
+    """(dim ker X+, per-vector squared norms, total) of second_variation_predict
+    with P = connection_plus_matrix(A): one SVD of X+'s blocks gives the zero
+    modes K and each block's range basis U_r (U's first rank columns, a
+    stack's others zeroed); the blocks' residuals (1 - U_r U_r^H) W[rows],
+    W = P K, make up the projection onto ker X-.  The residual is formed, as
+    |w|^2 - |U_r^H w|^2 loses all relative accuracy when P u is almost in ran X+.
+    """
+    K, _, stacks = _kernel_columns(asm0.config, asm0.xplus, 1e-10)
+    W = P @ K
+    sq = np.zeros(W.shape[1])
+    for rows, _, u, _, rank in stacks:
+        u = u * (np.arange(u.shape[2]) < rank[:, None])[:, None, :]
+        w = W[rows]
+        residual = w - u @ (_adjoint(u) @ w)
+        sq += np.real(residual.conj() * residual).sum(axis=(0, 1))
+    return W.shape[1], [float(x) for x in sq], float(sum(sq))
 
 
 @dataclass
@@ -509,7 +506,8 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
     polynomial fit across the grid returns the first/second derivative
     estimates; the curvature factor against the predicted second
     variation settles the statement-vs-proof factor of two.  The window
-    must hold exactly dim ker X+ at s = 0 eigenvalues at every grid point.
+    must hold exactly dim ker X+ at s = 0 eigenvalues at every grid point;
+    dim ker X+ and the prediction come from one SVD (`_second_variation`).
 
     X+(s) = X+(conn0) + s P with P = connection_plus_matrix(A) is affine in
     s, so it is assembled once; its eigenvalues come block by block over
@@ -526,6 +524,11 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
     blocks are taken from the imaginary parts and the Gram terms and
     spectra are real (`real_gram`); any other input stays complex.
     """
+    s_values = np.asarray(list(s_grid), dtype=float)
+    if not np.isfinite(s_values).all() or len(np.unique(s_values)) < 3:
+        raise ValidationError("the s grid needs >= 3 distinct finite points to fit "
+                              "a second derivative")
+
     asm0 = assemble(config, conn0)
     P = connection_plus_matrix(config, A)
     groups = _mode_blocks(config, asm0.xplus, P)
@@ -550,13 +553,7 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
             "window contains nonzero unperturbed eigenvalues; shrink the radius"
         )
 
-    s_values = np.asarray(list(s_grid), dtype=float)
-    if not np.isfinite(s_values).all() or len(np.unique(s_values)) < 3:
-        raise ValidationError("the s grid needs >= 3 distinct finite points to fit "
-                              "a second derivative")
-
-    kernel0 = ckt_kernel(asm0)
-    _, predicted = _second_variation(asm0, P, kernel0.vectors)
+    kernel_dim, _, predicted = _second_variation(asm0, P)
 
     lambdas = np.empty(len(s_values))
     kdims = np.empty(len(s_values), dtype=int)
@@ -565,10 +562,10 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
         evs = evs0 if s == 0 else _stack_eigvalsh(
             [g0 + s * c + (s * s) * d for g0, c, d in expansion])
         inside = evs[evs < window_radius]
-        if len(inside) != kernel0.dim:
+        if len(inside) != kernel_dim:
             raise ValidationError(
                 f"{len(inside)} eigenvalues in the window at s = {float(s)!r}, but the "
-                f"kernel at s = 0 has dimension {kernel0.dim}; shrink smax or the radius"
+                f"kernel at s = 0 has dimension {kernel_dim}; shrink smax or the radius"
             )
         lambdas[i] = float(inside.sum())
         kdims[i] = int((evs < kernel_thresh).sum())

@@ -143,6 +143,16 @@ class TestInputGuards:
         assert "tag=validation" in capsys.readouterr().err
         assert not (tmp_path / "kato.csv").exists()
 
+    def test_kato_underflowing_fd_step(self, tmp_path, capsys):
+        # the fd step's square underflows at this radius: kato.csv's
+        # d2_mismatch column read nan, with exit 0
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("[kato]\nsize = 2\nkernel_dim = 0\nradius = 1e-300\n")
+        out = tmp_path / "out"
+        assert run(["kato", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "tag=validation" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("radius", ["nan", "-0.5", "0", "1e-9"])
     def test_eject_window_radius(self, eject_setup, tmp_path, capsys, radius):
         # 1e-9 is finite and positive, but the ejected eigenvalue leaves the

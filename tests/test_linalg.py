@@ -65,8 +65,8 @@ class TestNullspace:
 
 def bases(stacks):
     """Each block's orthonormal kernel basis, as columns, from block_nullspace's
-    (V^H stack, ranks) per stack."""
-    return [v[rank:].conj().T for vt, ranks in stacks for v, rank in zip(vt, ranks)]
+    (U stack, V^H stack, ranks) per stack."""
+    return [v[rank:].conj().T for _, vt, ranks in stacks for v, rank in zip(vt, ranks)]
 
 
 class TestBlockNullspace:
@@ -111,7 +111,7 @@ class TestBlockNullspace:
                            rng.standard_normal((3, 2)) @ rng.standard_normal((2, 3))])
         wide = rng.standard_normal((2, 2, 4))
         stacks, _ = block_nullspace([square, wide], 1e-10)
-        assert [list(rank) for _, rank in stacks] == [[0, 1, 2], [2, 2]]
+        assert [list(rank) for _, _, rank in stacks] == [[0, 1, 2], [2, 2]]
         for block, basis in zip([*square, *wide], bases(stacks)):
             assert np.array_equal(basis, nullspace(block, 1e-10)[0])
 

@@ -50,3 +50,16 @@ def test_compare_outputs_of_a_tree_with_itself(capsys):
                  "commutator-file/factor_A.endo", "commutator-file/factor_G.endo",
                  "holonomy-steps100/opacity.csv"):
         assert path in reported
+
+
+def test_compare_outputs_verdict():
+    verdict = runpy.run_path(str(SCRIPTS / "compare_outputs.py"))["verdict"]
+    old = ["# factor: 1.0", "s,lambda,kind", "0.1,0.3333333333333333,a"]
+    moved = ["# factor: 1.1", "s,lambda,kind", "0.1,0.33333333333333337,a"]
+    assert verdict(old, old) == "identical"
+    assert verdict(old, ["# factor: 1.1", *old[1:]]) == "same data rows"
+    assert verdict(old, moved) == "DIFFERENT (numbers only, max rel diff 1.7e-16)"
+    # a text field, a row more, or a file in one tree only stays a bare DIFFERENT
+    assert verdict(old, [*old[:2], "0.1,0.3333333333333333,b"]) == "DIFFERENT"
+    assert verdict(old, [*moved, "0.2,0.5,a"]) == "DIFFERENT"
+    assert verdict(old, None) == "DIFFERENT"

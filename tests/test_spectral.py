@@ -252,6 +252,17 @@ class TestLambdaDerivatives:
         with pytest.raises(ValidationError, match="leaves the contour"):
             sp.lambda_derivatives(sp.spectral_window(X, 0.5), P_A)
 
+    def test_underflowing_step_rejected(self):
+        # radius 1e-300 gives h ~ 1e-302, whose square underflows to 0: the
+        # second difference was 0 / 0, a nan d2 with no error
+        X = np.diag([1j, -1j])
+        P_A = np.diag([1j, 0.0])
+        W = sp.spectral_window(X, 1e-300)
+        with pytest.raises(ValidationError, match=r"h = \S+ \(radius 1e-300\) underflows"):
+            sp.lambda_derivatives(W, P_A)
+        with pytest.raises(ValidationError, match="underflows"):
+            sp.perturbation_suite(W, P_A, 0.05 * P_A, np.linspace(-1, 1, 3))
+
 
 class TestTorusGeneratorWindow:
     def test_projector_is_kernel_gram_and_frame_conditioned(self, rng):

@@ -300,13 +300,16 @@ def assert_same_csr(got, oracle):
 
 
 @st.composite
-def assembly_cases(draw):
+def assembly_cases(draw, cfg=None):
     """(config, connection or None) with n in {2, 3}, K <= 2, m <= 2, r <= 2,
     either bundle kind, and a support that may hold q = 0, box-edge modes
-    (every entry +-K) and modes coupling nothing inside the box."""
-    n = draw(st.sampled_from([2, 3]))
-    K, m, r = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(1, 2))
-    cfg = TorusConfig(n, K, m, r, draw(st.sampled_from(["vector", "endomorphism"])))
+    (every entry +-K) and modes coupling nothing inside the box; with `cfg`
+    given, that config and a connection for it."""
+    if cfg is None:
+        n = draw(st.sampled_from([2, 3]))
+        K, m, r = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(1, 2))
+        cfg = TorusConfig(n, K, m, r, draw(st.sampled_from(["vector", "endomorphism"])))
+    n, K, r = cfg.n, cfg.K, cfg.r
     qs = draw(st.lists(st.tuples(*[st.integers(-2 * K - 1, 2 * K + 1)] * n), max_size=2))
     if draw(st.booleans()):
         qs.append((0,) * n)
@@ -374,16 +377,15 @@ class TestIndexAssembly:
 class TestSecondVariation:
     def test_zero_perturbation(self):
         asm = tm.assemble(EJECT_CFG, FourierConnection.zero(r=1))
-        ker = tm.ckt_kernel(asm)
         per, tot = tm.second_variation_predict(asm, FourierConnection.zero(r=1).plus(
-            EJECT_A.scaled(0.0)), ker.vectors)
+            EJECT_A.scaled(0.0)))
         assert tot == 0.0
 
     def test_positive_case_value(self):
         # A_+ u lies entirely in ker X_- so the projection is the whole norm
         asm = tm.assemble(EJECT_CFG, FourierConnection.zero(r=1))
         ker = tm.ckt_kernel(asm)
-        per, tot = tm.second_variation_predict(asm, EJECT_A, ker.vectors)
+        per, tot = tm.second_variation_predict(asm, EJECT_A)
         P = tm.connection_plus_matrix(EJECT_CFG, EJECT_A)
         full = float(np.linalg.norm(P @ ker.vectors[:, 0]) ** 2)
         assert tot == pytest.approx(full, rel=1e-12)
@@ -392,10 +394,26 @@ class TestSecondVariation:
     def test_range_direction_gives_zero(self):
         # direction parallel to q puts A_+ u inside ran X_+
         asm = tm.assemble(EJECT_CFG, FourierConnection.zero(r=1))
-        ker = tm.ckt_kernel(asm)
         Apar = FourierConnection.cosine_mode(3, (0, 1, 0), 1, 0.5j * np.eye(1))
-        per, tot = tm.second_variation_predict(asm, Apar, ker.vectors)
+        per, tot = tm.second_variation_predict(asm, Apar)
         assert tot < 1e-20
+
+    @settings(max_examples=25, deadline=2000)
+    @given(st.data())
+    def test_matches_the_dense_xminus_oracle(self, data):
+        # the block path factors X+ alone; the oracle projects with a dense
+        # kernel basis of X- itself
+        cfg, conn0 = data.draw(assembly_cases().filter(
+            lambda case: case[0].space_dim(case[0].m + 1) <= 300))
+        A = data.draw(assembly_cases(cfg))[1] or FourierConnection.zero(r=cfg.r, n=cfg.n)
+        asm = tm.assemble(cfg, conn0)
+        per, total = tm.second_variation_predict(asm, A)
+        zero_modes = nullspace(asm.xplus.toarray(), 1e-10)[0]
+        ker_minus = nullspace(asm.xminus.toarray(), 1e-10)[0]
+        W = tm.connection_plus_matrix(cfg, A) @ zero_modes
+        oracle = np.linalg.norm(ker_minus.conj().T @ W) ** 2
+        assert abs(total - oracle) <= 1e-12 * max(1.0, total)
+        assert len(per) == tm.ckt_kernel(asm).dim
 
 
 class TestLambdaScan:
@@ -435,7 +453,7 @@ class TestLambdaScan:
             FourierConnection.cosine_mode(3, (0, 1, 0), 1, 0.4j * np.eye(1)))
         asm0 = tm.assemble(EJECT_CFG, FourierConnection.zero(r=1, n=3))
         ker = tm.ckt_kernel(asm0)
-        per, predicted = tm.second_variation_predict(asm0, A_mixed, ker.vectors)
+        per, predicted = tm.second_variation_predict(asm0, A_mixed)
         P = tm.connection_plus_matrix(EJECT_CFG, A_mixed)
         full = float(np.linalg.norm(P @ ker.vectors[:, 0]) ** 2)
         assert predicted < full * 0.99  # the projection genuinely cuts mass
@@ -454,6 +472,33 @@ class TestLambdaScan:
         # stays pinned at zero for every s
         assert (res.kernel_dims >= 1).all()
         assert res.kernel_dims[2] == 4
+
+    def test_one_factorization(self, monkeypatch):
+        # the zero modes and the projection onto ker X- come from one block
+        # SVD of X+(conn0); ckt_kernel and X-'s SVD are not called
+        calls = {"block_nullspace": 0, "ckt_kernel": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(tm, name)):
+                calls[_name] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(tm, name, counted)
+        tm.lambda_scan(EJECT_CFG, FourierConnection.zero(r=1), EJECT_A,
+                       np.linspace(-0.1, 0.1, 5))
+        assert calls == {"block_nullspace": 1, "ckt_kernel": 0}
+
+    def test_grid_checked_before_assembly(self, monkeypatch):
+        calls = []
+        assemble = tm.assemble
+
+        def counted(*args):
+            calls.append(args)
+            return assemble(*args)
+
+        monkeypatch.setattr(tm, "assemble", counted)
+        with pytest.raises(ValidationError, match="distinct"):
+            tm.lambda_scan(EJECT_CFG, FourierConnection.zero(r=1), EJECT_A, [0.0, 0.0, 0.0])
+        assert calls == []
 
     @pytest.mark.parametrize("points", [0, 1, 2])
     def test_grid_too_short(self, points):

@@ -14,10 +14,11 @@ success, 2 validation error (an unreadable input or an unwritable --out
 included), 3 numerical non-convergence; stderr carries a one-line
 machine-parsable tag.
 
-Importing this module loads no scipy: only the subcommands that assemble
-torus matrices (torus-ckt, torus-eject, selftest) import torusmodel, and
-with it scipy.sparse; the rest read the torus truncation and connections
-from the numpy-only torus module.
+ckt-lab runs on numpy alone: no subcommand loads scipy.  Only the
+subcommands that assemble torus matrices (torus-ckt, torus-eject,
+selftest) import torusmodel, and with it numpy.polynomial for the
+ejection scan's fit; the rest read the torus truncation and connections
+from the torus module, which assembles nothing.
 """
 
 from __future__ import annotations
@@ -304,8 +305,7 @@ def cmd_selftest(args, resolved):
     conn = tm.FourierConnection.constant(
         3, [np.diag([1j, 2j]), np.zeros((2, 2)), np.zeros((2, 2))])
     seg = ho.GeodesicSegment(np.zeros(3), np.array([1.0, 0, 0]), 2.0)
-    import scipy.linalg
-    oracle = scipy.linalg.expm(-2.0 * np.diag([1j, 2j]))
+    oracle = np.diag(np.exp(-2.0 * np.array([1j, 2j])))  # exp of the constant diagonal form
     res = ho.transport(conn, seg, 128)
     check("transport matches matrix exponential", np.abs(res.C - oracle).max() <= 1e-8)
 

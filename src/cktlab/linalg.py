@@ -1,4 +1,5 @@
-"""The numerical rank decision shared by every kernel computation.
+"""The numerical rank decision shared by every kernel computation, and the
+sparse matrix record of the torus model.
 
 Each kernel-dimension verdict in ckt-lab (ker X+, ker X-, symbol kernels,
 the lowering map, the harmonic constraint, the commutant of a holonomy
@@ -8,15 +9,22 @@ blocks, and returns each stack's U and V^H factors with the rank of every
 block: a caller reads all the kernel bases of a stack at once through the
 mask ``arange(cols) >= rank`` instead of block by block.  ``nullspace`` is its
 one-block case.  Each caller passes its own relative tolerance.
+
+``CSR`` is the torus model's sparse matrix: a frozen numpy record of the
+compressed-sparse-row arrays with the few operations the model, its
+checks and its tests call.  It is numpy alone, so no subcommand loads
+scipy.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError
 
-__all__ = ["nullspace", "block_nullspace"]
+__all__ = ["nullspace", "block_nullspace", "CSR"]
 
 
 def _svd(M):
@@ -65,3 +73,121 @@ def nullspace(M, rtol):
     with no rows has the whole space as its kernel."""
     ((_, vt, (rank,)),), s = block_nullspace([np.asarray(M)[None]], rtol)
     return vt[0, rank:].conj().T, s
+
+
+@dataclass(frozen=True, eq=False)
+class CSR:
+    """A sparse matrix in canonical compressed-sparse-row form: row i stores
+    data[indptr[i]:indptr[i + 1]] at the columns indices[indptr[i]:indptr[i + 1]],
+    ascending, with no duplicate and no exact zero.  Build one with
+    `from_coo`; every operation returns a canonical record, and its arrays are
+    those scipy.sparse computes for the same operation."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+    @classmethod
+    def from_coo(cls, rows, cols, data, shape):
+        """The matrix with entries data at (rows, cols): duplicates summed,
+        exact zeros dropped, the entries sorted row-major."""
+        keys = np.asarray(rows, dtype=np.int64) * shape[1] + np.asarray(cols, dtype=np.int64)
+        order = np.argsort(keys, kind="stable")
+        keys, data = keys[order], np.asarray(data)[order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        if not first.all():
+            starts = np.flatnonzero(first)
+            keys, data = keys[starts], np.add.reduceat(data, starts)
+        return cls._from_keys(keys, data, shape)
+
+    @classmethod
+    def _from_keys(cls, keys, data, shape):
+        """The record of unique, ascending row-major keys row * cols + col,
+        exact zeros dropped."""
+        keep = data != 0
+        rows, cols = np.divmod(keys[keep], max(shape[1], 1))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
+        return cls(data[keep], cols, indptr, tuple(shape))
+
+    @property
+    def nnz(self):
+        return len(self.data)
+
+    @property
+    def row(self):
+        """The row index of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def _keys(self):
+        return self.row * self.shape[1] + self.indices
+
+    def toarray(self):
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        out[self.row, self.indices] = self.data
+        return out
+
+    def adjoint(self):
+        """The conjugate transpose."""
+        order = np.argsort(self.indices, kind="stable")  # by column, rows ascending
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(self.indices,
+                                                            minlength=self.shape[1]))])
+        return CSR(self.data[order].conj(), self.row[order], indptr, self.shape[::-1])
+
+    def _plus(self, other, data):
+        """self + (other with its data replaced by `data`): entry by entry when
+        both store the same places, else by merging other's keys into self's."""
+        if self.shape != other.shape:
+            raise ValueError(f"shapes {self.shape} and {other.shape} differ")
+        keys, theirs = self._keys(), other._keys()
+        if np.array_equal(keys, theirs):
+            return CSR._from_keys(keys, self.data + data, self.shape)
+        at = np.searchsorted(keys, theirs)
+        hit = at < len(keys)
+        hit[hit] = keys[at[hit]] == theirs[hit]
+        out = self.data.astype(np.result_type(self.data, data))
+        out[at[hit]] += data[hit]
+        new = at[~hit]
+        return CSR._from_keys(np.insert(keys, new, theirs[~hit]),
+                              np.insert(out, new, data[~hit]), self.shape)
+
+    def __add__(self, other):
+        return self._plus(other, other.data)
+
+    def __sub__(self, other):
+        return self._plus(other, -other.data)
+
+    def __abs__(self):
+        return CSR(np.abs(self.data), self.indices, self.indptr, self.shape)
+
+    def max(self):
+        """The largest entry of a real matrix, its implicit zeros included."""
+        if self.nnz < self.shape[0] * self.shape[1]:
+            return self.data.max(initial=0)
+        return self.data.max()
+
+    def __matmul__(self, x):
+        """The product with a dense vector or matrix x, bit for bit scipy's: a
+        complex term is (ar xr - ai xi) + i (ar xi + ai xr), as numpy's own
+        complex product may fuse a multiply-add, and each row sums its terms
+        in ascending column order, starting from 0.  The k-th terms of all
+        rows make up layer k of a zero-padded stack, which is added up layer
+        after layer (numpy's own sum may add pairwise)."""
+        x = np.asarray(x)
+        a, b = self.data.reshape((-1,) + (1,) * (x.ndim - 1)), x[self.indices]
+        terms = np.empty(b.shape, dtype=np.result_type(a, b))
+        if np.iscomplexobj(terms):
+            terms.real = a.real * b.real - a.imag * b.imag
+            terms.imag = a.real * b.imag + a.imag * b.real
+        else:
+            terms[...] = a * b
+        row = self.row
+        layer = np.arange(self.nnz) - self.indptr[row]
+        stack = np.zeros((layer.max(initial=-1) + 1, self.shape[0]) + x.shape[1:],
+                         dtype=terms.dtype)
+        stack[layer, row] = terms
+        out = np.zeros(stack.shape[1:], dtype=terms.dtype)
+        for layer_terms in stack:
+            out += layer_terms
+        return out

@@ -8,11 +8,12 @@ connection 1-form by its Fourier coefficients and evaluates it through
 `fourier_sum`, and `eval_sections` evaluates coefficient vectors over
 (mode, harmonic, fiber) as functions on T^n x S^{n-1}.
 
-Nothing here assembles a matrix, so this module imports no scipy: the
-holonomy probe, the text formats and the CLI's config handling read it
-directly.  The sparse raising/lowering assembly, the kernels and the
-ejection scan live in `torusmodel`, which imports `scipy.sparse` and
-re-exports every name defined here but `fourier_sum`.
+Nothing here assembles a matrix: the holonomy probe, the text formats
+and the CLI's config handling read this module directly.  The sparse
+raising/lowering assembly, the kernels and the ejection scan live in
+`torusmodel`, which re-exports every name defined here but `fourier_sum`.
+Like every module of ckt-lab, both run on numpy alone, so no subcommand
+loads scipy.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ and S_q the 0/1 matrix sending mode k to k+q.  No product is formed as
 a sparse matrix: the dense free blocks F_k = sum_j (i k_j) P_j (x) I_f
 and couplings C_q = sum_j P_j (x) F_j(hat Gamma_q) are placed at the mode
 blocks (k, k) and (k+q, k) by index arithmetic, from cached (k, k+q)
-mode-index pairs, and each side becomes one csr matrix.  The two
+mode-index pairs, and each side becomes one `linalg.CSR` record.  The two
 assembly routes share only this skeleton: `assemble` supplies the
 harmonic splitting of multiplication by v_j, `assemble_via_D` the
 symmetric-tensor derivative conjugated into the harmonic bases, so
@@ -51,13 +51,11 @@ the mask of each block's rank and scattered with one indexed assignment,
 so no Python loop runs over the blocks.  As X- = -X+^H, the ejection
 prediction projects onto ker X- = (ran X+)^perp with X+'s U factors.
 
-This module is the assembling half of the torus model and imports
-`scipy.sparse` at module level, so a subcommand pays for that import
-before its timed work starts.  The numpy-only half, `TorusConfig`,
-`mode_list`, `FourierConnection` and `eval_sections`, lives in `torus`
-and is re-exported here; code that never assembles (the holonomy probe,
-the text formats, the CLI's config handling) imports it from `torus`
-and loads no scipy.
+This module is the assembling half of the torus model.  Like every
+module of ckt-lab it runs on numpy alone, so no subcommand loads scipy.
+The half that assembles nothing, `TorusConfig`, `mode_list`,
+`FourierConnection` and `eval_sections`, lives in `torus` and is
+re-exported here.
 """
 
 from __future__ import annotations
@@ -66,11 +64,11 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sparse
+from numpy.polynomial import polynomial
 
 from .connalg import commutator_action_matrix, harmonic_mult_blocks
 from .errors import ConvergenceError, ValidationError
-from .linalg import block_nullspace
+from .linalg import CSR, block_nullspace
 from .polyharm import _dual_matrix, dims
 from .symtensor import (_tracefree_contraction, _tracefree_coords, _tracefree_sym_product,
                         _weights)
@@ -106,8 +104,8 @@ class TorusAssembly:
     """Sparse raising/lowering matrices over modes x harmonics x fiber."""
 
     config: TorusConfig
-    xplus: sparse.csr_matrix
-    xminus: sparse.csr_matrix
+    xplus: CSR
+    xminus: CSR
     dropped_couplings: int
     adjointness_defect: float
 
@@ -134,7 +132,7 @@ def _shift_pairs(n, K, q):
 
 
 def _side(config, conn, blocks, free=True):
-    """(csr matrix, couplings dropped at the box edge) of one side, from the
+    """(CSR record, couplings dropped at the box edge) of one side, from the
     per-direction harmonic blocks P_j.
 
     Each coupling C_q = sum_j P_j kron F_j(hat Gamma_q) is placed at the
@@ -176,16 +174,12 @@ def _side(config, conn, blocks, free=True):
         placed.append((everywhere, everywhere, a, b, values + c0[a, b]))
     shape = (nmodes * height, nmodes * width)
     if not placed:
-        return sparse.csr_matrix(shape, dtype=complex), dropped
+        return CSR.from_coo([], [], np.zeros(0, dtype=complex), shape), dropped
     rows, cols, data = (np.concatenate(part) for part in zip(*(
         ((target[:, None] * height + a).ravel(), (source[:, None] * width + b).ravel(),
          np.broadcast_to(values, (len(source), len(a))).ravel())
         for target, source, a, b, values in placed)))
-    keep = data != 0
-    rows, cols, data = rows[keep], cols[keep], data[keep]
-    order = np.argsort(rows * shape[1] + cols)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
-    return sparse.csr_matrix((data[order], cols[order], indptr), shape=shape), dropped
+    return CSR.from_coo(rows, cols, data, shape), dropped
 
 
 def _assemble_sides(config, conn, plus_blocks, minus_blocks) -> TorusAssembly:
@@ -196,8 +190,7 @@ def _assemble_sides(config, conn, plus_blocks, minus_blocks) -> TorusAssembly:
     places them over the modes and the fiber."""
     (xplus, plus_dropped), (xminus, minus_dropped) = (
         _side(config, conn, blocks) for blocks in (plus_blocks, minus_blocks))
-    diff = (xminus + xplus.conj().T).tocoo()
-    defect = float(np.abs(diff.data).max()) if diff.nnz else 0.0
+    defect = float(np.abs((xminus + xplus.adjoint()).data).max(initial=0.0))
     return TorusAssembly(config, xplus, xminus, plus_dropped + minus_dropped, defect)
 
 
@@ -282,12 +275,10 @@ def _mode_blocks(config, *mats):
     its least mode.
     """
     nmodes = len(config.modes)
-    heads, tails = [], []
-    for M in mats:
-        coo = M.tocoo()
-        heads.append(coo.row.astype(np.int64) // (M.shape[0] // nmodes))
-        tails.append(coo.col.astype(np.int64) // (M.shape[1] // nmodes))
-    a, b = np.divmod(np.unique(np.concatenate(heads) * nmodes + np.concatenate(tails)), nmodes)
+    heads, tails = (np.concatenate(ends) for ends in zip(*(
+        (M.row // (M.shape[0] // nmodes), M.indices // (M.shape[1] // nmodes)) for M in mats)))
+    graph = CSR.from_coo(heads, tails, np.ones(len(heads)), (nmodes, nmodes))  # each edge once
+    a, b = graph.row, graph.indices
     labels = np.arange(nmodes)
     while True:
         low = np.minimum(labels[a], labels[b])
@@ -300,7 +291,7 @@ def _mode_blocks(config, *mats):
         labels = new
     size = np.bincount(labels, minlength=nmodes)[labels]
     order = np.lexsort((labels, size))  # stable: modes stay ascending within a block
-    return [order[size[order] == nb].reshape(-1, nb) for nb in np.unique(size)]
+    return [order[size[order] == nb].reshape(-1, nb) for nb in np.flatnonzero(np.bincount(size))]
 
 
 def _block_index(blocks, width):
@@ -320,16 +311,15 @@ def _dense_blocks(config, M, groups):
         group_of[blocks] = g
         block_of[blocks] = np.arange(len(blocks))[:, None]
         place_of[blocks] = np.arange(blocks.shape[1])
-    coo = M.tocoo()
-    row_mode, row_off = np.divmod(coo.row.astype(np.int64), h_out)
-    col_mode, col_off = np.divmod(coo.col.astype(np.int64), h_in)
+    row_mode, row_off = np.divmod(M.row, h_out)
+    col_mode, col_off = np.divmod(M.indices, h_in)
     stacks = []
     for g, blocks in enumerate(groups):
         nb = blocks.shape[1]
-        stack = np.zeros((len(blocks), nb * h_out, nb * h_in), dtype=M.dtype)
+        stack = np.zeros((len(blocks), nb * h_out, nb * h_in), dtype=M.data.dtype)
         sel = group_of[row_mode] == g
         np.add.at(stack, (block_of[row_mode[sel]], place_of[row_mode[sel]] * h_out + row_off[sel],
-                          place_of[col_mode[sel]] * h_in + col_off[sel]), coo.data[sel])
+                          place_of[col_mode[sel]] * h_in + col_off[sel]), M.data[sel])
         stacks.append(stack)
     return stacks
 
@@ -517,7 +507,9 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
     one sum and one eigvalsh instead of a Gram product.  The expanded sum
     rounds differently from the directly formed Gram, so a windowed sum at
     s != 0 can differ from it in the last digits; a grid point s == 0
-    reuses the eigenvalues of G0, so lambda(0) is exact as before.
+    reuses the eigenvalues of G0, so lambda(0) is exact as before.  A grid
+    point whose Laplacian overflows (not finite) raises ValidationError
+    before any eigenvalue is taken.
 
     When every stored entry of X+(conn0) and P has real part exactly 0,
     X+(s) = i R(s) with R(s) real and X+(s)^H X+(s) = R(s)^T R(s), so the
@@ -525,7 +517,7 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
     spectra are real (`real_gram`); any other input stays complex.
     """
     s_values = np.asarray(list(s_grid), dtype=float)
-    if not np.isfinite(s_values).all() or len(np.unique(s_values)) < 3:
+    if not np.isfinite(s_values).all() or len(set(s_values.tolist())) < 3:
         raise ValidationError("the s grid needs >= 3 distinct finite points to fit "
                               "a second derivative")
 
@@ -533,7 +525,7 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
     P = connection_plus_matrix(config, A)
     groups = _mode_blocks(config, asm0.xplus, P)
     real_gram = not (asm0.xplus.data.real.any() or P.data.real.any())
-    X0, dX = (_dense_blocks(config, M.imag if real_gram else M, groups)
+    X0, dX = (_dense_blocks(config, replace(M, data=M.data.imag) if real_gram else M, groups)
               for M in (asm0.xplus, P))
     largest_block = X0[-1].shape[1:]
     # popping drops each dense stack as soon as its terms are formed
@@ -559,8 +551,15 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
     kdims = np.empty(len(s_values), dtype=int)
     margin = np.inf
     for i, s in enumerate(s_values):
-        evs = evs0 if s == 0 else _stack_eigvalsh(
-            [g0 + s * c + (s * s) * d for g0, c, d in expansion])
+        if s == 0:
+            evs = evs0
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                grams = [g0 + s * c + (s * s) * d for g0, c, d in expansion]
+            if not all(np.isfinite(g).all() for g in grams):
+                raise ValidationError(f"the Laplacian at s = {float(s)!r} is not finite; "
+                                      "shrink smax")
+            evs = _stack_eigvalsh(grams)
         inside = evs[evs < window_radius]
         if len(inside) != kernel_dim:
             raise ValidationError(
@@ -571,7 +570,7 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
         kdims[i] = int((evs < kernel_thresh).sum())
         margin = min(margin, float(np.abs(evs - window_radius).min()) / window_radius)
 
-    coef = np.polynomial.polynomial.polyfit(s_values, lambdas, min(4, len(s_values) - 1))
+    coef = polynomial.polyfit(s_values, lambdas, min(4, len(s_values) - 1))
     lam_dot = float(coef[1])
     lam_ddot = float(2 * coef[2])
     factor = lam_ddot / (2 * predicted) if predicted > 0 else float("nan")
@@ -591,12 +590,14 @@ def _degree_stack(config, mmax, sides):
     offs = [0]
     for m in range(mmax + 1):
         offs.append(offs[-1] + config.space_dim(m))
-    blocks = [[None] * (mmax + 1) for _ in range(mmax + 1)]
-    for m in range(mmax + 1):
-        blocks[m][m] = sparse.csr_matrix((config.space_dim(m),) * 2, dtype=complex)
+    empty = np.zeros(0, dtype=np.int64)
+    placed = [(empty, empty, np.zeros(0, dtype=complex))]
     for m in range(mmax):
-        blocks[m + 1][m], blocks[m][m + 1] = sides(replace(config, m=m))
-    return sparse.bmat(blocks, format="csr"), offs
+        down, up = sides(replace(config, m=m))
+        placed += [(offs[m + 1] + down.row, offs[m] + down.indices, down.data),
+                   (offs[m] + up.row, offs[m + 1] + up.indices, up.data)]
+    rows, cols, data = (np.concatenate(part) for part in zip(*placed))
+    return CSR.from_coo(rows, cols, data, (offs[-1],) * 2), offs
 
 
 def build_generator(config: TorusConfig, conn, mmax: int):
@@ -617,6 +618,7 @@ def generator_perturbation(config: TorusConfig, A: FourierConnection, mmax: int)
     """Matrix of the connection perturbation on the degree stack (1-form action)."""
     def sides(cfg_m):
         plus = connection_plus_matrix(cfg_m, A)
-        return plus, -plus.conj().T
+        adjoint = plus.adjoint()
+        return plus, replace(adjoint, data=-adjoint.data)
 
     return _degree_stack(config, mmax, sides)

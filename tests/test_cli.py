@@ -99,6 +99,18 @@ class TestInputGuards:
         assert run(["torus-eject", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "tag=validation" in capsys.readouterr().err
 
+    def test_eject_overflowing_laplacian(self, eject_setup, tmp_path, capsys):
+        # the eject workload's torus at smax = 1e160: s^2 D overflows, and
+        # eigvalsh of the non-finite Gram raised LinAlgError (exit 1)
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(eject_setup.read_text().replace("k = 1", "k = 3")
+                       .replace("smax = 0.1", "smax = 1e160"))
+        out = tmp_path / "out"
+        assert run(["torus-eject", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "tag=validation" in err and "s = -1e+160" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_empty_perturbation_file(self, eject_setup, tmp_path, capsys):
         (tmp_path / "pert.fourconn").write_text("")
         assert run(["torus-eject", "--config", str(eject_setup), "--out", str(tmp_path)]) == 2
@@ -248,48 +260,42 @@ class TestInputGuards:
         assert "checks passed" in proc.stdout
 
     def test_import_loads_no_dense_scipy_modules(self, tmp_path):
-        # scipy.sparse.csgraph pulls in scipy.sparse.linalg and scipy.linalg,
-        # a large share of the start-up time of every subcommand; only the
-        # assembling subcommands (torus-ckt, torus-eject, selftest) load
-        # scipy.sparse, through torusmodel, and the rest load no scipy at all
+        # ckt-lab runs on numpy alone: importing every cktlab module and
+        # running the subcommands that assemble torus matrices (torus-ckt,
+        # torus-eject, selftest), the holonomy probe and kato load no scipy
+        # module at all
         import cktlab
 
         src = os.path.dirname(os.path.dirname(cktlab.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-
-        def loaded(code, prefixes):
-            code += f"\nprint(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
-            proc = subprocess.run([sys.executable, "-c", "import sys\n" + code], env=env,
-                                  cwd=tmp_path, capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            return proc.stdout.strip().splitlines()[-1]
-
-        heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
-        assert loaded("import cktlab.torusmodel", heavy) == "[]"
-        for module in ("cktlab.cli", "cktlab.holonomy", "cktlab.textio", "cktlab.torus"):
-            assert loaded(f"import {module}", ("scipy",)) == "[]", module
-
         conn = tm.FourierConnection.constant(3, [np.diag([1j, 2j]), np.zeros((2, 2)),
                                                  np.zeros((2, 2))])
         (tmp_path / "c.fourconn").write_text(textio.dump_fourier_connection(conn))
         (tmp_path / "h.cfg").write_text(
             "[holonomy]\nconnection = c.fourconn\nnum_geodesics = 2\nsteps = 16\n")
         (tmp_path / "k.cfg").write_text("[kato]\nsize = 6\ninstances = 1\n")
-        runs = ("from cktlab.cli import run\n"
-                "assert run(['holonomy', '--config', 'h.cfg', '--out', 'h']) == 0\n"
-                "assert run(['kato', '--config', 'k.cfg', '--out', 'k']) == 0")
-        assert loaded(runs, ("scipy",)) == "[]"
-        # the ejection scan's spectra are numpy eigvalsh: a subset-eigenvalue
-        # shortcut through scipy.linalg would show up here
         pert = tm.FourierConnection.cosine_mode(3, (0, 1, 0), 0, 0.5j * np.eye(1))
         (tmp_path / "p.fourconn").write_text(textio.dump_fourier_connection(pert))
+        torus = "[torus]\nn = 3\nk = 1\nm = 0\nr = 1\n"
+        (tmp_path / "t.cfg").write_text(torus)
         (tmp_path / "e.cfg").write_text(
-            "[torus]\nn = 3\nk = 1\nm = 0\nr = 1\n\n[perturbation]\nfile = p.fourconn\n\n"
-            "[scan]\nsmax = 0.1\npoints = 5\n")
-        eject = ("from cktlab.cli import run\n"
-                 "assert run(['torus-eject', '--config', 'e.cfg', '--out', 'e']) == 0")
-        assert loaded(eject, ("scipy.linalg",)) == "[]"
+            torus + "\n[perturbation]\nfile = p.fourconn\n\n[scan]\nsmax = 0.1\npoints = 5\n")
+        code = ("import importlib, pkgutil, sys\n"
+                "import cktlab\n"
+                "for info in pkgutil.iter_modules(cktlab.__path__):\n"
+                "    importlib.import_module('cktlab.' + info.name)\n"
+                "from cktlab.cli import run\n"
+                "assert run(['holonomy', '--config', 'h.cfg', '--out', 'h']) == 0\n"
+                "assert run(['kato', '--config', 'k.cfg', '--out', 'k']) == 0\n"
+                "assert run(['torus-ckt', '--config', 't.cfg', '--out', 't']) == 0\n"
+                "assert run(['torus-eject', '--config', 'e.cfg', '--out', 'e']) == 0\n"
+                "assert run(['selftest']) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 class TestDivtype:
     def test_dstar_table_entry(self, tmp_path, capsys):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cktlab.errors import ConvergenceError
-from cktlab.linalg import block_nullspace, nullspace
+from cktlab.linalg import CSR, block_nullspace, nullspace
 
 
 class TestNullspace:
@@ -147,3 +148,99 @@ def test_nullity_of_known_rank_product(case):
     assert N.shape == (M.shape[1], M.shape[1] - rank)
     assert np.linalg.norm(N.conj().T @ N - np.eye(N.shape[1])) < 1e-12
     assert np.linalg.norm(M @ N) <= 1e-10 * np.linalg.norm(M)
+
+
+@st.composite
+def coo_pairs(draw):
+    """(shape, COO triplets of a, COO triplets of b) for two complex matrices
+    with 0-6 rows and 0-6 columns.  Entries may be exact zeros, positions
+    may repeat, and a repeat may cancel its first entry; b holds some of a's
+    positions with a's value or its negative, so a + b and a - b cancel
+    there.  A position repeats at most once: scipy sums the duplicates of a
+    position after an unstable sort, so for three or more their order of
+    summation, and with it the rounding, is unspecified."""
+    shape = (draw(st.integers(0, 6)), draw(st.integers(0, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = shape[0] * shape[1]
+
+    def values(count):
+        v = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        v[rng.random(count) < 0.2] = 0
+        return v
+
+    def triplets(keys, vals):
+        twice = rng.choice(len(keys), rng.integers(0, len(keys) + 1), replace=False)
+        again = values(len(twice))
+        cancel = rng.random(len(twice)) < 0.3
+        again[cancel] = -vals[twice][cancel]
+        keys, vals = np.concatenate([keys, keys[twice]]), np.concatenate([vals, again])
+        order = rng.permutation(len(keys))
+        return (*np.divmod(keys[order], max(shape[1], 1)), vals[order])
+
+    a_keys = rng.choice(size, rng.integers(0, size + 1), replace=False)
+    a_vals = values(len(a_keys))
+    b_keys = rng.choice(size, rng.integers(0, size + 1), replace=False)
+    b_vals = values(len(b_keys))
+    a_dense = np.zeros(size, dtype=complex)
+    a_dense[a_keys] = a_vals
+    sign = rng.choice([-1, 1, 0], len(b_keys))
+    pick = np.isin(b_keys, a_keys) & (sign != 0)
+    b_vals[pick] = sign[pick] * a_dense[b_keys[pick]]
+    return shape, triplets(a_keys, a_vals), triplets(b_keys, b_vals)
+
+
+def scipy_csr(shape, triplets):
+    rows, cols, data = triplets
+    M = sparse.csr_matrix((data, (rows, cols)), shape=shape)
+    M.sum_duplicates()
+    M.eliminate_zeros()
+    return M
+
+
+def assert_same(got, oracle):
+    oracle = oracle.tocsr()
+    oracle.sort_indices()
+    assert got.shape == oracle.shape and got.nnz == oracle.nnz
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(oracle, name)), name
+
+
+class TestCSR:
+    """The record's arrays and results are scipy.sparse's, exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(coo_pairs())
+    def test_matches_scipy_sparse(self, case):
+        shape, a_coo, b_coo = case
+        a, b = (CSR.from_coo(*coo, shape) for coo in (a_coo, b_coo))
+        sa, sb = (scipy_csr(shape, coo) for coo in (a_coo, b_coo))
+        assert_same(a, sa)
+        assert np.array_equal(a.toarray(), sa.toarray())
+        assert np.array_equal(a.row, sa.tocoo().row)
+        assert_same(a.adjoint(), sa.conj().T)
+        assert_same(a + b, sa + sb)
+        assert_same(a - b, sa - sb)
+        assert_same(a + a, sa + sa)
+        assert_same(a - a, sa - sa)
+        if a.shape[0] * a.shape[1]:
+            assert abs(a - b).max() == abs(sa - sb).max()
+        rng = np.random.default_rng(a.nnz)
+        for x in (rng.standard_normal(shape[1]) + 1j * rng.standard_normal(shape[1]),
+                  rng.standard_normal((shape[1], 3)) + 1j * rng.standard_normal((shape[1], 3))):
+            assert np.array_equal(a @ x, sa @ x)
+
+    def test_long_rows_multiply_like_scipy(self, rng):
+        # rows of 8 and more terms, where a pairwise or blocked sum, or a fused
+        # complex multiply-add, would round differently from scipy's kernel
+        dense = rng.standard_normal((5, 40)) + 1j * rng.standard_normal((5, 40))
+        dense[rng.random(dense.shape) < 0.2] = 0
+        rows, cols = np.nonzero(dense)
+        a = CSR.from_coo(rows, cols, dense[rows, cols], dense.shape)
+        for x in (rng.standard_normal(40) + 1j * rng.standard_normal(40),
+                  rng.standard_normal((40, 7)) + 1j * rng.standard_normal((40, 7))):
+            assert np.array_equal(a @ x, sparse.csr_matrix(dense) @ x)
+
+    def test_shapes_must_agree(self):
+        a = CSR.from_coo([0], [0], [1.0 + 0j], (2, 2))
+        with pytest.raises(ValueError):
+            a + CSR.from_coo([0], [0], [1.0 + 0j], (2, 3))

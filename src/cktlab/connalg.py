@@ -61,8 +61,10 @@ __all__ = [
 
 
 def is_skew_hermitian(M, tol=1e-12) -> bool:
+    """M^H = -M within tol * max(1, max|M|); a non-finite entry fails."""
     M = np.asarray(M)
-    return bool(np.abs(M + M.conj().T).max() <= tol * max(1.0, np.abs(M).max()))
+    return bool(np.isfinite(M).all()
+                and np.abs(M + M.conj().T).max() <= tol * max(1.0, np.abs(M).max()))
 
 
 def _fiber_values(conn: FourierConnection) -> np.ndarray:
@@ -333,10 +335,9 @@ def commutator_factor(u, tol=1e-9):
     r = u.shape[0]
     if r == 0:
         raise ValidationError("cannot factor an empty matrix")
-    scale = max(1.0, np.abs(u).max())
-    if np.abs(u + u.conj().T).max() > tol * scale:
+    if not is_skew_hermitian(u, tol):
         raise ValidationError("input is not skew-Hermitian at tolerance")
-    if abs(np.trace(u)) > tol * scale * r:
+    if abs(np.trace(u)) > tol * max(1.0, np.abs(u).max()) * r:
         raise ValidationError("input is not trace-free at tolerance")
     A, G = _factor_rec(u)
     A = (A - A.conj().T) / 2

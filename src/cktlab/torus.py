@@ -94,7 +94,8 @@ class FourierConnection:
     coeffs maps a mode q to the tuple of n matrices (value on each
     coordinate direction).  Pointwise skew-Hermitian reality demands
     hat(Gamma)_q^dagger = -hat(Gamma)_{-q}, which is checked on
-    construction.
+    construction at 1e-12 max(1, max|hat(Gamma)_q|).  `unitary` says the
+    check passed: the one unitarity rule, which `holonomy.transport` trusts.
     """
 
     def __init__(self, coeffs=None, r=None, n=None, check_reality=True):
@@ -200,16 +201,6 @@ class FourierConnection:
             return np.zeros(shape + (self._r, self._r), dtype=complex)
         A = np.einsum("...j,qjab->...qab", v, np.array(list(self.coeffs.values())))
         return fourier_sum(list(self.coeffs), A, x)
-
-    def pointwise_skew_defect(self, samples) -> float:
-        """Max non-skewness of Gamma_x(v) over (x, v) samples (0 by reality);
-        nan when any sample is non-finite."""
-        samples = list(samples)
-        if not samples:
-            return 0.0
-        xs, vs = (np.array(arrs, dtype=float) for arrs in zip(*samples))
-        M = self.value_at(xs, vs)
-        return float(np.abs(M + M.conj().swapaxes(-1, -2)).max())
 
 
 def eval_sections(config: TorusConfig, vectors, xs, vs, degree=None):

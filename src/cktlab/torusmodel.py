@@ -509,7 +509,9 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
     s != 0 can differ from it in the last digits; a grid point s == 0
     reuses the eigenvalues of G0, so lambda(0) is exact as before.  A grid
     point whose Laplacian overflows (not finite) raises ValidationError
-    before any eigenvalue is taken.
+    before any eigenvalue is taken.  So does a grid too narrow to resolve
+    a prediction > 0, whose max |lambda(s)| is within 10 times the
+    rounding b eps lambda_max of the largest Gram block (size b).
 
     When every stored entry of X+(conn0) and P has real part exactly 0,
     X+(s) = i R(s) with R(s) real and X+(s)^H X+(s) = R(s)^T R(s), so the
@@ -570,6 +572,12 @@ def lambda_scan(config: TorusConfig, conn0, A: FourierConnection, s_grid,
         kdims[i] = int((evs < kernel_thresh).sum())
         margin = min(margin, float(np.abs(evs - window_radius).min()) / window_radius)
 
+    # on the eject demo the curvature factor was off by up to 12% when max |lambda(s)|
+    # was below 10 times the rounding, and by at most 1.2% from 10 to 250 times it
+    rounding = largest_block[1] * np.finfo(float).eps * ev_max
+    if predicted > 0 and np.abs(lambdas).max() <= 10 * rounding:
+        raise ValidationError(f"lambda(s) stays within 10 times its rounding {rounding:.1e}: "
+                              f"smax = {float(np.abs(s_values).max())!r} is too small")
     coef = polynomial.polyfit(s_values, lambdas, min(4, len(s_values) - 1))
     lam_dot = float(coef[1])
     lam_ddot = float(2 * coef[2])

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,41 @@ class TestInputGuards:
         err = capsys.readouterr().err
         assert "tag=validation" in err and "s = -1e+160" in err and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("smax", ["1e-8", "1e-200"])
+    def test_eject_grid_below_rounding(self, eject_setup, tmp_path, capsys, smax):
+        # lambda(s) ~ 0.042 s^2 lies under the rounding of the Gram eigenvalues:
+        # the scan used to exit 0 with curvature_factor 0.0 (and a RankWarning
+        # at 1e-200)
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text(eject_setup.read_text().replace("smax = 0.1", f"smax = {smax}")
+                       .replace("points = 9", "points = 5"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["torus-eject", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "tag=validation" in err and f"smax = {float(smax)!r}" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_eject_narrow_grid_resolved(self, eject_setup, tmp_path):
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text(eject_setup.read_text().replace("smax = 0.1", "smax = 1e-5")
+                       .replace("points = 9", "points = 5"))
+        assert run(["torus-eject", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        comments = dict(ln[2:].split(": ", 1)
+                        for ln in (tmp_path / "eject.csv").read_text().splitlines()
+                        if ln.startswith("# ") and ": " in ln)
+        assert float(comments["curvature_factor"]) == pytest.approx(1.0, rel=0.05)
+
+    def test_eject_zero_perturbation_narrow_grid(self, eject_setup, tmp_path):
+        # the prediction is exactly 0, so a flat lambda(s) is the answer, not rounding
+        (tmp_path / "pert.fourconn").write_text(textio.dump_fourier_connection(
+            tm.FourierConnection.zero(r=1, n=3)))
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(eject_setup.read_text().replace("smax = 0.1", "smax = 1e-8"))
+        assert run(["torus-eject", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
     def test_empty_perturbation_file(self, eject_setup, tmp_path, capsys):
         (tmp_path / "pert.fourconn").write_text("")
@@ -496,6 +532,46 @@ class TestHolonomyCmd:
         assert 0 < float(comments["transport_error"]) <= 1e-6
         assert 0 < float(comments["unitarity_defect"]) <= 1e-8
 
+    @staticmethod
+    def _large_payload(tmp_path):
+        """Gamma_(+-1,0,0) of size 1e3 on dx_0 whose reality holds to a relative
+        4e-13 only: within the loader's check at 1e-12 max(1, max|Gamma_q|)."""
+        M = 1e3 * np.array([[0.7j, 0.3], [-0.3, -0.2j]])
+        minus = -M.conj().T
+        minus[0, 1] *= 1 + 4e-13
+        z = np.zeros((2, 2))
+        text = textio.dump_fourier_connection(tm.FourierConnection(
+            {(1, 0, 0): (M, z, z), (-1, 0, 0): (minus, z, z)}, check_reality=False))
+        assert textio.load_fourier_connection(text).unitary
+        f = tmp_path / "large.fourconn"
+        f.write_text(text)
+        return f
+
+    def test_loader_and_transport_agree_on_unitarity(self, tmp_path, capsys):
+        # transport's sampled skew probe (absolute 1e-10) used to refuse
+        # this accepted payload with exit 2, naming a flag no input can set
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(f"[holonomy]\nconnection = {self._large_payload(tmp_path)}\n"
+                       "num_geodesics = 3\nlength = 0.01\nsteps = 64\n")
+        assert run(["holonomy", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert not capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", ["length = 1e300\n", ""])
+    def test_overflowing_transport(self, tmp_path, capsys, extra):
+        # length 1e300, or Gamma of size 1e3 at the default steps: seven numpy
+        # RuntimeWarnings, then exit 3 blaming the commutant's SVD
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(f"[holonomy]\nconnection = {self._large_payload(tmp_path)}\n"
+                       f"num_geodesics = 3\n{extra}")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["holonomy", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "tag=non-convergence" in err and "overflowed at 512 steps" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestHarmdecomp:
     def test_roundtrip(self, tmp_path, capsys):
@@ -738,3 +814,65 @@ def test_every_subcommand_exits_0_2_or_3(drawn):
             if not path.endswith("ckt_kernel.csv"):
                 assert len(read_data_lines(path)) >= 2, path
         assert "span 0/0" not in stdout.getvalue()
+
+
+@st.composite
+def accepted_holonomy_runs(draw):
+    """(FOURCONN payload, [holonomy] section) of cosine-mode pairs the loader
+    accepts: amplitude 10^U(-3, 4), rank 1 to 3, one entry off its reality
+    by a relative mismatch up to 1e-13, and 1 to 3 geodesics of length
+    10^U(-3, 3) at 16 or 64 steps."""
+    r = draw(st.sampled_from([1, 2, 3]))
+    amplitude = 10.0 ** draw(st.floats(-3, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    conn = tm.FourierConnection.zero(r=r, n=3)
+    for _ in range(draw(st.integers(1, 2))):
+        q = tuple(draw(st.integers(-1, 1)) for _ in range(3))
+        M = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        conn = conn.plus(tm.FourierConnection.cosine_mode(
+            3, q, draw(st.integers(0, 2)), amplitude * (M - M.conj().T) / 2))
+    coeffs = {q: [M.copy() for M in mats] for q, mats in conn.coeffs.items()}
+    q = draw(st.sampled_from(sorted(coeffs)))
+    M = max(coeffs[q], key=lambda M: np.abs(M).max())
+    M[np.unravel_index(np.abs(M).argmax(), M.shape)] *= 1 + draw(st.floats(-1e-13, 1e-13))
+    payload = textio.dump_fourier_connection(tm.FourierConnection(
+        {q: tuple(mats) for q, mats in coeffs.items()}, check_reality=False))
+    section = {"num_geodesics": draw(st.integers(1, 3)),
+               "length": 10.0 ** draw(st.floats(-3, 3)),
+               "steps": draw(st.sampled_from([16, 64]))}
+    return payload, section
+
+
+@settings(max_examples=50, deadline=2000)
+@given(accepted_holonomy_runs())
+# the confirmed defects of earlier releases: an accepted payload refused by
+# transport's own skew probe (exit 2), and an overflowing transport that
+# exited 0 after numpy RuntimeWarnings
+@example(("FOURCONN 3 1 3\n0 0 -1 0 0.0 -6515.786158022206\n0 0 0 0 0.0 8216.181435011584\n"
+          "0 0 1 0 0.0 -6515.786158021805\n", {"num_geodesics": 1, "length": 1.0, "steps": 16}))
+@example(("FOURCONN 3 1 1\n0 0 0 0 0.0 8.216181435011583\n",
+          {"num_geodesics": 1, "length": 1000.0, "steps": 16}))
+def test_holonomy_runs_every_accepted_payload(drawn):
+    # a payload the loader accepts is never refused (exit 2) by transport,
+    # and an overflowing transport fails with one line, not numpy warnings
+    payload, section = drawn
+    assert textio.load_fourier_connection(payload).unitary
+    with tempfile.TemporaryDirectory() as workdir:
+        conn = os.path.join(workdir, "conn.fourconn")
+        with open(conn, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+        cfg = os.path.join(workdir, "h.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(f"[holonomy]\nconnection = {conn}\n"
+                     + "".join(f"{k} = {v!r}\n" for k, v in section.items()))
+        out = os.path.join(workdir, "out")
+        stderr = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            rc = run(["holonomy", "--config", cfg, "--out", out])
+        assert rc in (0, 3)
+        if rc:
+            err = stderr.getvalue()
+            assert err.count("\n") == 1 and "tag=non-convergence" in err
+            assert not os.path.exists(out)

@@ -297,6 +297,12 @@ class TestCommutatorFactor:
         with pytest.raises(ValidationError):
             ca.commutator_factor(1j * np.eye(2))  # skew but not trace-free
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.inf)])
+    def test_rejects_non_finite_input(self, bad):
+        # a nan entry used to pass the inline skew test and return nan factors
+        with pytest.raises(ValidationError, match="skew-Hermitian"):
+            ca.commutator_factor(np.array([[bad, 0], [0, 0]]))
+
     def test_rejects_empty_matrix(self):
         with pytest.raises(ValidationError):
             ca.commutator_factor(np.zeros((0, 0)))

@@ -1,10 +1,13 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from cktlab import holonomy as ho
 from cktlab import torusmodel as tm
-from cktlab.errors import ValidationError
+from cktlab.errors import ConvergenceError, ValidationError
 from cktlab.holonomy import GeodesicSegment
 from cktlab.textio import load_fourier_connection
 from cktlab.torusmodel import FourierConnection, TorusConfig
@@ -83,14 +86,6 @@ class TestTransport:
         with pytest.raises(ValidationError, match="finite"):
             GeodesicSegment(x0, v, 2.0)
 
-    def test_nan_skew_defect_fails(self):
-        # a nan defect is not a pass: the unitary check fails unless defect <= 1e-10
-        conn = FourierConnection.cosine_mode(3, (1, 0, 0), 1, [[0.5j]])
-        assert np.isnan(conn.pointwise_skew_defect([(np.array([np.nan, 0, 0]), unit([0, 1, 0])),
-                                                    (np.zeros(3), unit([0, 1, 0]))]))
-        with pytest.raises(ValidationError, match="skew-Hermitian"):
-            ho._require_skew(conn, np.array([np.nan, 0.0, 0.0]), unit([1, 0, 0])[None, :])
-
     @pytest.mark.parametrize("x0,v", [
         (0.0, [1.0, 0.0, 0.0]),
         (np.zeros(3), 1.0),
@@ -128,16 +123,27 @@ class TestTransport:
         with pytest.raises(ValidationError, match="dimension 2.*dimension 3"):
             ho.transport(DIAG_CONN, seg, 64)
         with pytest.raises(ValidationError, match="dimension"):
-            ho.transport(DIAG_CONN, seg, 64, unitary=False)
+            ho.transport(FourierConnection(DIAG_CONN.coeffs, check_reality=False), seg, 64)
         # a connection that leaves the torus dimension open takes any segment
         res = ho.transport(FourierConnection.zero(r=2), seg, 64)
         assert np.abs(res.C - np.eye(2)).max() < 1e-12
 
+    @pytest.mark.parametrize("length,steps", [(1e300, 64), (7.0, 16)])
+    def test_overflow_raises_one_error(self, length, steps):
+        # frames that overflow used to give unitarity_defect nan (and numpy
+        # RuntimeWarnings) with no error
+        conn = FourierConnection.cosine_mode(3, (1, 0, 0), 0, 1e3j * SIGMA_X)
+        seg = GeodesicSegment(np.zeros(3), unit([1, 0.3, -0.2]), length)
+        message = re.escape(f"length {length!r} overflowed at {2 * steps} steps")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match=message):
+                ho.transport(conn, seg, steps)
+
     @pytest.mark.parametrize("length", [0.0, -1.0, np.nan, np.inf])
     def test_length_finite_positive(self, length):
-        seg = GeodesicSegment(np.zeros(3), unit([1, 0, 0]), length)
         with pytest.raises(ValidationError, match="length"):
-            ho.transport(DIAG_CONN, seg, 64)
+            GeodesicSegment(np.zeros(3), unit([1, 0, 0]), length)
         with pytest.raises(ValidationError, match="length"):
             ho.opacity_probe(DIAG_CONN, num_geodesics=2, length=length, steps=64)
 
@@ -344,12 +350,16 @@ class TestUnknownFiberRank:
         with pytest.raises(ValidationError, match="fiber rank"):
             _rankless(kind).value_at(np.zeros(3), unit([1, 0, 0]))
 
-    @pytest.mark.parametrize("unitary", [True, False])
+    @pytest.mark.parametrize("checked", [True, False])
     @pytest.mark.parametrize("kind", ["zero", "payload"])
-    def test_transport(self, kind, unitary):
+    def test_transport(self, kind, checked):
+        # the rank is refused first, whether or not the reality check was made
+        conn = _rankless(kind)
+        if not checked:
+            conn = FourierConnection(conn.coeffs, n=3, check_reality=False)
         seg = GeodesicSegment(np.zeros(3), unit([1, 0.3, -0.2]), 5.0)
         with pytest.raises(ValidationError, match="fiber rank"):
-            ho.transport(_rankless(kind), seg, 64, unitary=unitary)
+            ho.transport(conn, seg, 64)
 
     @pytest.mark.parametrize("kind", ["zero", "payload"])
     def test_invariance_defect(self, kind):
@@ -379,12 +389,6 @@ class TestSingleBatchedEvaluation:
             ho.invariance_defect(DIAG_CONN, TestInvarianceDefect.GAUGED, samples=samples)
             counts.append(len(calls))
         assert counts[0] == counts[1] <= 2
-
-    @pytest.mark.parametrize("geodesics", [1, 4, 12])
-    def test_require_skew(self, calls, rng, geodesics):
-        V = np.array([unit(rng.standard_normal(3)) for _ in range(geodesics)])
-        ho._require_skew(TestBatchedTransport.CONN, rng.uniform(0, 2 * np.pi, 3), V)
-        assert len(calls) == 1
 
 
 class TestOpacityProbe:

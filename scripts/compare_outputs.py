@@ -25,7 +25,10 @@ the CSV timestamp, and reported as
 A DIFFERENT file whose data rows match in number, and in fields per row,
 and differ only in comma-separated fields that are finite floats in both
 trees, is reported as `DIFFERENT (numbers only, max rel diff 3.6e-16)`:
-the largest |a - b| / max(|a|, |b|) over those fields.
+the largest |a - b| / max(|a|, |b|) over those fields.  A file whose data
+rows match gets the same measure over its `# key: value` comment lines
+whose values are finite floats in both trees, appended as
+`same data rows (comment drift 2.5e-02)` when such a value moved.
 
 The exit code is 0 when every file is identical and 1 otherwise.
 `perfbench/workloads.py` is only read.
@@ -179,15 +182,45 @@ def numbers_only(old_rows, new_rows):
         for a, b in zip(old_fields, new_fields):
             if a == b:
                 continue
-            try:
-                x, y = float(a), float(b)
-            except ValueError:
+            x, y = _float(a), _float(b)
+            if x is None or y is None:
                 return None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                return None
-            if x != y:
-                worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+            worst = max(worst, _rel_diff(x, y))
     return worst
+
+
+def _float(text):
+    """text as a finite float, or None."""
+    try:
+        x = float(text)
+    except ValueError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+def _rel_diff(x, y):
+    """|x - y| / max(|x|, |y|), 0 for equal numbers."""
+    return abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+
+
+def comment_drift(old, new):
+    """The largest relative difference over the `# key: value` lines of two
+    files whose key appears in both and whose value is a finite float in
+    both; None when there is no such key."""
+    def values(lines):
+        found = {}
+        for line in lines:
+            key, sep, value = line[2:].partition(": ")
+            x = _float(value) if line.startswith("# ") and sep else None
+            if x is not None:
+                found[key] = x
+        return found
+
+    old_values, new_values = values(old), values(new)
+    shared = old_values.keys() & new_values.keys()
+    if not shared:
+        return None
+    return max(_rel_diff(old_values[k], new_values[k]) for k in shared)
 
 
 def verdict(old, new):
@@ -226,6 +259,10 @@ def main(argv=None):
             for path in sorted(set(old) | set(new)):
                 result = verdict(old.get(path), new.get(path))
                 all_identical &= result == "identical"
+                drift = (comment_drift(old[path], new[path]) if result == "same data rows"
+                         else None)
+                if drift:
+                    result += f" (comment drift {drift:.1e})"
                 print(f"seed {seed} {name} {path}: {result}")
     print("all identical" if all_identical else "some outputs differ")
     return 0 if all_identical else 1

@@ -215,10 +215,19 @@ def gamma_split(G: FourierConnection, f: TwistedHarmonic):
 
 
 def commutator_action_matrix(A: np.ndarray) -> np.ndarray:
-    """Matrix of W -> [A, W] on row-major vectorized r x r fibers."""
-    r = A.shape[0]
+    """Matrix of W -> [A, W] on row-major vectorized r x r fibers.
+
+    A (..., r, r) stack gives the (..., r^2, r^2) stack of its matrices,
+    entry (i r + k, j r + l) being A_ij delta_kl - delta_ij A_lk: the
+    products and differences of kron(A, 1) - kron(1, A^T), so a single
+    matrix gets that result bit for bit.
+    """
+    A = np.asarray(A)
+    r = A.shape[-1]
     eye = np.eye(r)
-    return np.kron(A, eye) - np.kron(eye, A.T)
+    left = A[..., :, None, :, None] * eye[:, None, :]  # A_ij delta_kl at (i, k, j, l)
+    right = eye[:, None, :, None] * np.swapaxes(A, -1, -2)[..., None, :, None, :]
+    return (left - right).reshape(A.shape[:-2] + (r * r, r * r))
 
 
 def endo_split(A: FourierConnection, u: TwistedHarmonic):

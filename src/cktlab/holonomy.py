@@ -4,21 +4,27 @@ Transport solves the matrix ODE C' = -Gamma_{x(t)}(v) C along the
 straight line x(t) = x0 + t v with classical fourth-order steps, run
 again at half the step size for an error estimate.  `transport` is the
 one driver: a segment carries one direction or a fan of directions from
-one base point, all integrated together on a (G, r, r) array, and Gamma
-comes from one batched `FourierConnection.value_at` call per chunk of
-steps.  The ODE is linear, so each RK4 step is a fixed matrix polynomial
-in Gamma at the step's stage times; the steps are built as such
-propagators a chunk at a time and multiplied together before they act
-on C.  The opacity probe transports a seeded fan of segments in one
-`transport` call, which reports the largest error estimate and
-unitarity defect over the fan, extracts the (numerical) commutant of the
-transport set, and diagonalizes a random Hermitian element of it:
+one base point, all integrated together, and Gamma comes from one
+batched `FourierConnection.value_at` call per chunk of steps.  The ODE
+is linear, so each RK4 step is a fixed matrix polynomial in Gamma at the
+step's stage times; the steps are built as such propagators a chunk at
+a time and multiplied together before they act on C.  Every array of the
+integration is an (r, r, G, ...) slab with the batch axes last, so an
+r x r product is r broadcast multiply-adds over the whole batch instead
+of one dispatch per small matrix; `transport` returns (G, r, r).  The
+opacity probe transports a seeded fan of segments in one `transport`
+call, which reports the largest error estimate and unitarity defect over
+the fan, builds the commutant equations of all transports in one
+`commutator_action_matrix` call, extracts the (numerical) commutant of
+the transport set, and diagonalizes a random Hermitian element of it:
 spectral projectors of flow-parallel Hermitian sections are themselves
 flow-parallel, so each projector is reported with its invariance
 defect, which evaluates the projector field, Gamma and the field's flow
 derivative at all sampled points at once: every field is a Fourier sum
 (`torus.fourier_sum`).  `transport` takes unitarity from the connection's
-reality check (`FourierConnection.unitary`), and overflow is ConvergenceError.
+reality check (`FourierConnection.unitary`).  Frames that overflow, or
+whose error estimate is 1 or more (a unitary frame's entries are at most
+1, so no digit of C is right), are a ConvergenceError.
 
 The probe certifies only a finite transport set: its verdict for a
 trivial commutant is worded as 'no invariant subbundle detected at
@@ -87,7 +93,7 @@ class TransportResult:
     error_estimate: float
 
 
-# RK4 steps per batch of step propagators: one chunk holds (G, chunk, r, r)
+# RK4 steps per batch of step propagators: one chunk holds (r, r, G, chunk)
 # propagators, and a coarse chunk the Gamma values at the 4 * chunk + 1
 # stage times of the two fine chunks it spans
 _STEP_CHUNK = 32
@@ -97,54 +103,71 @@ _DEFECT_SAMPLES = 32
 
 
 def _gamma_field(conn, x0, V):
-    """t -> -Gamma_{x0 + t v_g}(v_g) at the times t, as a (G, T, r, r) array."""
+    """t -> -Gamma_{x0 + t v_g}(v_g) at the times t, as an (r, r, G, T) slab."""
 
     def minus_gamma(t):
-        return -conn.value_at(x0 + t[:, None] * V[:, None, :], V[:, None, :])
+        vals = conn.value_at(x0 + t[:, None] * V[:, None, :], V[:, None, :])
+        return np.negative(vals.transpose(2, 3, 0, 1), order="C")
 
     return minus_gamma
 
 
+def _slab_matmul(A, B):
+    """A @ B for (r, r, ...) slabs whose batch axes trail: r broadcast
+    multiply-adds, one numpy call each over the whole batch."""
+    out = A[:, :1] * B[:1]
+    for k in range(1, A.shape[0]):
+        out += A[:, k:k + 1] * B[k:k + 1]
+    return out
+
+
 def _chunk_propagator(G, h):
     """R_{c-1} ... R_1 R_0 for the c RK4 steps of size h whose start,
-    midpoint and end values -Gamma are G[:, 0], G[:, 1], G[:, 2] for the
-    first step, G[:, 2], G[:, 3], G[:, 4] for the next, and so on:
-    G is (G, 2c + 1, r, r).  The product is taken pairwise.
+    midpoint and end values -Gamma are G[..., 0], G[..., 1], G[..., 2] for
+    the first step, G[..., 2], G[..., 3], G[..., 4] for the next, and so
+    on: G is an (r, r, G, 2c + 1) slab, the result (r, r, G).  The product
+    is taken pairwise.
     """
-    eye = np.eye(G.shape[-1])
-    G0, Gm, G1 = G[:, 0:-1:2], G[:, 1::2], G[:, 2::2]
+    diag = np.arange(G.shape[0])
+    G0, Gm, G1 = G[..., 0:-1:2], G[..., 1::2], G[..., 2::2]
     K1 = G0
-    K2 = Gm + h / 2 * (Gm @ K1)
-    K3 = Gm + h / 2 * (Gm @ K2)
-    K4 = G1 + h * (G1 @ K3)
-    R = eye + h / 6 * (K1 + 2 * K2 + 2 * K3 + K4)  # (G, c, r, r)
-    while R.shape[1] > 1:  # R_{c-1} ... R_1 R_0, pairwise
-        half = R.shape[1] // 2
-        pairs = R[:, 1:2 * half:2] @ R[:, 0:2 * half:2]
-        R = np.concatenate([pairs, R[:, 2 * half:]], axis=1)
-    return R[:, 0]
+    K2 = Gm + h / 2 * _slab_matmul(Gm, K1)
+    K3 = Gm + h / 2 * _slab_matmul(Gm, K2)
+    K4 = G1 + h * _slab_matmul(G1, K3)
+    R = h / 6 * (K1 + 2 * K2 + 2 * K3 + K4)  # (r, r, G, c)
+    R[diag, diag] += 1
+    while R.shape[-1] > 1:  # R_{c-1} ... R_1 R_0, pairwise
+        half = R.shape[-1] // 2
+        pairs = _slab_matmul(R[..., 1:2 * half:2], R[..., 0:2 * half:2])
+        R = np.concatenate([pairs, R[..., 2 * half:]], axis=-1)
+    return R[..., 0]
 
 
 def _identity_frames(conn, V):
-    return np.broadcast_to(np.eye(conn.r, dtype=complex), (len(V), conn.r, conn.r)).copy()
+    """(r, r, G) slab of identity frames, one per row of V."""
+    return np.broadcast_to(np.eye(conn.r, dtype=complex)[..., None],
+                           (conn.r, conn.r, len(V))).copy()
 
 
 def _transport_pair(conn, x0, V, length, steps):
     """Classical RK4 for C_g' = -Gamma_{x0 + t v_g}(v_g) C_g, every row v_g of V
-    at once, run at steps and at 2 * steps: returns (coarse, fine), each (G, r, r).
+    at once, run at steps and at 2 * steps: returns (coarse, fine), each an
+    (r, r, G) slab.
 
     The ODE is linear, so one step is C <- R C with the step propagator
     R = 1 + h/6 (K1 + 2 K2 + 2 K3 + K4), where K1 = G0, K2 = Gm (1 + h/2 K1),
     K3 = Gm (1 + h/2 K2), K4 = G1 (1 + h K3) and G0, Gm, G1 are -Gamma at
     the step's start, midpoint and end.  Each run goes in chunks of
-    _STEP_CHUNK steps: batched matmuls give a chunk's step propagators and
-    a pairwise product reduces them to one matrix, applied to C.  The fine
-    step is h / 2 exactly, so the coarse stage times (j / 2) h are the fine
-    step boundaries j (h / 2), the same floating-point numbers: one einsum
-    gives Gamma at the stage times of the two fine chunks a coarse chunk
-    spans, and the coarse chunk reads every other value.  Each run still
-    has its own chunks and products, so both equal separate runs bit for
-    bit.
+    _STEP_CHUNK steps: a chunk's step propagators and a pairwise product
+    that reduces them to one matrix, applied to C.  Every array is an
+    (r, r, G, ...) slab with the batch axes last, so an r x r product is r
+    broadcast multiply-adds over the whole chunk (_slab_matmul), not one
+    dispatch per small matrix.  The fine step is h / 2 exactly, so the
+    coarse stage times (j / 2) h are the fine step boundaries j (h / 2),
+    the same floating-point numbers: one evaluation gives Gamma at the
+    stage times of the two fine chunks a coarse chunk spans, and the
+    coarse chunk reads every other value.  Each run still has its own
+    chunks and products, so both equal separate runs bit for bit.
     """
     coarse, fine = _identity_frames(conn, V), _identity_frames(conn, V)
     if not conn.coeffs:
@@ -155,11 +178,11 @@ def _transport_pair(conn, x0, V, length, steps):
         count = min(_STEP_CHUNK, steps - start)
         # the stage times of the fine steps 2 start ... 2 (start + count) - 1
         G = minus_gamma((2 * start + np.arange(4 * count + 1) / 2) * h_fine)
-        coarse = _chunk_propagator(G[:, ::2], h) @ coarse
+        coarse = _slab_matmul(_chunk_propagator(G[..., ::2], h), coarse)
         for fine_start in range(0, 2 * count, _STEP_CHUNK):
             fine_count = min(_STEP_CHUNK, 2 * count - fine_start)
-            chunk = G[:, 2 * fine_start:2 * (fine_start + fine_count) + 1]
-            fine = _chunk_propagator(chunk, h_fine) @ fine
+            chunk = G[..., 2 * fine_start:2 * (fine_start + fine_count) + 1]
+            fine = _slab_matmul(_chunk_propagator(chunk, h_fine), fine)
     return coarse, fine
 
 
@@ -171,7 +194,7 @@ def transport(conn: FourierConnection, seg: GeodesicSegment, steps: int = 128) -
     (r, r) for one direction and (G, r, r) for a fan, with the largest
     error estimate max|fine - coarse| and unitarity defect max|C^H C - 1|
     over the fan.  conn must have passed its reality check; frames that
-    overflow raise ConvergenceError.
+    overflow, or an error estimate of 1 or more, raise ConvergenceError.
     """
     if conn.n is not None and seg.v.shape[-1] != conn.n:
         raise ValidationError(
@@ -186,12 +209,16 @@ def transport(conn: FourierConnection, seg: GeodesicSegment, steps: int = 128) -
         raise ValidationError("need at least 16 steps")
     V = seg.v.reshape(-1, len(seg.x0))
     with np.errstate(over="ignore", invalid="ignore"):
-        coarse, fine = _transport_pair(conn, seg.x0, V, seg.length, steps)
+        coarse, fine = (C.transpose(2, 0, 1) for C in
+                        _transport_pair(conn, seg.x0, V, seg.length, steps))
         unit = float(np.abs(fine.conj().transpose(0, 2, 1) @ fine - np.eye(conn.r)).max())
         error = float(np.abs(fine - coarse).max())
     if not math.isfinite(unit + error):
         raise ConvergenceError(f"transport over length {float(seg.length)!r} overflowed at "
                                f"{2 * steps} steps; raise steps")
+    if error >= 1:  # a unitary frame's entries are at most 1: no digit of C is right
+        raise ConvergenceError(f"transport over length {float(seg.length)!r} did not converge "
+                               f"at {2 * steps} steps (error estimate {error:.2e}); raise steps")
     return TransportResult(fine.reshape(seg.v.shape[:-1] + fine.shape[1:]), 2 * steps,
                            unit, error)
 
@@ -276,8 +303,9 @@ def opacity_probe(conn: FourierConnection, num_geodesics: int = 24,
         V[g] = v / np.linalg.norm(v)
     res = transport(conn, GeodesicSegment(x0, V, length), steps)
 
-    rows = [commutator_action_matrix(C) for C in res.C]
-    null, _ = nullspace(np.vstack(rows), 1e-6)  # (r^2, commutant_dim)
+    # the commutant equations [C_g, W] = 0 of every transport, stacked
+    rows = commutator_action_matrix(res.C).reshape(-1, r * r)
+    null, _ = nullspace(rows, 1e-6)  # (r^2, commutant_dim)
     cdim = null.shape[1]
 
     projectors = []

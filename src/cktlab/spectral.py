@@ -23,7 +23,9 @@ node instead of a dense O(n^3) inverse, batched over a stack of
 matrices and the nodes of a level.  The perturbation suite of one
 window (`perturbation_suite`: the finite-difference stencil of
 `lambda_derivatives` and the grid of `conjugation_check`) is one such
-stack, reduced once and walked once per level.
+stack, reduced once and walked once per level; the grid's s = 0 is the
+stencil's centre X and is reduced and walked once.  A level's new nodes
+go through the traces in chunks of at most 2^14 working entries.
 
 The window radius must isolate the cluster at 0, and the cluster must be
 semisimple: the quadrature for the Laurent constant term reads off the
@@ -389,9 +391,9 @@ def _reduce(Xs):
 
 
 # complex entries B * m * n of the working rows of one _hessenberg_traces call:
-# the eight 40 x 40 matrices of a kato instance take a 16-node level in one
-# chunk and the 32 new nodes of N = 64 in two
-_TRACE_BUDGET = 1 << 13
+# the seven 40 x 40 matrices of a kato instance take the 16 nodes of N = 16
+# and the 32 new nodes of N = 64 in one chunk each
+_TRACE_BUDGET = 1 << 14
 
 
 def _cluster_sums(Xs, radius, max_nodes=1 << 15):
@@ -437,10 +439,10 @@ def _hessenberg_sums(H, radius, max_nodes=1 << 15):
             done = np.abs(vals - prev[active]) <= 1e-12 * np.maximum(1.0, np.abs(vals))
             out[active[done]] = vals[done]
         prev[active] = vals
-        active = active[~done]
-        H = H[~done]  # H holds the Hessenberg forms of the active matrices only
-        if len(active) == 0:
+        if done.all():
             return out
+        if done.any():  # H holds the Hessenberg forms of the active matrices only
+            active, H = active[~done], H[~done]
     raise ConvergenceError("cluster-sum quadrature did not converge")
 
 
@@ -538,21 +540,25 @@ def perturbation_suite(W: SpectralWindow, P_A, conj_P_A, s_grid):
     """lambda_derivatives(W, P_A) and conjugation_check(W.X, conj_P_A,
     s_grid, W.contour_radius) in one pass.
 
-    The five stencil matrices and the conjugation grid X_s are reduced to
-    Hessenberg form once, and the whole stack walks the levels together:
-    one reduction and one trace walk per level instead of two.  Every
-    matrix's sum is computed on its own, so the results equal the two
-    separate calls bit for bit.
+    The five stencil matrices and the conjugation grid's X_s at s != 0 are
+    reduced to Hessenberg form once, and the whole stack walks the levels
+    together: one reduction and one trace walk per level instead of two.
+    A grid point s = 0 is X itself, the stencil's centre X + 0 P_A, whose
+    sum it reuses.  Every matrix's sum is computed on its own, so the
+    results equal the two separate calls bit for bit.
     Returns (dot_closed, ddot_closed, dot_fd, ddot_fd, conj_defect).
     """
     P_A = np.asarray(P_A, dtype=complex)
     closed = _closed_derivatives(W, P_A)
     h, stencil = _fd_stencil(W, P_A)
-    H = _reduce(np.concatenate(
-        [stencil, _conjugation_grid(W.X, np.asarray(conj_P_A, dtype=complex), s_grid)]))
-    del stencil  # only the Hessenberg forms stay alive through the quadrature
+    s = np.asarray(list(s_grid))
+    centre = s == 0
+    grid = _conjugation_grid(W.X, np.asarray(conj_P_A, dtype=complex), s[~centre])
+    H = _reduce(np.concatenate([stencil, grid]))
+    del stencil, grid  # only the Hessenberg forms stay alive through the quadrature
     sums = _hessenberg_sums(H, W.contour_radius)
-    return (*closed, *_fd_derivatives(h, sums[:5]), _conjugation_defect(sums[5:]))
+    lam_plus = np.concatenate([sums[5:], sums[2:3] if centre.any() else []])
+    return (*closed, *_fd_derivatives(h, sums[:5]), _conjugation_defect(lam_plus))
 
 
 def random_skew_adjoint_with_kernel(rng, dim, kernel_dim, gap=0.5, spread=5.0):

@@ -572,6 +572,25 @@ class TestHolonomyCmd:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_transport_without_a_correct_digit(self, tmp_path, capsys):
+        # the fuzz's pinned payload (cosine modes of size about 8e3) at length 1
+        # and 16 steps: finite frames with an error estimate of about 1e98
+        # used to exit 0 with the verdict "opaque"
+        conn = tmp_path / "c.fourconn"
+        conn.write_text("FOURCONN 3 1 3\n0 0 -1 0 0.0 -6515.786158022206\n"
+                        "0 0 0 0 0.0 8216.181435011584\n0 0 1 0 0.0 -6515.786158021805\n")
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(f"[holonomy]\nconnection = {conn}\nnum_geodesics = 1\n"
+                       "length = 1.0\nsteps = 16\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["holonomy", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "tag=non-convergence" in err and "did not converge at 32 steps" in err
+        assert "raise steps" in err and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestHarmdecomp:
     def test_roundtrip(self, tmp_path, capsys):

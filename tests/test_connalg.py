@@ -388,6 +388,23 @@ class TestTraceAdjoint:
             assert (sy.trace(t_in) - t_out).norm() == 0
 
 
+class TestCommutatorActionMatrix:
+    @pytest.mark.parametrize("r", [1, 2, 3, 5])
+    def test_stack_equals_kron_bitwise(self, rng, r):
+        # a (G, r, r) stack, and one matrix, against kron(A, 1) - kron(1, A^T)
+        # per frame: the same products and differences, so the same bits
+        A = rng.standard_normal((4, r, r)) + 1j * rng.standard_normal((4, r, r))
+        A[0, 0, 0] = -0.0
+        eye = np.eye(r)
+        stack = ca.commutator_action_matrix(A)
+        assert stack.shape == (4, r * r, r * r)
+        for g, M in enumerate(A):
+            want = np.kron(M, eye) - np.kron(eye, M.T)
+            got = ca.commutator_action_matrix(M)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert stack[g].tobytes() == want.tobytes()
+
+
 class TestSkewBasis:
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_orthonormal_tracefree_skew(self, r):

@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cktlab import holonomy as ho
 from cktlab import torusmodel as tm
@@ -19,6 +21,11 @@ DIAG_CONN = FourierConnection.constant(3, [np.diag([1j, 2j]), np.zeros((2, 2)), 
 NONCOMM_CONN = FourierConnection.constant(
     3, [1j * SIGMA_X, 1j * SIGMA_Y, np.zeros((2, 2))]
 )
+
+
+# the pinned example of the CLI holonomy fuzz: cosine modes of size about 8e3
+FUZZ_8E3 = ("FOURCONN 3 1 3\n0 0 -1 0 0.0 -6515.786158022206\n0 0 0 0 0.0 8216.181435011584\n"
+            "0 0 1 0 0.0 -6515.786158021805\n")
 
 
 def unit(v):
@@ -140,6 +147,20 @@ class TestTransport:
             with pytest.raises(ConvergenceError, match=message):
                 ho.transport(conn, seg, steps)
 
+    def test_no_correct_digit_raises(self):
+        # Gamma-hat of size 8e3 at 32 steps over length 1: finite frames whose
+        # error estimate (about 1e98) exceeds the size of a unitary frame's
+        # entries used to be returned and given a verdict
+        conn = load_fourier_connection(FUZZ_8E3)
+        seg = GeodesicSegment(np.zeros(3), unit([0.2, -0.5, 1.0]), 1.0)
+        message = re.escape("length 1.0 did not converge at 32 steps") + r".*raise steps"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match=message):
+                ho.transport(conn, seg, 16)
+        # the same transport at enough steps converges
+        assert ho.transport(conn, seg, 1 << 14).error_estimate < 1
+
     @pytest.mark.parametrize("length", [0.0, -1.0, np.nan, np.inf])
     def test_length_finite_positive(self, length):
         with pytest.raises(ValidationError, match="length"):
@@ -184,14 +205,41 @@ def _rk4_steps(conn, x0, V, T, steps):
 
 def _chunked_run(conn, x0, V, T, steps):
     """One RK4 run on its own: Gamma at its own stage times, _STEP_CHUNK
-    step propagators per chunk, as _transport_pair builds each of its runs."""
-    C = np.broadcast_to(np.eye(conn.r, dtype=complex), (len(V), conn.r, conn.r)).copy()
+    step propagators per chunk, as _transport_pair builds each of its runs.
+    Returns the (r, r, G) slab of frames."""
+    C = ho._identity_frames(conn, V)
     minus_gamma = ho._gamma_field(conn, x0, V)
     h = T / steps
     for start in range(0, steps, ho._STEP_CHUNK):
         count = min(ho._STEP_CHUNK, steps - start)
-        C = ho._chunk_propagator(minus_gamma((start + np.arange(2 * count + 1) / 2) * h), h) @ C
+        R = ho._chunk_propagator(minus_gamma((start + np.arange(2 * count + 1) / 2) * h), h)
+        C = ho._slab_matmul(R, C)
     return C
+
+
+def _frames(slab):
+    """The (G, r, r) frames of an (r, r, G) slab."""
+    return slab.transpose(2, 0, 1)
+
+
+@st.composite
+def slab_cases(draw):
+    """(connection, x0, V, steps): two cosine modes of rank r in {1, 2, 3, 5}
+    with skew-Hermitian amplitudes of norm at most 1, G in 1..4 unit
+    directions, and step counts about a chunk boundary."""
+    r = draw(st.sampled_from([1, 2, 3, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    conn = FourierConnection.zero(r=r, n=3)
+    for _ in range(2):
+        M = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        M = (M - M.conj().T) / 2
+        q = tuple(int(c) for c in rng.integers(-1, 2, 3))
+        conn = conn.plus(FourierConnection.cosine_mode(
+            3, q, int(rng.integers(3)), M / max(1.0, np.linalg.norm(M, 2))))
+    G = draw(st.integers(1, 4))
+    V = rng.standard_normal((G, 3))
+    return (conn, rng.uniform(0, 2 * np.pi, 3), V / np.linalg.norm(V, axis=1, keepdims=True),
+            draw(st.sampled_from([1, 31, 33, 70])))
 
 
 class TestBatchedTransport:
@@ -224,9 +272,20 @@ class TestBatchedTransport:
         # applying every RK4 step to C in turn, for both runs of the pair
         x0 = rng.uniform(0, 2 * np.pi, 3)
         V = np.array([unit(rng.standard_normal(3)) for _ in range(3)])
-        coarse, fine = ho._transport_pair(self.CONN, x0, V, 3.0, steps)
+        coarse, fine = map(_frames, ho._transport_pair(self.CONN, x0, V, 3.0, steps))
         assert np.abs(coarse - _rk4_steps(self.CONN, x0, V, 3.0, steps)).max() <= 1e-13
         assert np.abs(fine - _rk4_steps(self.CONN, x0, V, 3.0, 2 * steps)).max() <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(slab_cases())
+    def test_slab_products_match_matmul_step_loop(self, case):
+        # the (r, r, G, ...) slab products against a plain matmul step loop,
+        # over fiber ranks, fan sizes and chunk boundaries
+        conn, x0, V, steps = case
+        coarse, fine = ho._transport_pair(conn, x0, V, 3.0, steps)
+        assert coarse.shape == fine.shape == (conn.r, conn.r, len(V))
+        assert np.abs(_frames(coarse) - _rk4_steps(conn, x0, V, 3.0, steps)).max() <= 1e-13
+        assert np.abs(_frames(fine) - _rk4_steps(conn, x0, V, 3.0, 2 * steps)).max() <= 1e-13
 
 
     @pytest.mark.parametrize("steps", [1, 5, 32, 70])
@@ -257,6 +316,7 @@ class TestBatchedTransport:
         assert len(set(times)) == 4 * steps + 1
         if steps >= 16:
             res = ho.transport(self.CONN, GeodesicSegment(x0, V, 3.0), steps)
+            coarse, fine = _frames(coarse), _frames(fine)
             assert np.array_equal(res.C, fine)
             assert res.error_estimate == np.abs(fine - coarse).max()
             gram = fine.conj().transpose(0, 2, 1) @ fine

@@ -63,3 +63,19 @@ def test_compare_outputs_verdict():
     assert verdict(old, [*old[:2], "0.1,0.3333333333333333,b"]) == "DIFFERENT"
     assert verdict(old, [*moved, "0.2,0.5,a"]) == "DIFFERENT"
     assert verdict(old, None) == "DIFFERENT"
+
+
+def test_compare_outputs_comment_drift():
+    drift = runpy.run_path(str(SCRIPTS / "compare_outputs.py"))["comment_drift"]
+    old = ["# transport_error: 2.0e-06", "# verdict: opaque", "# unitarity_defect: 1e-15",
+           "projector_index,rank,invariance_defect"]
+    new = ["# transport_error: 2.1e-06", "# verdict: opaque", "# unitarity_defect: 1e-15",
+           "projector_index,rank,invariance_defect"]
+    assert drift(old, old) == 0.0
+    assert drift(old, new) == pytest.approx(0.1 / 2.1)
+    # a key in one tree only, a text value or a non-finite one is no float pair
+    assert drift(old[:1], ["# other: 1.0"]) is None
+    assert drift(["# verdict: opaque"], ["# verdict: clear"]) is None
+    assert drift(["# x: nan", "# y: 1.0"], ["# x: 2.0", "# y: 4.0"]) == pytest.approx(0.75)
+    # data rows and lines without a key are not comments
+    assert drift(["1.0,2.0", "# 3.5"], ["1.5,2.0", "# 4.5"]) is None

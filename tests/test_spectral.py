@@ -533,8 +533,32 @@ class TestPerturbationSuite:
 
         monkeypatch.setattr(sp, "_hessenberg", counted)
         sp.perturbation_suite(W, P_A, 0.05 * P_A, self.GRID)
-        # the stencil and the grid X_s, the plus convention's matrices only
-        assert stacks == [5 + len(self.GRID)]
+        # the stencil and the grid X_s, the plus convention's matrices only;
+        # the grid's s = 0 is the stencil's centre
+        assert stacks == [7]
+
+    # grids of two points or more: a one-matrix stack takes its sums through
+    # a different BLAS kernel, whose rounding differs from a stack's
+    @pytest.mark.parametrize("grid", [[0.0, 0.5], [0.5, -0.0, 0.0], [-1.0, 0.5, 1.0],
+                                      [0.25, 0.75]])
+    def test_grid_zero_shares_the_stencil_centre(self, rng, monkeypatch, grid):
+        X = sp.random_skew_adjoint_with_kernel(rng, 12, 2, gap=0.8, spread=4.0)
+        P_A = random_skew_hermitian(rng, 12)
+        W = sp.spectral_window(X, 0.3)
+        want = (*sp.lambda_derivatives(W, P_A),
+                sp.conjugation_check(X, 0.05 * P_A, grid, radius=0.3))
+        stacks = []
+        reduce = sp._hessenberg
+
+        def counted(Xs):
+            stacks.append(len(Xs))
+            return reduce(Xs)
+
+        monkeypatch.setattr(sp, "_hessenberg", counted)
+        got = sp.perturbation_suite(W, P_A, 0.05 * P_A, grid)
+        assert stacks == [5 + sum(s != 0 for s in grid)]
+        for a, b in zip(got, want, strict=True):
+            assert a == b
 
     def test_trace_walks_hold_the_plus_convention_only(self, rng, monkeypatch):
         X = sp.random_skew_adjoint_with_kernel(rng, 10, 2, gap=0.8, spread=4.0)

@@ -91,8 +91,14 @@ class CSR:
     @classmethod
     def from_coo(cls, rows, cols, data, shape):
         """The matrix with entries data at (rows, cols): duplicates summed,
-        exact zeros dropped, the entries sorted row-major."""
-        keys = np.asarray(rows, dtype=np.int64) * shape[1] + np.asarray(cols, dtype=np.int64)
+        exact zeros dropped, the entries sorted row-major.  An index outside
+        the shape raises ValueError."""
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        for name, index, size in (("row", rows, shape[0]), ("column", cols, shape[1])):
+            if index.size and (index.min() < 0 or index.max() >= size):
+                bad = index[(index < 0) | (index >= size)][0]
+                raise ValueError(f"{name} index {bad} out of range for shape {tuple(shape)}")
+        keys = rows * shape[1] + cols
         order = np.argsort(keys, kind="stable")
         keys, data = keys[order], np.asarray(data)[order]
         first = np.ones(len(keys), dtype=bool)
@@ -171,23 +177,28 @@ class CSR:
         """The product with a dense vector or matrix x, bit for bit scipy's: a
         complex term is (ar xr - ai xi) + i (ar xi + ai xr), as numpy's own
         complex product may fuse a multiply-add, and each row sums its terms
-        in ascending column order, starting from 0.  The k-th terms of all
-        rows make up layer k of a zero-padded stack, which is added up layer
-        after layer (numpy's own sum may add pairwise)."""
+        in ascending column order, starting from 0.  The rows, sorted by entry
+        count, descending, hold their k-th entries in a prefix of that order;
+        layer k's terms are formed for that prefix alone and added in place
+        into the output (numpy's own sum may add pairwise), so beyond the
+        result no array holds more than rows * x.shape[1:] entries."""
         x = np.asarray(x)
-        a, b = self.data.reshape((-1,) + (1,) * (x.ndim - 1)), x[self.indices]
-        terms = np.empty(b.shape, dtype=np.result_type(a, b))
-        if np.iscomplexobj(terms):
-            terms.real = a.real * b.real - a.imag * b.imag
-            terms.imag = a.real * b.imag + a.imag * b.real
-        else:
-            terms[...] = a * b
-        row = self.row
-        layer = np.arange(self.nnz) - self.indptr[row]
-        stack = np.zeros((layer.max(initial=-1) + 1, self.shape[0]) + x.shape[1:],
-                         dtype=terms.dtype)
-        stack[layer, row] = terms
-        out = np.zeros(stack.shape[1:], dtype=terms.dtype)
-        for layer_terms in stack:
-            out += layer_terms
+        if x.shape[:1] != self.shape[1:]:
+            raise ValueError(f"shapes {self.shape} and {x.shape} do not align")
+        counts = np.diff(self.indptr)
+        order = np.argsort(-counts, kind="stable")
+        # the number of rows holding a k-th entry, k = 0 .. max row nnz - 1
+        live = np.searchsorted(-counts[order], -np.arange(counts.max(initial=0)))
+        first = self.indptr[order]
+        sums = np.zeros((self.shape[0],) + x.shape[1:], dtype=np.result_type(self.data, x))
+        for k, end in enumerate(live):
+            at = first[:end] + k
+            a, b = self.data[at].reshape((-1,) + (1,) * (x.ndim - 1)), x[self.indices[at]]
+            if np.iscomplexobj(sums):
+                sums[:end].real += a.real * b.real - a.imag * b.imag
+                sums[:end].imag += a.real * b.imag + a.imag * b.real
+            else:
+                sums[:end] += a * b
+        out = np.empty_like(sums)
+        out[order] = sums
         return out

@@ -415,6 +415,8 @@ def _second_variation(asm0: TorusAssembly, P) -> tuple:
     stack's others zeroed); the blocks' residuals (1 - U_r U_r^H) W[rows],
     W = P K, make up the projection onto ker X-.  The residual is formed, as
     |w|^2 - |U_r^H w|^2 loses all relative accuracy when P u is almost in ran X+.
+    W is the one sparse product of the prediction; `CSR @` adds it up entry
+    layer by entry layer, so it holds no array larger than W besides P and K.
     """
     K, _, stacks = _kernel_columns(asm0.config, asm0.xplus, 1e-10)
     W = P @ K

@@ -9,6 +9,7 @@ surface only in a benchmark run.  The workloads module is read, not changed.
 import importlib.util
 import os
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -37,3 +38,20 @@ def test_operations_pass_their_checks(workload, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # configs name their input files relative to it
     for name, run in workloads.OPERATIONS[workload]:
         assert run(cktlab, os.fspath(tmp_path), inputs["params"]) == [], name
+
+
+def test_harmonic_eject_memory(tmp_path, monkeypatch):
+    # traced peak of the harmonic workload's torus-eject: 12.3 MiB while the
+    # ejection prediction's sparse product stacked its nnz x k terms, 4.7 MiB
+    # since it adds them layer by layer
+    inputs = workloads.generate("harmonic", 101)
+    workloads.write_inputs(tmp_path, inputs)
+    monkeypatch.chdir(tmp_path)
+    run = dict(workloads.OPERATIONS["harmonic"])["torus-eject"]
+    tracemalloc.start()
+    try:
+        assert run(cktlab, os.fspath(tmp_path), inputs["params"]) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -205,6 +207,37 @@ def assert_same(got, oracle):
         assert np.array_equal(getattr(got, name), getattr(oracle, name)), name
 
 
+@st.composite
+def matmul_cases(draw):
+    """(rows, cols, data, shape, x) for a product `CSR @ x`: real or complex
+    data times a real or complex x, x 1-D or 2-D with 0, 1 or 3 columns.  The
+    matrix has empty rows, or no rows, or one row holding most of its
+    entries.  Data and x carry signed zeros, so a row sum started from its
+    first term instead of +0 would show as a -0.0."""
+    layout = draw(st.sampled_from(["empty rows", "no rows", "one long row"]))
+    shape = (0 if layout == "no rows" else draw(st.integers(1, 8)), draw(st.integers(0, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def signed(size, cplx):
+        parts = rng.standard_normal((2 if cplx else 1,) + size)
+        zero = rng.random(parts.shape) < 0.2
+        parts[zero] = np.copysign(0.0, parts[zero])
+        if not cplx:
+            return parts[0]
+        out = np.empty(size, dtype=complex)
+        out.real, out.imag = parts
+        return out
+
+    mask = rng.random(shape) < 0.1
+    if shape[0]:
+        row = rng.integers(shape[0])
+        mask[row] = rng.random(shape[1]) < 0.9 if layout == "one long row" else False
+    rows, cols = np.nonzero(mask)
+    data = signed(rows.shape, draw(st.booleans()))
+    tail = draw(st.sampled_from([(), (0,), (1,), (3,)]))
+    return rows, cols, data, shape, signed((shape[1],) + tail, draw(st.booleans()))
+
+
 class TestCSR:
     """The record's arrays and results are scipy.sparse's, exactly."""
 
@@ -239,6 +272,33 @@ class TestCSR:
         for x in (rng.standard_normal(40) + 1j * rng.standard_normal(40),
                   rng.standard_normal((40, 7)) + 1j * rng.standard_normal((40, 7))):
             assert np.array_equal(a @ x, sparse.csr_matrix(dense) @ x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(matmul_cases())
+    def test_product_is_scipys_byte_for_byte(self, case):
+        # bytes, not np.array_equal, which takes -0.0 and 0.0 as equal
+        *coo, shape, x = case
+        got, want = CSR.from_coo(*coo, shape) @ x, scipy_csr(shape, coo) @ x
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_product_shapes_must_agree(self, length):
+        a = CSR.from_coo([0], [0], [1.0 + 0j], (2, 2))
+        for x in (np.ones(length), np.ones((length, 2))):
+            with pytest.raises(ValueError, match=re.escape(f"(2, 2) and {x.shape}")):
+                a @ x
+
+    @pytest.mark.parametrize("rows, cols, message", [
+        ([0], [2], "column index 2"),  # would wrap to (1, 0)
+        ([2], [0], "row index 2"),
+        ([-1], [0], "row index -1"),
+        ([0], [-1], "column index -1"),
+        ([0, 5, -3], [0, 0, 0], "row index 5"),  # the first offending one
+    ])
+    def test_from_coo_rejects_indices_outside_the_shape(self, rows, cols, message):
+        with pytest.raises(ValueError, match=re.escape(message) + " out of range"):
+            CSR.from_coo(rows, cols, np.ones(len(rows), dtype=complex), (2, 2))
 
     def test_shapes_must_agree(self):
         a = CSR.from_coo([0], [0], [1.0 + 0j], (2, 2))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -40,7 +41,7 @@ from . import symbolcheck as sc
 from . import textio
 from . import torus
 from .errors import ConvergenceError, ValidationError
-from .textio import Key, positive_float
+from .textio import Key, nonnegative_int, positive_float
 
 __all__ = ["main", "run"]
 
@@ -97,12 +98,28 @@ def cmd_dims(args, resolved):
     return Output("dims.csv" if args.out else None, rows, message="\n".join(table))
 
 
+# the largest ||Laplace h||_B / ||h||_B accepted of a harmonic part; the float
+# peeling loses a decade of it per degree: 6e-12 at degree 12, 2e-8 at 16
+HARMONIC_CUT = 1e-9
+
+
 def cmd_harmdecomp(args, resolved):
     P = textio.load_hpoly(_read(resolved["harmdecomp"]["input"]))
-    parts = ph.harmonic_decompose(P)
     rows = ["k,harmonic_degree,bombieri_norm,laplace_residual"]
-    for k, h in parts:
-        rows.append(f"{k},{h.m},{ph.bombieri_norm(h)!r},{ph.bombieri_norm(ph.laplace(h))!r}")
+    worst = 0.0
+    try:
+        parts = ph.harmonic_decompose(P)
+        for k, h in parts:
+            norm, resid = ph.bombieri_norm(h), ph.bombieri_norm(ph.laplace(h))
+            rows.append(f"{k},{h.m},{norm!r},{resid!r}")
+            worst = max(worst, resid / norm if 0 < norm < math.inf and resid < math.inf
+                               else math.inf)
+    except OverflowError:  # the peeling's integer factors outgrow a float from degree ~170
+        worst = math.inf
+    if not worst < HARMONIC_CUT:
+        raise ConvergenceError(
+            f"harmonic parts of degree {P.m} are not harmonic: the worst "
+            f"||Laplace h||_B / ||h||_B is {worst:.2e}, not below the cut {HARMONIC_CUT:g}")
     return Output("harmdecomp.csv", rows,
                   files=tuple((f"part_k{k}.hpoly", textio.dump_hpoly(h)) for k, h in parts),
                   message=f"decomposed into {len(parts)} harmonic parts -> {args.out or '.'}")
@@ -379,7 +396,7 @@ def build_parser():
             for keys in entry.table.values():
                 for key_name, key in keys.items():
                     p.add_argument(f"--{key_name}", type=key.kind)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=nonnegative_int, default=0)
         if entry.source is not None:
             p.add_argument("--out", help="output directory")
         for flag, kwargs in entry.flags:

@@ -69,8 +69,6 @@ def is_skew_hermitian(M, tol=1e-12) -> bool:
 
 def _fiber_values(conn: FourierConnection) -> np.ndarray:
     """The stack Gamma(e_j), (n, r, r), of a connection form whose only mode is 0."""
-    if conn.n is None or conn.r is None:
-        raise ValidationError("connection form must determine its torus dimension and fiber rank")
     for q in conn.coeffs:
         if any(q):
             raise ValidationError(f"connection form must be constant, got mode {q}")

@@ -21,10 +21,10 @@ spectral projectors of flow-parallel Hermitian sections are themselves
 flow-parallel, so each projector is reported with its invariance
 defect, which evaluates the projector field, Gamma and the field's flow
 derivative at all sampled points at once: every field is a Fourier sum
-(`torus.fourier_sum`).  `transport` takes unitarity from the connection's
-reality check (`FourierConnection.unitary`).  Frames that overflow, or
-whose error estimate is 1 or more (a unitary frame's entries are at most
-1, so no digit of C is right), are a ConvergenceError.
+(`torus.fourier_sum`).  A `FourierConnection` is unitary and of known
+(n, r) by construction, so nothing here checks either again.  Frames that
+overflow, or whose error estimate is 1 or more (a unitary frame's entries
+are at most 1, so no digit of C is right), are a ConvergenceError.
 
 The probe certifies only a finite transport set: its verdict for a
 trivial commutant is worded as 'no invariant subbundle detected at
@@ -193,18 +193,14 @@ def transport(conn: FourierConnection, seg: GeodesicSegment, steps: int = 128) -
     half the step size (`_transport_pair`) and returns the finer result,
     (r, r) for one direction and (G, r, r) for a fan, with the largest
     error estimate max|fine - coarse| and unitarity defect max|C^H C - 1|
-    over the fan.  conn must have passed its reality check; frames that
-    overflow, or an error estimate of 1 or more, raise ConvergenceError.
+    over the fan.  conn is unitary by construction; frames that overflow,
+    or an error estimate of 1 or more, raise ConvergenceError.
     """
-    if conn.n is not None and seg.v.shape[-1] != conn.n:
+    if seg.v.shape[-1] != conn.n:
         raise ValidationError(
             f"segment lies in dimension {seg.v.shape[-1]}, the connection's torus has "
             f"dimension {conn.n}"
         )
-    if conn.r is None:
-        raise ValidationError("connection does not determine a fiber rank")
-    if not conn.unitary:
-        raise ValidationError("transport needs a connection that passed its reality check")
     if steps < 16:
         raise ValidationError("need at least 16 steps")
     V = seg.v.reshape(-1, len(seg.x0))
@@ -223,21 +219,18 @@ def transport(conn: FourierConnection, seg: GeodesicSegment, steps: int = 128) -
                            unit, error)
 
 
-def invariance_defect(conn: FourierConnection, P, samples: int = 64,
-                      seed: int = 0, n: int | None = None) -> float:
+def invariance_defect(conn: FourierConnection, P, samples: int = 64, seed: int = 0) -> float:
     """Max over sampled (x, v) of || X.P + [Gamma_x(v), P] ||.
 
     P may be a constant matrix or a dict {Fourier mode q: matrix}, the
-    field sum_q P_q e^{i q.x} over the torus.  Vanishing defect is the
-    flow-parallelism of the subbundle projector, i.e. invariance.  The
-    flow derivative X.P at (x, v) is the 1-form dP, with coefficients
-    (i q_j P_q)_j, evaluated at (x, v).
+    field sum_q P_q e^{i q.x} over the torus of conn.  Vanishing defect is
+    the flow-parallelism of the subbundle projector, i.e. invariance.  The
+    flow derivative X.P at (x, v) is dP(v): the field with coefficients
+    (i q.v) P_q, a Hermitian-valued `fourier_sum` and not a connection.
     """
     if samples < 1:
         raise ValidationError(f"need samples >= 1, got {samples}")
-    n = n if n is not None else conn.n
-    if n is None:
-        raise ValidationError("torus dimension is undetermined; pass n explicitly")
+    n = conn.n
     if not isinstance(P, dict):
         P = {(0,) * n: P}
     rng = np.random.default_rng(seed)
@@ -255,10 +248,10 @@ def invariance_defect(conn: FourierConnection, P, samples: int = 64,
             f"field is not an orthogonal projector at a sample "
             f"(hermitian defect {herm:.2e}, idempotency defect {idem:.2e})"
         )
-    dP = FourierConnection({q: tuple(1j * c * M for c in q) for q, M in zip(modes, Pq)},
-                           check_reality=False)
+    dPq = np.array([[1j * c * M for c in q] for q, M in zip(modes, Pq)])  # (i q_j P_q)_j
+    dP = fourier_sum(modes, np.einsum("...j,qjab->...qab", v, dPq), x)
     G = conn.value_at(x, v)
-    return float(np.abs(G @ Px - Px @ G + dP.value_at(x, v)).max())
+    return float(np.abs(G @ Px - Px @ G + dP).max())
 
 
 @dataclass
@@ -291,8 +284,6 @@ def opacity_probe(conn: FourierConnection, num_geodesics: int = 24,
     Hermitian commutant element into candidate invariant projectors.
     """
     n, r = conn.n, conn.r
-    if n is None:
-        raise ValidationError("connection does not determine the torus dimension")
     if num_geodesics < 1:
         raise ValidationError(f"need num_geodesics >= 1, got {num_geodesics}")
     rng = np.random.default_rng(seed)

@@ -343,7 +343,7 @@ def fiber_symbol_pairing(A1: FourierConnection, u: TwistedHarmonic, Am0: Twisted
     n >= 3 is required.  With return_error=True a halving-error
     estimate accompanies the value.
     """
-    _fiber_values(A1)  # a constant form of known n and r
+    _fiber_values(A1)  # refuses a form with a nonzero mode
     n, r = A1.n, A1.r
     if n < 3:
         raise ValidationError("fiber pairing needs n >= 3 (the sub-sphere must exist)")

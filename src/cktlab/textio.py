@@ -9,6 +9,9 @@ single header line naming the payload:
     ENDO r                 then   r rows of 2r floats (re im ...)
     FOURCONN n r rows      then   q_1 ... q_n j re im ... (r^2 entries)
 
+A FOURCONN header states n >= 1 and r >= 1 even with no rows; the
+`FourierConnection` constructor is the one check of a loaded connection.
+
 CSV outputs carry '#'-prefixed comment lines (timestamp, config hash);
 re-running with the same config and seed reproduces the data rows byte
 for byte.
@@ -36,7 +39,7 @@ __all__ = [
     "dump_endo", "load_endo",
     "dump_fourier_connection", "load_fourier_connection",
     "write_csv", "config_hash", "read_config", "resolve_config", "parse_config", "render_config",
-    "Key", "positive_float",
+    "Key", "positive_float", "nonnegative_int",
 ]
 
 
@@ -153,17 +156,13 @@ def dump_fourier_connection(conn: FourierConnection) -> str:
                 f"{_fmt(c.real)} {_fmt(c.imag)}" for c in np.asarray(M).ravel()
             )
             rows.append(" ".join([*map(str, q), str(j), entries]))
-    n = conn.n if conn.n is not None else 0
-    r = conn.r if conn.r is not None else 0
-    return "\n".join([f"FOURCONN {n} {r} {len(rows)}", *rows]) + "\n"
+    return "\n".join([f"FOURCONN {conn.n} {conn.r} {len(rows)}", *rows]) + "\n"
 
 
 def load_fourier_connection(text: str) -> FourierConnection:
     head, body = _payload(text, "FOURCONN", 3)
     n, r, rows = _numbers(head, int, "FOURCONN header")
-    # 0 stands for an unknown n or r, which only an empty connection may leave
-    if n < 0 or r < 0 or (rows and min(n, r) < 1):
-        raise ValidationError(f"FOURCONN needs n >= 1 and r >= 1, got n={n} r={r}")
+    FourierConnection.zero(r, n)  # the constructor's check of n and r, before any row is read
     if len(body) != rows:
         raise ValidationError(f"header announces {rows} mode rows, got {len(body)}")
     coeffs, seen = {}, set()
@@ -181,8 +180,7 @@ def load_fourier_connection(text: str) -> FourierConnection:
         seen.add((tuple(q), j))
         mats = coeffs.setdefault(tuple(q), [np.zeros((r, r), dtype=complex) for _ in range(n)])
         mats[j] = mats[j] + M
-    return FourierConnection({q: tuple(m) for q, m in coeffs.items()}, r=r or None,
-                             n=n or None)
+    return FourierConnection({q: tuple(m) for q, m in coeffs.items()}, r=r, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +192,13 @@ def positive_float(raw) -> float:
     value = float(raw)
     if not (math.isfinite(value) and value > 0):
         raise ValueError("not finite and > 0")
+    return value
+
+
+def nonnegative_int(raw) -> int:
+    """int(raw), rejecting values < 0 (no numpy generator takes them as a seed)."""
+    if (value := int(raw)) < 0:
+        raise ValueError("not >= 0")
     return value
 
 

@@ -4,8 +4,9 @@
 |k|_inf <= K, harmonic degree m, fiber rank r and bundle kind),
 `mode_list` enumerates the box, `fourier_sum` evaluates a matrix field
 sum_q c_q e^{i q.x} at a batch of points, `FourierConnection` holds a
-connection 1-form by its Fourier coefficients and evaluates it through
-`fourier_sum`, and `eval_sections` evaluates coefficient vectors over
+unitary connection 1-form of known (n, r) by its Fourier coefficients,
+checked once, when it is built, and evaluates it through `fourier_sum`,
+and `eval_sections` evaluates coefficient vectors over
 (mode, harmonic, fiber) as functions on T^n x S^{n-1}.
 
 Nothing here assembles a matrix: the holonomy probe, the text formats
@@ -88,17 +89,37 @@ def fourier_sum(modes, coeffs, x):
     return np.einsum("...q,...qab->...ab", phase, coeffs)
 
 
+def _dimension(name, given, found):
+    """A connection's torus dimension or fiber rank: the one value its
+    coefficients show (the set found), else the given one, which must agree
+    with them; the result is an int >= 1."""
+    (value,) = found or {given}
+    if given not in (None, value):
+        raise ValidationError(f"given {name} {given!r} disagrees with the coefficients' {value}")
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValidationError(f"a connection needs its {name} as an int >= 1, got {value!r}")
+    return int(value)
+
+
 class FourierConnection:
-    """Fourier coefficients of a connection 1-form on the torus.
+    """Fourier coefficients of a unitary connection 1-form on the torus.
 
     coeffs maps a mode q to the tuple of n matrices (value on each
-    coordinate direction).  Pointwise skew-Hermitian reality demands
+    coordinate direction).  The torus dimension n and the fiber rank r are
+    read off the coefficients; an empty connection takes them from its
+    arguments, and a given n or r must agree with the coefficients.  Both
+    are ints >= 1.  Pointwise skew-Hermitian reality demands
     hat(Gamma)_q^dagger = -hat(Gamma)_{-q}, which is checked on
-    construction at 1e-12 max(1, max|hat(Gamma)_q|).  `unitary` says the
-    check passed: the one unitarity rule, which `holonomy.transport` trusts.
+    construction at 1e-12 max(1, max|hat(Gamma)_q|).  The constructor is
+    the one check: every instance is a unitary connection of known (n, r),
+    and nothing downstream tests either again.
     """
 
-    def __init__(self, coeffs=None, r=None, n=None, check_reality=True):
+    # every instance passed the reality check; the constant stays because
+    # perfbench's test of its generated connections reads it
+    unitary = True
+
+    def __init__(self, coeffs=None, r=None, n=None):
         self.coeffs = {}
         if coeffs:
             for q, mats in coeffs.items():
@@ -107,27 +128,21 @@ class FourierConnection:
         shapes = {M.shape for mats in self.coeffs.values() for M in mats}
         if len(shapes) > 1 or any(len(sh) != 2 or sh[0] != sh[1] for sh in shapes):
             raise ValidationError("all coefficient matrices must be square of one fiber rank")
-        self._r = shapes.pop()[0] if shapes else r
         ns = {len(q) for q in self.coeffs}
         if len(ns) > 1:
             raise ValidationError("all modes must share the torus dimension")
-        self._n = ns.pop() if ns else n
         for q, mats in self.coeffs.items():
             if len(mats) != len(q):
                 raise ValidationError(
                     f"mode {q} carries {len(mats)} direction matrices, the torus needs {len(q)}"
                 )
-        self.unitary = bool(check_reality)
-        if check_reality:
-            self._validate_reality()
-
-    def _validate_reality(self):
+        self.r = _dimension("fiber rank", r, {sh[0] for sh in shapes})
+        self.n = _dimension("torus dimension", n, ns)
         for q, mats in self.coeffs.items():
             mq = tuple(-c for c in q)
-            other = self.coeffs.get(mq)
-            if other is None:
+            if mq not in self.coeffs:
                 raise ValidationError(f"mode {q} present without its opposite {mq}")
-            for M, Mo in zip(mats, other):
+            for M, Mo in zip(mats, self.coeffs[mq]):
                 scale = max(1.0, np.abs(M).max())
                 if np.abs(M.conj().T + Mo).max() > 1e-12 * scale:
                     raise ValidationError(
@@ -135,33 +150,22 @@ class FourierConnection:
                         "minus the opposite-mode coefficient"
                     )
 
-    @property
-    def r(self):
-        return self._r
-
-    @property
-    def n(self):
-        return self._n
-
     @classmethod
-    def zero(cls, r=None, n=None):
+    def zero(cls, r, n):
         return cls({}, r=r, n=n)
 
     @classmethod
     def cosine_mode(cls, n, q, j, M):
-        """Connection M cos(q.x) dx_j (skew-Hermitian M gives a unitary form)."""
+        """Connection M cos(q.x) dx_j, whose reality check requires a
+        skew-Hermitian M."""
         M = np.asarray(M, dtype=complex)
         r = M.shape[0]
         q = tuple(int(c) for c in q)
         mats_q = [np.zeros((r, r), dtype=complex) for _ in range(n)]
-        if all(c == 0 for c in q):
-            # cos(0) = 1: the single coefficient carries the full matrix
-            mats_q[j] = M
-            return cls({q: tuple(mats_q)})
-        mats_q[j] = M / 2
-        mats_mq = [np.zeros((r, r), dtype=complex) for _ in range(n)]
-        mats_mq[j] = -M.conj().T / 2
-        return cls({q: tuple(mats_q), tuple(-c for c in q): tuple(mats_mq)})
+        # M cos(q.x) = M/2 e^{i q.x} + M/2 e^{-i q.x}; at q = 0 the one
+        # coefficient carries the full matrix
+        mats_q[j] = M / 2 if any(q) else M
+        return cls({q: tuple(mats_q), tuple(-c for c in q): tuple(mats_q)})
 
     @classmethod
     def constant(cls, n, mats):
@@ -169,38 +173,26 @@ class FourierConnection:
         return cls({(0,) * n: tuple(np.asarray(M, dtype=complex) for M in mats)})
 
     def scaled(self, s):
-        return FourierConnection(
-            {q: tuple(s * M for M in mats) for q, mats in self.coeffs.items()},
-            r=self._r, n=self._n, check_reality=self.unitary and np.isrealobj(s),
-        )
+        return FourierConnection({q: tuple(s * M for M in mats)
+                                  for q, mats in self.coeffs.items()}, r=self.r, n=self.n)
 
     def plus(self, other):
-        out = {q: list(mats) for q, mats in self.coeffs.items()}
+        out = dict(self.coeffs)
         for q, mats in other.coeffs.items():
-            if q in out:
-                out[q] = [a + b for a, b in zip(out[q], mats)]
-            else:
-                out[q] = list(mats)
-        return FourierConnection({q: tuple(m) for q, m in out.items()},
-                                 r=self._r or other._r, n=self._n or other._n,
-                                 check_reality=self.unitary and other.unitary)
+            out[q] = tuple(a + b for a, b in zip(out[q], mats)) if q in out else mats
+        return FourierConnection(out, r=self.r, n=self.n)
 
     def value_at(self, x, v) -> np.ndarray:
         """Gamma_x(v): the fiber matrix at base points x and directions v.
 
         x and v have shape (..., n) and broadcast against each other; the
         result is (..., r, r).  v is contracted with the coefficients
-        first, then `fourier_sum` adds the modes up.  An empty connection
-        built without a fiber rank has no value: ValidationError.
+        first, then `fourier_sum` adds the modes up.
         """
         x, v = np.asarray(x, dtype=float), np.asarray(v)
-        if self._r is None:
-            raise ValidationError("connection does not determine a fiber rank")
-        if not self.coeffs:
-            shape = np.broadcast_shapes(x.shape[:-1], v.shape[:-1])
-            return np.zeros(shape + (self._r, self._r), dtype=complex)
-        A = np.einsum("...j,qjab->...qab", v, np.array(list(self.coeffs.values())))
-        return fourier_sum(list(self.coeffs), A, x)
+        coeffs = np.reshape(list(self.coeffs.values()), (-1, self.n, self.r, self.r))
+        A = np.einsum("...j,qjab->...qab", v, coeffs)
+        return fourier_sum(np.reshape(list(self.coeffs), (-1, self.n)), A, x)
 
 
 def eval_sections(config: TorusConfig, vectors, xs, vs, degree=None):

@@ -142,21 +142,17 @@ def _side(config, conn, blocks, free=True):
     the connection term alone.  Every sum runs in j order and starts from
     0, so no entry has a -0.0 part and the entries are those of the
     Kronecker sum of the module docstring bit for bit.  Exact zeros are
-    dropped.
+    dropped.  No connection (None) is the config's zero connection.
     """
-    if conn is not None and conn.r is not None and conn.r != config.r:
-        raise ValidationError(
-            f"fiber rank mismatch: config r={config.r}, connection r={conn.r}"
-        )
-    if conn is not None and conn.n is not None and conn.n != config.n:
-        raise ValidationError(
-            f"torus dimension mismatch: config n={config.n}, connection n={conn.n}"
-        )
+    conn = FourierConnection.zero(config.r, config.n) if conn is None else conn
+    if (conn.n, conn.r) != (config.n, config.r):
+        raise ValidationError(f"connection (n, r) = {(conn.n, conn.r)} does not match the "
+                              f"config's {(config.n, config.r)}")
     modes = np.asarray(config.modes)
     nmodes = len(modes)
     height, width = (h * config.fdim for h in blocks[0].shape)  # of one mode block
     couplings = {q: sum(np.kron(P, _fiber_action(config, M)) for P, M in zip(blocks, mats))
-                 for q, mats in (conn.coeffs.items() if conn is not None else ())}
+                 for q, mats in conn.coeffs.items()}
     placed = []  # (target modes, source modes, entry rows, entry cols, values)
     dropped = 0
     for q, coupling in couplings.items():

@@ -541,8 +541,8 @@ class TestHolonomyCmd:
         minus[0, 1] *= 1 + 4e-13
         z = np.zeros((2, 2))
         text = textio.dump_fourier_connection(tm.FourierConnection(
-            {(1, 0, 0): (M, z, z), (-1, 0, 0): (minus, z, z)}, check_reality=False))
-        assert textio.load_fourier_connection(text).unitary
+            {(1, 0, 0): (M, z, z), (-1, 0, 0): (minus, z, z)}))
+        textio.load_fourier_connection(text)
         f = tmp_path / "large.fourconn"
         f.write_text(text)
         return f
@@ -606,6 +606,30 @@ class TestHarmdecomp:
         h1 = textio.load_hpoly((tmp_path / "part_k1.hpoly").read_text())
         assert abs(h1.coeffs[(0, 0, 0)] - 1 / 3) < 1e-15
 
+    @pytest.mark.parametrize("m", [12, 20, 66, 171])
+    def test_degree_ceiling(self, tmp_path, capsys, m):
+        # the float peeling loses harmonicity about a decade per degree: on
+        # x_0^m the worst ||Laplace h||_B / ||h||_B is 4e-12 at degree 12, but
+        # degree 20 used to write parts at 3e-4 with exit 0, degree 66 parts
+        # holding inf and nan, and degree 171 an OverflowError traceback
+        (tmp_path / "p.hpoly").write_text(f"HPOLY 3 {m} 1\n1.0 0.0 {m} 0 0\n")
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(f"[harmdecomp]\ninput = {tmp_path / 'p.hpoly'}\n")
+        out = tmp_path / "out"
+        rc = run(["harmdecomp", "--config", str(cfg), "--out", str(out)])
+        if m == 12:
+            assert rc == 0
+            rows = read_data_lines(out / "harmdecomp.csv")[1:]
+            assert len(rows) == 7
+            assert all(float(resid) < cli.HARMONIC_CUT * float(norm)
+                       for norm, resid in (row.strip().split(",")[2:] for row in rows))
+            return
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "tag=non-convergence" in err
+        assert f"degree {m} are not harmonic" in err and "not below the cut 1e-09" in err
+        assert not out.exists()
+
 
 class TestSelftest:
     def test_runs_green(self, capsys):
@@ -662,6 +686,18 @@ class TestConfigTable:
             run(["selftest", flag, str(tmp_path / "x")])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(cli.SUBCOMMANDS))
+    def test_negative_seed_is_a_usage_error(self, capsys, name):
+        # the subcommands that draw random numbers ended in numpy's
+        # "expected non-negative integer" traceback; the others wrote
+        # seed = -1 into their manifest
+        with pytest.raises(SystemExit) as exc:
+            run([name, "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ckt-lab") and "argument --seed" in err
+        assert "Traceback" not in err
 
     def test_table_applies_without_a_config(self, capsys):
         # required keys are enforced when no --config is given at all
@@ -855,7 +891,7 @@ def accepted_holonomy_runs(draw):
     M = max(coeffs[q], key=lambda M: np.abs(M).max())
     M[np.unravel_index(np.abs(M).argmax(), M.shape)] *= 1 + draw(st.floats(-1e-13, 1e-13))
     payload = textio.dump_fourier_connection(tm.FourierConnection(
-        {q: tuple(mats) for q, mats in coeffs.items()}, check_reality=False))
+        {q: tuple(mats) for q, mats in coeffs.items()}))
     section = {"num_geodesics": draw(st.integers(1, 3)),
                "length": 10.0 ** draw(st.floats(-3, 3)),
                "steps": draw(st.sampled_from([16, 64]))}
@@ -875,7 +911,7 @@ def test_holonomy_runs_every_accepted_payload(drawn):
     # a payload the loader accepts is never refused (exit 2) by transport,
     # and an overflowing transport fails with one line, not numpy warnings
     payload, section = drawn
-    assert textio.load_fourier_connection(payload).unitary
+    textio.load_fourier_connection(payload)
     with tempfile.TemporaryDirectory() as workdir:
         conn = os.path.join(workdir, "conn.fourconn")
         with open(conn, "w", encoding="utf-8") as fh:

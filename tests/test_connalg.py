@@ -66,7 +66,7 @@ def _returned_form(solve, split, u):
 
     def call(extra):
         G, w = solve(u)[:2]
-        assert set(G.coeffs) == {(0, 0, 0)} and G.unitary
+        assert set(G.coeffs) == {(0, 0, 0)}
         return split(G.plus(extra), w)
 
     return call
@@ -96,12 +96,15 @@ class TestConstantForms:
         with pytest.raises(ValidationError, match="constant"):
             ENTRY_POINTS[name](CURVED)
 
-    @pytest.mark.parametrize("conn", [FourierConnection.zero(r=2), FourierConnection.zero(n=3)],
+    @pytest.mark.parametrize("build", [lambda: FourierConnection({}, r=2),
+                                       lambda: FourierConnection({}, n=3)],
                              ids=["no-n", "no-r"])
     @pytest.mark.parametrize("name", sorted(TAKES_A_FORM))
-    def test_undetermined_form_rejected(self, name, conn):
-        with pytest.raises(ValidationError, match="determine"):
-            TAKES_A_FORM[name](conn)
+    def test_undetermined_form_rejected(self, name, build):
+        # each entry point used to refuse such a form itself; now none can
+        # receive one, as the constructor refuses it
+        with pytest.raises(ValidationError, match="needs its .* as an int >= 1, got None"):
+            TAKES_A_FORM[name](build())
 
     def test_zero_form_has_full_nullity(self):
         rep = ca.gamma_minus_matrix(FourierConnection.zero(r=2, n=3), 3, 2)
@@ -187,11 +190,12 @@ class TestHarmonicMultBlocks:
         # columns; there the reconstruction alone checks them
         by_inner = (n, m) != (4, 4)
         for j in range(n):
-            G = FourierConnection({(0,) * n: tuple(np.eye(1) * (i == j) for i in range(n))},
-                                  check_reality=False)
+            # the form i e_j, whose split is i times that of v_j u, exactly
+            G = FourierConnection.constant(n, [1j * np.eye(1) * (i == j) for i in range(n)])
             assert minus[j].shape == (len(bl) if m else 0, len(bm))
             for a, u in enumerate(bm.members):
-                hi, lo = (t.columns[0] for t in ca.gamma_split(G, TwistedHarmonic(n, m, (u,))))
+                hi, lo = (t.columns[0] * -1j
+                          for t in ca.gamma_split(G, TwistedHarmonic(n, m, (u,))))
                 assert (bp.combine(plus[j][:, a]) - hi).max_abs_coeff() <= 1e-12
                 if by_inner:
                     want = [ph.sphere_inner(hi, b) for b in bp.members]
@@ -206,14 +210,12 @@ class TestHarmonicMultBlocks:
 
 class TestGammaMinusMatrix:
     def test_n3_m2_rank(self):
-        G = FourierConnection({(0, 0, 0): (np.eye(1), np.zeros((1, 1)), np.zeros((1, 1)))},
-                              check_reality=False)
+        G = FourierConnection.constant(3, [1j * np.eye(1), np.zeros((1, 1)), np.zeros((1, 1))])
         rep = ca.gamma_minus_matrix(G, 3, 2)
         assert rep.rank == 3 and rep.nullity == 2
 
     def test_n3_m1(self):
-        G = FourierConnection({(0, 0, 0): (np.eye(1), np.zeros((1, 1)), np.zeros((1, 1)))},
-                              check_reality=False)
+        G = FourierConnection.constant(3, [1j * np.eye(1), np.zeros((1, 1)), np.zeros((1, 1))])
         rep = ca.gamma_minus_matrix(G, 3, 1)
         assert rep.rank == 1 and rep.nullity == 2
 

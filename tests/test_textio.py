@@ -60,11 +60,17 @@ class TestMalformedPayloads:
         with pytest.raises(ValidationError, match=r"duplicate row for mode \(1, 0\) and direction 0"):
             textio.load_fourier_connection("FOURCONN 2 1 3\n" + rows)
 
-    def test_fourconn_zero_rank_only_when_empty(self):
-        empty = textio.load_fourier_connection("FOURCONN 0 0 0\n")
-        assert empty.r is None and empty.n is None and not empty.coeffs
-        with pytest.raises(ValidationError):
-            textio.load_fourier_connection("FOURCONN 3 0 2\n0 1 0 0\n0 -1 0 0\n")
+    def test_fourconn_needs_dimension_and_rank(self):
+        # 0 used to stand for an unknown n or r of an empty connection, which
+        # transport and the other consumers then had to refuse on their own
+        for text in ["FOURCONN 0 0 0\n", "FOURCONN 3 0 0\n", "FOURCONN 0 1 0\n",
+                     "FOURCONN 3 0 2\n0 1 0 0\n0 -1 0 0\n"]:
+            with pytest.raises(ValidationError, match="as an int >= 1, got 0") as info:
+                textio.load_fourier_connection(text)
+            assert "\n" not in str(info.value)
+        empty = textio.load_fourier_connection("FOURCONN 3 1 0\n")
+        assert (empty.n, empty.r, empty.coeffs) == (3, 1, {})
+        assert textio.dump_fourier_connection(empty) == "FOURCONN 3 1 0\n"
 
     @pytest.mark.parametrize("text", [
         "HPOLY 2 1 1\nnan 0.0 1 0\n",
@@ -101,6 +107,65 @@ def test_loaders_return_or_reject(text, tag):
         LOADERS[tag](text)
     except ValidationError:
         pass
+
+
+@st.composite
+def fourconn_payloads(draw):
+    """(FOURCONN text, header n, header r): 0 to 2 rows of an (n, r)
+    connection, n and r in 1..3, under a header that states (n, r) or
+    any n and r in 0..3.  The rows are an opposite-mode pair, half of one,
+    one skew-Hermitian matrix, raw entries or none; the largest entry of
+    the last row may miss its reality by a relative 1e-14 (accepted) or
+    1e-10 (refused)."""
+    n, r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        head_n, head_r = n, r
+    else:
+        head_n, head_r = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = 10.0 ** draw(st.integers(-3, 6)) * (rng.standard_normal((r, r))
+                                            + 1j * rng.standard_normal((r, r)))
+    q = tuple(int(c) for c in rng.integers(-1, 2, n))
+    body = draw(st.sampled_from([
+        [(q, M), (tuple(-c for c in q), -M.conj().T)],  # an opposite-mode pair
+        [(q, (M - M.conj().T) / 2)],  # a skew-Hermitian row
+        [(q, M)],  # half a pair
+        [(q, M), (q, rng.standard_normal((r, r)) + 0j)],  # raw rows
+        [],
+    ]))
+    body = [(mode, A.copy()) for mode, A in body]
+    if body:
+        A = body[-1][1]
+        A[np.unravel_index(np.abs(A).argmax(), A.shape)] *= 1 + draw(
+            st.sampled_from([0.0, 1e-14, 1e-10]))
+    j = int(rng.integers(0, n))
+    lines = [" ".join([*map(str, mode), str(j)] + [repr(float(x)) for x in A.view(float).ravel()])
+             for mode, A in body]
+    return "\n".join([f"FOURCONN {head_n} {head_r} {len(lines)}", *lines]) + "\n", head_n, head_r
+
+
+@settings(max_examples=300, deadline=1000)
+@given(fourconn_payloads(), st.integers(0, 2**32 - 1))
+def test_fourconn_loads_a_unitary_connection_or_refuses(drawn, seed):
+    # every payload either loads into a connection of the header's n, r >= 1
+    # whose value is skew-Hermitian, or is refused with one line
+    text, head_n, head_r = drawn
+    try:
+        conn = textio.load_fourier_connection(text)
+    except ValidationError as exc:
+        assert "\n" not in str(exc)
+        return
+    assert (conn.n, conn.r) == (head_n, head_r) and min(head_n, head_r) >= 1
+    rng = np.random.default_rng(seed)
+    x, v = rng.uniform(0, 2 * np.pi, (4, conn.n)), rng.standard_normal((4, conn.n))
+    G = conn.value_at(x, v)
+    assert G.shape == (4, conn.r, conn.r)
+    # the reality check bounds the share of mode q and direction j in G + G^H
+    # by 1e-12 |v_j| max(1, max|Gamma_qj|)
+    weights = np.array([[max(1.0, np.abs(A).max()) for A in mats]
+                        for mats in conn.coeffs.values()]).reshape(-1, conn.n)
+    scale = max(1.0, float((np.abs(v) @ weights.sum(axis=0)).max()))
+    assert np.abs(G + G.conj().swapaxes(1, 2)).max() <= 1e-12 * scale
 
 
 class TestParseConfig:

@@ -46,8 +46,9 @@ class TestFourierConnection:
     def test_reality_value_check(self):
         bad = {(1, 0): (np.eye(2), np.zeros((2, 2))),
                (-1, 0): (np.eye(2), np.zeros((2, 2)))}
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="reality violated at mode") as info:
             FourierConnection(bad)
+        assert "\n" not in str(info.value)
 
     def test_mode_needs_n_square_matrices(self):
         M = 0.5j * np.eye(1)
@@ -57,7 +58,54 @@ class TestFourierConnection:
         with pytest.raises(ValidationError):
             tm.assemble(TorusConfig(3, 1, 0, 1), FourierConnection(short))
         with pytest.raises(ValidationError):
-            FourierConnection({(0, 0): (np.ones((1, 2)),) * 2}, check_reality=False)
+            FourierConnection({(0, 0): (np.ones((1, 2)),) * 2})
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"r": 2}, "needs its torus dimension as an int >= 1, got None"),
+        ({"n": 3}, "needs its fiber rank as an int >= 1, got None"),
+        ({"r": 0, "n": 3}, "needs its fiber rank as an int >= 1, got 0"),
+        ({"r": -1, "n": 3}, "needs its fiber rank as an int >= 1, got -1"),
+        ({"r": 2, "n": 0}, "needs its torus dimension as an int >= 1, got 0"),
+        ({"r": 2.0, "n": 3}, "needs its fiber rank as an int >= 1, got 2.0"),
+    ], ids=["no-n", "no-r", "r-zero", "r-negative", "n-zero", "r-float"])
+    def test_empty_connection_needs_its_dimensions(self, kwargs, match):
+        # zero(r=0, n=3) used to be built, and transport on it raised numpy's
+        # "zero-size array"; zero(r=-1, n=3) raised numpy's "negative dimensions"
+        with pytest.raises(ValidationError, match=match) as info:
+            FourierConnection({}, **kwargs)
+        assert "\n" not in str(info.value)
+        if len(kwargs) == 2:
+            with pytest.raises(ValidationError, match=match):
+                FourierConnection.zero(**kwargs)
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"r": 3}, "given fiber rank 3 disagrees with the coefficients' 2"),
+        ({"n": 5}, "given torus dimension 5 disagrees with the coefficients' 3"),
+        ({"r": 3, "n": 5}, "disagrees"),
+    ], ids=["r", "n", "both"])
+    def test_given_dimension_must_agree(self, kwargs, match):
+        # a disagreeing r or n used to be ignored silently
+        M = 0.5j * np.eye(2)
+        with pytest.raises(ValidationError, match=match) as info:
+            FourierConnection({(0, 0, 0): (M, M, M)}, **kwargs)
+        assert "\n" not in str(info.value)
+        conn = FourierConnection({(0, 0, 0): (M, M, M)}, r=2, n=3)
+        assert (conn.n, conn.r) == (3, 2)
+
+    def test_cosine_mode_needs_skew_hermitian(self):
+        # at q != 0 a non-skew M used to give a different, unitary field
+        # instead of M cos(q.x)
+        for q in [(0, 0, 0), (0, 1, 0)]:
+            with pytest.raises(ValidationError, match="reality violated"):
+                FourierConnection.cosine_mode(3, q, 0, np.eye(2))
+
+    def test_plus_needs_matching_dimensions(self):
+        # the sum takes self's (n, r), which the coefficients must agree with
+        with pytest.raises(ValidationError, match="given fiber rank 1 disagrees"):
+            FourierConnection.zero(1, 3).plus(FourierConnection.cosine_mode(3, (0, 1, 0), 0,
+                                                                            1j * np.eye(2)))
+        with pytest.raises(ValidationError, match="given fiber rank 1 disagrees"):
+            EJECT_A.plus(FourierConnection.cosine_mode(3, (0, 1, 0), 0, 1j * np.eye(2)))
 
     def test_cosine_mode_pointwise_skew(self, rng):
         conn = FourierConnection.cosine_mode(3, (1, 2, 0), 1, random_skew_hermitian(rng, 2))
@@ -96,27 +144,24 @@ def _value_loop(conn, x, v):
 @st.composite
 def connections_and_points(draw):
     """A connection on the 2- or 3-torus with modes in the box |q|_inf <= 2
-    (edges and negative modes included), with or without the reality
-    check, and (N, n) base points and directions."""
+    (edges and negative modes included), and (N, n) base points and
+    directions."""
     n = draw(st.sampled_from([2, 3]))
     r = draw(st.integers(1, 3))
     box = list(product(range(-2, 3), repeat=n))
     support = draw(st.lists(st.sampled_from(box), min_size=1, max_size=4, unique=True))
-    unitary = draw(st.booleans())
     npts = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     coeffs = {}
     for q in support:
         mats = [rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)) for _ in range(n)]
         mq = tuple(-c for c in q)
-        if not unitary:
-            coeffs[q] = tuple(mats)
-        elif q == mq:
+        if q == mq:
             coeffs[q] = tuple((M - M.conj().T) / 2 for M in mats)
         else:
             coeffs[q] = tuple(mats)
             coeffs[mq] = tuple(-M.conj().T for M in mats)
-    conn = FourierConnection(coeffs, check_reality=unitary)
+    conn = FourierConnection(coeffs)
     xs = rng.uniform(0, 2 * np.pi, (npts, n))
     vs = rng.standard_normal((npts, n))
     return conn, xs, vs
@@ -134,9 +179,8 @@ class TestBatchedValueAt:
                                  for mats in conn.coeffs.values()))
             assert np.abs(got - _value_loop(conn, x, v)).max() <= 1e-13 * scale
             assert np.abs(conn.value_at(x, v) - got).max() <= 1e-13 * scale
-        if conn.unitary:
-            scale = max(1.0, np.abs(batched).max())
-            assert np.abs(batched + batched.conj().swapaxes(1, 2)).max() <= 1e-12 * scale
+        scale = max(1.0, np.abs(batched).max())
+        assert np.abs(batched + batched.conj().swapaxes(1, 2)).max() <= 1e-12 * scale
 
 
 class TestAssemble:
@@ -366,14 +410,14 @@ class TestIndexAssembly:
 
 class TestSecondVariation:
     def test_zero_perturbation(self):
-        asm = tm.assemble(EJECT_CFG, FourierConnection.zero(r=1))
-        per, tot = tm.second_variation_predict(asm, FourierConnection.zero(r=1).plus(
+        asm = tm.assemble(EJECT_CFG, FourierConnection.zero(r=1, n=3))
+        per, tot = tm.second_variation_predict(asm, FourierConnection.zero(r=1, n=3).plus(
             EJECT_A.scaled(0.0)))
         assert tot == 0.0
 
     def test_positive_case_value(self):
         # A_+ u lies entirely in ker X_- so the projection is the whole norm
-        asm = tm.assemble(EJECT_CFG, FourierConnection.zero(r=1))
+        asm = tm.assemble(EJECT_CFG, FourierConnection.zero(r=1, n=3))
         ker = tm.ckt_kernel(asm)
         per, tot = tm.second_variation_predict(asm, EJECT_A)
         P = tm.connection_plus_matrix(EJECT_CFG, EJECT_A)
@@ -383,7 +427,7 @@ class TestSecondVariation:
 
     def test_range_direction_gives_zero(self):
         # direction parallel to q puts A_+ u inside ran X_+
-        asm = tm.assemble(EJECT_CFG, FourierConnection.zero(r=1))
+        asm = tm.assemble(EJECT_CFG, FourierConnection.zero(r=1, n=3))
         Apar = FourierConnection.cosine_mode(3, (0, 1, 0), 1, 0.5j * np.eye(1))
         per, tot = tm.second_variation_predict(asm, Apar)
         assert tot < 1e-20
@@ -434,17 +478,17 @@ class TestLambdaScan:
             return build(*args)
 
         monkeypatch.setattr(tm, "connection_plus_matrix", counted)
-        tm.lambda_scan(EJECT_CFG, FourierConnection.zero(r=1), EJECT_A,
+        tm.lambda_scan(EJECT_CFG, FourierConnection.zero(r=1, n=3), EJECT_A,
                        np.linspace(-0.1, 0.1, 5))
         assert len(calls) == 1
 
     def test_zero_perturbation_flat(self):
-        res = tm.lambda_scan(EJECT_CFG, FourierConnection.zero(r=1),
+        res = tm.lambda_scan(EJECT_CFG, FourierConnection.zero(r=1, n=3),
                              EJECT_A.scaled(0.0), np.linspace(-0.1, 0.1, 5))
         assert np.abs(res.lambdas).max() < 1e-13
 
     def test_documented_positive_case(self):
-        res = tm.lambda_scan(EJECT_CFG, FourierConnection.zero(r=1), EJECT_A,
+        res = tm.lambda_scan(EJECT_CFG, FourierConnection.zero(r=1, n=3), EJECT_A,
                              np.linspace(-0.1, 0.1, 9))
         assert res.lambdas[4] == 0.0
         assert abs(res.lambda_dot_fit) <= 1e-8
@@ -474,7 +518,7 @@ class TestLambdaScan:
         cfg = TorusConfig(3, 1, 0, 2, "endomorphism")
         A = FourierConnection.cosine_mode(3, (0, 1, 0), 0,
                                           np.array([[0.4j, 0.1], [-0.1, -0.4j]]))
-        res = tm.lambda_scan(cfg, FourierConnection.zero(r=2), A,
+        res = tm.lambda_scan(cfg, FourierConnection.zero(r=2, n=3), A,
                              np.linspace(-0.08, 0.08, 5))
         # the identity direction commutes with everything: one eigenvalue
         # stays pinned at zero for every s
@@ -491,7 +535,7 @@ class TestLambdaScan:
                 return _f(*args)
 
             monkeypatch.setattr(tm, name, counted)
-        tm.lambda_scan(EJECT_CFG, FourierConnection.zero(r=1), EJECT_A,
+        tm.lambda_scan(EJECT_CFG, FourierConnection.zero(r=1, n=3), EJECT_A,
                        np.linspace(-0.1, 0.1, 5))
         assert calls == {"block_nullspace": 1, "ckt_kernel": 0}
 
@@ -505,18 +549,18 @@ class TestLambdaScan:
 
         monkeypatch.setattr(tm, "assemble", counted)
         with pytest.raises(ValidationError, match="distinct"):
-            tm.lambda_scan(EJECT_CFG, FourierConnection.zero(r=1), EJECT_A, [0.0, 0.0, 0.0])
+            tm.lambda_scan(EJECT_CFG, FourierConnection.zero(r=1, n=3), EJECT_A, [0.0, 0.0, 0.0])
         assert calls == []
 
     @pytest.mark.parametrize("points", [0, 1, 2])
     def test_grid_too_short(self, points):
         with pytest.raises(ValidationError):
-            tm.lambda_scan(EJECT_CFG, FourierConnection.zero(r=1), EJECT_A,
+            tm.lambda_scan(EJECT_CFG, FourierConnection.zero(r=1, n=3), EJECT_A,
                            np.linspace(-0.1, 0.1, points))
 
     def test_window_validation(self):
         with pytest.raises(ValidationError):
-            tm.lambda_scan(EJECT_CFG, FourierConnection.zero(r=1), EJECT_A,
+            tm.lambda_scan(EJECT_CFG, FourierConnection.zero(r=1, n=3), EJECT_A,
                            [0.0], window_radius=100.0)
 
 

@@ -413,11 +413,23 @@ class TestUnknownFiberRank:
         with pytest.raises(ValidationError, match="fiber rank"):
             _rankless(kind).value_at(np.zeros(3), unit([1, 0, 0]))
 
+    @pytest.mark.parametrize("direct", [True, False])
     @pytest.mark.parametrize("kind", ["zero", "payload"])
-    def test_transport(self, kind):
+    def test_transport(self, kind, direct):
+        # built rankless, or rebuilt from the coefficients of an empty
+        # connection of rank 2 with only n given: its coefficients do not
+        # carry the rank, so the rebuild is rankless too and is refused
+        def conn():
+            if direct:
+                return _rankless(kind)
+            ranked = (FourierConnection.zero(r=2, n=3) if kind == "zero"
+                      else load_fourier_connection("FOURCONN 3 2 0\n"))
+            assert ranked.r == 2
+            return FourierConnection(ranked.coeffs, n=3)
+
         seg = GeodesicSegment(np.zeros(3), unit([1, 0.3, -0.2]), 5.0)
         with pytest.raises(ValidationError, match="fiber rank"):
-            ho.transport(_rankless(kind), seg, 64)
+            ho.transport(conn(), seg, 64)
 
     @pytest.mark.parametrize("kind", ["zero", "payload"])
     def test_invariance_defect(self, kind):

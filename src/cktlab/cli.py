@@ -98,9 +98,10 @@ def cmd_dims(args, resolved):
     return Output("dims.csv" if args.out else None, rows, message="\n".join(table))
 
 
-# the largest ||Laplace h||_B / ||h||_B accepted of a harmonic part; the float
-# peeling loses a decade of it per degree: 6e-12 at degree 12, 2e-8 at 16
-HARMONIC_CUT = 1e-9
+# the largest ||Laplace h||_B / ||P||_B accepted over the parts h of P (a part
+# that is only rounding noise is not harmonic relative to itself); the float
+# peeling loses a decade of it per degree: 4e-11 at degree 15, 2e-6 at 20
+HARMONIC_CUT = 1e-10
 
 
 def cmd_harmdecomp(args, resolved):
@@ -108,18 +109,18 @@ def cmd_harmdecomp(args, resolved):
     rows = ["k,harmonic_degree,bombieri_norm,laplace_residual"]
     worst = 0.0
     try:
-        parts = ph.harmonic_decompose(P)
+        scale, parts = ph.bombieri_norm(P), ph.harmonic_decompose(P)
         for k, h in parts:
             norm, resid = ph.bombieri_norm(h), ph.bombieri_norm(ph.laplace(h))
             rows.append(f"{k},{h.m},{norm!r},{resid!r}")
-            worst = max(worst, resid / norm if 0 < norm < math.inf and resid < math.inf
-                               else math.inf)
-    except OverflowError:  # the peeling's integer factors outgrow a float from degree ~170
+            ratio = resid / scale if 0 < scale < math.inf else math.inf
+            worst = max(worst, ratio if norm < math.inf and ratio < math.inf else math.inf)
+    except OverflowError:  # the integer factors outgrow a float from degree ~170
         worst = math.inf
     if not worst < HARMONIC_CUT:
         raise ConvergenceError(
             f"harmonic parts of degree {P.m} are not harmonic: the worst "
-            f"||Laplace h||_B / ||h||_B is {worst:.2e}, not below the cut {HARMONIC_CUT:g}")
+            f"||Laplace h||_B / ||P||_B is {worst:.2e}, not below the cut {HARMONIC_CUT:g}")
     return Output("harmdecomp.csv", rows,
                   files=tuple((f"part_k{k}.hpoly", textio.dump_hpoly(h)) for k, h in parts),
                   message=f"decomposed into {len(parts)} harmonic parts -> {args.out or '.'}")

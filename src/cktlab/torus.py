@@ -106,13 +106,11 @@ class FourierConnection:
 
     coeffs maps a mode q to the tuple of n matrices (value on each
     coordinate direction).  The torus dimension n and the fiber rank r are
-    read off the coefficients; an empty connection takes them from its
-    arguments, and a given n or r must agree with the coefficients.  Both
-    are ints >= 1.  Pointwise skew-Hermitian reality demands
-    hat(Gamma)_q^dagger = -hat(Gamma)_{-q}, which is checked on
-    construction at 1e-12 max(1, max|hat(Gamma)_q|).  The constructor is
-    the one check: every instance is a unitary connection of known (n, r),
-    and nothing downstream tests either again.
+    read off the coefficients, or given for an empty connection; a given
+    value must agree with them, and both are ints >= 1.  Pointwise
+    skew-Hermitian reality demands hat(Gamma)_q^dagger = -hat(Gamma)_{-q},
+    checked on construction at 1e-12 max(1, max|hat(Gamma)_q|).  This is
+    the one check of a connection; nothing downstream repeats it.
     """
 
     # every instance passed the reality check; the constant stays because
@@ -165,7 +163,7 @@ class FourierConnection:
         # M cos(q.x) = M/2 e^{i q.x} + M/2 e^{-i q.x}; at q = 0 the one
         # coefficient carries the full matrix
         mats_q[j] = M / 2 if any(q) else M
-        return cls({q: tuple(mats_q), tuple(-c for c in q): tuple(mats_q)})
+        return cls({q: tuple(mats_q), tuple(-c for c in q): tuple(M.copy() for M in mats_q)})
 
     @classmethod
     def constant(cls, n, mats):

@@ -609,9 +609,9 @@ class TestHarmdecomp:
     @pytest.mark.parametrize("m", [12, 20, 66, 171])
     def test_degree_ceiling(self, tmp_path, capsys, m):
         # the float peeling loses harmonicity about a decade per degree: on
-        # x_0^m the worst ||Laplace h||_B / ||h||_B is 4e-12 at degree 12, but
-        # degree 20 used to write parts at 3e-4 with exit 0, degree 66 parts
-        # holding inf and nan, and degree 171 an OverflowError traceback
+        # x_0^m the worst ||Laplace h||_B / ||P||_B is 1.4e-13 at degree 12,
+        # but degree 20 used to write parts at 8e-7 with exit 0, degree 66
+        # parts holding inf and nan, and degree 171 an OverflowError traceback
         (tmp_path / "p.hpoly").write_text(f"HPOLY 3 {m} 1\n1.0 0.0 {m} 0 0\n")
         cfg = tmp_path / "h.cfg"
         cfg.write_text(f"[harmdecomp]\ninput = {tmp_path / 'p.hpoly'}\n")
@@ -621,14 +621,29 @@ class TestHarmdecomp:
             assert rc == 0
             rows = read_data_lines(out / "harmdecomp.csv")[1:]
             assert len(rows) == 7
-            assert all(float(resid) < cli.HARMONIC_CUT * float(norm)
-                       for norm, resid in (row.strip().split(",")[2:] for row in rows))
+            scale = math.sqrt(math.factorial(m))  # ||x_0^m||_B
+            assert all(float(row.split(",")[3]) < cli.HARMONIC_CUT * scale for row in rows)
             return
         assert rc == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "tag=non-convergence" in err
-        assert f"degree {m} are not harmonic" in err and "not below the cut 1e-09" in err
+        assert f"degree {m} are not harmonic" in err and "not below the cut 1e-10" in err
         assert not out.exists()
+
+    def test_rounding_noise_parts_pass(self, tmp_path):
+        # a harmonic quartic with decimal coefficients: its float Laplacian
+        # leaves 2e-16 (x0^2 + x1^2), so the peeling keeps radial parts k = 1
+        # and k = 2 that are pure rounding noise, not harmonic relative to
+        # their own norm but within the cut relative to the input's
+        (tmp_path / "p.hpoly").write_text(
+            "HPOLY 3 4 3\n0.1 0.0 4 0 0\n-0.6 0.0 2 2 0\n0.1 0.0 0 4 0\n")
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(f"[harmdecomp]\ninput = {tmp_path / 'p.hpoly'}\n")
+        assert run(["harmdecomp", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = [row.strip().split(",") for row in read_data_lines(tmp_path / "harmdecomp.csv")[1:]]
+        assert [row[0] for row in rows] == ["0", "1", "2"]
+        assert all(float(row[2]) < 1e-16 for row in rows[1:])
+        assert float(rows[1][3]) > float(rows[1][2])  # ||Laplace h_1||_B > ||h_1||_B
 
 
 class TestSelftest:

@@ -395,46 +395,45 @@ class TestInvarianceDefect:
             ho.invariance_defect(DIAG_CONN, np.diag([1.0, 0.0]), samples=samples)
 
 
-def _rankless(kind):
-    """An empty connection on the 3-torus that leaves its fiber rank unknown."""
+def _empty(kind):
+    """An empty rank-2 connection on the 3-torus: its coefficients do not
+    show the fiber rank, which comes from zero's arguments or the header."""
     if kind == "zero":
-        return FourierConnection({}, n=3)
-    return load_fourier_connection("FOURCONN 3 0 0\n")
+        return FourierConnection.zero(r=2, n=3)
+    return load_fourier_connection("FOURCONN 3 2 0\n")
 
 
 class TestUnknownFiberRank:
-    """Such a connection has no value to transport or test against.  The
-    functions used to fail on it with a raw TypeError from np.zeros or
-    np.eye, and later refused it each on its own; now it cannot be built,
-    so none of them receives it."""
+    """The functions below used to fail on an empty connection with a raw
+    TypeError from np.zeros or np.eye, its rank being unknown.  Built
+    without its rank it is now refused by the constructor
+    (TestFourierConnection::test_empty_connection_needs_its_dimensions), so
+    each function receives the rank and answers at it."""
 
     @pytest.mark.parametrize("kind", ["zero", "payload"])
     def test_value_at(self, kind):
-        with pytest.raises(ValidationError, match="fiber rank"):
-            _rankless(kind).value_at(np.zeros(3), unit([1, 0, 0]))
+        x = np.linspace(0, 6, 15).reshape(5, 3)
+        G = _empty(kind).value_at(x, unit([1, 0, 0]))
+        assert G.shape == (5, 2, 2) and not G.any()
 
-    @pytest.mark.parametrize("direct", [True, False])
+    @pytest.mark.parametrize("empty_first", [True, False])
     @pytest.mark.parametrize("kind", ["zero", "payload"])
-    def test_transport(self, kind, direct):
-        # built rankless, or rebuilt from the coefficients of an empty
-        # connection of rank 2 with only n given: its coefficients do not
-        # carry the rank, so the rebuild is rankless too and is refused
-        def conn():
-            if direct:
-                return _rankless(kind)
-            ranked = (FourierConnection.zero(r=2, n=3) if kind == "zero"
-                      else load_fourier_connection("FOURCONN 3 2 0\n"))
-            assert ranked.r == 2
-            return FourierConnection(ranked.coeffs, n=3)
-
+    def test_transport(self, kind, empty_first):
+        # the empty connection transports by the identity, and adding it on
+        # either side of DIAG_CONN leaves DIAG_CONN's transport as it is
+        empty = _empty(kind)
         seg = GeodesicSegment(np.zeros(3), unit([1, 0.3, -0.2]), 5.0)
-        with pytest.raises(ValidationError, match="fiber rank"):
-            ho.transport(conn(), seg, 64)
+        assert np.array_equal(ho.transport(empty, seg, 64).C, np.eye(2))
+        total = empty.plus(DIAG_CONN) if empty_first else DIAG_CONN.plus(empty)
+        assert np.array_equal(ho.transport(total, seg, 64).C,
+                              ho.transport(DIAG_CONN, seg, 64).C)
 
     @pytest.mark.parametrize("kind", ["zero", "payload"])
     def test_invariance_defect(self, kind):
-        with pytest.raises(ValidationError, match="fiber rank"):
-            ho.invariance_defect(_rankless(kind), np.eye(1))
+        # with no connection the defect is the flow derivative alone; that of
+        # GAUGED at (x, v) has entries of modulus |v_0| / 2
+        d = ho.invariance_defect(_empty(kind), TestInvarianceDefect.GAUGED)
+        assert 0.25 < d <= 0.5 + 1e-15
 
 
 class TestSingleBatchedEvaluation:

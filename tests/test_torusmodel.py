@@ -99,6 +99,12 @@ class TestFourierConnection:
             with pytest.raises(ValidationError, match="reality violated"):
                 FourierConnection.cosine_mode(3, q, 0, np.eye(2))
 
+    def test_cosine_mode_opposite_modes_do_not_share_arrays(self):
+        # an in-place edit of one mode must not edit its opposite too
+        conn = FourierConnection.cosine_mode(3, (0, 1, 0), 1, 1j * np.eye(2))
+        conn.coeffs[(0, 1, 0)][1][0, 0] = 5.0
+        assert conn.coeffs[(0, -1, 0)][1][0, 0] == 0.5j
+
     def test_plus_needs_matching_dimensions(self):
         # the sum takes self's (n, r), which the coefficients must agree with
         with pytest.raises(ValidationError, match="given fiber rank 1 disagrees"):

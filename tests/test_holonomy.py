@@ -406,8 +406,8 @@ def _empty(kind):
 class TestUnknownFiberRank:
     """The functions below used to fail on an empty connection with a raw
     TypeError from np.zeros or np.eye, its rank being unknown.  Built
-    without its rank it is now refused by the constructor
-    (TestFourierConnection::test_empty_connection_needs_its_dimensions), so
+    without its rank it is now refused by the constructor (test_torusmodel's
+    TestFourierConnection::test_empty_connection_needs_its_dimensions), so
     each function receives the rank and answers at it."""
 
     @pytest.mark.parametrize("kind", ["zero", "payload"])

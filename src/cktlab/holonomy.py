@@ -24,7 +24,10 @@ derivative at all sampled points at once: every field is a Fourier sum
 (`torus.fourier_sum`).  A `FourierConnection` is unitary and of known
 (n, r) by construction, so nothing here checks either again.  Frames that
 overflow, or whose error estimate is 1 or more (a unitary frame's entries
-are at most 1, so no digit of C is right), are a ConvergenceError.
+are at most 1, so no digit of C is right), are a ConvergenceError.  The
+largest arrays, a transport's Gamma slab and the probe's commutant
+system, are bounded at _ENTRY_CEILING complex entries before anything is
+allocated: a fiber rank or fan over it is a ValidationError.
 
 The probe certifies only a finite transport set: its verdict for a
 trivial commutant is worded as 'no invariant subbundle detected at
@@ -100,6 +103,18 @@ _STEP_CHUNK = 32
 
 # sampled (x, v) points of the invariance defect of each opacity candidate
 _DEFECT_SAMPLES = 32
+
+# complex entries of the largest array a transport or an opacity probe may
+# allocate, 2^24 (256 MiB); a run over it is refused before it allocates
+_ENTRY_CEILING = 1 << 24
+
+
+def _check_entries(array, r, G, entries):
+    if entries > _ENTRY_CEILING:
+        raise ValidationError(
+            f"{array} of fiber rank r = {r} over G = {G} geodesics needs {entries} "
+            f"complex entries, over the ceiling of {_ENTRY_CEILING}"
+        )
 
 
 def _gamma_field(conn, x0, V):
@@ -204,6 +219,9 @@ def transport(conn: FourierConnection, seg: GeodesicSegment, steps: int = 128) -
     if steps < 16:
         raise ValidationError("need at least 16 steps")
     V = seg.v.reshape(-1, len(seg.x0))
+    # the largest array is a chunk's (r, r, G, 4 * chunk + 1) Gamma slab
+    _check_entries("the transport's Gamma slab", conn.r, len(V),
+                   conn.r ** 2 * len(V) * (4 * min(steps, _STEP_CHUNK) + 1))
     with np.errstate(over="ignore", invalid="ignore"):
         coarse, fine = (C.transpose(2, 0, 1) for C in
                         _transport_pair(conn, seg.x0, V, seg.length, steps))
@@ -286,6 +304,7 @@ def opacity_probe(conn: FourierConnection, num_geodesics: int = 24,
     n, r = conn.n, conn.r
     if num_geodesics < 1:
         raise ValidationError(f"need num_geodesics >= 1, got {num_geodesics}")
+    _check_entries("the commutant system", r, num_geodesics, num_geodesics * r ** 4)
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(0, 2 * math.pi, n)
     V = np.empty((num_geodesics, n))

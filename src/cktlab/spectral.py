@@ -20,12 +20,16 @@ unitary similarity, so traces of resolvents are unchanged) and take
 Tr (H + z)^{-1} = d/dz log det(H + z) from a pivoted LU of the shifted
 Hessenberg matrix that carries the z-derivative along: O(n^2) work per
 node instead of a dense O(n^3) inverse, batched over a stack of
-matrices and the nodes of a level.  The perturbation suite of one
-window (`perturbation_suite`: the finite-difference stencil of
-`lambda_derivatives` and the grid of `conjugation_check`) is one such
-stack, reduced once and walked once per level; the grid's s = 0 is the
-stencil's centre X and is reduced and walked once.  A level's new nodes
-go through the traces in chunks of at most 2^14 working entries.
+matrices and the nodes of a level, each matrix on its own circle.  The
+perturbation suites of a run of windows (`perturbation_suite`: for each,
+the finite-difference stencil of `lambda_derivatives` and the grid of
+`conjugation_check`) fill one preallocated stack of at most 2^16 complex
+entries (or one window's matrices, when they are more), reduced in place once
+and walked once per level; a window's grid point s = 0 is its stencil's
+centre X and is reduced and walked once.  A level's new nodes go through
+the traces in chunks of at most 2^14 working entries.  Each matrix's
+level sum is taken over its own nodes, so its cluster sum does not
+depend on the other matrices of its stack.
 
 The window radius must isolate the cluster at 0, and the cluster must be
 semisimple: the quadrature for the Laurent constant term reads off the
@@ -136,16 +140,17 @@ def _check_radius(radius):
         raise ValidationError(f"contour radius must be finite and > 0, got {radius}")
 
 
-def _endpoint_levels(radius, max_nodes):
-    """Yield (N, the nodes level N adds), N = 16, 32, ... up to max_nodes.
+def _endpoint_levels(max_nodes):
+    """Yield (N, the unit nodes level N adds), N = 16, 32, ... up to max_nodes.
 
     The nodes z_k = radius exp(2 pi i k / N) nest under doubling: level 16
     adds all 16, every later level only the N/2 odd k the previous lacks.
+    The yielded exp(2 pi i k / N) are scaled by each caller's radius.
     """
     N = 16
     k = np.arange(N)
     while N <= max_nodes:
-        yield N, radius * np.exp(2j * math.pi * k / N)
+        yield N, np.exp(2j * math.pi * k / N)
         N *= 2
         k = np.arange(1, N, 2)
 
@@ -158,7 +163,8 @@ def _trapezoid_levels(radius, group_sum, max_nodes=1 << 15):
     at most _NODE_GROUP nodes.
     """
     total = 0.0
-    for N, zs in _endpoint_levels(radius, max_nodes):
+    for N, unit in _endpoint_levels(max_nodes):
+        zs = radius * unit
         for i in range(0, len(zs), _NODE_GROUP):
             total = total + group_sum(zs[i:i + _NODE_GROUP])
         yield N, total / N
@@ -283,14 +289,16 @@ def pi_operator(W: SpectralWindow) -> np.ndarray:
     return W.r0_plus + W.r0_minus
 
 
-def _hessenberg(Xs):
-    """Upper Hessenberg forms Q^H X Q of a (B, n, n) stack by Householder reflections.
+def _hessenberg(H):
+    """Upper Hessenberg forms Q^H X Q of a complex (B, n, n) stack, in place.
 
     Column k's entries below the subdiagonal are reflected onto the
     subdiagonal, for every matrix of the stack at once; the similarity is
-    unitary, so traces, norms and spectra are those of X.
+    unitary, so traces, norms and spectra are those of X.  H is
+    overwritten by the forms and returned.
     """
-    H = np.array(Xs, dtype=complex)
+    if not np.isfinite(H).all():
+        raise ValidationError("matrix entries must be finite")
     n = H.shape[-1]
     for k in range(n - 2):
         x = H[:, k + 1:, k]
@@ -311,7 +319,8 @@ def _hessenberg(Xs):
 
 
 def _hessenberg_traces(H, z):
-    """Tr (H_b + z_j)^{-1} for a (B, n, n) stack of upper Hessenberg H and nodes z.
+    """Tr (H_b + z_bj)^{-1} for a (B, n, n) stack of upper Hessenberg H and
+    a (B, m) array of nodes z, one row per matrix.
 
     Gaussian elimination of H + z needs only the current row and the next
     row of H, pivoting between the two (adjacent-row partial pivoting);
@@ -327,7 +336,7 @@ def _hessenberg_traces(H, z):
     """
     B, n, _ = H.shape
     z = np.asarray(z, dtype=complex)
-    m = len(z)
+    m = z.shape[1]
     if n == 0:
         return np.zeros((B, m), dtype=complex)
     Ht = H.transpose(1, 2, 0)[..., None]  # (n, n, B, 1)
@@ -381,18 +390,16 @@ def _hessenberg_traces(H, z):
 
 
 def _reduce(Xs):
-    """_hessenberg of a stack of finite square matrices."""
-    Xs = np.asarray(Xs, dtype=complex)
-    if Xs.ndim != 3 or Xs.shape[1] != Xs.shape[2]:
+    """_hessenberg of a copy of a stack of finite square matrices."""
+    H = np.array(Xs, dtype=complex)
+    if H.ndim != 3 or H.shape[1] != H.shape[2]:
         raise ValidationError("matrix must be square")
-    if not np.isfinite(Xs).all():
-        raise ValidationError("matrix entries must be finite")
-    return _hessenberg(Xs)
+    return _hessenberg(H)
 
 
 # complex entries B * m * n of the working rows of one _hessenberg_traces call:
-# the seven 40 x 40 matrices of a kato instance take the 16 nodes of N = 16
-# and the 32 new nodes of N = 64 in one chunk each
+# a group of five kato instances, 35 matrices of size 40, takes the new
+# nodes of a level 11 at a time
 _TRACE_BUDGET = 1 << 14
 
 
@@ -402,37 +409,43 @@ def _cluster_sums(Xs, radius, max_nodes=1 << 15):
     The value is minus the sum of the eigenvalues of X_b inside the
     circle.  Returns (B,)."""
     _check_radius(radius)
-    return _hessenberg_sums(_reduce(Xs), radius, max_nodes)
+    H = _reduce(Xs)
+    return _hessenberg_sums(H, np.full(len(H), float(radius)), max_nodes)
 
 
-def _hessenberg_sums(H, radius, max_nodes=1 << 15):
-    """_cluster_sums of the matrices X_b whose Hessenberg forms are the stack H.
+def _hessenberg_sums(H, radii, max_nodes=1 << 15):
+    """_cluster_sums of the matrices X_b whose Hessenberg forms are the stack
+    H, X_b on the circle of radius radii[b].
 
     Every matrix walks the nested endpoint levels N = 16, 32, ...
     and returns its mean of z^2 Tr (X_b + z)^{-1} over the N nodes at the
     first level within 1e-12 * max(1, |value|) of the previous one; a
-    converged matrix, with its Hessenberg form, drops out of later levels.
+    converged matrix, with its Hessenberg form, drops out of later levels,
+    and the forms still walking are moved to the front of H in place.
     Each level's new nodes go through _hessenberg_traces in chunks of at
-    most _TRACE_BUDGET working entries.  Returns (B,).
+    most _TRACE_BUDGET working entries.  Every matrix's level sum is taken
+    over its own row of nodes, so its value does not depend on the other
+    matrices of the stack.  Returns (B,).
     """
     n = H.shape[1]
     total = np.zeros(len(H), dtype=complex)
     prev = np.zeros_like(total)
     out = np.zeros_like(total)
     active = np.arange(len(H))
-    for N, zs in _endpoint_levels(radius, max_nodes):
+    for N, unit in _endpoint_levels(max_nodes):
+        zs = radii[active, None] * unit
         step = max(1, _TRACE_BUDGET // max(1, len(active) * n))
-        tr = np.concatenate([_hessenberg_traces(H, zs[i:i + step])
-                             for i in range(0, len(zs), step)], axis=1)
+        tr = np.concatenate([_hessenberg_traces(H, zs[:, i:i + step])
+                             for i in range(0, zs.shape[1], step)], axis=1)
         bad = ~np.isfinite(tr)
         if bad.any():
-            node = zs[np.nonzero(bad)[1][0]]
+            b, j = np.argwhere(bad)[0]
             raise ValidationError(
-                f"contour |z| = {radius} passes through the spectrum; "
-                f"singular resolvent at node {node}"
+                f"contour |z| = {radii[active[b]]} passes through the spectrum; "
+                f"singular resolvent at node {zs[b, j]}"
             )
         # integrand Tr[z (resolvent)] times the dz = i z dtheta weight
-        total[active] += tr @ (zs * zs)
+        total[active] += (tr * (zs * zs)).sum(axis=1)
         vals = total[active] / N
         done = np.zeros(len(active), dtype=bool)
         if N > 16:
@@ -442,7 +455,11 @@ def _hessenberg_sums(H, radius, max_nodes=1 << 15):
         if done.all():
             return out
         if done.any():  # H holds the Hessenberg forms of the active matrices only
-            active, H = active[~done], H[~done]
+            keep = np.flatnonzero(~done)
+            for i, b in enumerate(keep):
+                if i != b:
+                    H[i] = H[b]
+            active, H = active[keep], H[:len(keep)]
     raise ConvergenceError("cluster-sum quadrature did not converge")
 
 
@@ -536,29 +553,78 @@ def conjugation_check(X, P_A, s_grid, radius=None) -> float:
     return _conjugation_defect(_cluster_sums(_conjugation_grid(X, P_A, s_grid), radius))
 
 
-def perturbation_suite(W: SpectralWindow, P_A, conj_P_A, s_grid):
-    """lambda_derivatives(W, P_A) and conjugation_check(W.X, conj_P_A,
-    s_grid, W.contour_radius) in one pass.
+# complex entries of one perturbation_suite group (1 MiB): five kato instances
+# of size 40; an item with more rows than that makes a group of its own
+_GROUP_ENTRIES = 1 << 16
 
-    The five stencil matrices and the conjugation grid's X_s at s != 0 are
-    reduced to Hessenberg form once, and the whole stack walks the levels
-    together: one reduction and one trace walk per level instead of two.
-    A grid point s = 0 is X itself, the stencil's centre X + 0 P_A, whose
-    sum it reuses.  Every matrix's sum is computed on its own, so the
-    results equal the two separate calls bit for bit.
-    Returns (dot_closed, ddot_closed, dot_fd, ddot_fd, conj_defect).
+
+def _suite_groups(items, s_grid):
+    """Yield (stack, radii, [(closed forms, h)]) for runs of consecutive items.
+
+    Each (W, P_A, conj_P_A) item adds its five stencil matrices and its
+    conjugation grid's X_s at the points s_grid to the stack, and its
+    contour radius to radii for each of them.  A stack holds matrices of
+    one size and at most max(one item's rows, _GROUP_ENTRIES entries), and
+    is yielded as soon as it has no room for another item or the next
+    item's size differs.  It is allocated once per size and refilled
+    after each yield, so the consumer must be done with it before it asks
+    for the next group.  An item's window and perturbation are dropped
+    once its rows are written.
     """
-    P_A = np.asarray(P_A, dtype=complex)
-    closed = _closed_derivatives(W, P_A)
-    h, stencil = _fd_stencil(W, P_A)
+    rows = 5 + len(s_grid)
+    stack, used, meta = None, 0, []
+    for W, P_A, conj_P_A in items:
+        if meta and stack.shape[1:] != W.X.shape:
+            yield stack[:used], radii[:used], meta
+            used, meta = 0, []
+        if stack is None or stack.shape[1:] != W.X.shape:
+            size = max(rows, _GROUP_ENTRIES // max(1, W.X.size))
+            stack, radii = np.empty((size, *W.X.shape), dtype=complex), np.empty(size)
+        P_A = np.asarray(P_A, dtype=complex)
+        h, stencil = _fd_stencil(W, P_A)
+        stack[used:used + 5] = stencil
+        stack[used + 5:used + rows] = _conjugation_grid(
+            W.X, np.asarray(conj_P_A, dtype=complex), s_grid)
+        radii[used:used + rows] = W.contour_radius
+        meta.append((_closed_derivatives(W, P_A), h))
+        used += rows
+        del W, P_A, conj_P_A, stencil
+        if used + rows > len(stack):
+            yield stack[:used], radii[:used], meta
+            used, meta = 0, []
+    if meta:
+        yield stack[:used], radii[:used], meta
+
+
+def perturbation_suite(items, s_grid):
+    """lambda_derivatives(W, P_A) and conjugation_check(W.X, conj_P_A,
+    s_grid, W.contour_radius) for every (W, P_A, conj_P_A) of items.
+
+    items may be any iterable, such as a generator that draws one
+    instance at a time.  The five stencil matrices and the conjugation
+    grid's X_s at s != 0 of consecutive items are written into one stack
+    (_suite_groups), reduced to Hessenberg form once in place, and the
+    whole stack walks the levels together: one reduction and one trace
+    walk per level for the group instead of two per item.  A grid point
+    s = 0 is X itself, the stencil's centre X + 0 P_A, whose sum it
+    reuses.  Every matrix's sum is computed on its own, so the results
+    equal the separate calls bit for bit.  An item's stencil is checked
+    when its rows are written and its sums are walked with its group's,
+    so a later item's stencil or window error can surface before an
+    earlier item's walk error.
+    Returns one (dot_closed, ddot_closed, dot_fd, ddot_fd, conj_defect)
+    per item, in order.
+    """
     s = np.asarray(list(s_grid))
     centre = s == 0
-    grid = _conjugation_grid(W.X, np.asarray(conj_P_A, dtype=complex), s[~centre])
-    H = _reduce(np.concatenate([stencil, grid]))
-    del stencil, grid  # only the Hessenberg forms stay alive through the quadrature
-    sums = _hessenberg_sums(H, W.contour_radius)
-    lam_plus = np.concatenate([sums[5:], sums[2:3] if centre.any() else []])
-    return (*closed, *_fd_derivatives(h, sums[:5]), _conjugation_defect(lam_plus))
+    results = []
+    for stack, radii, meta in _suite_groups(items, s[~centre]):
+        sums = _hessenberg_sums(_hessenberg(stack), radii).reshape(len(meta), -1)
+        for (closed, h), row in zip(meta, sums):
+            lam_plus = np.concatenate([row[5:], row[2:3] if centre.any() else []])
+            results.append((*closed, *_fd_derivatives(h, row[:5]),
+                            _conjugation_defect(lam_plus)))
+    return results
 
 
 def random_skew_adjoint_with_kernel(rng, dim, kernel_dim, gap=0.5, spread=5.0):

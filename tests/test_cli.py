@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -471,6 +472,71 @@ class TestKato:
                             f"{float(abs(d2f - d2c))!r},{conj!r},{pi_norm!r}")
         assert [ln.strip() for ln in read_data_lines(tmp_path / "o1" / "kato.csv")][1:] == expected
 
+    @staticmethod
+    def _one_item_rows(seed, size, instances):
+        """kato.csv's data rows from one-item perturbation_suite passes on the run's draws."""
+        rng = np.random.default_rng(seed)
+        rows = []
+        for i in range(instances):
+            X = sp.random_skew_adjoint_with_kernel(rng, size, 2, gap=0.8, spread=4.0)
+            M = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            P_A = (M - M.conj().T) / 2
+            W = sp.spectral_window(X, 0.3)
+            [(d1c, d2c, d1f, d2f, conj)] = sp.perturbation_suite([(W, P_A, 0.05 * P_A)],
+                                                                 np.linspace(-1, 1, 3))
+            pi_norm = float(np.abs(sp.pi_operator(W)).max())
+            rows.append(f"{i},{sp.resolvent_identity_check(W)!r},{float(abs(d1f - d1c))!r},"
+                        f"{float(abs(d2f - d2c))!r},{conj!r},{pi_norm!r}")
+        return rows
+
+    @staticmethod
+    def _reduced_stacks(tmp_path, monkeypatch, size, instances):
+        """(the stack size of each _hessenberg call, kato.csv's data rows) of a run."""
+        stacks = []
+        reduce = sp._hessenberg
+
+        def counted(H):
+            stacks.append(len(H))
+            return reduce(H)
+
+        monkeypatch.setattr(sp, "_hessenberg", counted)
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text(f"[kato]\nsize = {size}\ninstances = {instances}\n")
+        assert run(["kato", "--config", str(cfg), "--out", str(tmp_path), "--seed", "3"]) == 0
+        return stacks, [ln.strip() for ln in read_data_lines(tmp_path / "kato.csv")][1:]
+
+    def test_groups_equal_one_item_passes(self, tmp_path, monkeypatch):
+        # seven matrices per instance, at most 2^16 entries per stack: size 40
+        # fits five instances in the first stack and the sixth in the second
+        want = self._one_item_rows(3, 40, 6)
+        stacks, rows = self._reduced_stacks(tmp_path, monkeypatch, 40, 6)
+        assert stacks == [35, 7]
+        assert rows == want
+
+    def test_large_instances_are_their_own_groups(self, tmp_path, monkeypatch):
+        # an instance of size 100 has more than 2^16 entries on its own
+        stacks, rows = self._reduced_stacks(tmp_path, monkeypatch, 100, 2)
+        assert stacks == [7, 7] and len(rows) == 2
+
+    def test_traced_peak_of_the_bench_run(self, tmp_path):
+        # the bench's kato config: five instances of size 40 fill one 1 MiB
+        # stack; a warm-up run keeps lazy imports and caches out of the peak
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("[kato]\nsize = 40\ninstances = 5\n")
+        argv = ["kato", "--config", str(cfg), "--out", str(tmp_path)]
+        assert run(argv) == 0
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 2.5 * 2**20
+
     def test_one_eig_per_instance(self, tmp_path, monkeypatch):
         # the window's eig of X serves the contour check, the zero rule,
         # the cross-check and the enclosed count; eigvals runs only at the
@@ -589,6 +655,27 @@ class TestHolonomyCmd:
         err = capsys.readouterr().err
         assert "tag=non-convergence" in err and "did not converge at 32 steps" in err
         assert "raise steps" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header, geodesics, array, entries", [
+        ("FOURCONN 3 3000000000 0", 24, "commutant system", 24 * 3000000000 ** 4),
+        ("FOURCONN 3 100000 0", 24, "commutant system", 24 * 100000 ** 4),
+        ("FOURCONN 3 3 0", 20000, "Gamma slab", 9 * 20000 * (4 * 32 + 1)),
+    ], ids=["r-3e9", "r-1e5", "G-2e4"])
+    def test_entry_ceiling(self, tmp_path, capsys, header, geodesics, array, entries):
+        # r = 3e9 ended in numpy's "array is too big" traceback and r = 1e5
+        # would have asked np.eye for 160 GB; the check precedes every
+        # allocation, so a run over the ceiling needs no memory limit
+        conn = tmp_path / "c.fourconn"
+        conn.write_text(header + "\n")
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(f"[holonomy]\nconnection = {conn}\nnum_geodesics = {geodesics}\n")
+        out = tmp_path / "out"
+        assert run(["holonomy", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        r = header.split()[2]
+        assert "tag=validation" in err and array in err and err.count("\n") == 1
+        assert f"r = {r} over G = {geodesics} geodesics needs {entries} complex" in err
         assert not out.exists()
 
 

@@ -9,10 +9,13 @@ the workload runs is run there, plus `torus-ckt` on each torus config (its
 [torus] section, with and without the perturbation as the connection).
 The subcommands no workload runs are added at each seed on fixed inputs:
 `dims --n 3 --mmax 4`, `harmdecomp` on one HPOLY payload,
-`commutator-factor` on `r = 3, count = 2` and on one ENDO payload, and
+`commutator-factor` on `r = 3, count = 2` and on one ENDO payload,
 `holonomy` on one generic r = 3 FOURCONN payload at `steps = 100`, which
 is not a multiple of the transport's step chunk, so the run ends on a
-short chunk.
+short chunk, and two `kato` runs whose instances cross the perturbation
+suite's stack boundaries: `size = 50, instances = 5`, which makes stacks
+of 3 and 2 instances, and `size = 100, instances = 2`, which gives each
+instance its own stack.
 Each tree runs all of it in one Python process with that tree first on the
 path.
 Every output file is then compared past its first line when that line is
@@ -132,11 +135,14 @@ def other_commands(seed):
         "generic-r3.fourconn": GENERIC_R3,
         "holonomy-steps100.cfg": ("[holonomy]\nconnection = generic-r3.fourconn\n"
                                   "num_geodesics = 8\nsteps = 100\n"),
+        "kato-size50.cfg": "[kato]\nsize = 50\ninstances = 5\n",
+        "kato-size100.cfg": "[kato]\nsize = 100\ninstances = 2\n",
     }
     runs = [("dims", ["dims", "--n", "3", "--mmax", "4", "--out", "dims", "--seed", str(seed)])]
     runs += [config_run(sub, f"{stem}.cfg", stem, seed) for sub, stem in (
         ("harmdecomp", "harmdecomp"), ("commutator-factor", "commutator-file"),
-        ("commutator-factor", "commutator-random"), ("holonomy", "holonomy-steps100"))]
+        ("commutator-factor", "commutator-random"), ("holonomy", "holonomy-steps100"),
+        ("kato", "kato-size50"), ("kato", "kato-size100"))]
     return files, runs
 
 

@@ -41,6 +41,7 @@ from . import symbolcheck as sc
 from . import textio
 from . import torus
 from .errors import ConvergenceError, ValidationError
+from .linalg import check_entries
 from .textio import Key, nonnegative_int, positive_float
 
 __all__ = ["main", "run"]
@@ -234,13 +235,15 @@ def cmd_torus_eject(args, resolved):
 
 def cmd_kato(args, resolved):
     sec = resolved["kato"]
+    size = sec["size"]
+    # an instance's stack rows: five stencil matrices and the grid's X_s at s = -1, 1
+    check_entries(f"a kato instance's stack of 7 matrices of size {size}", 7 * size ** 2)
     rng = np.random.default_rng(args.seed)
     windows = []  # (identity residual, pi operator norm) per instance
 
     def instance():
-        X = sp.random_skew_adjoint_with_kernel(rng, sec["size"], sec["kernel_dim"],
-                                               gap=0.8, spread=4.0)
-        P_A = _random_skew_hermitian(rng, sec["size"])
+        X = sp.random_skew_adjoint_with_kernel(rng, size, sec["kernel_dim"], gap=0.8, spread=4.0)
+        P_A = _random_skew_hermitian(rng, size)
         W = sp.spectral_window(X, sec["radius"])
         windows.append((sp.resolvent_identity_check(W), float(np.abs(sp.pi_operator(W)).max())))
         return W, P_A, 0.05 * P_A

@@ -26,8 +26,8 @@ derivative at all sampled points at once: every field is a Fourier sum
 overflow, or whose error estimate is 1 or more (a unitary frame's entries
 are at most 1, so no digit of C is right), are a ConvergenceError.  The
 largest arrays, a transport's Gamma slab and the probe's commutant
-system, are bounded at _ENTRY_CEILING complex entries before anything is
-allocated: a fiber rank or fan over it is a ValidationError.
+system, are bounded at `linalg.ENTRY_CEILING` complex entries before
+anything is allocated: a fiber rank or fan over it is a ValidationError.
 
 The probe certifies only a finite transport set: its verdict for a
 trivial commutant is worded as 'no invariant subbundle detected at
@@ -43,7 +43,7 @@ import numpy as np
 
 from .connalg import commutator_action_matrix
 from .errors import ConvergenceError, ValidationError
-from .linalg import nullspace
+from .linalg import check_entries, nullspace
 from .torus import FourierConnection, TorusConfig, eval_sections, fourier_sum
 
 __all__ = [
@@ -103,18 +103,6 @@ _STEP_CHUNK = 32
 
 # sampled (x, v) points of the invariance defect of each opacity candidate
 _DEFECT_SAMPLES = 32
-
-# complex entries of the largest array a transport or an opacity probe may
-# allocate, 2^24 (256 MiB); a run over it is refused before it allocates
-_ENTRY_CEILING = 1 << 24
-
-
-def _check_entries(array, r, G, entries):
-    if entries > _ENTRY_CEILING:
-        raise ValidationError(
-            f"{array} of fiber rank r = {r} over G = {G} geodesics needs {entries} "
-            f"complex entries, over the ceiling of {_ENTRY_CEILING}"
-        )
 
 
 def _gamma_field(conn, x0, V):
@@ -220,8 +208,8 @@ def transport(conn: FourierConnection, seg: GeodesicSegment, steps: int = 128) -
         raise ValidationError("need at least 16 steps")
     V = seg.v.reshape(-1, len(seg.x0))
     # the largest array is a chunk's (r, r, G, 4 * chunk + 1) Gamma slab
-    _check_entries("the transport's Gamma slab", conn.r, len(V),
-                   conn.r ** 2 * len(V) * (4 * min(steps, _STEP_CHUNK) + 1))
+    check_entries(f"the transport's Gamma slab of fiber rank r = {conn.r} over G = {len(V)} "
+                  "geodesics", conn.r ** 2 * len(V) * (4 * min(steps, _STEP_CHUNK) + 1))
     with np.errstate(over="ignore", invalid="ignore"):
         coarse, fine = (C.transpose(2, 0, 1) for C in
                         _transport_pair(conn, seg.x0, V, seg.length, steps))
@@ -304,7 +292,8 @@ def opacity_probe(conn: FourierConnection, num_geodesics: int = 24,
     n, r = conn.n, conn.r
     if num_geodesics < 1:
         raise ValidationError(f"need num_geodesics >= 1, got {num_geodesics}")
-    _check_entries("the commutant system", r, num_geodesics, num_geodesics * r ** 4)
+    check_entries(f"the commutant system of fiber rank r = {r} over G = {num_geodesics} "
+                  "geodesics", num_geodesics * r ** 4)
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(0, 2 * math.pi, n)
     V = np.empty((num_geodesics, n))

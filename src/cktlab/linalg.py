@@ -8,12 +8,16 @@ cut in one place, for a matrix given by stacks of equally shaped diagonal
 blocks, and returns each stack's U and V^H factors with the rank of every
 block: a caller reads all the kernel bases of a stack at once through the
 mask ``arange(cols) >= rank`` instead of block by block.  ``nullspace`` is its
-one-block case.  Each caller passes its own relative tolerance.
+one-block case.  Each caller passes its own relative tolerance, and
+``rank_cut`` states the cut for a caller that reports its margin.
 
 ``CSR`` is the torus model's sparse matrix: a frozen numpy record of the
 compressed-sparse-row arrays with the few operations the model, its
 checks and its tests call.  It is numpy alone, so no subcommand loads
 scipy.
+
+``check_entries`` refuses a run whose largest array, counted before
+anything is built, is over ``ENTRY_CEILING``.
 """
 
 from __future__ import annotations
@@ -22,9 +26,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, ValidationError
 
-__all__ = ["nullspace", "block_nullspace", "CSR"]
+__all__ = ["nullspace", "block_nullspace", "rank_cut", "CSR", "ENTRY_CEILING", "check_entries"]
+
+# complex entries of the largest array a run may allocate, 2^24 (256 MiB); a
+# run over it is refused before it allocates
+ENTRY_CEILING = 1 << 24
+
+
+def check_entries(array, entries):
+    """ValidationError naming `array` when its `entries` complex entries
+    are over ENTRY_CEILING."""
+    if entries > ENTRY_CEILING:
+        raise ValidationError(
+            f"{array} needs {entries} complex entries, over the ceiling of {ENTRY_CEILING}")
 
 
 def _svd(M):
@@ -62,8 +78,14 @@ def block_nullspace(stacks, rtol):
     """
     svds = [_svd(B) for B in stacks]
     s = np.sort(np.concatenate([sv.ravel() for _, sv, _ in svds] + [np.zeros(0)]))[::-1]
-    cut = rtol * s[0] if len(s) else 0.0
+    cut = rank_cut(s, rtol)
     return [(u, vt, (sv > cut).sum(axis=1)) for u, sv, vt in svds], s
+
+
+def rank_cut(s, rtol):
+    """rtol times the largest of the descending singular values s, 0.0 when
+    there is none: the singular values above it are the rank."""
+    return rtol * s[0] if len(s) else 0.0
 
 
 def nullspace(M, rtol):

@@ -20,16 +20,17 @@ unitary similarity, so traces of resolvents are unchanged) and take
 Tr (H + z)^{-1} = d/dz log det(H + z) from a pivoted LU of the shifted
 Hessenberg matrix that carries the z-derivative along: O(n^2) work per
 node instead of a dense O(n^3) inverse, batched over a stack of
-matrices and the nodes of a level, each matrix on its own circle.  The
-perturbation suites of a run of windows (`perturbation_suite`: for each,
-the finite-difference stencil of `lambda_derivatives` and the grid of
+matrices and the nodes of a level, each matrix on its own circle.
+`perturbation_suite` is the one walker of the five-point stencil: the
+stencils of a run of windows and their conjugation grids (the X_s of
 `conjugation_check`) fill one preallocated stack of at most 2^16 complex
-entries (or one window's matrices, when they are more), reduced in place once
-and walked once per level; a window's grid point s = 0 is its stencil's
-centre X and is reduced and walked once.  A level's new nodes go through
-the traces in chunks of at most 2^14 working entries.  Each matrix's
-level sum is taken over its own nodes, so its cluster sum does not
-depend on the other matrices of its stack.
+entries (or one window's matrices, when they are more), reduced in place
+once and walked once per level; `lambda_derivatives` is its one-item
+call with an empty grid, and a window's grid point s = 0 is its
+stencil's centre X, reduced and walked once.  A level's new nodes go
+through the traces in chunks of at most 2^14 working entries.  Each
+matrix's level sum is taken over its own nodes, so its cluster sum does
+not depend on the other matrices of its stack.
 
 The window radius must isolate the cluster at 0, and the cluster must be
 semisimple: the quadrature for the Laurent constant term reads off the
@@ -119,17 +120,6 @@ def _default_radius(X, w, kappa):
     return float(nonzero.min()) / 2 if len(nonzero) else 1.0
 
 
-def _check_contour_clear(w, radius):
-    dist = np.abs(np.abs(w) - radius)
-    scale = max(radius, float(np.abs(w).max(initial=0.0)), 1e-30)
-    if len(w) and dist.min() < 1e-8 * scale:
-        nearest = w[int(dist.argmin())]
-        raise ValidationError(
-            f"contour |z| = {radius} passes through the spectrum; "
-            f"nearest eigenvalue {nearest}"
-        )
-
-
 # nodes per stacked inverse: a whole level at once would hold every
 # resolvent of the level in memory
 _NODE_GROUP = 4
@@ -155,36 +145,23 @@ def _endpoint_levels(max_nodes):
         k = np.arange(1, N, 2)
 
 
-def _trapezoid_levels(radius, group_sum, max_nodes=1 << 15):
-    """Yield (N, mean of the integrand over the N endpoint nodes), N = 16, 32, ...
-
-    Each level evaluates only the nodes it adds and adds them to a running
-    sum.  group_sum(z) returns the integrand summed over a 1-d array z of
-    at most _NODE_GROUP nodes.
+def _trapezoid_levels(X, radius, max_nodes=1 << 15):
+    """Yield (N, the means (pi, r) of z R(z) and R(z), R(z) = (X + z)^{-1},
+    over the N endpoint nodes), N = 16, 32, ...: the Riesz projector (the
+    dz = i z dtheta weight turns 1/z into 1) and the Laurent constant term
+    at 0.  Each level inverts only the nodes it adds, _NODE_GROUP at a
+    time as one stacked inverse, and adds them to a running sum.
     """
+    eye = np.eye(X.shape[0])
     total = 0.0
     for N, unit in _endpoint_levels(max_nodes):
         zs = radius * unit
         for i in range(0, len(zs), _NODE_GROUP):
-            total = total + group_sum(zs[i:i + _NODE_GROUP])
+            z = zs[i:i + _NODE_GROUP, None, None]
+            res = np.linalg.inv(X + z * eye)
+            total = total + np.stack([(z * res).sum(0), res.sum(0)])
+            del res  # one group of resolvents in memory at a time
         yield N, total / N
-
-
-def _window_group_sum(X):
-    """group_sum of the window integrands z R(z) and R(z), R(z) = (X + z)^{-1}.
-
-    The trapezoidal mean of z R(z) over the circle is the Riesz projector
-    (the dz = i z dtheta weight turns 1/z into 1), that of R(z) the
-    Laurent constant term at 0.  Stacked as (pi, r) for the nodes z.
-    """
-    eye = np.eye(X.shape[0])
-
-    def group_sum(z):
-        z = z[:, None, None]
-        res = np.linalg.inv(X + z * eye)
-        return np.stack([(z * res).sum(0), res.sum(0)])
-
-    return group_sum
 
 
 def _contour_quadrature(X, radius, max_nodes=1 << 15):
@@ -197,8 +174,7 @@ def _contour_quadrature(X, radius, max_nodes=1 << 15):
     and |Pi|_F.
     """
     prev, change = None, math.inf
-    levels = _trapezoid_levels(radius, _window_group_sum(X), max_nodes)
-    for N, (pi_p, r_p) in levels:
+    for N, (pi_p, r_p) in _trapezoid_levels(X, radius, max_nodes):
         if prev is not None:
             change = float(np.abs(pi_p - prev).max())
             if change <= 1e-11:
@@ -232,8 +208,11 @@ def spectral_window(X, radius=None) -> SpectralWindow:
     if radius is None:
         radius = _default_radius(X, w, kappa)
     _check_radius(radius)
-    _check_contour_clear(w, radius)
     mags = np.abs(w)
+    dist = np.abs(mags - radius)
+    if len(w) and dist.min() < 1e-8 * max(radius, float(mags.max(initial=0.0)), 1e-30):
+        raise ValidationError(f"contour |z| = {radius} passes through the spectrum; "
+                              f"nearest eigenvalue {w[int(dist.argmin())]}")
     inside = mags < radius
     stray = mags[inside & ~_zero(X, w, kappa)]
     if len(stray):
@@ -389,14 +368,6 @@ def _hessenberg_traces(H, z):
     return tr
 
 
-def _reduce(Xs):
-    """_hessenberg of a copy of a stack of finite square matrices."""
-    H = np.array(Xs, dtype=complex)
-    if H.ndim != 3 or H.shape[1] != H.shape[2]:
-        raise ValidationError("matrix must be square")
-    return _hessenberg(H)
-
-
 # complex entries B * m * n of the working rows of one _hessenberg_traces call:
 # a group of five kato instances, 35 matrices of size 40, takes the new
 # nodes of a level 11 at a time
@@ -407,10 +378,12 @@ def _cluster_sums(Xs, radius, max_nodes=1 << 15):
     """(1/2 pi i) contour integral of Tr[z (X_b + z)^{-1}] dz for each X_b of a stack.
 
     The value is minus the sum of the eigenvalues of X_b inside the
-    circle.  Returns (B,)."""
+    circle.  Xs is copied before its Hessenberg reduction.  Returns (B,)."""
     _check_radius(radius)
-    H = _reduce(Xs)
-    return _hessenberg_sums(H, np.full(len(H), float(radius)), max_nodes)
+    H = np.array(Xs, dtype=complex)
+    if H.ndim != 3 or H.shape[1] != H.shape[2]:
+        raise ValidationError("matrix must be square")
+    return _hessenberg_sums(_hessenberg(H), np.full(len(H), float(radius)), max_nodes)
 
 
 def _hessenberg_sums(H, radii, max_nodes=1 << 15):
@@ -513,12 +486,6 @@ def _fd_derivatives(h, sums):
     return dot, ddot
 
 
-def _conjugation_grid(X, P_A, s_grid):
-    """X_s = X + s P_A over the grid, whose cluster sums are the lambda_s^+."""
-    s = np.asarray(list(s_grid)).reshape(-1, 1, 1)
-    return X + s * P_A
-
-
 def _conjugation_defect(lam_plus):
     """max_s |conj(lambda_s^-) - lambda_s^+| from the cluster sums of the
     conjugation grid: lambda^- = -lambda^+, so this is 2 max_s |Re lambda_s^+|."""
@@ -530,17 +497,17 @@ def lambda_derivatives(W: SpectralWindow, P_A):
 
     W is the window of X; lambda(s) = -Tr((X + s P_A) Pi_s) with Pi_s the
     projector of X + s P_A on W's contour; the closed forms are -Tr(P_A Pi_0)
-    and 2 Tr(Pi_0 P_A R_0 P_A Pi_0).  Returns (dot_closed, ddot_closed,
-    dot_fd, ddot_fd).
+    and 2 Tr(Pi_0 P_A R_0 P_A Pi_0), the finite differences the five-point
+    ones of the cluster sums of _fd_stencil's matrices.  The first four
+    entries of a one-item perturbation_suite call with an empty grid:
+    (dot_closed, ddot_closed, dot_fd, ddot_fd).
     """
-    P_A = np.asarray(P_A, dtype=complex)
-    closed = _closed_derivatives(W, P_A)
-    h, stencil = _fd_stencil(W, P_A)
-    return (*closed, *_fd_derivatives(h, _cluster_sums(stencil, W.contour_radius)))
+    return perturbation_suite([(W, P_A, P_A)], [])[0][:4]
 
 
-def conjugation_check(X, P_A, s_grid, radius=None) -> float:
-    """max_s |conj(lambda_s^-) - lambda_s^+| over the grid, X_s = X + s P_A.
+def conjugation_check(X, P_A, s_grid, radius) -> float:
+    """max_s |conj(lambda_s^-) - lambda_s^+| over the grid, X_s = X + s P_A,
+    on the circle |z| = radius.
 
     lambda^- = -lambda^+ (cluster_sum_minus), so the defect is 2 max_s
     |Re lambda_s^+|: 0 when every X_s holds an imaginary window sum, as a
@@ -548,82 +515,68 @@ def conjugation_check(X, P_A, s_grid, radius=None) -> float:
     """
     X = np.asarray(X, dtype=complex)
     P_A = np.asarray(P_A, dtype=complex)
-    if radius is None:
-        radius = default_window_radius(X)
-    return _conjugation_defect(_cluster_sums(_conjugation_grid(X, P_A, s_grid), radius))
+    s = np.asarray(list(s_grid)).reshape(-1, 1, 1)
+    return _conjugation_defect(_cluster_sums(X + s * P_A, radius))
 
 
-# complex entries of one perturbation_suite group (1 MiB): five kato instances
-# of size 40; an item with more rows than that makes a group of its own
+# complex entries of one perturbation_suite stack (1 MiB): five kato instances
+# of size 40; an item with more rows than that makes a stack of its own
 _GROUP_ENTRIES = 1 << 16
 
 
-def _suite_groups(items, s_grid):
-    """Yield (stack, radii, [(closed forms, h)]) for runs of consecutive items.
+def perturbation_suite(items, s_grid):
+    """The closed-form and five-point derivatives of lambda_derivatives(W,
+    P_A) and the defect of conjugation_check(W.X, conj_P_A, s_grid,
+    W.contour_radius) for every (W, P_A, conj_P_A) of items, which may be
+    a generator that draws one instance at a time.
 
-    Each (W, P_A, conj_P_A) item adds its five stencil matrices and its
-    conjugation grid's X_s at the points s_grid to the stack, and its
-    contour radius to radii for each of them.  A stack holds matrices of
-    one size and at most max(one item's rows, _GROUP_ENTRIES entries), and
-    is yielded as soon as it has no room for another item or the next
-    item's size differs.  It is allocated once per size and refilled
-    after each yield, so the consumer must be done with it before it asks
-    for the next group.  An item's window and perturbation are dropped
-    once its rows are written.
+    Each item writes its five stencil matrices (_fd_stencil) and its
+    grid's X_s at s != 0 into one stack of matrices of its size, of at
+    most max(one item's rows, _GROUP_ENTRIES entries) and allocated once
+    per size, and is dropped; a grid point s = 0 is the stencil's centre
+    X, whose sum it reuses.  When the stack has no room for another item,
+    or the next item's size differs, it is reduced to Hessenberg form in
+    place, walked by one _hessenberg_sums call and refilled.  Each
+    matrix's sum is taken on its own, so an item's results do not depend
+    on the other items, and its defect equals conjugation_check's bit for
+    bit.  A later item's stencil or window error can surface before an
+    earlier item's walk error.  Returns one (dot_closed, ddot_closed,
+    dot_fd, ddot_fd, conj_defect) per item, in order.
     """
-    rows = 5 + len(s_grid)
-    stack, used, meta = None, 0, []
+    s = np.asarray(list(s_grid))
+    centre = (s == 0).any()
+    grid = s[s != 0].reshape(-1, 1, 1)
+    rows = 5 + len(grid)
+    stack, used, meta, results = None, 0, [], []
+
+    def walk():  # the cluster sums of the stack's first `used` rows
+        nonlocal used
+        sums = _hessenberg_sums(_hessenberg(stack[:used]), radii[:used])
+        for (closed, h), row in zip(meta, sums.reshape(len(meta), rows)):
+            lam_plus = np.concatenate([row[5:], row[2:3] if centre else []])
+            results.append((*closed, *_fd_derivatives(h, row[:5]),
+                            _conjugation_defect(lam_plus)))
+        used = 0
+        meta.clear()
+
     for W, P_A, conj_P_A in items:
         if meta and stack.shape[1:] != W.X.shape:
-            yield stack[:used], radii[:used], meta
-            used, meta = 0, []
+            walk()
         if stack is None or stack.shape[1:] != W.X.shape:
             size = max(rows, _GROUP_ENTRIES // max(1, W.X.size))
             stack, radii = np.empty((size, *W.X.shape), dtype=complex), np.empty(size)
         P_A = np.asarray(P_A, dtype=complex)
         h, stencil = _fd_stencil(W, P_A)
         stack[used:used + 5] = stencil
-        stack[used + 5:used + rows] = _conjugation_grid(
-            W.X, np.asarray(conj_P_A, dtype=complex), s_grid)
+        stack[used + 5:used + rows] = W.X + grid * np.asarray(conj_P_A, dtype=complex)
         radii[used:used + rows] = W.contour_radius
         meta.append((_closed_derivatives(W, P_A), h))
         used += rows
         del W, P_A, conj_P_A, stencil
         if used + rows > len(stack):
-            yield stack[:used], radii[:used], meta
-            used, meta = 0, []
+            walk()
     if meta:
-        yield stack[:used], radii[:used], meta
-
-
-def perturbation_suite(items, s_grid):
-    """lambda_derivatives(W, P_A) and conjugation_check(W.X, conj_P_A,
-    s_grid, W.contour_radius) for every (W, P_A, conj_P_A) of items.
-
-    items may be any iterable, such as a generator that draws one
-    instance at a time.  The five stencil matrices and the conjugation
-    grid's X_s at s != 0 of consecutive items are written into one stack
-    (_suite_groups), reduced to Hessenberg form once in place, and the
-    whole stack walks the levels together: one reduction and one trace
-    walk per level for the group instead of two per item.  A grid point
-    s = 0 is X itself, the stencil's centre X + 0 P_A, whose sum it
-    reuses.  Every matrix's sum is computed on its own, so the results
-    equal the separate calls bit for bit.  An item's stencil is checked
-    when its rows are written and its sums are walked with its group's,
-    so a later item's stencil or window error can surface before an
-    earlier item's walk error.
-    Returns one (dot_closed, ddot_closed, dot_fd, ddot_fd, conj_defect)
-    per item, in order.
-    """
-    s = np.asarray(list(s_grid))
-    centre = s == 0
-    results = []
-    for stack, radii, meta in _suite_groups(items, s[~centre]):
-        sums = _hessenberg_sums(_hessenberg(stack), radii).reshape(len(meta), -1)
-        for (closed, h), row in zip(meta, sums):
-            lam_plus = np.concatenate([row[5:], row[2:3] if centre.any() else []])
-            results.append((*closed, *_fd_derivatives(h, row[:5]),
-                            _conjugation_defect(lam_plus)))
+        walk()
     return results
 
 

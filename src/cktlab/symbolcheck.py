@@ -22,7 +22,8 @@ import numpy as np
 
 from .connalg import TwistedHarmonic, _fiber_values
 from .errors import ValidationError
-from .linalg import nullspace
+from .linalg import check_entries, nullspace
+from .polyharm import dims
 from .symtensor import _contraction_matrices, _tracefree_contraction, _weights
 from .torus import FourierConnection
 
@@ -178,6 +179,13 @@ def _check_covector_dim(n):
         raise ValidationError(f"need covector dimension n >= 2, got {n}")
 
 
+def _check_fiber(name, dom, cod, stack=1):
+    """Refuse a family before it is built when its largest array, the (dom,
+    dom) kernel span or its `stack` (cod, dom) symbols, is over the ceiling."""
+    check_entries(f"the symbol family {name} on a fiber of dimension {dom}",
+                  max(dom, stack * cod) * dom)
+
+
 @lru_cache(maxsize=None)
 def _dstar_stack(n, m, model):
     """The contractions with e_j, j < n, from degree m to degree m-1, as an
@@ -206,6 +214,10 @@ def symbol_dstar(n: int, m: int, xi, model: str = "tracefree") -> np.ndarray:
 
 def dstar_family(n: int, m: int, model: str = "tracefree") -> SymbolFamily:
     _check_covector_dim(n)  # before any tensor basis is built
+    if model in ("tracefree", "full"):  # _dstar_stack refuses any other
+        side = int(model == "tracefree")  # trace-free tensors count as harmonics
+        _check_fiber(f"dstar[{model}] n={n} m={m}", dims(n, m)[side],
+                     dims(n, m - 1)[side] if m else 0, n)
     cod, dom = _dstar_stack(n, m, model).shape[1:]
     return SymbolFamily(dom, cod, lambda xi: symbol_dstar(n, m, xi, model), n,
                         name=f"dstar[{model}] n={n} m={m}")
@@ -213,6 +225,7 @@ def dstar_family(n: int, m: int, model: str = "tracefree") -> SymbolFamily:
 
 def divergence_family(n: int) -> SymbolFamily:
     """Symbol of the divergence of a vector field: v -> i <xi, v>."""
+    _check_fiber(f"divergence n={n}", n, 1)
     return SymbolFamily(n, 1, lambda xi: (1j * xi)[None, :], n, name=f"divergence n={n}")
 
 
@@ -220,6 +233,7 @@ def counterexample_family(r: int, n: int = 3) -> SymbolFamily:
     """Divergence-type but not uniform: (u1, u2) -> |xi|^2 (u1 - u2)."""
     if r < 1:
         raise ValidationError(f"need fiber rank r >= 1, got {r}")
+    _check_fiber(f"counterexample r={r}", 2 * r, r)
     eye = np.eye(r)
     block = np.hstack([eye, -eye])
 
@@ -252,6 +266,7 @@ def forms_family(n: int, k: int) -> SymbolFamily:
         raise ValidationError(f"need 0 <= k <= n, got k={k}")
     dom = math.comb(n, k)
     cod = math.comb(n, k - 1) if k >= 1 else 0
+    _check_fiber(f"forms n={n} k={k}", dom, cod)
     return SymbolFamily(dom, cod, lambda xi: _forms_contraction_matrix(n, k, xi), n,
                         name=f"forms n={n} k={k}")
 

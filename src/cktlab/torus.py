@@ -26,6 +26,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ValidationError
+from .linalg import check_entries
 from .polyharm import dims, harmonic_basis
 
 __all__ = [
@@ -54,6 +55,11 @@ class TorusConfig:
             raise ValidationError("need K >= 0, m >= 0, r >= 1")
         if self.bundle_kind not in ("vector", "endomorphism"):
             raise ValidationError("bundle_kind must be 'vector' or 'endomorphism'")
+        # the largest space, degree m + 1, before mode_list enumerates its modes
+        h = dims(self.n, self.m + 1)[1]
+        check_entries(f"the degree-{self.m + 1} torus space of {2 * self.K + 1}^{self.n} "
+                      f"modes x {h} harmonics x fiber {self.fdim}",
+                      (2 * self.K + 1) ** self.n * h * self.fdim)
 
     @property
     def fdim(self) -> int:

@@ -68,7 +68,7 @@ from numpy.polynomial import polynomial
 
 from .connalg import commutator_action_matrix, harmonic_mult_blocks
 from .errors import ConvergenceError, ValidationError
-from .linalg import CSR, block_nullspace
+from .linalg import CSR, block_nullspace, rank_cut
 from .polyharm import _dual_matrix, dims
 from .symtensor import (_tracefree_contraction, _tracefree_coords, _tracefree_sym_product,
                         _weights)
@@ -320,22 +320,23 @@ def _dense_blocks(config, M, groups):
     return stacks
 
 
-def _block_kernels(config, M, rtol):
-    """([(flat row and column indices of the blocks' modes, U stack, V^H
-    stack, ranks)] per block size, singular values of M) over the mode
-    blocks of M, with one rank cut for the whole of M (`linalg.block_nullspace`)."""
-    groups = _mode_blocks(config, M)
-    stacks, s = block_nullspace(_dense_blocks(config, M, groups), rtol)
-    height, width = (d // len(config.modes) for d in M.shape)
-    return [(_block_index(blocks, height), _block_index(blocks, width), *factors)
-            for blocks, factors in zip(groups, stacks)], s
+# the ker X+- rule: a singular value at most this times the largest one, over
+# all blocks of the matrix, is zero
+_KERNEL_RTOL = 1e-10
 
 
-def _kernel_columns(config, M, rtol):
+def _kernel_columns(config, M):
     """(orthonormal kernel basis of M as full-length columns, singular values
-    of M, its `_block_kernels`): block by block, each block's vectors in the
-    order of its V^H rows, scattered with one assignment per block size."""
-    stacks, s = _block_kernels(config, M, rtol)
+    of M, [(flat row and column indices of the blocks' modes, U stack, V^H
+    stack, ranks)] per block size) over the mode blocks of M, with one rank
+    cut for the whole of M (`linalg.block_nullspace` at _KERNEL_RTOL): block
+    by block, each block's vectors in the order of its V^H rows, scattered
+    with one assignment per block size."""
+    groups = _mode_blocks(config, M)
+    factors, s = block_nullspace(_dense_blocks(config, M, groups), _KERNEL_RTOL)
+    height, width = (d // len(config.modes) for d in M.shape)
+    stacks = [(_block_index(blocks, height), _block_index(blocks, width), *f)
+              for blocks, f in zip(groups, factors)]
     masks = [np.arange(vt.shape[1]) >= rank[:, None] for _, _, _, vt, rank in stacks]
     out = np.zeros((M.shape[1], sum(int(mask.sum()) for mask in masks)), dtype=complex)
     j = 0
@@ -351,7 +352,7 @@ class KernelReport:
     vectors: np.ndarray  # (dim, d), orthonormal columns
     singular_values: np.ndarray
     mode_support: list  # per kernel vector: modes carrying > 1e-8 of its mass
-    rank_cut: float  # 1e-10 * the largest singular value
+    rank_cut: float  # _KERNEL_RTOL * the largest singular value
     min_kept: float  # smallest singular value above the cut (nan if none)
     max_cut: float  # largest singular value at or below the cut (nan if none)
 
@@ -370,15 +371,15 @@ def ckt_kernel(asm: TorusAssembly) -> KernelReport:
     and the margin of its rank cut.
 
     Each basis vector lives in one mode block of the raising matrix.  The
-    cut is 1e-10 times the largest singular value; a kept singular value
-    near it or a dropped one near it marks a kernel dimension that a small
-    change of tolerance would move."""
+    cut is _KERNEL_RTOL times the largest singular value; a kept singular
+    value near it or a dropped one near it marks a kernel dimension that a
+    small change of tolerance would move."""
     modes = mode_list(asm.config.n, asm.config.K)
-    vectors, s, _ = _kernel_columns(asm.config, asm.xplus, 1e-10)
+    vectors, s, _ = _kernel_columns(asm.config, asm.xplus)
     width = vectors.shape[0] // len(modes)
     mass = np.linalg.norm(vectors.reshape(len(modes), width, vectors.shape[1]), axis=1)
     support = [[modes[j] for j in np.flatnonzero(col > 1e-8)] for col in mass.T]
-    cut = 1e-10 * s[0] if len(s) else 0.0
+    cut = rank_cut(s, _KERNEL_RTOL)
     kept, dropped = s[s > cut], s[s <= cut]
     return KernelReport(vectors, s, support, float(cut),
                         float(kept[-1]) if len(kept) else float("nan"),
@@ -387,7 +388,7 @@ def ckt_kernel(asm: TorusAssembly) -> KernelReport:
 
 def xminus_kernel_basis(asm: TorusAssembly) -> np.ndarray:
     """Orthonormal basis of ker(lowering) inside the degree-(m+1) space."""
-    return _kernel_columns(asm.config, asm.xminus, 1e-10)[0]
+    return _kernel_columns(asm.config, asm.xminus)[0]
 
 
 def second_variation_predict(asm0: TorusAssembly, A: FourierConnection) -> tuple:
@@ -414,7 +415,7 @@ def _second_variation(asm0: TorusAssembly, P) -> tuple:
     W is the one sparse product of the prediction; `CSR @` adds it up entry
     layer by entry layer, so it holds no array larger than W besides P and K.
     """
-    K, _, stacks = _kernel_columns(asm0.config, asm0.xplus, 1e-10)
+    K, _, stacks = _kernel_columns(asm0.config, asm0.xplus)
     W = P @ K
     sq = np.zeros(W.shape[1])
     for rows, _, u, _, rank in stacks:

@@ -192,6 +192,34 @@ class TestInputGuards:
         assert "tag=validation" in capsys.readouterr().err
         assert not (tmp_path / "kato.csv").exists()
 
+    @pytest.mark.parametrize("sub, config, array", [
+        ("kato", "[kato]\nsize = 30000\n", "a kato instance's stack of 7 matrices of size 30000"
+         f" needs {7 * 30000 ** 2}"),
+        ("torus-ckt", "[torus]\nn = 12\nk = 4\nm = 1\nr = 1\n",
+         f"torus space of 9^12 modes x 77 harmonics x fiber 1 needs {9 ** 12 * 77}"),
+        ("torus-eject", "[torus]\nn = 3\nk = 200\nm = 0\nr = 2\nbundle_kind = endomorphism\n"
+         "[perturbation]\nfile = absent.fourconn\n",
+         f"torus space of 401^3 modes x 3 harmonics x fiber 4 needs {401 ** 3 * 12}"),
+        ("check-divtype", "[divtype]\nfamily = forms\nn = 40\nk = 20\n",
+         f"forms n=40 k=20 on a fiber of dimension {math.comb(40, 20)}"),
+        ("check-divtype", "[divtype]\nfamily = dstar\nn = 600\nm = 3\n",
+         f"dstar[tracefree] n=600 m=3 on a fiber of dimension {math.comb(602, 3) - 600}"),
+        ("check-divtype", "[divtype]\nfamily = counterexample\nr = 1000000\n",
+         f"counterexample r=1000000 on a fiber of dimension 2000000 needs {4 * 10 ** 12}"),
+    ], ids=["kato", "torus-ckt", "torus-eject", "forms", "dstar", "counterexample"])
+    def test_entry_ceiling(self, tmp_path, capsys, sub, config, array):
+        # the sizes are checked before anything is built: under a memory limit
+        # these runs ended in numpy's MemoryError tracebacks, without one they
+        # would grow until the machine ran out of memory
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        assert run([sub, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "tag=validation" in err and array in err and err.count("\n") == 1
+        assert "over the ceiling of 16777216" in err
+        assert not out.exists()
+
     def test_kato_underflowing_fd_step(self, tmp_path, capsys):
         # the fd step's square underflows at this radius: kato.csv's
         # d2_mismatch column read nan, with exit 0

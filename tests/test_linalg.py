@@ -6,8 +6,15 @@ import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cktlab.errors import ConvergenceError
-from cktlab.linalg import CSR, block_nullspace, nullspace
+from cktlab.errors import ConvergenceError, ValidationError
+from cktlab.linalg import ENTRY_CEILING, CSR, block_nullspace, check_entries, nullspace
+
+
+def test_entry_ceiling_is_inclusive():
+    check_entries("an array", ENTRY_CEILING)
+    with pytest.raises(ValidationError, match=f"^an array needs {ENTRY_CEILING + 1} complex "
+                                              f"entries, over the ceiling of {ENTRY_CEILING}$"):
+        check_entries("an array", ENTRY_CEILING + 1)
 
 
 class TestNullspace:

@@ -354,7 +354,7 @@ class TestNestedNodes:
     def test_levels_match_direct_endpoint_sums(self, rng):
         X = sp.random_skew_adjoint_with_kernel(rng, 12, 2, gap=0.5, spread=3.0)
         radius = 0.3
-        levels = sp._trapezoid_levels(radius, sp._window_group_sum(X), max_nodes=256)
+        levels = sp._trapezoid_levels(X, radius, max_nodes=256)
         Ns = []
         for N, sums in levels:
             direct, _ = _endpoint_sums(X, radius, N)
@@ -515,7 +515,7 @@ class TestBatchedClusterSums:
                                                           gap=0.8, spread=4.0)
                        + 0.05 * random_skew_hermitian(rng, n) for _ in range(B)])
         radii = rng.uniform(0.25, 0.5, B)
-        H = sp._reduce(Xs)
+        H = sp._hessenberg(Xs.copy())
         alone = [sp._hessenberg_sums(H[b:b + 1].copy(), radii[b:b + 1])[0] for b in range(B)]
         order = rng.permutation(B)
         together = sp._hessenberg_sums(H[order], radii[order])
@@ -621,6 +621,31 @@ class TestPerturbationSuite:
         got = sp.perturbation_suite(iter(items), self.GRID)
         assert stacks == [14, 21, 14, 7]
         assert got == want
+
+    def test_fd_equals_five_point_differences_of_cluster_sums(self, rng, monkeypatch):
+        # items of two sizes, so two stacks: each item's finite differences
+        # equal those of one-matrix cluster_sum calls on its stencil, bit for bit
+        items = []
+        for dim in (12, 25, 25, 12):
+            X = sp.random_skew_adjoint_with_kernel(rng, dim, 2, gap=0.8, spread=4.0)
+            P_A = random_skew_hermitian(rng, dim)
+            items.append((sp.spectral_window(X, 0.3), P_A, 0.05 * P_A))
+        stacks = []
+        reduce = sp._hessenberg
+
+        def counted(Xs):
+            stacks.append(len(Xs))
+            return reduce(Xs)
+
+        monkeypatch.setattr(sp, "_hessenberg", counted)
+        got = sp.perturbation_suite(items, self.GRID)
+        assert stacks == [7, 14, 7]
+        monkeypatch.setattr(sp, "_hessenberg", reduce)
+        for (W, P_A, _), (_, _, dot_fd, ddot_fd, _) in zip(items, got, strict=True):
+            h, stencil = sp._fd_stencil(W, np.asarray(P_A, dtype=complex))
+            lm2, lm1, l0, lp1, lp2 = (sp.cluster_sum(X, W.contour_radius) for X in stencil)
+            assert dot_fd == (-lp2 + 8 * lp1 - 8 * lm1 + lm2) / (12 * h)
+            assert ddot_fd == (-lp2 + 16 * lp1 - 30 * l0 + 16 * lm1 - lm2) / (12 * h * h)
 
     def test_trace_walks_hold_the_plus_convention_only(self, rng, monkeypatch):
         X = sp.random_skew_adjoint_with_kernel(rng, 10, 2, gap=0.8, spread=4.0)

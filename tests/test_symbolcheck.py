@@ -154,6 +154,26 @@ class TestForms:
             assert rep.verdict == "uniform", (n, k)
 
 
+class TestFamilyCeiling:
+    # the entries checked before a family is built are those of its largest
+    # array, counted from the family the check lets through
+    @pytest.mark.parametrize("family, stack", [
+        (lambda: sc.dstar_family(3, 2), 3),
+        (lambda: sc.dstar_family(4, 3, "full"), 4),
+        (lambda: sc.dstar_family(3, 0), 3),
+        (lambda: sc.forms_family(5, 2), 1),
+        (lambda: sc.forms_family(4, 0), 1),
+        (lambda: sc.divergence_family(4), 1),
+        (lambda: sc.counterexample_family(3), 1),
+    ], ids=["dstar", "dstar-full", "dstar-m0", "forms", "forms-k0", "divergence",
+            "counterexample"])
+    def test_counts_the_built_family(self, monkeypatch, family, stack):
+        counted = []
+        monkeypatch.setattr(sc, "check_entries", lambda array, entries: counted.append(entries))
+        fam = family()
+        assert counted == [max(fam.domain_dim, stack * fam.codomain_dim) * fam.domain_dim]
+
+
 class TestSphereQuadrature:
     def test_circle_exact_for_trig(self):
         pts, w = sc.sphere_quadrature(1, 64)

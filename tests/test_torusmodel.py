@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cktlab import polyharm as ph
+from cktlab import torus
 from cktlab import torusmodel as tm
 from cktlab.connalg import commutator_action_matrix, harmonic_mult_blocks
 from cktlab.errors import ValidationError
@@ -463,7 +464,7 @@ class TestSecondVariation:
         cfg = TorusConfig(3, 2, 5, 1)
         asm = tm.assemble(cfg, FourierConnection.zero(r=1, n=3))
         P = tm.connection_plus_matrix(cfg, three_axis_connection())
-        K = tm._kernel_columns(cfg, asm.xplus, 1e-10)[0]
+        K = tm._kernel_columns(cfg, asm.xplus)[0]
         assert P.shape == (1625, 1375) and P.nnz == 85800 and K.shape == (1375, 11)
         tracemalloc.start()
         try:
@@ -740,6 +741,15 @@ def test_real_gram_decision(case, real):
     # the scan's Gram and spectra are then real; ENDO_A's real entries are not
     cfg, conn0, A = SCAN_CASES[case]
     assert tm.lambda_scan(cfg, conn0, A, np.linspace(-0.08, 0.08, 3)).real_gram is real
+
+
+@pytest.mark.parametrize("config", [(3, 1, 0, 1, "vector"), (3, 3, 1, 2, "endomorphism"),
+                                    (2, 2, 4, 3, "vector"), (4, 1, 2, 1, "endomorphism")])
+def test_config_ceiling_counts_the_largest_space(monkeypatch, config):
+    counted = []
+    monkeypatch.setattr(torus, "check_entries", lambda array, entries: counted.append(entries))
+    cfg = TorusConfig(*config)
+    assert counted == [cfg.space_dim(cfg.m + 1)]
 
 
 def test_kernel_vectors_stay_in_one_block():

@@ -744,7 +744,8 @@ def test_real_gram_decision(case, real):
 
 
 @pytest.mark.parametrize("config", [(3, 1, 0, 1, "vector"), (3, 3, 1, 2, "endomorphism"),
-                                    (2, 2, 4, 3, "vector"), (4, 1, 2, 1, "endomorphism")])
+                                    (2, 2, 4, 3, "vector"), (4, 1, 2, 1, "endomorphism")],
+                         ids=["n3-vector", "n3-end", "n2-vector", "n4-end"])
 def test_config_ceiling_counts_the_largest_space(monkeypatch, config):
     counted = []
     monkeypatch.setattr(torus, "check_entries", lambda array, entries: counted.append(entries))

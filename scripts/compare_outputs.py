@@ -15,7 +15,14 @@ is not a multiple of the transport's step chunk, so the run ends on a
 short chunk, and two `kato` runs whose instances cross the perturbation
 suite's stack boundaries: `size = 50, instances = 5`, which makes stacks
 of 3 and 2 instances, and `size = 100, instances = 2`, which gives each
-instance its own stack.
+instance its own stack.  Two fixed inputs reach paths that no workload
+does: an End(E) `torus-eject` at (n, K, m, r) = (3, 1, 0, 2), with its two
+`torus-ckt` runs, whose perturbation M cos(x_1) dx_0, M = [[0.4i, 0.1],
+[-0.1, -0.4i]], takes the ejection scan's complex Gram path; and
+`holonomy` at `num_geodesics = 8, steps = 100` on a non-constant r = 3
+connection, a cosine mode of amplitude 0.3 on every direction of each
+mode q, |q|_inf <= 1, from a fixed seed, so Gamma varies along every
+geodesic.
 Each tree runs all of it in one Python process with that tree first on the
 path.
 Every output file is then compared past its first line when that line is
@@ -41,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -48,6 +56,8 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
@@ -124,8 +134,26 @@ GENERIC_R3 = "FOURCONN 3 3 3\n" + "".join(f"0 0 0 {j} {row}\n" for j, row in enu
 )))
 
 
-def other_commands(seed):
-    """(files to write, runs) of the subcommands no workload runs, on fixed inputs."""
+def curved_r3(workloads):
+    """FOURCONN text of a non-constant r = 3 connection: for each mode pair
+    q, -q with |q|_inf <= 1, and for q = 0, a cosine mode of amplitude 0.3
+    on each direction, drawn from a fixed seed."""
+    rng = np.random.default_rng(29)
+    coeffs = {}
+    for q in itertools.product((-1, 0, 1), repeat=3):
+        if q >= tuple(-c for c in q):
+            for j in range(3):
+                coeffs.update(workloads.cosine_coeffs(q, j, 0.3 * workloads.random_skew(rng, 3)))
+    return workloads.fourconn_text(3, 3, coeffs)
+
+
+def other_commands(workloads, seed):
+    """(files to write, runs) of the subcommands and paths no workload runs,
+    on fixed inputs."""
+    # End(E) at (3, 1, 0, 2): the perturbation's complex matrix entries keep
+    # the scan's Gram matrices complex
+    endo = workloads.eject_config(3, 1, 0, 2, "endo-pert.fourconn").replace(
+        "r = 2\n", "r = 2\nbundle_kind = endomorphism\n")
     files = {
         "p.hpoly": "HPOLY 3 4 3\n1.0 0.0 4 0 0\n0.5 -1.0 2 1 1\n-0.25 0.0 0 0 4\n",
         "harmdecomp.cfg": "[harmdecomp]\ninput = p.hpoly\n",
@@ -137,12 +165,22 @@ def other_commands(seed):
                                   "num_geodesics = 8\nsteps = 100\n"),
         "kato-size50.cfg": "[kato]\nsize = 50\ninstances = 5\n",
         "kato-size100.cfg": "[kato]\nsize = 100\ninstances = 2\n",
+        "endo-pert.fourconn": workloads.fourconn_text(3, 2, workloads.cosine_coeffs(
+            (0, 1, 0), 0, [[0.4j, 0.1], [-0.1, -0.4j]])),
+        "endo-eject.cfg": endo,
+        "endo-ckt-zero.cfg": ckt_config(endo, False),
+        "endo-ckt-pert.cfg": ckt_config(endo, True),
+        "curved-r3.fourconn": curved_r3(workloads),
+        "holonomy-curved.cfg": ("[holonomy]\nconnection = curved-r3.fourconn\n"
+                                "num_geodesics = 8\nsteps = 100\n"),
     }
     runs = [("dims", ["dims", "--n", "3", "--mmax", "4", "--out", "dims", "--seed", str(seed)])]
     runs += [config_run(sub, f"{stem}.cfg", stem, seed) for sub, stem in (
         ("harmdecomp", "harmdecomp"), ("commutator-factor", "commutator-file"),
         ("commutator-factor", "commutator-random"), ("holonomy", "holonomy-steps100"),
-        ("kato", "kato-size50"), ("kato", "kato-size100"))]
+        ("kato", "kato-size50"), ("kato", "kato-size100"), ("torus-eject", "endo-eject"),
+        ("torus-ckt", "endo-ckt-zero"), ("torus-ckt", "endo-ckt-pert"),
+        ("holonomy", "holonomy-curved"))]
     return files, runs
 
 
@@ -250,7 +288,7 @@ def main(argv=None):
     workloads = load_workloads()
     cases = [(seed, name, *commands(workloads, name, seed))
              for seed in args.seeds for name in sorted(workloads.OPERATIONS)]
-    cases += [(seed, "other", *other_commands(seed)) for seed in args.seeds]
+    cases += [(seed, "other", *other_commands(workloads, seed)) for seed in args.seeds]
     all_identical = True
     with tempfile.TemporaryDirectory() as tmp:
         found = {}

@@ -19,7 +19,7 @@ print()
 print("exterior forms:")
 for n in (3, 4):
     for k in range(n + 1):
-        rep = sc.forms_contraction_span(n, k, N=256, seed=0)
+        rep = sc.uniform_span(sc.forms_family(n, k), N=256, seed=0)
         print(f"  n={n} k={k}: span {rep.span_dim}/{rep.fiber_dim} -> {rep.verdict}")
 
 print()

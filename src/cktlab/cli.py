@@ -137,7 +137,7 @@ def cmd_check_divtype(args, resolved):
     elif family == "divergence":
         rep = sc.uniform_span(sc.divergence_family(sec["n"]), N=N, seed=seed)
     elif family == "forms":
-        rep = sc.forms_contraction_span(sec["n"], sec["k"], N=N, seed=seed)
+        rep = sc.uniform_span(sc.forms_family(sec["n"], sec["k"]), N=N, seed=seed)
     else:  # counterexample
         rep = sc.uniform_span(sc.counterexample_family(sec["r"]), N=N, seed=seed)
     comments = [f"family: {rep.name}", f"verdict: {rep.verdict}"]
@@ -153,6 +153,8 @@ def cmd_commutator_factor(args, resolved):
     if "input" in sec:
         cases = [textio.load_endo(_read(sec["input"]))]
     else:  # the table requires r when input is unset
+        check_entries(f"count = {sec['count']} random matrices of size r = {sec['r']}",
+                      sec["count"] * sec["r"] ** 2)
         rng = np.random.default_rng(args.seed)
         cases = []
         for _ in range(sec["count"]):
@@ -212,10 +214,11 @@ def cmd_torus_ckt(args, resolved):
 def cmd_torus_eject(args, resolved):
     from . import torusmodel as tm
 
+    ssec = resolved["scan"]
+    check_entries(f"the scan grid of {ssec['points']} points", ssec["points"])
     cfg = _torus_config(resolved)
     conn0 = _load_conn(resolved, cfg)
     A = textio.load_fourier_connection(_read(resolved["perturbation"]["file"]))
-    ssec = resolved["scan"]
     grid = np.linspace(-ssec["smax"], ssec["smax"], ssec["points"])
     res = tm.lambda_scan(cfg, conn0, A, grid,
                          window_radius=ssec.get("window_radius"))
@@ -290,12 +293,10 @@ def cmd_selftest(args, resolved):
             check(f"dims({n},{m}) = nullity",
                   ph.dims(n, m)[1] == ph.harmonic_nullity_bruteforce(n, m))
 
-    from .polyharm import HPoly
-
-    P = HPoly(3, 4, {a: rng.standard_normal() for a in ph.monomials(3, 4)})
+    P = ph.HPoly(3, 4, {a: rng.standard_normal() for a in ph.monomials(3, 4)})
     parts = ph.harmonic_decompose(P)
     r2 = ph.radial_squared(3)
-    rec = HPoly.zero(3, 4)
+    rec = ph.HPoly.zero(3, 4)
     for k, h in parts:
         term = h
         for _ in range(k):

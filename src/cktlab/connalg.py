@@ -49,7 +49,6 @@ __all__ = [
     "commutator_factor",
     "endo_split",
     "trace_end",
-    "trace_sym",
     "adjoint_end",
     "endo_pairing_witness",
     "skew_hermitian_basis",
@@ -94,7 +93,7 @@ class TwistedHarmonic:
             if not isinstance(c, HPoly) or c.n != self.n or c.m != self.m:
                 raise ValidationError("columns must be HPoly of matching (n, m)")
 
-    def check_harmonic(self, tol=1e-10):
+    def check_harmonic(self):
         """Raise unless every column is harmonic relative to the element's scale.
 
         Arithmetic on twisted harmonics can produce numerically tiny
@@ -104,7 +103,7 @@ class TwistedHarmonic:
         """
         scale = max((c.max_abs_coeff() for c in self.columns), default=0.0)
         if scale:
-            bound = tol * scale * max(1, self.m) ** 2
+            bound = 1e-10 * scale * max(1, self.m) ** 2
             for c in self.columns:
                 if laplace(c).max_abs_coeff() > bound:
                     raise ValidationError("columns must be harmonic")
@@ -154,13 +153,23 @@ def twisted_sphere_inner(u: TwistedHarmonic, w: TwistedHarmonic):
     return sum(sphere_inner(a, b) for a, b in zip(u.columns, w.columns))
 
 
-def _split_with_matrices(fiber_mats, f: TwistedHarmonic):
+def _split(G: FourierConnection, f: TwistedHarmonic, endo: bool):
     """Common core of gamma_split / endo_split.
 
-    fiber_mats[j] is the fdim x fdim matrix by which the j-th coordinate
-    direction acts on the fiber.  Returns (plus, minus) with
-    (Gamma f)(v) = plus(v) + |v|^2 minus(v), both harmonic.
+    G must be constant, share f's n and act on f's fiber: C^r, or the r^2
+    endomorphisms (row-major) by the commutator when endo is set; f must
+    be harmonic.  fiber_mats[j] is the fdim x fdim matrix by which the
+    j-th coordinate direction acts on the fiber.  Returns (plus, minus)
+    with (Gamma f)(v) = plus(v) + |v|^2 minus(v), both harmonic.
     """
+    gammas = _fiber_values(G)
+    if G.n != f.n:
+        raise ValidationError("connection form and harmonic must share n")
+    if (G.r * G.r if endo else G.r) != f.fiber_dim:
+        raise ValidationError(f"fiber mismatch: form has r={G.r}, element has fiber "
+                              f"{f.fiber_dim} != {'r^2' if endo else 'r'}")
+    f.check_harmonic()
+    fiber_mats = commutator_action_matrix(gammas) if endo else gammas
     n, m, fdim = f.n, f.m, f.fiber_dim
     # full product (degree m+1): out_i = sum_j v_j sum_k mat_j[i,k] f_k
     prod_cols = [HPoly.zero(n, m + 1) for _ in range(fdim)]
@@ -203,13 +212,7 @@ def gamma_split(G: FourierConnection, f: TwistedHarmonic):
     lowering part is the closed formula
     (n+2(m-1))^{-1} sum_{j,k} (Gamma_j)_{.k} d_j f_k.
     """
-    gammas = _fiber_values(G)
-    if G.n != f.n:
-        raise ValidationError("connection form and harmonic must share n")
-    if G.r != f.fiber_dim:
-        raise ValidationError(f"fiber mismatch: form has r={G.r}, element has {f.fiber_dim}")
-    f.check_harmonic()
-    return _split_with_matrices(gammas, f)
+    return _split(G, f, endo=False)
 
 
 def commutator_action_matrix(A: np.ndarray) -> np.ndarray:
@@ -234,16 +237,7 @@ def endo_split(A: FourierConnection, u: TwistedHarmonic):
     u lives over the endomorphism fiber (dimension r^2, row-major); the
     product being split is A(v) u(v) - u(v) A(v).
     """
-    gammas = _fiber_values(A)
-    if A.n != u.n:
-        raise ValidationError("connection form and harmonic must share n")
-    if A.r * A.r != u.fiber_dim:
-        raise ValidationError(
-            f"fiber mismatch: form has r={A.r}, element has fiber {u.fiber_dim} != r^2"
-        )
-    u.check_harmonic()
-    mats = [commutator_action_matrix(g) for g in gammas]
-    return _split_with_matrices(mats, u)
+    return _split(A, u, endo=True)
 
 
 @lru_cache(maxsize=None)
@@ -316,16 +310,8 @@ def solve_gamma_preimage(u: TwistedHarmonic):
     if n < 3:
         raise ValidationError("preimage construction requires n >= 3")
     gam = FourierConnection.cosine_mode(n, (0,) * n, 0, 1j * np.eye(r))
-    if all(c.is_zero() for c in u.columns):
-        return gam, TwistedHarmonic.zero(n, m + 1, r)
     c = -1j * (n + 2 * m)
-    cols = []
-    for uk in u.columns:
-        if uk.is_zero(0.0) or not uk.coeffs:
-            cols.append(HPoly.zero(n, m + 1))
-        else:
-            cols.append(harmonic_antiderivative(uk, 0, c))
-    w = TwistedHarmonic(n, m + 1, tuple(cols))
+    w = TwistedHarmonic(n, m + 1, tuple(harmonic_antiderivative(uk, 0, c) for uk in u.columns))
     return gam, w
 
 
@@ -386,7 +372,7 @@ def _factor_rec(u):
     up -= (np.trace(up) / (r - 1)) * np.eye(r - 1)
     up = (up - up.conj().T) / 2
     Ap, Gp = _factor_rec(up)
-    lam = float(np.abs(np.linalg.eigvalsh(-1j * Ap)).max()) + 1.0 if r > 1 else 1.0
+    lam = float(np.abs(np.linalg.eigvalsh(-1j * Ap)).max()) + 1.0
     S = np.linalg.solve(Ap - 1j * lam * np.eye(r - 1), X)
     A = np.zeros((r, r), dtype=complex)
     A[0, 0] = 1j * lam
@@ -406,13 +392,6 @@ def trace_end(u: TwistedHarmonic, r: int) -> HPoly:
     for i in range(r):
         out = out + u.entry(i, i, r)
     return out
-
-
-def trace_sym(tensors):
-    """Tensor trace applied to each fiber component of a twisted tensor."""
-    from .symtensor import trace as st_trace
-
-    return [st_trace(t) for t in tensors]
 
 
 def adjoint_end(u: TwistedHarmonic, r: int) -> TwistedHarmonic:

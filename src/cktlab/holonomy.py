@@ -348,9 +348,6 @@ def parallel_frame_check(config: TorusConfig, vectors, samples: int = 100,
     """
     if samples < 1:
         raise ValidationError(f"need samples >= 1, got {samples}")
-    vectors = np.asarray(vectors)
-    if vectors.ndim == 1:
-        vectors = vectors[:, None]
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0, 2 * math.pi, (samples, config.n))
     vs = rng.standard_normal((samples, config.n))

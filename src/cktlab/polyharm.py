@@ -153,9 +153,6 @@ class Terms:
     def __truediv__(self, scalar):
         return type(self)(self.n, self.m, {a: c / scalar for a, c in self.coeffs.items()})
 
-    def __neg__(self):
-        return self * (-1)
-
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -220,9 +217,9 @@ class HPoly(Terms):
                 out[b] = out.get(b, 0) + c * a[j]
         return HPoly(self.n, self.m - 1, out)
 
-    def prune(self, tol=0.0):
-        """Drop coefficients with |c| <= tol (tol=0 drops exact zeros)."""
-        return HPoly(self.n, self.m, {a: c for a, c in self.coeffs.items() if abs(c) > tol})
+    def prune(self):
+        """Drop the exact zero coefficients (and any NaN)."""
+        return HPoly(self.n, self.m, {a: c for a, c in self.coeffs.items() if abs(c) > 0})
 
     def compose_linear(self, M):
         """Substitute v -> M y: returns Q(y) = P(M y) in M.shape[1] variables.
@@ -240,12 +237,11 @@ class HPoly(Terms):
                for i in range(self.n)]
         out = HPoly.zero(n_new, self.m)
         for a, c in self.coeffs.items():
-            term = HPoly.constant(n_new, c) if self.m >= 0 else None
+            term = HPoly.constant(n_new, c)
             for i, e in enumerate(a):
                 for _ in range(e):
                     term = term * lin[i]
-            if term is not None:
-                out = out + term
+            out = out + term
         return out
 
     def is_zero(self, tol=0.0):
@@ -488,7 +484,10 @@ def harmonic_basis(n: int, m: int) -> HarmonicBasis:
     moment Gram G (two passes of Q <- Q C^{-T}, C = chol(Q^T G Q): the basis
     of Gram-Schmidt).  cond(G) grows with m, so a failed Cholesky or
     max|Q^T G Q - I| > 1e-9 raises ConvergenceError: the residual is <= 3e-11
-    through (3, 24) and (4, 18); (3, 36) and (2, 60) fail.
+    through (3, 24) and (4, 18), and (4, 20) passes.  For n = 3, (3, 29)
+    passes at 5.8e-10 and (3, 30) raises at 1.6e-9.  For n = 2 the ceiling
+    is not monotone: degrees 31 and 32 raise, 33 passes, every degree from
+    34 raises, and the Cholesky fails from 58.
     """
     p, h = dims(n, m)
     L = _laplacian_constraint_matrix(n, m)

@@ -532,8 +532,9 @@ def perturbation_suite(items, s_grid):
 
     Each item writes its five stencil matrices (_fd_stencil) and its
     grid's X_s at s != 0 into one stack of matrices of its size, of at
-    most max(one item's rows, _GROUP_ENTRIES entries) and allocated once
-    per size, and is dropped; a grid point s = 0 is the stencil's centre
+    most max(one item's rows, _GROUP_ENTRIES entries), and no more rows
+    than the items left need when items has a length, allocated once per
+    size, and is dropped; a grid point s = 0 is the stencil's centre
     X, whose sum it reuses.  When the stack has no room for another item,
     or the next item's size differs, it is reduced to Hessenberg form in
     place, walked by one _hessenberg_sums call and refilled.  Each
@@ -559,11 +560,13 @@ def perturbation_suite(items, s_grid):
         used = 0
         meta.clear()
 
-    for W, P_A, conj_P_A in items:
+    for i, (W, P_A, conj_P_A) in enumerate(items):
         if meta and stack.shape[1:] != W.X.shape:
             walk()
         if stack is None or stack.shape[1:] != W.X.shape:
             size = max(rows, _GROUP_ENTRIES // max(1, W.X.size))
+            if hasattr(items, "__len__"):
+                size = min(size, (len(items) - i) * rows)
             stack, radii = np.empty((size, *W.X.shape), dtype=complex), np.empty(size)
         P_A = np.asarray(P_A, dtype=complex)
         h, stencil = _fd_stencil(W, P_A)

@@ -36,7 +36,6 @@ __all__ = [
     "dstar_family",
     "divergence_family",
     "forms_family",
-    "forms_contraction_span",
     "counterexample_family",
     "check_dstar_uniform",
     "sphere_quadrature",
@@ -229,8 +228,8 @@ def divergence_family(n: int) -> SymbolFamily:
     return SymbolFamily(n, 1, lambda xi: (1j * xi)[None, :], n, name=f"divergence n={n}")
 
 
-def counterexample_family(r: int, n: int = 3) -> SymbolFamily:
-    """Divergence-type but not uniform: (u1, u2) -> |xi|^2 (u1 - u2)."""
+def counterexample_family(r: int) -> SymbolFamily:
+    """Divergence-type but not uniform: (u1, u2) -> |xi|^2 (u1 - u2), xi in R^3."""
     if r < 1:
         raise ValidationError(f"need fiber rank r >= 1, got {r}")
     _check_fiber(f"counterexample r={r}", 2 * r, r)
@@ -240,7 +239,7 @@ def counterexample_family(r: int, n: int = 3) -> SymbolFamily:
     def ev(xi):
         return float(xi @ xi) * block
 
-    return SymbolFamily(2 * r, r, ev, n, name=f"counterexample r={r}")
+    return SymbolFamily(2 * r, r, ev, 3, name=f"counterexample r={r}")
 
 
 @lru_cache(maxsize=None)
@@ -269,11 +268,6 @@ def forms_family(n: int, k: int) -> SymbolFamily:
     _check_fiber(f"forms n={n} k={k}", dom, cod)
     return SymbolFamily(dom, cod, lambda xi: _forms_contraction_matrix(n, k, xi), n,
                         name=f"forms n={n} k={k}")
-
-
-def forms_contraction_span(n: int, k: int, N: int = 256, seed: int = 0) -> SpanReport:
-    """Span verdict for the exterior-form contraction symbol on k-forms."""
-    return uniform_span(forms_family(n, k), N=N, seed=seed)
 
 
 def check_dstar_uniform(n: int, m: int, model: str = "tracefree", N: int = 256,

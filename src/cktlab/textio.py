@@ -5,7 +5,6 @@ write/read cycle is bit-exact for doubles.  Every format starts with a
 single header line naming the payload:
 
     HPOLY n m terms        then   c_re c_im a_1 ... a_n
-    SYMT n m terms         then   c_re c_im t_1 ... t_n
     ENDO r                 then   r rows of 2r floats (re im ...)
     FOURCONN n r rows      then   q_1 ... q_n j re im ... (r^2 entries)
 
@@ -30,12 +29,10 @@ import numpy as np
 
 from .errors import ValidationError
 from .polyharm import HPoly
-from .symtensor import SymTensor
 from .torus import FourierConnection
 
 __all__ = [
     "dump_hpoly", "load_hpoly",
-    "dump_symtensor", "load_symtensor",
     "dump_endo", "load_endo",
     "dump_fourier_connection", "load_fourier_connection",
     "write_csv", "config_hash", "read_config", "resolve_config", "parse_config", "render_config",
@@ -68,21 +65,20 @@ def _numbers(fields, kind, where):
     return values
 
 
-def _dump_terms(tag, n, m, coeffs) -> str:
-    items = sorted(coeffs.items())
-    lines = [f"{tag} {n} {m} {len(items)}"]
+def dump_hpoly(P: HPoly) -> str:
+    items = sorted(P.coeffs.items())
+    lines = [f"HPOLY {P.n} {P.m} {len(items)}"]
     for key, c in items:
         c = complex(c)
         lines.append(" ".join([_fmt(c.real), _fmt(c.imag), *map(str, key)]))
     return "\n".join(lines) + "\n"
 
 
-def _load_terms(text, tag):
-    """(n, m, {key: coefficient}) of an HPOLY or SYMT payload."""
-    head, body = _payload(text, tag, 3)
-    n, m, terms = _numbers(head, int, f"{tag} header")
+def load_hpoly(text: str) -> HPoly:
+    head, body = _payload(text, "HPOLY", 3)
+    n, m, terms = _numbers(head, int, "HPOLY header")
     if n < 1:
-        raise ValidationError(f"{tag} needs n >= 1, got {n}")
+        raise ValidationError(f"HPOLY needs n >= 1, got {n}")
     if len(body) != terms:
         raise ValidationError(f"expected {terms} term lines, got {len(body)}")
     coeffs = {}
@@ -95,23 +91,7 @@ def _load_terms(text, tag):
         if key in coeffs:
             raise ValidationError(f"duplicate term {key}")
         coeffs[key] = complex(real, imag)
-    return n, m, coeffs
-
-
-def dump_hpoly(P: HPoly) -> str:
-    return _dump_terms("HPOLY", P.n, P.m, P.coeffs)
-
-
-def load_hpoly(text: str) -> HPoly:
-    return HPoly(*_load_terms(text, "HPOLY"))
-
-
-def dump_symtensor(T: SymTensor) -> str:
-    return _dump_terms("SYMT", T.n, T.m, T.coeffs)
-
-
-def load_symtensor(text: str) -> SymTensor:
-    return SymTensor(*_load_terms(text, "SYMT"))
+    return HPoly(n, m, coeffs)
 
 
 def _matrix_rows(M) -> list:

@@ -79,11 +79,6 @@ def mode_list(n, K):
     return tuple(product(range(-K, K + 1), repeat=n))
 
 
-@lru_cache(maxsize=None)
-def _mode_index(n, K):
-    return {k: i for i, k in enumerate(mode_list(n, K))}
-
-
 def fourier_sum(modes, coeffs, x):
     """sum_q coeffs_q e^{i q.x} at the points x.
 

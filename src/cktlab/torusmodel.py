@@ -72,7 +72,7 @@ from .linalg import CSR, block_nullspace, rank_cut
 from .polyharm import _dual_matrix, dims
 from .symtensor import (_tracefree_contraction, _tracefree_coords, _tracefree_sym_product,
                         _weights)
-from .torus import FourierConnection, TorusConfig, _mode_index, eval_sections, mode_list
+from .torus import FourierConnection, TorusConfig, eval_sections, mode_list
 
 __all__ = [
     "TorusConfig",
@@ -112,7 +112,8 @@ class TorusAssembly:
     def flat_index(self, mode, a, e, degree=None):
         cfg = self.config
         h = dims(cfg.n, cfg.m if degree is None else degree)[1]
-        mi = _mode_index(cfg.n, cfg.K)[tuple(mode)]
+        # the order of mode_list: the box's modes shifted by K, row-major
+        mi = np.ravel_multi_index(np.add(mode, cfg.K), (2 * cfg.K + 1,) * cfg.n)
         return (mi * h + a) * cfg.fdim + e
 
 

@@ -161,8 +161,8 @@ def test_criterion_06_uniform_divergence_verdicts():
         failures.append(("counterexample", cx1.span_dim, cx1.verdict))
     for n in (3, 4):
         for k in range(1, n):
-            f1 = sc.forms_contraction_span(n, k, N=256, seed=RNG_SEED)
-            f2 = sc.forms_contraction_span(n, k, N=512, seed=RNG_SEED)
+            f1 = sc.uniform_span(sc.forms_family(n, k), N=256, seed=RNG_SEED)
+            f2 = sc.uniform_span(sc.forms_family(n, k), N=512, seed=RNG_SEED)
             if f1.verdict != "uniform" or f2.verdict != f1.verdict:
                 failures.append(("forms", n, k, f1.verdict))
     ok = not failures

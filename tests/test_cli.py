@@ -206,7 +206,15 @@ class TestInputGuards:
          f"dstar[tracefree] n=600 m=3 on a fiber of dimension {math.comb(602, 3) - 600}"),
         ("check-divtype", "[divtype]\nfamily = counterexample\nr = 1000000\n",
          f"counterexample r=1000000 on a fiber of dimension 2000000 needs {4 * 10 ** 12}"),
-    ], ids=["kato", "torus-ckt", "torus-eject", "forms", "dstar", "counterexample"])
+        ("torus-eject", "[torus]\nn = 3\nk = 1\nm = 0\nr = 1\n[perturbation]\n"
+         "file = absent.fourconn\n[scan]\npoints = 10000000000\n",
+         "the scan grid of 10000000000 points needs 10000000000"),
+        ("commutator-factor", "[commutator]\nr = 100000\n",
+         f"count = 1 random matrices of size r = 100000 needs {10 ** 10}"),
+        ("commutator-factor", "[commutator]\nr = 2\ncount = 2000000000\n",
+         f"count = 2000000000 random matrices of size r = 2 needs {8 * 10 ** 9}"),
+    ], ids=["kato", "torus-ckt", "torus-eject", "forms", "dstar", "counterexample",
+            "eject-points", "commutator-r", "commutator-count"])
     def test_entry_ceiling(self, tmp_path, capsys, sub, config, array):
         # the sizes are checked before anything is built: under a memory limit
         # these runs ended in numpy's MemoryError tracebacks, without one they
@@ -239,6 +247,45 @@ class TestInputGuards:
         assert run(["torus-eject", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "tag=validation" in capsys.readouterr().err
         assert not (tmp_path / "eject.csv").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text + "window_radius = 5.0\n",
+         "window contains nonzero unperturbed eigenvalues"),
+        (lambda text: text.replace("k = 1", "k = 0"), "no spectral gap"),
+    ], ids=["window-radius-5", "k-0"])
+    def test_eject_window_without_a_gap(self, eject_setup, tmp_path, capsys, edit, message):
+        # k = 0 keeps only mode 0, whose Laplacian is zero at m = 0
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text(edit(eject_setup.read_text()))
+        out = tmp_path / "out"
+        assert run(["torus-eject", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "tag=validation" in err and message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload, message", [
+        ("HPOLY 0 2 0\n", "HPOLY needs n >= 1, got 0"),
+        ("HPOLY 3 2 2\n1.0 0.0 2 0 0\n", "expected 2 term lines, got 1"),
+        ("HPOLY 3 2 1\n1.0 0.0 2 0\n", "bad term line"),
+    ], ids=["n-0", "missing-term-line", "short-term-line"])
+    def test_harmdecomp_malformed_payload(self, tmp_path, capsys, payload, message):
+        (tmp_path / "p.hpoly").write_text(payload)
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(f"[harmdecomp]\ninput = {tmp_path / 'p.hpoly'}\n")
+        out = tmp_path / "out"
+        assert run(["harmdecomp", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "tag=validation" in err and message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_divtype_form_degree_above_n(self, tmp_path, capsys):
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text("[divtype]\nfamily = forms\nn = 3\nk = 5\n")
+        out = tmp_path / "out"
+        assert run(["check-divtype", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "tag=validation" in err and "need 0 <= k <= n, got k=5" in err
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_holonomy_rejects_non_finite_coefficients(self, tmp_path, capsys):
         f = tmp_path / "conn.fourconn"
@@ -371,6 +418,18 @@ class TestDivtype:
         rows = read_data_lines(tmp_path / "divtype.csv")
         assert rows[0].startswith("index,kernel_dim")
         assert "verdict=uniform" in rows[-1]
+
+    def test_dstar_surface_edge_case_note(self, tmp_path, capsys):
+        # (n=2, m=1) exits 0 with the verdict of its sampled kernels and a note
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text("[divtype]\nfamily = dstar\nn = 2\nm = 1\n")
+        assert run(["check-divtype", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert "span 2/2 -> uniform" in capsys.readouterr().out
+        notes = [ln for ln in (tmp_path / "divtype.csv").read_text().splitlines()
+                 if ln.startswith("# note:")]
+        assert notes == ["# note: documented edge case: raw sampled kernels span the full "
+                         "fiber at (n=2, m=1) although the surface operators are classified "
+                         "as elliptic"]
 
     def test_counterexample(self, tmp_path, capsys):
         cfg = tmp_path / "d.cfg"
@@ -777,15 +836,6 @@ class TestSerializationRoundtrips:
         P = HPoly(3, 3, coeffs)
         Q = textio.load_hpoly(textio.dump_hpoly(P))
         assert P == Q  # exact equality: shortest-round-trip decimals
-
-    def test_symtensor_roundtrip(self, rng):
-        from cktlab.symtensor import SymTensor
-        from cktlab.polyharm import monomials
-
-        T = SymTensor(3, 2, {t: complex(rng.standard_normal(), 0.25)
-                             for t in monomials(3, 2)})
-        S = textio.load_symtensor(textio.dump_symtensor(T))
-        assert T == S
 
     def test_fourconn_roundtrip(self, rng):
         conn = tm.FourierConnection.cosine_mode(3, (0, 1, 0), 1,

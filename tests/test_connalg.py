@@ -106,6 +106,18 @@ class TestConstantForms:
         with pytest.raises(ValidationError, match="needs its .* as an int >= 1, got None"):
             TAKES_A_FORM[name](build())
 
+    @pytest.mark.parametrize("split, element", [(ca.gamma_split, VEC), (ca.endo_split, END)],
+                             ids=["gamma_split", "endo_split"])
+    @pytest.mark.parametrize("r, n, message", [
+        (2, 2, "must share n"),
+        (3, 3, "fiber mismatch"),
+    ], ids=["other-n", "other-fiber"])
+    def test_split_guard(self, split, element, r, n, message):
+        # both splits share one guard; VEC has fiber 2 = r, END fiber 4 = r^2 at r = 2
+        split(FourierConnection.zero(r=2, n=3), element)
+        with pytest.raises(ValidationError, match=message):
+            split(FourierConnection.zero(r=r, n=n), element)
+
     def test_zero_form_has_full_nullity(self):
         rep = ca.gamma_minus_matrix(FourierConnection.zero(r=2, n=3), 3, 2)
         assert rep.rank == 0 and rep.nullity == 2 * ph.dims(3, 2)[1]
@@ -380,14 +392,6 @@ class TestTraceAdjoint:
         plus_a, minus_a = ca.endo_split(A, ca.adjoint_end(u, r))
         assert (ca.adjoint_end(plus_u, r) - plus_a).norm_bombieri() < 1e-11
         assert (ca.adjoint_end(minus_u, r) - minus_a).norm_bombieri() < 1e-11
-
-    def test_trace_sym(self, rng):
-        from cktlab import symtensor as sy
-
-        T = [sy.from_poly(random_hpoly(rng, 3, 3)) for _ in range(4)]
-        out = ca.trace_sym(T)
-        for t_in, t_out in zip(T, out):
-            assert (sy.trace(t_in) - t_out).norm() == 0
 
 
 class TestCommutatorActionMatrix:

@@ -48,7 +48,9 @@ def test_compare_outputs_of_a_tree_with_itself(capsys):
                  "dims/dims.csv", "dims/manifest.txt", "harmdecomp/harmdecomp.csv",
                  "harmdecomp/part_k2.hpoly", "commutator-random/commutator.csv",
                  "commutator-file/factor_A.endo", "commutator-file/factor_G.endo",
-                 "holonomy-steps100/opacity.csv"):
+                 "holonomy-steps100/opacity.csv", "endo-eject/eject.csv",
+                 "endo-ckt-zero/ckt_kernel.csv", "endo-ckt-pert/ckt_kernel.csv",
+                 "holonomy-curved/opacity.csv"):
         assert path in reported
 
 

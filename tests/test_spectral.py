@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +263,26 @@ class TestLambdaDerivatives:
             sp.lambda_derivatives(W, P_A)
         with pytest.raises(ValidationError, match="underflows"):
             sp.perturbation_suite([(W, P_A, 0.05 * P_A)], np.linspace(-1, 1, 3))
+
+    def test_traced_peak_of_one_window(self, rng):
+        # a one-item call sizes the suite's stack by its 5 rows: at size 12
+        # the peak was 1.18 MiB when it took the full 2^16-entry capacity
+        X = sp.random_skew_adjoint_with_kernel(rng, 12, 2, gap=0.8, spread=4.0)
+        P_A = random_skew_hermitian(rng, 12)
+        W = sp.spectral_window(X, 0.3)
+        want = sp.lambda_derivatives(W, P_A)  # warm-up: lazy imports and caches
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = sp.lambda_derivatives(W, P_A)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert got == want
+        assert peak <= 0.5 * 2**20
 
 
 class TestTorusGeneratorWindow:

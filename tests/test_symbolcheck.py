@@ -136,21 +136,21 @@ class TestUniformSpan:
 
 class TestForms:
     def test_n3_k1_uniform(self):
-        rep = sc.forms_contraction_span(3, 1, N=128, seed=1)
+        rep = sc.uniform_span(sc.forms_family(3, 1), N=128, seed=1)
         assert rep.verdict == "uniform" and rep.span_dim == 3
 
     def test_n3_top_degree(self):
-        rep = sc.forms_contraction_span(3, 3, N=64, seed=1)
+        rep = sc.uniform_span(sc.forms_family(3, 3), N=64, seed=1)
         assert rep.span_dim == 0 and rep.verdict != "uniform"
 
     def test_n4_k2(self):
-        rep = sc.forms_contraction_span(4, 2, N=256, seed=1)
+        rep = sc.uniform_span(sc.forms_family(4, 2), N=256, seed=1)
         assert rep.verdict == "uniform" and rep.span_dim == 6
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_uniform_between_endpoints(self, n):
         for k in range(1, n):
-            rep = sc.forms_contraction_span(n, k, N=256, seed=2)
+            rep = sc.uniform_span(sc.forms_family(n, k), N=256, seed=2)
             assert rep.verdict == "uniform", (n, k)
 
 

@@ -8,7 +8,6 @@ from cktlab.errors import ValidationError
 
 LOADERS = {
     "HPOLY": textio.load_hpoly,
-    "SYMT": textio.load_symtensor,
     "ENDO": textio.load_endo,
     "FOURCONN": textio.load_fourier_connection,
 }
@@ -32,7 +31,6 @@ class TestMalformedPayloads:
 
     @pytest.mark.parametrize("text", [
         "HPOLY 3 two 0\n",
-        "SYMT 3 2 x\n",
         "ENDO 1.5\n1.0 0.0\n",
         "FOURCONN 3 1 one\n",
     ])
@@ -74,7 +72,6 @@ class TestMalformedPayloads:
 
     @pytest.mark.parametrize("text", [
         "HPOLY 2 1 1\nnan 0.0 1 0\n",
-        "SYMT 2 1 1\n0.0 inf 1 0\n",
         "ENDO 1\n-inf 0.0\n",
         "FOURCONN 3 1 1\n0 0 0 0 nan 0\n",
     ], ids=lambda text: text.split()[0])

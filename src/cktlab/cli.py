@@ -14,11 +14,21 @@ success, 2 validation error (an unreadable input or an unwritable --out
 included), 3 numerical non-convergence; stderr carries a one-line
 machine-parsable tag.
 
-ckt-lab runs on numpy alone: no subcommand loads scipy.  Only the
-subcommands that assemble torus matrices (torus-ckt, torus-eject,
-selftest) import torusmodel, and with it numpy.polynomial for the
-ejection scan's fit; the rest read the torus truncation and connections
-from the torus module, which assembles nothing.
+ckt-lab runs on numpy alone: no subcommand loads scipy.  Importing this
+module loads only textio, errors and linalg; each subcommand's function
+imports the layers it runs, so a cold run loads, beyond those:
+
+    dims, harmdecomp            polyharm
+    check-divtype               symbolcheck, connalg, symtensor, polyharm, torus
+    commutator-factor           connalg, polyharm, torus
+    torus-ckt, torus-eject      torusmodel, connalg, symtensor, polyharm, torus
+    kato                        spectral
+    holonomy                    holonomy, connalg, polyharm, torus
+    selftest                    all of them
+
+Only torusmodel assembles torus matrices, and it brings numpy.polynomial
+for the ejection scan's fit; the torus module holds the truncation and
+the connections and assembles nothing.
 """
 
 from __future__ import annotations
@@ -32,14 +42,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__
-from . import connalg as ca
-from . import holonomy as ho
-from . import polyharm as ph
-from . import spectral as sp
-from . import symbolcheck as sc
-from . import textio
-from . import torus
+from . import __version__, textio
 from .errors import ConvergenceError, ValidationError
 from .linalg import check_entries
 from .textio import Key, nonnegative_int, positive_float
@@ -79,6 +82,19 @@ def _read(path):
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
+class _Draws:
+    """count results of draw(), each drawn when the iteration reaches it, with a length."""
+
+    def __init__(self, draw, count):
+        self.draw, self.count = draw, count
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        return (self.draw() for _ in range(self.count))
+
+
 def _random_skew_hermitian(rng, size):
     M = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
     return (M - M.conj().T) / 2
@@ -89,6 +105,8 @@ def _random_skew_hermitian(rng, size):
 
 
 def cmd_dims(args, resolved):
+    from . import polyharm as ph
+
     n, mmax = resolved["dims"]["n"], resolved["dims"]["mmax"]
     rows = ["m,p,h"]
     table = [f"{'m':>3} {'p':>8} {'h':>8}"]
@@ -106,6 +124,8 @@ HARMONIC_CUT = 1e-10
 
 
 def cmd_harmdecomp(args, resolved):
+    from . import polyharm as ph
+
     P = textio.load_hpoly(_read(resolved["harmdecomp"]["input"]))
     rows = ["k,harmonic_degree,bombieri_norm,laplace_residual"]
     worst = 0.0
@@ -128,6 +148,8 @@ def cmd_harmdecomp(args, resolved):
 
 
 def cmd_check_divtype(args, resolved):
+    from . import symbolcheck as sc
+
     sec = resolved["divtype"]
     family = sec["family"]
     N = sec["samples"]
@@ -148,6 +170,8 @@ def cmd_check_divtype(args, resolved):
 
 
 def cmd_commutator_factor(args, resolved):
+    from . import connalg as ca
+
     sec = resolved["commutator"]
     rows = ["index,residual,skewness_A,skewness_G"]
     if "input" in sec:
@@ -179,11 +203,15 @@ def cmd_commutator_factor(args, resolved):
 
 
 def _torus_config(resolved):
+    from . import torus
+
     t = resolved["torus"]
     return torus.TorusConfig(t["n"], t["k"], t["m"], t["r"], t.get("bundle_kind", "vector"))
 
 
 def _load_conn(resolved, cfg):
+    from . import torus
+
     sec = resolved.get("connection", {})
     if "file" in sec:
         return textio.load_fourier_connection(_read(sec["file"]))
@@ -237,6 +265,8 @@ def cmd_torus_eject(args, resolved):
 
 
 def cmd_kato(args, resolved):
+    from . import spectral as sp
+
     sec = resolved["kato"]
     size = sec["size"]
     # an instance's stack rows: five stencil matrices and the grid's X_s at s = -1, 1
@@ -251,9 +281,9 @@ def cmd_kato(args, resolved):
         windows.append((sp.resolvent_identity_check(W), float(np.abs(sp.pi_operator(W)).max())))
         return W, P_A, 0.05 * P_A
 
-    # drawn one at a time: the suite keeps no instance past writing its rows
-    suites = sp.perturbation_suite((instance() for _ in range(sec["instances"])),
-                                   np.linspace(-1, 1, 3))
+    # drawn one at a time, so the suite keeps no instance past writing its rows,
+    # and sized, so it bounds its stack by the rows the instances left need
+    suites = sp.perturbation_suite(_Draws(instance, sec["instances"]), np.linspace(-1, 1, 3))
     rows = ["instance,identity_residual,d1_mismatch,d2_mismatch,conj_defect,pi_norm"]
     for i, ((resid, pi_norm), (d1c, d2c, d1f, d2f, conj)) in enumerate(zip(windows, suites)):
         rows.append(
@@ -266,6 +296,8 @@ def cmd_kato(args, resolved):
 
 
 def cmd_holonomy(args, resolved):
+    from . import holonomy as ho
+
     sec = resolved["holonomy"]
     conn = textio.load_fourier_connection(_read(sec["connection"]))
     rep = ho.opacity_probe(conn, num_geodesics=sec["num_geodesics"],
@@ -278,6 +310,11 @@ def cmd_holonomy(args, resolved):
 
 def cmd_selftest(args, resolved):
     """Fast invariant sweep across the modules; exit 0 when everything holds."""
+    from . import connalg as ca
+    from . import holonomy as ho
+    from . import polyharm as ph
+    from . import spectral as sp
+    from . import symbolcheck as sc
     from . import torusmodel as tm
 
     checks = []

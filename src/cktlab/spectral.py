@@ -268,13 +268,20 @@ def pi_operator(W: SpectralWindow) -> np.ndarray:
     return W.r0_plus + W.r0_minus
 
 
+# rows of a (B, rows, n) slab per rank-1 update in _hessenberg
+_ROW_BLOCK = 8
+
+
 def _hessenberg(H):
     """Upper Hessenberg forms Q^H X Q of a complex (B, n, n) stack, in place.
 
     Column k's entries below the subdiagonal are reflected onto the
     subdiagonal, for every matrix of the stack at once; the similarity is
-    unitary, so traces, norms and spectra are those of X.  H is
-    overwritten by the forms and returned.
+    unitary, so traces, norms and spectra are those of X.  Each reflector's
+    two rank-1 updates are applied _ROW_BLOCK rows at a time, so a
+    temporary holds a (B, _ROW_BLOCK, n) slab, not one of the stack's
+    size; every entry gets the same product either way.  H is overwritten
+    by the forms and returned.
     """
     if not np.isfinite(H).all():
         raise ValidationError("matrix entries must be finite")
@@ -290,9 +297,13 @@ def _hessenberg(H):
         vv = 2 * norm * (norm + mag)  # |v|^2
         tau = np.where(vv > 0, 2 / np.where(vv > 0, vv, 1), 0)
         w = tau[:, None] * (v.conj()[:, None, :] @ H[:, k + 1:, k:])[:, 0]
-        H[:, k + 1:, k:] -= v[:, :, None] * w[:, None, :]
+        for i in range(0, n - k - 1, _ROW_BLOCK):
+            rows = slice(k + 1 + i, k + 1 + i + _ROW_BLOCK)
+            H[:, rows, k:] -= v[:, i:i + _ROW_BLOCK, None] * w[:, None, :]
         u = tau[:, None] * (H[:, :, k + 1:] @ v[:, :, None])[:, :, 0]
-        H[:, :, k + 1:] -= u[:, :, None] * v.conj()[:, None, :]
+        vh = v.conj()[:, None, :]
+        for i in range(0, n, _ROW_BLOCK):
+            H[:, i:i + _ROW_BLOCK, k + 1:] -= u[:, i:i + _ROW_BLOCK, None] * vh
         H[:, k + 2:, k] = 0
     return H
 

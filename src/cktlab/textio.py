@@ -10,6 +10,9 @@ single header line naming the payload:
 
 A FOURCONN header states n >= 1 and r >= 1 even with no rows; the
 `FourierConnection` constructor is the one check of a loaded connection.
+`load_hpoly` imports `HPoly` (polyharm) and `load_fourier_connection`
+imports `FourierConnection` (torus) when called, so importing textio,
+as the CLI does for its config tables, loads neither model module.
 
 CSV outputs carry '#'-prefixed comment lines (timestamp, config hash);
 re-running with the same config and seed reproduces the data rows byte
@@ -28,8 +31,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .polyharm import HPoly
-from .torus import FourierConnection
 
 __all__ = [
     "dump_hpoly", "load_hpoly",
@@ -75,6 +76,8 @@ def dump_hpoly(P: HPoly) -> str:
 
 
 def load_hpoly(text: str) -> HPoly:
+    from .polyharm import HPoly
+
     head, body = _payload(text, "HPOLY", 3)
     n, m, terms = _numbers(head, int, "HPOLY header")
     if n < 1:
@@ -140,6 +143,8 @@ def dump_fourier_connection(conn: FourierConnection) -> str:
 
 
 def load_fourier_connection(text: str) -> FourierConnection:
+    from .torus import FourierConnection
+
     head, body = _payload(text, "FOURCONN", 3)
     n, r, rows = _numbers(head, int, "FOURCONN header")
     FourierConnection.zero(r, n)  # the constructor's check of n and r, before any row is read

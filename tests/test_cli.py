@@ -25,6 +25,19 @@ def read_data_lines(path):
         return [ln for ln in fh if not ln.startswith("#")]
 
 
+def _fresh_process(tmp_path, code):
+    """The stdout lines of code run by a new interpreter in tmp_path, on this cktlab."""
+    import cktlab
+
+    src = os.path.dirname(os.path.dirname(cktlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()
+
+
 @pytest.fixture
 def eject_setup(tmp_path):
     A = tm.FourierConnection.cosine_mode(3, (0, 1, 0), 0, 0.5j * np.eye(1))
@@ -376,11 +389,6 @@ class TestInputGuards:
         # running the subcommands that assemble torus matrices (torus-ckt,
         # torus-eject, selftest), the holonomy probe and kato load no scipy
         # module at all
-        import cktlab
-
-        src = os.path.dirname(os.path.dirname(cktlab.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         conn = tm.FourierConnection.constant(3, [np.diag([1j, 2j]), np.zeros((2, 2)),
                                                  np.zeros((2, 2))])
         (tmp_path / "c.fourconn").write_text(textio.dump_fourier_connection(conn))
@@ -404,10 +412,66 @@ class TestInputGuards:
                 "assert run(['torus-eject', '--config', 'e.cfg', '--out', 'e']) == 0\n"
                 "assert run(['selftest']) == 0\n"
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().splitlines()[-1] == "[]"
+        assert _fresh_process(tmp_path, code)[-1] == "[]"
+
+
+class TestStartup:
+    # a subcommand imports the layers it runs and no other: importing the
+    # CLI loads the config and error plumbing only
+    BASE = {"cktlab", "cktlab.cli", "cktlab.errors", "cktlab.linalg", "cktlab.textio"}
+    # the modules each subcommand adds to BASE
+    LAYERS = {
+        "dims": {"polyharm"},
+        "harmdecomp": {"polyharm"},
+        "check-divtype": {"connalg", "polyharm", "symbolcheck", "symtensor", "torus"},
+        "commutator-factor": {"connalg", "polyharm", "torus"},
+        "torus-ckt": {"connalg", "polyharm", "symtensor", "torus", "torusmodel"},
+        "torus-eject": {"connalg", "polyharm", "symtensor", "torus", "torusmodel"},
+        "kato": {"spectral"},
+        "holonomy": {"connalg", "holonomy", "polyharm", "torus"},
+    }
+    SHOW = "print(sorted(m for m in sys.modules if m.split('.')[0] in ('cktlab', 'scipy')))"
+
+    def test_import_loads_only_the_plumbing(self, tmp_path):
+        out = _fresh_process(tmp_path, f"import sys\nimport cktlab.cli\n{self.SHOW}")
+        assert out[-1] == repr(sorted(self.BASE))
+
+    @staticmethod
+    def _inputs(tmp_path):
+        conn = tm.FourierConnection.constant(3, [np.diag([1j, 2j]), np.zeros((2, 2)),
+                                                 np.zeros((2, 2))])
+        pert = tm.FourierConnection.cosine_mode(3, (0, 1, 0), 0, 0.5j * np.eye(1))
+        torus = "[torus]\nn = 3\nk = 1\nm = 0\nr = 1\n"
+        files = {
+            "c.fourconn": textio.dump_fourier_connection(conn),
+            "p.fourconn": textio.dump_fourier_connection(pert),
+            "x.hpoly": "HPOLY 3 2 1\n1.0 0.0 2 0 0\n",
+            "harmdecomp.cfg": "[harmdecomp]\ninput = x.hpoly\n",
+            "check-divtype.cfg": "[divtype]\nfamily = dstar\nn = 3\nm = 2\nsamples = 16\n",
+            "commutator-factor.cfg": "[commutator]\nr = 2\n",
+            "torus-ckt.cfg": torus,
+            "torus-eject.cfg": torus + "[perturbation]\nfile = p.fourconn\n"
+                                       "[scan]\nsmax = 0.1\npoints = 5\n",
+            "kato.cfg": "[kato]\nsize = 6\ninstances = 1\n",
+            "holonomy.cfg": "[holonomy]\nconnection = c.fourconn\nnum_geodesics = 2\n"
+                            "steps = 16\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+
+    @pytest.mark.parametrize("subcommand", LAYERS)
+    def test_subcommand_loads_its_layers(self, tmp_path, subcommand):
+        self._inputs(tmp_path)
+        argv = (["dims", "--n", "3", "--mmax", "2"] if subcommand == "dims"
+                else [subcommand, "--config", f"{subcommand}.cfg"])
+        out = _fresh_process(tmp_path, "import contextlib, io, sys\n"
+                                       "from cktlab.cli import run\n"
+                                       "with contextlib.redirect_stdout(io.StringIO()):\n"
+                                       f"    code = run({argv + ['--out', 'o']!r})\n"
+                                       f"print(code)\n{self.SHOW}")
+        added = {f"cktlab.{m}" for m in self.LAYERS[subcommand]}
+        assert out[-2:] == ["0", repr(sorted(self.BASE | added))]
+
 
 class TestDivtype:
     def test_dstar_table_entry(self, tmp_path, capsys):
@@ -623,6 +687,27 @@ class TestKato:
             if not tracing:
                 tracemalloc.stop()
         assert peak <= 2.5 * 2**20
+
+    def test_traced_peak_of_a_small_run(self, tmp_path):
+        # kato hands the suite sized draws, so three instances of size 12 take
+        # a stack of their 21 rows (48 KiB); a generator, which has no length,
+        # took the full 2^16-entry capacity and peaked at 1.80 MiB.  The walk's
+        # three rows of _TRACE_BUDGET entries (0.75 MiB) are most of the rest
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("[kato]\nsize = 12\ninstances = 3\n")
+        argv = ["kato", "--config", str(cfg), "--out", str(tmp_path)]
+        assert run(argv) == 0  # warm-up: lazy imports and caches
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 1.0 * 2**20
 
     def test_one_eig_per_instance(self, tmp_path, monkeypatch):
         # the window's eig of X serves the contour check, the zero rule,

@@ -34,11 +34,14 @@ the CSV timestamp, and reported as
 
 A DIFFERENT file whose data rows match in number, and in fields per row,
 and differ only in comma-separated fields that are finite floats in both
-trees, is reported as `DIFFERENT (numbers only, max rel diff 3.6e-16)`:
-the largest |a - b| / max(|a|, |b|) over those fields.  A file whose data
-rows match gets the same measure over its `# key: value` comment lines
-whose values are finite floats in both trees, appended as
-`same data rows (comment drift 2.5e-02)` when such a value moved.
+trees, is reported as `DIFFERENT (numbers only, max rel diff 3.6e-16, max
+abs diff 1.1e-16)`: the largest |a - b| / max(|a|, |b|) and the largest
+|a - b| over those fields.  The absolute difference tells a column of
+rounding-size defects, whose relative difference can be of order 1,
+from a value that moved.  A file whose data rows match gets the
+relative measure over its `# key: value` comment lines whose values are
+finite floats in both trees, appended as `same data rows (comment drift
+2.5e-02)` when such a value moved.
 
 The exit code is 0 when every file is identical and 1 otherwise.
 `perfbench/workloads.py` is only read.
@@ -212,13 +215,13 @@ def outputs(workdir, runs):
 
 
 def numbers_only(old_rows, new_rows):
-    """The largest relative difference of the fields that differ between two
-    lists of data rows, or None unless the lists have as many rows, each row
-    as many comma-separated fields, and every differing field is a finite
-    float in both."""
+    """The largest relative and the largest absolute difference of the
+    fields that differ between two lists of data rows, or None unless the
+    lists have as many rows, each row as many comma-separated fields, and
+    every differing field is a finite float in both."""
     if len(old_rows) != len(new_rows):
         return None
-    worst = 0.0
+    worst = worst_abs = 0.0
     for old_row, new_row in zip(old_rows, new_rows):
         old_fields, new_fields = old_row.split(","), new_row.split(",")
         if len(old_fields) != len(new_fields):
@@ -229,8 +232,8 @@ def numbers_only(old_rows, new_rows):
             x, y = _float(a), _float(b)
             if x is None or y is None:
                 return None
-            worst = max(worst, _rel_diff(x, y))
-    return worst
+            worst, worst_abs = max(worst, _rel_diff(x, y)), max(worst_abs, abs(x - y))
+    return worst, worst_abs
 
 
 def _float(text):
@@ -276,7 +279,9 @@ def verdict(old, new):
     if old_rows == new_rows:
         return "same data rows"
     worst = numbers_only(old_rows, new_rows)
-    return "DIFFERENT" if worst is None else f"DIFFERENT (numbers only, max rel diff {worst:.1e})"
+    if worst is None:
+        return "DIFFERENT"
+    return f"DIFFERENT (numbers only, max rel diff {worst[0]:.1e}, max abs diff {worst[1]:.1e})"
 
 
 def main(argv=None):

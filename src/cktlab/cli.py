@@ -272,26 +272,34 @@ def cmd_kato(args, resolved):
     # an instance's stack rows: five stencil matrices and the grid's X_s at s = -1, 1
     check_entries(f"a kato instance's stack of 7 matrices of size {size}", 7 * size ** 2)
     rng = np.random.default_rng(args.seed)
-    windows = []  # (identity residual, pi operator norm) per instance
+    windows = []  # (identity residual, pi operator norm, nodes, clearance) per instance
+    bands = []  # the upper bandwidth of each walk's Hessenberg forms
 
     def instance():
         X = sp.random_skew_adjoint_with_kernel(rng, size, sec["kernel_dim"], gap=0.8, spread=4.0)
         P_A = _random_skew_hermitian(rng, size)
         W = sp.spectral_window(X, sec["radius"])
-        windows.append((sp.resolvent_identity_check(W), float(np.abs(sp.pi_operator(W)).max())))
+        windows.append((sp.resolvent_identity_check(W), float(np.abs(sp.pi_operator(W)).max()),
+                        W.quadrature_nodes, W.clearance))
         return W, P_A, 0.05 * P_A
 
     # drawn one at a time, so the suite keeps no instance past writing its rows,
     # and sized, so it bounds its stack by the rows the instances left need
-    suites = sp.perturbation_suite(_Draws(instance, sec["instances"]), np.linspace(-1, 1, 3))
+    suites = sp.perturbation_suite(_Draws(instance, sec["instances"]), np.linspace(-1, 1, 3),
+                                   bands)
     rows = ["instance,identity_residual,d1_mismatch,d2_mismatch,conj_defect,pi_norm"]
-    for i, ((resid, pi_norm), (d1c, d2c, d1f, d2f, conj)) in enumerate(zip(windows, suites)):
+    for i, ((resid, pi_norm, _, _), (d1c, d2c, d1f, d2f, conj)) in enumerate(zip(windows, suites)):
         rows.append(
             f"{i},{float(resid)!r},{float(abs(d1f - d1c))!r},"
             f"{float(abs(d2f - d2c))!r},{float(conj)!r},{pi_norm!r}"
         )
-    worst_identity = max(resid for resid, _ in windows)
-    return Output("kato.csv", rows, message=(
+    comments = [
+        f"max_quadrature_nodes: {max(nodes for _, _, nodes, _ in windows)}",
+        f"min_contour_clearance: {min(clear for _, _, _, clear in windows)!r}",
+        f"walk_band: {max(bands)}",
+    ]
+    worst_identity = max(resid for resid, _, _, _ in windows)
+    return Output("kato.csv", rows, comments, message=(
         f"{sec['instances']} instances, worst identity residual {worst_identity:.3e}"))
 
 

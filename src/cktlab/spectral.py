@@ -9,6 +9,15 @@ route.  The nodes are the endpoint nodes radius exp(2 pi i k / N), which
 nest under doubling: each refinement inverts only the N/2 new nodes, a
 few at a time as one stacked inverse, and adds them to a running sum.
 
+The source paper's generators are skew-adjoint (their connections are
+unitary), and so are their perturbations; `random_skew_adjoint_with_kernel`
+returns an exactly skew-Hermitian X, X == -X^H bit for bit, and X + s P
+with s real and P exactly skew is exactly skew too.  For such an X the
+resolvents at the nodes k and N/2 - k (mod N), z and -conj z, are
+R(-conj z) = -R(z)^H, so a level inverts only one node of each pair: N/2
++ 1 inverses up to level N instead of N.  Every other X is integrated
+node by node.
+
 The other convention, (z - X)^{-1} = -(X + (-z))^{-1}, is this one at
 the mirrored node, and every level is closed under z -> -z: its
 projector is the same, its Laurent constant term and cluster sum the
@@ -20,7 +29,14 @@ unitary similarity, so traces of resolvents are unchanged) and take
 Tr (H + z)^{-1} = d/dz log det(H + z) from a pivoted LU of the shifted
 Hessenberg matrix that carries the z-derivative along: O(n^2) work per
 node instead of a dense O(n^3) inverse, batched over a stack of
-matrices and the nodes of a level, each matrix on its own circle.
+matrices and the nodes of a level, each matrix on its own circle.  The
+Hessenberg form of an exactly skew-Hermitian matrix is tridiagonal, and
+the reduction sets its entries above the superdiagonal, rounding errors
+of size eps |X|, to 0; the elimination reads the stack's widest band b
+from the forms and carries rows of b + 2 entries, O(n b) work per node,
+O(n) for a stack of skew matrices.  A stack with one non-skew matrix is
+walked at full width, and every matrix's trace is the same bit for bit
+at either width.
 `perturbation_suite` is the one walker of the five-point stencil: the
 stencils of a run of windows and their conjugation grids (the X_s of
 `conjugation_check`) fill one preallocated stack of at most 2^16 complex
@@ -28,9 +44,9 @@ entries (or one window's matrices, when they are more), reduced in place
 once and walked once per level; `lambda_derivatives` is its one-item
 call with an empty grid, and a window's grid point s = 0 is its
 stencil's centre X, reduced and walked once.  A level's new nodes go
-through the traces in chunks of at most 2^14 working entries.  Each
-matrix's level sum is taken over its own nodes, so its cluster sum does
-not depend on the other matrices of its stack.
+through one trace walk, in chunks of at most 2^14 entries per working
+row.  Each matrix's level sum is taken over its own nodes, so its
+cluster sum does not depend on the other matrices of its stack.
 
 The window radius must isolate the cluster at 0, and the cluster must be
 semisimple: the quadrature for the Laurent constant term reads off the
@@ -74,6 +90,8 @@ class SpectralWindow:
     quadrature_nodes: int
     enclosed: int  # eigenvalues of X inside the contour, with multiplicity
     eig_crosscheck: float = field(default=float("nan"))
+    # min over the eigenvalues w of X of ||w| - contour_radius| / contour_radius
+    clearance: float = field(default=float("nan"))
 
     # (z - X)^{-1} = -(X + (-z))^{-1} on a contour symmetric under z -> -z
     @property
@@ -131,18 +149,25 @@ def _check_radius(radius):
 
 
 def _endpoint_levels(max_nodes):
-    """Yield (N, the unit nodes level N adds), N = 16, 32, ... up to max_nodes.
+    """Yield (N, k, the unit nodes exp(2 pi i k / N) level N adds), N = 16,
+    32, ... up to max_nodes.
 
     The nodes z_k = radius exp(2 pi i k / N) nest under doubling: level 16
-    adds all 16, every later level only the N/2 odd k the previous lacks.
-    The yielded exp(2 pi i k / N) are scaled by each caller's radius.
+    adds all 16 k, every later level only the N/2 odd k the previous lacks.
+    The yielded unit nodes are scaled by each caller's radius.
     """
     N = 16
     k = np.arange(N)
     while N <= max_nodes:
-        yield N, np.exp(2j * math.pi * k / N)
+        yield N, k, np.exp(2j * math.pi * k / N)
         N *= 2
         k = np.arange(1, N, 2)
+
+
+def _skew(X):
+    """Whether the square matrix X is exactly skew-Hermitian, X == -X^H,
+    tested on its real and imaginary parts: no complex temporary."""
+    return np.array_equal(X.real, -X.real.T) and np.array_equal(X.imag, X.imag.T)
 
 
 def _trapezoid_levels(X, radius, max_nodes=1 << 15):
@@ -151,16 +176,32 @@ def _trapezoid_levels(X, radius, max_nodes=1 << 15):
     dz = i z dtheta weight turns 1/z into 1) and the Laurent constant term
     at 0.  Each level inverts only the nodes it adds, _NODE_GROUP at a
     time as one stacked inverse, and adds them to a running sum.
+
+    An exactly skew-Hermitian X has R(-conj z) = -R(z)^H, and node
+    N/2 - k (mod N) is -conj of node k: of each such pair of a level's
+    new nodes only the one of smaller k is inverted, and its twin's terms
+    (z R)^H and -R^H are added with it.  Nodes k = N/4 and 3N/4, on the
+    imaginary axis, are their own twins.
     """
     eye = np.eye(X.shape[0])
+    skew = _skew(X)
     total = 0.0
-    for N, unit in _endpoint_levels(max_nodes):
+    for N, k, unit in _endpoint_levels(max_nodes):
+        if skew:
+            twin = (N // 2 - k) % N
+            first = k <= twin
+            unit, paired = unit[first], (k != twin)[first]
         zs = radius * unit
         for i in range(0, len(zs), _NODE_GROUP):
             z = zs[i:i + _NODE_GROUP, None, None]
             res = np.linalg.inv(X + z * eye)
-            total = total + np.stack([(z * res).sum(0), res.sum(0)])
-            del res  # one group of resolvents in memory at a time
+            zres = z * res
+            sums = np.stack([zres.sum(0), res.sum(0)])
+            if skew:
+                twins = paired[i:i + _NODE_GROUP]
+                sums += np.stack([zres[twins].sum(0), -res[twins].sum(0)]).conj().swapaxes(1, 2)
+            total = total + sums
+            del res, zres  # one group of resolvents in memory at a time
         yield N, total / N
 
 
@@ -192,12 +233,13 @@ def spectral_window(X, radius=None) -> SpectralWindow:
     pi0_plus/r0_plus are integrated from (X + z)^{-1}, whose Laurent
     expansion at 0 is pi0_plus/z + r0_plus + O(z); for skew-adjoint X the
     projector is orthogonal.  One eig of X gives the default radius, the
-    contour clearance, the enclosed count and the cross-check projector
-    V[:, in] V^-1[in, :].  The disc |z| < radius must hold a
-    semisimple cluster at 0 and nothing else, or the constant Laurent term
-    is no reduced resolvent: an enclosed eigenvalue that is nonzero by
-    _zero's rule is a ValidationError, and so is an eigennilpotent X Pi
-    with |X Pi|_F > 1e-8 |X|_F max(1, |Pi|_F).
+    contour clearance (kept as W.clearance, relative to the radius), the
+    enclosed count and the cross-check projector V[:, in] V^-1[in, :].
+    The disc |z| < radius must hold a semisimple cluster at 0 and nothing
+    else, or the constant Laurent term is no reduced resolvent: an
+    enclosed eigenvalue that is nonzero by _zero's rule is a
+    ValidationError, and so is an eigennilpotent X Pi with |X Pi|_F >
+    1e-8 |X|_F max(1, |Pi|_F).
     """
     X = np.asarray(X, dtype=complex)
     if X.shape[0] != X.shape[1]:
@@ -228,7 +270,8 @@ def spectral_window(X, radius=None) -> SpectralWindow:
                               f"|X Pi|_F = {nilpotent:.3e}")
     cross = (float("nan") if Vinv is None
              else float(np.abs(pi_p - V[:, inside] @ Vinv[inside, :]).max()))
-    return SpectralWindow(X, float(radius), pi_p, r_p, nodes, int(inside.sum()), cross)
+    return SpectralWindow(X, float(radius), pi_p, r_p, nodes, int(inside.sum()), cross,
+                          float(dist.min()) / radius)
 
 
 def default_window_radius(X) -> float:
@@ -280,12 +323,16 @@ def _hessenberg(H):
     unitary, so traces, norms and spectra are those of X.  Each reflector's
     two rank-1 updates are applied _ROW_BLOCK rows at a time, so a
     temporary holds a (B, _ROW_BLOCK, n) slab, not one of the stack's
-    size; every entry gets the same product either way.  H is overwritten
-    by the forms and returned.
+    size; every entry gets the same product either way.  The form of an
+    exactly skew-Hermitian X (_skew) is skew-Hermitian and tridiagonal in
+    exact arithmetic, and its entries above the superdiagonal, rounding
+    errors of size eps |X| (the reduction's own backward error), are set
+    to 0.  H is overwritten by the forms and returned.
     """
     if not np.isfinite(H).all():
         raise ValidationError("matrix entries must be finite")
     n = H.shape[-1]
+    skew = [b for b in range(len(H)) if _skew(H[b])]
     for k in range(n - 2):
         x = H[:, k + 1:, k]
         norm = np.linalg.norm(x, axis=1)
@@ -305,7 +352,19 @@ def _hessenberg(H):
         for i in range(0, n, _ROW_BLOCK):
             H[:, i:i + _ROW_BLOCK, k + 1:] -= u[:, i:i + _ROW_BLOCK, None] * vh
         H[:, k + 2:, k] = 0
+    if skew:
+        i, j = np.triu_indices(n, 2)
+        H[np.array(skew)[:, None], i, j] = 0
     return H
+
+
+def _band(H):
+    """The upper bandwidth of a (B, n, n) stack: the largest j - i of a
+    nonzero H[b, i, j], 0 when no entry above the diagonal is nonzero."""
+    for d in range(H.shape[-1] - 1, 0, -1):
+        if np.diagonal(H, d, 1, 2).any():
+            return d
+    return 0
 
 
 def _hessenberg_traces(H, z):
@@ -316,9 +375,15 @@ def _hessenberg_traces(H, z):
     row of H, pivoting between the two (adjacent-row partial pivoting);
     each new row is carried with its z-derivative, so the diagonal u_kk
     of U comes with u'_kk and Tr (H + z)^{-1} = d/dz log det = sum_k
-    u'_kk / u_kk.  Vectorised over (B, m): n steps of O(B m n) work, on
-    rows stored column-major as (n - k, B, m) so each step's updates run
-    over contiguous (B, m) slabs, in place in three (n, B, m) arrays.
+    u'_kk / u_kk.  Vectorised over (B, m): n steps, on rows stored
+    column-major so each step's updates run over contiguous (B, m) slabs,
+    in place.  With the stack's upper bandwidth (_band) at most b, the
+    current row at step k is 0 past column k + b + 1 (the pivoting fills
+    one more column), so a working row holds columns k .. k + b + 1: b + 2
+    entries, and a step costs O(B m b), O(B m) for tridiagonal forms.  At
+    full width, b + 2 >= n, a row holds columns k .. n - 1 as it shrinks.
+    The nodes go through in chunks of at most _TRACE_BUDGET working-row
+    entries, on rows allocated once per call.
 
     A shift singular to working precision (a pivot at most
     n eps (|H_b|_F + |z|)) gets nan: its trace carries no digits.
@@ -329,59 +394,80 @@ def _hessenberg_traces(H, z):
     m = z.shape[1]
     if n == 0:
         return np.zeros((B, m), dtype=complex)
+    width = min(_band(H) + 2, n)
+    # a banded row moves on by one column per step, and back to the front of
+    # its buffer when it reaches the end; at full width it only shrinks
+    span = n if 2 * width >= n else 2 * width
+    step = max(1, min(m, _TRACE_BUDGET // max(1, B * span)))
+    rows = np.empty((3, span * B * step), dtype=complex)  # current row, its derivative, scratch
     Ht = H.transpose(1, 2, 0)[..., None]  # (n, n, B, 1)
     sub = np.diagonal(H, -1, 1, 2).T[:, :, None]  # (n - 1, B, 1), free of z
     abs_sub = np.abs(sub)
     # |H_b|_F from the real and imaginary parts: no complex temporary of the stack
     frob = np.sqrt(np.einsum("bij,bij->b", H.real, H.real)
                    + np.einsum("bij,bij->b", H.imag, H.imag))
-    floor = n * np.finfo(float).eps * (frob[:, None] + np.abs(z))
-    cur = Ht[0] + np.zeros((n, B, m))  # current row of H + z, columns k..n-1
-    cur[0] += z
-    dcur = np.zeros_like(cur)  # its z-derivative
-    dcur[0] = 1
-    work = np.empty_like(cur)  # scratch for the row updates
-    tr = np.zeros((B, m), dtype=complex)
-    least = np.full((B, m), np.inf)  # smallest |pivot|
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(n - 1):
-            a, da = cur[0], dcur[0]
-            b = sub[k]  # the next row's entry in column k
-            abs_a = np.abs(a)
-            swap = abs_sub[k] > abs_a
-            least = np.minimum(least, np.maximum(abs_a, abs_sub[k]))
-            # pivot p and multiplier l; the next row's pivot entry is constant in z
-            p = np.where(swap, b, a)
-            dp = np.where(swap, 0, da)
-            l = np.where(swap, a, b) / p
-            dl = (da - dp - l * dp) / p
-            tr += dp / p
-            # new row = c1 * (current row) + c2 * (next row), past column k
-            c1 = np.where(swap, 1, -l)
-            c2 = np.where(swap, -l, 1)
-            dc1 = np.where(swap, 0, -dl)
-            dc2 = np.where(swap, -dl, 0)
-            # in place over the tails: the derivative first, while the
-            # current row is still unchanged
-            row = Ht[k + 1, k + 1:]
-            tail, dtail, w = cur[1:], dcur[1:], work[k + 1:]
-            np.multiply(c1, dtail, out=dtail)
-            dtail += np.multiply(dc1, tail, out=w)
-            dtail += np.multiply(dc2, row, out=w)
-            dtail[0] += dc2 * z + c2
-            np.multiply(c1, tail, out=tail)
-            tail += np.multiply(c2, row, out=w)
-            tail[0] += c2 * z
-            cur, dcur = tail, dtail
-        tr += dcur[0] / cur[0]
-    least = np.minimum(least, np.abs(cur[0]))
-    tr[~(least > floor)] = np.nan
+    tr = np.empty((B, m), dtype=complex)
+    for i in range(0, m, step):
+        zc = z[:, i:i + step]
+        cur, dcur, work = (r[:span * zc.size].reshape(span, *zc.shape) for r in rows)
+        np.add(Ht[0, :width], 0.0, out=cur[:width])  # row 0 of H + z, columns 0 .. width - 1
+        cur[0] += zc
+        dcur[:width] = 0  # its z-derivative
+        dcur[0] = 1
+        tc = np.zeros(zc.shape, dtype=complex)  # the chunk's traces
+        least = np.full(zc.shape, np.inf)  # smallest |pivot|
+        o = 0  # buffer index of the current row's column k
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k in range(n - 1):
+                size = min(width, n - k)  # the current row's columns k .. k + size - 1
+                grow = k + width < n  # the next row's column k + width enters, as 0
+                if grow and o + width == span:
+                    cur[:width] = cur[o:]
+                    dcur[:width] = dcur[o:]
+                    o = 0
+                a, da = cur[o], dcur[o]
+                b = sub[k]  # the next row's entry in column k
+                abs_a = np.abs(a)
+                swap = abs_sub[k] > abs_a
+                least = np.minimum(least, np.maximum(abs_a, abs_sub[k]))
+                # pivot p and multiplier l; the next row's pivot entry is constant in z
+                p = np.where(swap, b, a)
+                dp = np.where(swap, 0, da)
+                l = np.where(swap, a, b) / p
+                dl = (da - dp - l * dp) / p
+                tc += dp / p
+                # new row = c1 * (current row) + c2 * (next row), past column k
+                c1 = np.where(swap, 1, -l)
+                c2 = np.where(swap, -l, 1)
+                dc1 = np.where(swap, 0, -dl)
+                dc2 = np.where(swap, -dl, 0)
+                # in place over the tails: the derivative first, while the
+                # current row is still unchanged
+                row = Ht[k + 1, k + 1:k + size]
+                tail, dtail, w = cur[o + 1:o + size], dcur[o + 1:o + size], work[:size - 1]
+                np.multiply(c1, dtail, out=dtail)
+                dtail += np.multiply(dc1, tail, out=w)
+                dtail += np.multiply(dc2, row, out=w)
+                dtail[0] += dc2 * zc + c2
+                np.multiply(c1, tail, out=tail)
+                tail += np.multiply(c2, row, out=w)
+                tail[0] += c2 * zc
+                if grow:
+                    cur[o + size] = 0
+                    dcur[o + size] = 0
+                o += 1
+            tc += dcur[o] / cur[o]
+        least = np.minimum(least, np.abs(cur[o]))
+        floor = n * np.finfo(float).eps * (frob[:, None] + np.abs(zc))
+        tc[~(least > floor)] = np.nan
+        tr[:, i:i + step] = tc
     return tr
 
 
-# complex entries B * m * n of the working rows of one _hessenberg_traces call:
-# a group of five kato instances, 35 matrices of size 40, takes the new
-# nodes of a level 11 at a time
+# complex entries B * m * (row length) of each working row of one chunk of
+# _hessenberg_traces: a full-width walk of a group of five kato instances,
+# 35 matrices of size 40, takes the new nodes of a level 11 at a time, a
+# tridiagonal one (rows of 6 entries in a buffer) 78 at a time
 _TRACE_BUDGET = 1 << 14
 
 
@@ -406,21 +492,18 @@ def _hessenberg_sums(H, radii, max_nodes=1 << 15):
     first level within 1e-12 * max(1, |value|) of the previous one; a
     converged matrix, with its Hessenberg form, drops out of later levels,
     and the forms still walking are moved to the front of H in place.
-    Each level's new nodes go through _hessenberg_traces in chunks of at
-    most _TRACE_BUDGET working entries.  Every matrix's level sum is taken
+    Each level's new nodes go through one _hessenberg_traces call, at the
+    band of the forms still walking.  Every matrix's level sum is taken
     over its own row of nodes, so its value does not depend on the other
     matrices of the stack.  Returns (B,).
     """
-    n = H.shape[1]
     total = np.zeros(len(H), dtype=complex)
     prev = np.zeros_like(total)
     out = np.zeros_like(total)
     active = np.arange(len(H))
-    for N, unit in _endpoint_levels(max_nodes):
+    for N, _, unit in _endpoint_levels(max_nodes):
         zs = radii[active, None] * unit
-        step = max(1, _TRACE_BUDGET // max(1, len(active) * n))
-        tr = np.concatenate([_hessenberg_traces(H, zs[:, i:i + step])
-                             for i in range(0, zs.shape[1], step)], axis=1)
+        tr = _hessenberg_traces(H, zs)
         bad = ~np.isfinite(tr)
         if bad.any():
             b, j = np.argwhere(bad)[0]
@@ -535,7 +618,7 @@ def conjugation_check(X, P_A, s_grid, radius) -> float:
 _GROUP_ENTRIES = 1 << 16
 
 
-def perturbation_suite(items, s_grid):
+def perturbation_suite(items, s_grid, bands=None):
     """The closed-form and five-point derivatives of lambda_derivatives(W,
     P_A) and the defect of conjugation_check(W.X, conj_P_A, s_grid,
     W.contour_radius) for every (W, P_A, conj_P_A) of items, which may be
@@ -552,8 +635,11 @@ def perturbation_suite(items, s_grid):
     matrix's sum is taken on its own, so an item's results do not depend
     on the other items, and its defect equals conjugation_check's bit for
     bit.  A later item's stencil or window error can surface before an
-    earlier item's walk error.  Returns one (dot_closed, ddot_closed,
-    dot_fd, ddot_fd, conj_defect) per item, in order.
+    earlier item's walk error.  When bands is a list, each walk appends
+    the upper bandwidth of its stack's forms (_band; 1 for the
+    tridiagonal forms of skew-Hermitian matrices).  Returns one
+    (dot_closed, ddot_closed, dot_fd, ddot_fd, conj_defect) per item, in
+    order.
     """
     s = np.asarray(list(s_grid))
     centre = (s == 0).any()
@@ -563,7 +649,10 @@ def perturbation_suite(items, s_grid):
 
     def walk():  # the cluster sums of the stack's first `used` rows
         nonlocal used
-        sums = _hessenberg_sums(_hessenberg(stack[:used]), radii[:used])
+        H = _hessenberg(stack[:used])
+        if bands is not None:
+            bands.append(_band(H))
+        sums = _hessenberg_sums(H, radii[:used])
         for (closed, h), row in zip(meta, sums.reshape(len(meta), rows)):
             lam_plus = np.concatenate([row[5:], row[2:3] if centre else []])
             results.append((*closed, *_fd_derivatives(h, row[:5]),
@@ -595,7 +684,13 @@ def perturbation_suite(items, s_grid):
 
 
 def random_skew_adjoint_with_kernel(rng, dim, kernel_dim, gap=0.5, spread=5.0):
-    """Random skew-adjoint matrix with a planted kernel and a spectral gap."""
+    """Random skew-adjoint matrix with a planted kernel and a spectral gap.
+
+    M = Q diag(evals) Q^H, Q a random unitary, evals dim - kernel_dim
+    values i s (gap + spread u), s = +-1 and u uniform in [0, 1), and
+    kernel_dim zeros; the matrix returned is (M - M^H) / 2, which is
+    exactly skew-Hermitian (X == -X^H bit for bit) and within rounding of M,
+    so the contour quadratures of `spectral` take its structure."""
     if dim < 1:
         raise ValidationError(f"dim must be >= 1, got {dim}")
     if kernel_dim < 0:
@@ -607,4 +702,5 @@ def random_skew_adjoint_with_kernel(rng, dim, kernel_dim, gap=0.5, spread=5.0):
     mags = gap + spread * rng.random(n_nonzero)
     signs = np.where(rng.random(n_nonzero) < 0.5, -1.0, 1.0)
     evals = np.concatenate([np.zeros(kernel_dim), 1j * mags * signs])
-    return (Q * evals) @ Q.conj().T
+    M = (Q * evals) @ Q.conj().T
+    return (M - M.conj().T) / 2

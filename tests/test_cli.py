@@ -623,6 +623,29 @@ class TestKato:
                             f"{float(abs(d2f - d2c))!r},{conj!r},{pi_norm!r}")
         assert [ln.strip() for ln in read_data_lines(tmp_path / "o1" / "kato.csv")][1:] == expected
 
+    def test_window_and_walk_comments(self, tmp_path):
+        # the largest node count and the smallest contour clearance over the
+        # windows, and the band of the walk: the instances are exactly
+        # skew-Hermitian, so their Hessenberg forms are tridiagonal
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("[kato]\nsize = 12\ninstances = 3\n")
+        assert run(["kato", "--config", str(cfg), "--out", str(tmp_path), "--seed", "7"]) == 0
+        with open(tmp_path / "kato.csv") as fh:
+            comments = dict(ln[2:].rstrip("\n").split(": ", 1) for ln in fh
+                            if ln.startswith("# "))
+        rng = np.random.default_rng(7)
+        windows, clearances = [], []
+        for _ in range(3):
+            X = sp.random_skew_adjoint_with_kernel(rng, 12, 2, gap=0.8, spread=4.0)
+            rng.standard_normal((12, 12)), rng.standard_normal((12, 12))  # P_A's draws
+            windows.append(sp.spectral_window(X, 0.3))
+            clearances.append(np.abs(np.abs(np.linalg.eigvals(X)) - 0.3).min() / 0.3)
+        assert comments["max_quadrature_nodes"] == str(max(W.quadrature_nodes for W in windows))
+        assert float(comments["min_contour_clearance"]) == min(W.clearance for W in windows)
+        assert float(comments["min_contour_clearance"]) == pytest.approx(min(clearances),
+                                                                         rel=1e-12)
+        assert comments["walk_band"] == "1"
+
     @staticmethod
     def _one_item_rows(seed, size, instances):
         """kato.csv's data rows from one-item perturbation_suite passes on the run's draws."""

@@ -60,7 +60,12 @@ def test_compare_outputs_verdict():
     moved = ["# factor: 1.1", "s,lambda,kind", "0.1,0.33333333333333337,a"]
     assert verdict(old, old) == "identical"
     assert verdict(old, ["# factor: 1.1", *old[1:]]) == "same data rows"
-    assert verdict(old, moved) == "DIFFERENT (numbers only, max rel diff 1.7e-16)"
+    assert verdict(old, moved) == ("DIFFERENT (numbers only, max rel diff 1.7e-16, "
+                                   "max abs diff 5.6e-17)")
+    # a rounding-size column: a relative difference of order 1, an absolute one of 1e-15
+    tiny = ["# factor: 1.0", "s,lambda,kind", "0.1,3e-15,a"]
+    assert verdict(tiny, [*tiny[:2], "0.1,2e-15,a"]) == (
+        "DIFFERENT (numbers only, max rel diff 3.3e-01, max abs diff 1.0e-15)")
     # a text field, a row more, or a file in one tree only stays a bare DIFFERENT
     assert verdict(old, [*old[:2], "0.1,0.3333333333333333,b"]) == "DIFFERENT"
     assert verdict(old, [*moved, "0.2,0.5,a"]) == "DIFFERENT"

@@ -16,6 +16,7 @@ class TestSpectralWindow:
     def test_diag_example(self):
         X = np.diag([0.0, 1j, -1j])
         W = sp.spectral_window(X, 0.5)
+        assert W.clearance == 1.0  # ||w| - 0.5| / 0.5 at w = 0 and at |w| = 1
         assert np.abs(W.pi0_plus - np.diag([1.0, 0, 0])).max() < 1e-11
         assert np.abs(W.pi0_minus - W.pi0_plus).max() < 1e-11
         assert sp.resolvent_identity_check(W) < 1e-10
@@ -371,9 +372,15 @@ def _endpoint_sums(X, radius, N):
     return acc / N, trace / N
 
 
+def _similar_non_skew(rng, X):
+    """S X S^-1 for a random S near the identity: X's spectrum, not skew."""
+    S = np.eye(len(X)) + 0.1 * rng.standard_normal(X.shape)
+    return S @ X @ np.linalg.inv(S)
+
+
 class TestNestedNodes:
-    def test_levels_match_direct_endpoint_sums(self, rng):
-        X = sp.random_skew_adjoint_with_kernel(rng, 12, 2, gap=0.5, spread=3.0)
+    @staticmethod
+    def _check_levels(X):
         radius = 0.3
         levels = sp._trapezoid_levels(X, radius, max_nodes=256)
         Ns = []
@@ -384,8 +391,22 @@ class TestNestedNodes:
             Ns.append(N)
         assert Ns == [16, 32, 64, 128, 256]
 
+    def test_levels_match_direct_endpoint_sums(self, rng):
+        # a skew-Hermitian X inverts one node of each pair
+        X = sp.random_skew_adjoint_with_kernel(rng, 12, 2, gap=0.5, spread=3.0)
+        assert sp._skew(X)
+        self._check_levels(X)
+
+    def test_non_skew_levels_match_direct_endpoint_sums(self, rng):
+        # any other X inverts every node
+        X = _similar_non_skew(rng, sp.random_skew_adjoint_with_kernel(rng, 12, 2, gap=0.5,
+                                                                      spread=3.0))
+        assert not sp._skew(X)
+        self._check_levels(X)
+
     def test_one_inverse_per_node(self, rng, monkeypatch):
         X = sp.random_skew_adjoint_with_kernel(rng, 12, 2, gap=0.5, spread=3.0)
+        non_skew = _similar_non_skew(rng, X)
         inverted = []
         inv = np.linalg.inv
 
@@ -394,9 +415,15 @@ class TestNestedNodes:
             return inv(a)
 
         monkeypatch.setattr(np.linalg, "inv", counted)
-        W = sp.spectral_window(X, 0.3)
+        W = sp.spectral_window(non_skew, 0.3)
         # one resolvent per node and eig's V^-1
         assert sum(inverted) == W.quadrature_nodes + 1
+        inverted.clear()
+        W = sp.spectral_window(X, 0.3)
+        # a skew-Hermitian X pairs the nodes: 9 of level 16's 16 (two are
+        # their own twins) and a quarter of each later level's N, N/2 + 1
+        # in all, and eig's V^-1
+        assert sum(inverted) == W.quadrature_nodes // 2 + 1 + 1
 
     def test_quadrature_nodes_is_converged_level(self, rng):
         X = sp.random_skew_adjoint_with_kernel(rng, 15, 1, gap=0.5, spread=3.0)
@@ -433,12 +460,14 @@ def hessenberg_cases(draw, hessenberg=True):
 
     Zero diagonals and zeroed subdiagonal entries force both pivot
     choices of the shifted Hessenberg elimination (and its no-op steps).
+    Hessenberg stacks are banded at a drawn upper bandwidth, so the
+    trace walk runs on rows of every width.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, B, m = draw(st.integers(1, 12)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
     M = rng.standard_normal((B, n, n)) + 1j * rng.standard_normal((B, n, n))
     if hessenberg:
-        M = np.triu(M, -1)
+        M = np.triu(M, -1) - np.triu(M, draw(st.integers(0, n)) + 1)
     if draw(st.booleans()):
         M[:, np.arange(n), np.arange(n)] = 0
     if n > 1 and draw(st.booleans()):
@@ -507,6 +536,71 @@ class TestHessenbergTraces:
         tr = sp._hessenberg_traces(H, np.array([[0.0, -0.3, 1.0]]))
         assert np.isnan(tr[0, :2]).all()
         assert tr[0, 2] == pytest.approx(1 / 1.0 + 1 / 1.3, rel=1e-14)
+
+
+def _skew_with_inner(rng, n, outer=None):
+    """An exactly skew-Hermitian n x n matrix: a drawn number of eigenvalues
+    i t, |t| <= 0.15, the rest at |t| >= 0.8, conjugated by a random unitary.
+    With outer, the non-skew S diag S^-1 of the same spectrum instead."""
+    inner = int(rng.integers(0, n + 1))
+    t = np.concatenate([rng.uniform(-0.15, 0.15, inner),
+                        rng.choice([-1, 1], n - inner) * rng.uniform(0.8, 4.0, n - inner)])
+    if outer is not None:
+        S = np.eye(n) + 0.2 * rng.standard_normal((n, n)) / np.sqrt(n)
+        return (S * 1j * t) @ np.linalg.inv(S)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    M = (Q * 1j * t) @ Q.conj().T
+    return (M - M.conj().T) / 2
+
+
+class TestSkewStacks:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(0, 30))
+    def test_generator_is_exactly_skew_hermitian(self, seed, dim, kernel_dim):
+        X = sp.random_skew_adjoint_with_kernel(np.random.default_rng(seed), dim,
+                                               min(kernel_dim, dim))
+        assert np.array_equal(X, -X.conj().T)
+        assert sp._skew(X)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 40])
+    def test_reduction_of_a_skew_matrix_is_tridiagonal(self, rng, n):
+        # rounding leaves entries of size eps |X| above the superdiagonal of
+        # the skew form, which the reduction sets to 0; the non-skew form of
+        # the same spectrum keeps its upper triangle
+        X = np.stack([_skew_with_inner(rng, n), _skew_with_inner(rng, n, outer=True)])
+        H = sp._hessenberg(X.copy())
+        assert not np.triu(H[0], 2).any()
+        assert sp._band(H[:1]) == min(1, n - 1)
+        assert sp._band(H) == n - 1
+        scale = float(np.abs(X[0]).max())
+        assert np.abs(H[0] + H[0].conj().T).max() <= 1e-13 * scale * n
+        assert abs(np.trace(H[0]) - np.trace(X[0])) <= 1e-13 * scale * n
+        assert abs(np.linalg.norm(H[0]) - np.linalg.norm(X[0])) <= 1e-13 * scale * n
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 16))
+    def test_sums_do_not_depend_on_the_walk_width(self, seed, B, n):
+        # a skew matrix's sum alone (a tridiagonal walk), in a stack of skew
+        # matrices (tridiagonal) and in a stack with one non-skew matrix (a
+        # full-width walk) is the same bit for bit, and it is minus the sum
+        # of its eigenvalues inside the circle
+        rng = np.random.default_rng(seed)
+        Xs = np.stack([_skew_with_inner(rng, n) for _ in range(B)])
+        radii = rng.uniform(0.3, 0.5, B)
+        alone = [sp._hessenberg_sums(sp._hessenberg(Xs[b:b + 1].copy()), radii[b:b + 1])[0]
+                 for b in range(B)]
+        assert sp._hessenberg_sums(sp._hessenberg(Xs.copy()), radii).tolist() == alone
+        at = int(rng.integers(0, B + 1))
+        mixed = np.insert(Xs, at, _skew_with_inner(rng, n, outer=True), axis=0)
+        H = sp._hessenberg(mixed)
+        assert sp._band(H) == n - 1  # the non-skew form's full width
+        sums = sp._hessenberg_sums(H, np.insert(radii, at, 0.4)).tolist()
+        del sums[at]
+        assert sums == alone
+        for X, radius, got in zip(Xs, radii, alone):
+            evals = np.linalg.eigvals(X)
+            want = -evals[np.abs(evals) < radius].sum()
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestBatchedClusterSums:

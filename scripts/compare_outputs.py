@@ -22,7 +22,9 @@ does: an End(E) `torus-eject` at (n, K, m, r) = (3, 1, 0, 2), with its two
 `holonomy` at `num_geodesics = 8, steps = 100` on a non-constant r = 3
 connection, a cosine mode of amplitude 0.3 on every direction of each
 mode q, |q|_inf <= 1, from a fixed seed, so Gamma varies along every
-geodesic.
+geodesic.  `check-divtype` runs the symbol families no workload does:
+divergence at n = 3, forms at n = 4, k = 2, the counterexample at r = 2
+and dstar in the full model at n = 3, m = 2.
 Each tree runs all of it in one Python process with that tree first on the
 path.
 Every output file is then compared past its first line when that line is
@@ -33,15 +35,16 @@ the CSV timestamp, and reported as
     DIFFERENT        a data row differs, or the file exists in one tree only.
 
 A DIFFERENT file whose data rows match in number, and in fields per row,
-and differ only in comma-separated fields that are finite floats in both
-trees, is reported as `DIFFERENT (numbers only, max rel diff 3.6e-16, max
-abs diff 1.1e-16)`: the largest |a - b| / max(|a|, |b|) and the largest
-|a - b| over those fields.  The absolute difference tells a column of
-rounding-size defects, whose relative difference can be of order 1,
-from a value that moved.  A file whose data rows match gets the
-relative measure over its `# key: value` comment lines whose values are
-finite floats in both trees, appended as `same data rows (comment drift
-2.5e-02)` when such a value moved.
+and differ only in fields that are finite floats in both trees, is
+reported as `DIFFERENT (numbers only, max rel diff 3.6e-16, max abs diff
+1.1e-16)`; fields are separated by commas or whitespace, so a CSV and an
+ENDO or HPOLY payload are read alike.  The numbers are the largest
+|a - b| / max(|a|, |b|) and the largest |a - b| over those fields.  The
+absolute difference tells a column of rounding-size defects, whose
+relative difference can be of order 1, from a value that moved.  A file
+whose data rows match gets the relative measure over its `# key: value`
+comment lines whose values are finite floats in both trees, appended as
+`same data rows (comment drift 2.5e-02)` when such a value moved.
 
 The exit code is 0 when every file is identical and 1 otherwise.
 `perfbench/workloads.py` is only read.
@@ -56,6 +59,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -65,6 +69,8 @@ import numpy as np
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 SEEDS = (101, 105, 110)
+# between the fields of a CSV row and of an ENDO or HPOLY payload line
+FIELD_SEP = re.compile(r"[,\s]+")
 
 # runs each (directory, out, argv) of argv[1] with the cktlab found first on
 # the path; the exit code goes into the output directory, so the comparison
@@ -177,7 +183,13 @@ def other_commands(workloads, seed):
         "holonomy-curved.cfg": ("[holonomy]\nconnection = curved-r3.fourconn\n"
                                 "num_geodesics = 8\nsteps = 100\n"),
     }
+    divtypes = {"divtype-divergence": "family = divergence\nn = 3\n",
+                "divtype-forms": "family = forms\nn = 4\nk = 2\n",
+                "divtype-counterexample": "family = counterexample\nr = 2\n",
+                "divtype-full": "family = dstar\nmodel = full\nn = 3\nm = 2\n"}
+    files.update((f"{stem}.cfg", f"[divtype]\n{body}") for stem, body in divtypes.items())
     runs = [("dims", ["dims", "--n", "3", "--mmax", "4", "--out", "dims", "--seed", str(seed)])]
+    runs += [config_run("check-divtype", f"{stem}.cfg", stem, seed) for stem in divtypes]
     runs += [config_run(sub, f"{stem}.cfg", stem, seed) for sub, stem in (
         ("harmdecomp", "harmdecomp"), ("commutator-factor", "commutator-file"),
         ("commutator-factor", "commutator-random"), ("holonomy", "holonomy-steps100"),
@@ -217,13 +229,13 @@ def outputs(workdir, runs):
 def numbers_only(old_rows, new_rows):
     """The largest relative and the largest absolute difference of the
     fields that differ between two lists of data rows, or None unless the
-    lists have as many rows, each row as many comma-separated fields, and
-    every differing field is a finite float in both."""
+    lists have as many rows, each row as many fields separated by commas
+    or whitespace, and every differing field is a finite float in both."""
     if len(old_rows) != len(new_rows):
         return None
     worst = worst_abs = 0.0
     for old_row, new_row in zip(old_rows, new_rows):
-        old_fields, new_fields = old_row.split(","), new_row.split(",")
+        old_fields, new_fields = FIELD_SEP.split(old_row), FIELD_SEP.split(new_row)
         if len(old_fields) != len(new_fields):
             return None
         for a, b in zip(old_fields, new_fields):

@@ -318,11 +318,10 @@ def solve_gamma_preimage(u: TwistedHarmonic):
 def commutator_factor(u, tol=1e-9):
     """Write a trace-free skew-Hermitian u as [A, G] with A, G skew-Hermitian.
 
-    Follows the constructive induction: find a unit vector on which the
-    quadratic form of u vanishes (bisection along the arc between the top
-    and bottom eigenvectors of -iu), split off the first row/column,
-    recurse, and solve (A' - i lambda) S = X with lambda beyond the
-    spectral radius of A'.
+    Follows the constructive induction: take a unit vector on which the
+    quadratic form of u vanishes (`_isotropic_vector` of -iu), split off
+    the first row/column, recurse, and solve (A' - i lambda) S = X with
+    lambda beyond the spectral radius of A'.
     """
     u = np.asarray(u, dtype=complex)
     r = u.shape[0]
@@ -338,35 +337,25 @@ def commutator_factor(u, tol=1e-9):
     return A, G
 
 
+def _isotropic_vector(H):
+    """A unit x0 with <H x0, x0> = 0 for a nonzero Hermitian H of trace 0:
+    x0 ~ sqrt(-l_min) x_max + sqrt(l_max) x_min from its extreme eigenpairs,
+    whose form is -l_min l_max + l_max l_min = 0, as the cross terms of two
+    eigenvectors vanish.  An extreme eigenvalue of the wrong sign counts as 0."""
+    evals, evecs = np.linalg.eigh(H)
+    x0 = (math.sqrt(max(-evals[0], 0.0)) * evecs[:, -1]
+          + math.sqrt(max(evals[-1], 0.0)) * evecs[:, 0])
+    return x0 / np.linalg.norm(x0)
+
+
 def _factor_rec(u):
     r = u.shape[0]
     if r == 1 or np.abs(u).max() < 1e-15:
         return np.zeros((r, r), dtype=complex), np.zeros((r, r), dtype=complex)
-    H = -1j * u  # Hermitian, trace ~ 0
-    evals, evecs = np.linalg.eigh(H)
-    x_hi, x_lo = evecs[:, -1], evecs[:, 0]
-    # g(t) = <H x(t), x(t)> moves continuously from the top to the bottom
-    # eigenvalue along the arc; bisect for the zero crossing
-    def g(t):
-        x = math.cos(t) * x_hi + math.sin(t) * x_lo
-        return float(np.real(x.conj() @ (H @ x)))
-
-    lo, hi = 0.0, math.pi / 2
-    glo = g(lo)
-    for _ in range(80):
-        mid = (lo + hi) / 2
-        gm = g(mid)
-        if (gm > 0) == (glo > 0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    t0 = (lo + hi) / 2
-    x0 = math.cos(t0) * x_hi + math.sin(t0) * x_lo
-    x0 /= np.linalg.norm(x0)
-
+    x0 = _isotropic_vector(-1j * u)  # -iu is Hermitian, trace ~ 0
     Q, _ = np.linalg.qr(np.column_stack([x0, np.eye(r)]))
     ut = Q.conj().T @ u @ Q
-    ut[0, 0] = 0.0  # bisection residual, at rounding level
+    ut[0, 0] = 0.0  # <u x0, x0>, at rounding level
     X = ut[1:, 0].copy()
     up = ut[1:, 1:].copy()
     up -= (np.trace(up) / (r - 1)) * np.eye(r - 1)

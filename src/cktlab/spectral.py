@@ -90,7 +90,8 @@ class SpectralWindow:
     quadrature_nodes: int
     enclosed: int  # eigenvalues of X inside the contour, with multiplicity
     eig_crosscheck: float = field(default=float("nan"))
-    # min over the eigenvalues w of X of ||w| - contour_radius| / contour_radius
+    # min of (|w| - contour_radius) / contour_radius over the eigenvalues w
+    # of X outside the contour, inf when there is none
     clearance: float = field(default=float("nan"))
 
     # (z - X)^{-1} = -(X + (-z))^{-1} on a contour symmetric under z -> -z
@@ -209,20 +210,20 @@ def _contour_quadrature(X, radius, max_nodes=1 << 15):
     """Trapezoidal contour integrals of the projector and the reduced resolvent.
 
     Returns (pi_plus, r_plus, nodes).  Node count is doubled until the
-    projector stops changing by more than 1e-11, an absolute bound: a
-    projector of norm about 1e4 or more (an ill-conditioned cluster)
-    stalls above it, and the ConvergenceError reports the last change
-    and |Pi|_F.
+    projector changes by at most 1e-11 max(1, max|Pi|): an orthogonal
+    projector stops at an absolute 1e-11, an ill-conditioned cluster's at
+    its own size.  From a norm of about 1e5 the change stalls above the
+    bound, and the ConvergenceError reports the last change and |Pi|_F.
     """
     prev, change = None, math.inf
     for N, (pi_p, r_p) in _trapezoid_levels(X, radius, max_nodes):
         if prev is not None:
             change = float(np.abs(pi_p - prev).max())
-            if change <= 1e-11:
+            if change <= 1e-11 * max(1.0, float(np.abs(pi_p).max())):
                 return pi_p, r_p, N
         prev = pi_p
     raise ConvergenceError(
-        f"contour quadrature did not converge to 1e-11 within {max_nodes} nodes: "
+        f"contour quadrature did not converge to 1e-11 max(1, max|Pi|) within {max_nodes} nodes: "
         f"last projector change {change:.1e}, |Pi|_F {np.linalg.norm(prev):.1e}"
     )
 
@@ -233,8 +234,9 @@ def spectral_window(X, radius=None) -> SpectralWindow:
     pi0_plus/r0_plus are integrated from (X + z)^{-1}, whose Laurent
     expansion at 0 is pi0_plus/z + r0_plus + O(z); for skew-adjoint X the
     projector is orthogonal.  One eig of X gives the default radius, the
-    contour clearance (kept as W.clearance, relative to the radius), the
-    enclosed count and the cross-check projector V[:, in] V^-1[in, :].
+    clearance of the spectrum outside the contour (W.clearance, relative
+    to the radius), the enclosed count and the cross-check projector
+    V[:, in] V^-1[in, :].
     The disc |z| < radius must hold a semisimple cluster at 0 and nothing
     else, or the constant Laurent term is no reduced resolvent: an
     enclosed eigenvalue that is nonzero by _zero's rule is a
@@ -271,7 +273,7 @@ def spectral_window(X, radius=None) -> SpectralWindow:
     cross = (float("nan") if Vinv is None
              else float(np.abs(pi_p - V[:, inside] @ Vinv[inside, :]).max()))
     return SpectralWindow(X, float(radius), pi_p, r_p, nodes, int(inside.sum()), cross,
-                          float(dist.min()) / radius)
+                          float(dist[~inside].min(initial=math.inf)) / radius)
 
 
 def default_window_radius(X) -> float:

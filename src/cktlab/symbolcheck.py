@@ -4,10 +4,11 @@ A symbol family evaluates a matrix at unit covectors.  The checker
 samples the cosphere deterministically, extracts the kernel of the
 symbol at each sample, and accumulates the span; the family is of
 uniform divergence type exactly when the accumulated span fills the
-fiber.  Families implemented here: the contraction symbol of the
-symmetric-derivative adjoint (trace-free and full tensor models), the
-divergence of a vector field, exterior-form contraction, and the
-build-by-hand elliptic counterexample.
+fiber; kernel and span are `linalg` rank cuts.  Families implemented
+here: the contraction symbols of the symmetric-derivative adjoint
+(trace-free and full tensor models) and of exterior forms, both -i sum_j
+xi_j C_j over a cached stack C, the divergence of a vector field, and
+the build-by-hand elliptic counterexample.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .connalg import TwistedHarmonic, _fiber_values
 from .errors import ValidationError
-from .linalg import check_entries, nullspace
+from .linalg import block_nullspace, check_entries, nullspace
 from .polyharm import dims
 from .symtensor import _contraction_matrices, _tracefree_contraction, _weights
 from .torus import FourierConnection
@@ -122,14 +123,23 @@ def make_cosphere_sampler(n: int, seed: int = 0):
     return sample
 
 
+# [span | kernel] has orthonormal blocks, so s0 is in [1, sqrt 2]: a kernel
+# vector at distance rho from the span adds a singular value near rho/sqrt 2
+# beside sqrt 2, and it is a new direction when rho > 1e-8
+_SPAN_RTOL = 5e-9
+
+
 def uniform_span(family: SymbolFamily, N: int = 256, seed: int = 0) -> SpanReport:
     """Accumulate ker(symbol) over sampled covectors and report the span.
 
     The covectors come from `make_cosphere_sampler(family.covector_dim,
-    seed)`, so the report is deterministic given the seed.  The span is
-    declared final once it has been stable over the last max(16, fiber_dim)
-    samples; the verdicts are 'uniform' (span fills the fiber), 'elliptic'
-    (every sampled kernel was trivial), or 'not-uniform'.
+    seed)`, so the report is deterministic given the seed.  Each sample's
+    span is the range of [span | kernel] at rtol _SPAN_RTOL
+    (`linalg.block_nullspace`), and it grew when that rank exceeds its
+    width.  The span is declared final once it has been stable over the
+    last max(16, fiber_dim) samples; the verdicts are 'uniform' (span
+    fills the fiber), 'elliptic' (every sampled kernel was trivial), or
+    'not-uniform'.
     """
     if N < 1:
         raise ValidationError(f"need at least one covector sample, got N={N}")
@@ -146,16 +156,9 @@ def uniform_span(family: SymbolFamily, N: int = 256, seed: int = 0) -> SpanRepor
     for i in range(N):
         xi = sampler(i)
         K, _ = nullspace(family(xi), 1e-10)
-        grew = False
-        for col in K.T:
-            v = col.copy()
-            for _ in range(2):
-                if span.shape[1]:
-                    v = v - span @ (span.conj().T @ v)
-            nrm = np.linalg.norm(v)
-            if nrm > 1e-8:
-                span = np.column_stack([span, v / nrm])
-                grew = True
+        ((U, _, (rank,)),), _ = block_nullspace([np.hstack([span, K])[None]], _SPAN_RTOL)
+        grew = rank > span.shape[1]
+        span = U[0, :, :rank]
         kernel_dims.append(K.shape[1])
         span_history.append(span.shape[1])
         count = i + 1
@@ -199,6 +202,17 @@ def _dstar_stack(n, m, model):
     raise ValidationError(f"unknown model {model!r}")
 
 
+def _contract(xi, stack):
+    """-i sum_j xi_j C_j over an (n, cod, dom) stack C."""
+    return -1j * np.tensordot(np.asarray(xi, dtype=float), stack, axes=1)
+
+
+def _stack_family(stack, n, name):
+    """The family of `_contract` over a cached (n, cod, dom) stack."""
+    cod, dom = stack.shape[1:]
+    return SymbolFamily(dom, cod, lambda xi: _contract(xi, stack), n, name=name)
+
+
 def symbol_dstar(n: int, m: int, xi, model: str = "tracefree") -> np.ndarray:
     """Contraction symbol -i iota_xi on symmetric m-tensors, as a matrix.
 
@@ -208,7 +222,7 @@ def symbol_dstar(n: int, m: int, xi, model: str = "tracefree") -> np.ndarray:
     symmetric tensors.  m = 0 gives the zero map to an empty codomain.
     The matrix is -i sum_j xi_j C_j over the cached stack C of the model.
     """
-    return -1j * np.tensordot(np.asarray(xi, dtype=float), _dstar_stack(n, m, model), axes=1)
+    return _contract(xi, _dstar_stack(n, m, model))
 
 
 def dstar_family(n: int, m: int, model: str = "tracefree") -> SymbolFamily:
@@ -217,9 +231,7 @@ def dstar_family(n: int, m: int, model: str = "tracefree") -> SymbolFamily:
         side = int(model == "tracefree")  # trace-free tensors count as harmonics
         _check_fiber(f"dstar[{model}] n={n} m={m}", dims(n, m)[side],
                      dims(n, m - 1)[side] if m else 0, n)
-    cod, dom = _dstar_stack(n, m, model).shape[1:]
-    return SymbolFamily(dom, cod, lambda xi: symbol_dstar(n, m, xi, model), n,
-                        name=f"dstar[{model}] n={n} m={m}")
+    return _stack_family(_dstar_stack(n, m, model), n, f"dstar[{model}] n={n} m={m}")
 
 
 def divergence_family(n: int) -> SymbolFamily:
@@ -243,31 +255,24 @@ def counterexample_family(r: int) -> SymbolFamily:
 
 
 @lru_cache(maxsize=None)
-def _form_subsets(n, k):
-    return tuple(combinations(range(n), k))
-
-
-def _forms_contraction_matrix(n, k, xi):
-    """Matrix of -i iota_xi from k-forms to (k-1)-forms in the wedge basis."""
-    dom = _form_subsets(n, k)
-    cod = _form_subsets(n, k - 1) if k >= 1 else ()
-    index_c = {S: i for i, S in enumerate(cod)}
-    M = np.zeros((len(cod), len(dom)), dtype=complex)
-    for a, S in enumerate(dom):
-        for pos, i in enumerate(S):
-            Sp = S[:pos] + S[pos + 1:]
-            M[index_c[Sp], a] += (-1j) * ((-1) ** pos) * xi[i]
-    return M
+def _forms_stack(n, k):
+    """The contractions iota_{e_j}, j < n, from k-forms to (k-1)-forms in
+    the wedge bases of ascending index subsets, as an (n, C(n, k-1), C(n, k))
+    stack: iota_{e_j} e_S = (-1)^pos e_{S - j}, j at position pos of S."""
+    cod = {S: c for c, S in enumerate(combinations(range(n), k - 1))} if k else {}
+    C = np.zeros((n, len(cod), math.comb(n, k)))
+    for a, S in enumerate(combinations(range(n), k)):
+        for pos, j in enumerate(S):
+            C[j, cod[S[:pos] + S[pos + 1:]], a] = (-1) ** pos
+    return C
 
 
 def forms_family(n: int, k: int) -> SymbolFamily:
+    """Symbol -i iota_xi from k-forms to (k-1)-forms."""
     if not 0 <= k <= n:
         raise ValidationError(f"need 0 <= k <= n, got k={k}")
-    dom = math.comb(n, k)
-    cod = math.comb(n, k - 1) if k >= 1 else 0
-    _check_fiber(f"forms n={n} k={k}", dom, cod)
-    return SymbolFamily(dom, cod, lambda xi: _forms_contraction_matrix(n, k, xi), n,
-                        name=f"forms n={n} k={k}")
+    _check_fiber(f"forms n={n} k={k}", math.comb(n, k), math.comb(n, k - 1) if k else 0, n)
+    return _stack_family(_forms_stack(n, k), n, f"forms n={n} k={k}")
 
 
 def check_dstar_uniform(n: int, m: int, model: str = "tracefree", N: int = 256,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cktlab import connalg as ca
 from cktlab import polyharm as ph
@@ -284,7 +286,41 @@ class TestSolveGammaPreimage:
             ca.solve_gamma_preimage(u)
 
 
+@st.composite
+def tracefree_hermitian(draw):
+    """A trace-free Hermitian H of size r <= 6, Q diag(lam) Q^H with lam less
+    its mean, whose top and bottom eigenvalues may each be repeated; Q is
+    the identity or a random unitary.  A nonzero trace-free H is indefinite,
+    and lam is kept only when it is, by more than 1e-150 at either end:
+    rounding of the mean can leave equal draws a definite multiple of eps
+    times I, and eps |H| must not underflow."""
+    r = draw(st.integers(2, 6))
+    lam = np.sort(draw(st.lists(st.floats(-1, 1), min_size=r, max_size=r)))
+    top = draw(st.integers(1, r - 1))
+    lam[r - top:], lam[:draw(st.integers(1, r - top))] = lam[-1], lam[0]
+    lam -= lam.mean()
+    assume(min(-lam[0], lam[-1]) > 1e-150)
+    H = np.diag(lam).astype(complex)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        Q, _ = np.linalg.qr(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
+        H = Q @ H @ Q.conj().T
+        H = (H + H.conj().T) / 2
+    return H
+
+
 class TestCommutatorFactor:
+    @settings(max_examples=200, deadline=None)
+    @given(tracefree_hermitian())
+    def test_isotropic_vector_in_closed_form(self, H):
+        r = len(H)
+        x0 = ca._isotropic_vector(H)
+        assert np.linalg.norm(x0) == pytest.approx(1.0, rel=1e-15)
+        form = abs(x0.conj() @ H @ x0)
+        assert form <= 10 * r * np.finfo(float).eps * np.linalg.norm(H, 2)
+        A, G = ca.commutator_factor(1j * H)
+        assert np.abs(A @ G - G @ A - 1j * H).max() <= 1e-12
+
     def test_trivial(self):
         A, G = ca.commutator_factor(np.zeros((1, 1)))
         assert A.shape == (1, 1) and np.abs(A).max() == 0

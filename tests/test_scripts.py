@@ -50,7 +50,9 @@ def test_compare_outputs_of_a_tree_with_itself(capsys):
                  "commutator-file/factor_A.endo", "commutator-file/factor_G.endo",
                  "holonomy-steps100/opacity.csv", "endo-eject/eject.csv",
                  "endo-ckt-zero/ckt_kernel.csv", "endo-ckt-pert/ckt_kernel.csv",
-                 "holonomy-curved/opacity.csv"):
+                 "holonomy-curved/opacity.csv", "divtype-divergence/divtype.csv",
+                 "divtype-forms/divtype.csv", "divtype-counterexample/divtype.csv",
+                 "divtype-full/divtype.csv"):
         assert path in reported
 
 
@@ -66,6 +68,11 @@ def test_compare_outputs_verdict():
     tiny = ["# factor: 1.0", "s,lambda,kind", "0.1,3e-15,a"]
     assert verdict(tiny, [*tiny[:2], "0.1,2e-15,a"]) == (
         "DIFFERENT (numbers only, max rel diff 3.3e-01, max abs diff 1.0e-15)")
+    # an ENDO or HPOLY payload's fields are separated by spaces
+    endo = ["ENDO 2", "0.0 0.5 1.0 -0.25", "-1.0 -0.25 0.0 -0.5"]
+    assert verdict(endo, [endo[0], "0.0 0.5000000000000001 1.0 -0.25", endo[2]]) == (
+        "DIFFERENT (numbers only, max rel diff 2.2e-16, max abs diff 1.1e-16)")
+    assert verdict(endo, [endo[0], "0.0 0.5 1.0", endo[2]]) == "DIFFERENT"
     # a text field, a row more, or a file in one tree only stays a bare DIFFERENT
     assert verdict(old, [*old[:2], "0.1,0.3333333333333333,b"]) == "DIFFERENT"
     assert verdict(old, [*moved, "0.2,0.5,a"]) == "DIFFERENT"

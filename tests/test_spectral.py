@@ -16,7 +16,7 @@ class TestSpectralWindow:
     def test_diag_example(self):
         X = np.diag([0.0, 1j, -1j])
         W = sp.spectral_window(X, 0.5)
-        assert W.clearance == 1.0  # ||w| - 0.5| / 0.5 at w = 0 and at |w| = 1
+        assert W.clearance == 1.0  # (|w| - 0.5) / 0.5 at |w| = 1; w = 0 is inside
         assert np.abs(W.pi0_plus - np.diag([1.0, 0, 0])).max() < 1e-11
         assert np.abs(W.pi0_minus - W.pi0_plus).max() < 1e-11
         assert sp.resolvent_identity_check(W) < 1e-10
@@ -90,6 +90,24 @@ class TestSpectralWindow:
         margin = re.search(r"last projector change (\S+), \|Pi\|_F (\S+)$", str(ei.value))
         assert 1e-11 < float(margin[1]) < 1e-4
         assert float(margin[2]) > 1e4
+
+    def test_ill_conditioned_window_converges_at_its_own_scale(self):
+        # cond(S) = 1e4: max|Pi| is about 1.4e3, so an absolute 1e-11 would
+        # ask for a relative change of 1e-14 and stall; the stop scales with
+        # max|Pi|
+        X = self._ill_conditioned([0, 0, 3j, -2.5j], 1e4)
+        W = sp.spectral_window(X)
+        assert np.abs(W.pi0_plus).max() > 1e3
+        assert W.quadrature_nodes < 1 << 15
+        assert W.enclosed == 2
+        assert abs(np.trace(W.pi0_plus) - 2) < 1e-9
+        assert W.eig_crosscheck < 1e-6
+
+    def test_clearance_is_over_the_outer_spectrum(self):
+        # w = 0 inside the contour, at relative distance 1, does not count;
+        # no outer eigenvalue is inf
+        assert sp.spectral_window(np.diag([0.0, 2j, -3j]), 0.5).clearance == 3.0
+        assert sp.spectral_window(np.zeros((3, 3)), 1.0).clearance == np.inf
 
     def test_ill_conditioned_nonzero_enclosed_rejected(self):
         X = self._ill_conditioned([0, 0.5j, 3j], 1e3)

@@ -133,6 +133,28 @@ class TestUniformSpan:
         b = sc.uniform_span(fam, N=64, seed=9)
         assert a.kernel_dims == b.kernel_dims and a.span_dim == b.span_dim
 
+    @staticmethod
+    def _kernels_e1_then_tilted(eps):
+        # a symbol on C^3 whose kernel is e_1 at the first sample and
+        # e_1 + eps e_2 (normalized) at every later one
+        calls = []
+
+        def ev(xi):
+            tilt = eps if calls else 0.0
+            calls.append(xi)
+            return np.array([[-tilt, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+        return sc.SymbolFamily(3, 2, ev, 2, name=f"tilt {eps}")
+
+    @pytest.mark.parametrize("eps, span", [(9e-9, 1), (1.1e-8, 2)])
+    def test_span_grows_past_a_residual_of_1e_8(self, eps, span):
+        # the span's rank cut: a kernel vector at distance rho from the span
+        # is a new direction when rho > 1e-8
+        rep = sc.uniform_span(self._kernels_e1_then_tilted(eps), N=20)
+        assert rep.kernel_dims[:2] == [1, 1]
+        assert rep.span_history[:2] == [1, span]
+        assert rep.span_dim == span and rep.verdict == "not-uniform"
+
 
 class TestForms:
     def test_n3_k1_uniform(self):
@@ -161,8 +183,8 @@ class TestFamilyCeiling:
         (lambda: sc.dstar_family(3, 2), 3),
         (lambda: sc.dstar_family(4, 3, "full"), 4),
         (lambda: sc.dstar_family(3, 0), 3),
-        (lambda: sc.forms_family(5, 2), 1),
-        (lambda: sc.forms_family(4, 0), 1),
+        (lambda: sc.forms_family(5, 2), 5),
+        (lambda: sc.forms_family(4, 0), 4),
         (lambda: sc.divergence_family(4), 1),
         (lambda: sc.counterexample_family(3), 1),
     ], ids=["dstar", "dstar-full", "dstar-m0", "forms", "forms-k0", "divergence",
